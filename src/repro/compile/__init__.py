@@ -3,13 +3,11 @@
 ``lower`` turns each program unit (module root + every lambda body)
 into a flat instruction stream; ``executor`` runs the streams in a
 tight dispatch loop behind the ``SearchKernel`` expander interface,
-materialising full machine states only at observable points; ``cache``
-persists compiled units keyed by ``program_digest`` next to the verdict
-store.  The step machines remain the source of truth — every compiled
-run is checked byte-identical against them by the differential oracle.
+materialising full machine states only at observable points.  The step
+machines remain the source of truth — every compiled run is checked
+byte-identical against them by the differential oracle.
 """
 
-from .cache import CompiledUnitCache
 from .executor import CoreExecutor, ScvExecutor
 from .lower import (
     OPCODE_NAMES,
@@ -20,7 +18,6 @@ from .lower import (
 
 __all__ = [
     "CompiledUnit",
-    "CompiledUnitCache",
     "CoreExecutor",
     "OPCODE_NAMES",
     "ScvExecutor",

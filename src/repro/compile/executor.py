@@ -36,8 +36,7 @@ The byte-identity argument, which the differential oracle
   minting go through literally the same code.
 
 ``dispatch_steps`` counts executed micro-steps (inline + delegated);
-it is deterministic for a given search and is threaded through the
-sharded engine's counter probe so sharded runs report it identically.
+it is deterministic for a given search.
 """
 
 from __future__ import annotations
@@ -116,18 +115,15 @@ class _ExecutorBase:
     miss, and the per-run counters land in the stats object the search
     reports from."""
 
-    engine = ""
-
-    def __init__(self, machine, program=None, stats=None, cache=None):
+    def __init__(self, machine, program=None, stats=None):
         self.m = machine
         self.stats = stats
         self.units = []
         self.code = {}  # id(node) -> instruction tuple
         self._pins = []  # keep compiled roots alive (id() stability)
         self.compile_ms = 0.0
-        self.cache_hit = False
         if program is not None:
-            self.load_program(program, cache)
+            self.load_program(program)
 
     def _lower_program(self, root):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -135,16 +131,9 @@ class _ExecutorBase:
     def _lower_miss_unit(self, root):  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def load_program(self, root, cache=None) -> None:
+    def load_program(self, root) -> None:
         t0 = time.perf_counter()
-        units = None
-        if cache is not None:
-            units = cache.load(self.engine, root)
-            self.cache_hit = units is not None
-        if units is None:
-            units = self._lower_program(root)
-            if cache is not None:
-                cache.store(self.engine, units)
+        units = self._lower_program(root)
         self.units = units
         self._pins.append(root)
         code = self.code
@@ -175,8 +164,6 @@ class _ExecutorBase:
 
 
 class ScvExecutor(_ExecutorBase):
-    engine = "scv"
-
     def _lower_program(self, root):
         return lower_scv(root)
 
@@ -609,8 +596,8 @@ class CoreExecutor(_ExecutorBase):
     while each *contraction* is one micro-step, in exactly the machine's
     order.  Because β-reduction substitutes fresh ``App``/``Lam`` nodes,
     core instruction streams are not directly executable (node identity
-    does not survive substitution); the compiled units drive caching,
-    accounting and the golden tests, and the executor dispatches on node
+    does not survive substitution); the compiled units drive accounting
+    and the golden tests, and the executor dispatches on node
     classes like the machine — its win is eliminating the per-step root
     re-walk, which is quadratic in redex depth for the interpreted loop.
 
@@ -620,8 +607,6 @@ class CoreExecutor(_ExecutorBase):
     application delegate to the machine's own rule methods on the
     current heap, and their results are plugged back through the zipper.
     """
-
-    engine = "core"
 
     def _lower_program(self, root):
         return lower_core(root)

@@ -19,10 +19,8 @@ equal references a monitored module expands into share one tuple — the
 same hash-consing discipline the fingerprinter uses.
 
 The stream is *per unit* and pre-order, which makes it deterministic
-for a given AST: the serialized form (``repro.compile.cache``) can be
-rebound to a freshly parsed program by replaying the same walk, and the
-golden tests in ``tests/test_compile.py`` pin the opcode sequences for
-the representative forms.
+for a given AST: the golden tests in ``tests/test_compile.py`` pin the
+opcode sequences for the representative forms.
 """
 
 from __future__ import annotations
@@ -233,11 +231,6 @@ def lower_scv(root, interner=None) -> list[CompiledUnit]:
     return units
 
 
-def scv_opcode_for(e) -> int:
-    """The opcode an scv node lowers to (cache-validation surface)."""
-    return _scv_instr(e, None)[0][0]
-
-
 # ---------------------------------------------------------------------------
 # core lowering
 # ---------------------------------------------------------------------------
@@ -293,8 +286,3 @@ def lower_core(root, interner=None) -> list[CompiledUnit]:
         kind = "module" if not units else "lambda"
         units.append(lower_core_unit(unit_root, interner, pending, kind))
     return units
-
-
-def core_opcode_for(e) -> int:
-    """The opcode a core node lowers to (cache-validation surface)."""
-    return _core_instr(e, None)[0][0]

@@ -254,8 +254,7 @@ def current_loc_counter() -> int:
     States record this (``loc_base``) so the machines can rewind the
     counter before stepping: location names become a pure function of
     the path from the initial state, independent of the order in which
-    the search — sequential or sharded across processes — interleaves
-    sibling branches.
+    the search interleaves sibling branches.
     """
     return _loc_counter
 

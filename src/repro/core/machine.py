@@ -67,8 +67,8 @@ class State:
     # The location-counter value this state was created under.  ``step``
     # rewinds the global ``fresh_loc`` counter to this before reducing,
     # making location names a pure function of the path from the initial
-    # state — independent of search order, and hence identical whether
-    # the frontier is explored sequentially or sharded across processes.
+    # state, independent of search order; the compiled executor's
+    # counter stamps rely on this (see repro.compile.executor).
     # Excluded from fingerprints (which rename locations anyway).
     loc_base: int = 0
 

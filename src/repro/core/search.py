@@ -36,12 +36,6 @@ class SearchStats:
     pruned: int = 0  # states dropped by fingerprint memoisation
     chained: int = 0  # deterministic micro-steps folded into macro states
     truncated: bool = False
-    # Sharded-search extras (see repro.search.parallel); scheduling-
-    # dependent, reported as volatile fields.
-    shards: int = 1
-    stolen_tasks: int = 0
-    frontier_exchanges: int = 0
-    shard_states: tuple = ()
     # Bytecode-compilation extras (see repro.compile); all zero on
     # interpreted runs.  ``dispatch_steps`` counts executed micro-steps
     # in the dispatch loop — deterministic for a given configuration.
@@ -74,24 +68,16 @@ def explore(
     stats: Optional[SearchStats] = None,
     strategy: str = "bfs",
     memo: bool = True,
-    shards: int = 1,
     compiled: bool = False,
-    compile_cache=None,
 ) -> Iterator[SearchResult]:
     """Search over ⟨E, Σ⟩ states, yielding answers (locations and
-    errors) in ``strategy`` order.  ``shards > 1`` partitions the bfs
-    frontier across forked worker processes (``repro.search.parallel``)
-    with byte-identical output; it requires memoisation (states are
-    routed by fingerprint) and falls back to the sequential kernel for
-    other strategies or where forking is unavailable.  ``compiled``
-    lowers the program once (``repro.compile``) and expands states with
-    the fused dispatch loop instead of the step-at-a-time machine —
-    byte-identical results, fewer interpreter overheads; an optional
-    ``compile_cache`` (``repro.compile.CompiledUnitCache``) reuses the
-    lowered units across runs of the same program digest."""
+    errors) in ``strategy`` order.  ``compiled`` lowers the program once
+    (``repro.compile``) and expands states with the fused dispatch loop
+    instead of the step-at-a-time machine — byte-identical results,
+    fewer interpreter overheads."""
     # Imported lazily: repro.search.fingerprint imports repro.core at
     # module level, so a module-level import here would be circular.
-    from ..search import CoreFingerprinter, SearchKernel, ShardedSearch
+    from ..search import CoreFingerprinter, SearchKernel
 
     m = machine or Machine()
     st = stats if stats is not None else SearchStats()
@@ -99,44 +85,16 @@ def explore(
     if compiled:
         from ..compile import CoreExecutor
 
-        expander = CoreExecutor(
-            m, program, stats=st, cache=compile_cache
-        ).expand
-    if shards > 1 and strategy == "bfs" and memo:
-        proof = m.proof
-        kernel = ShardedSearch(
-            m.step,
-            shards=shards,
-            fingerprint=CoreFingerprinter(),
-            max_states=max_states,
-            enter=proof.note_path,
-            stats=st,
-            expander=expander,
-            # Workers report the proof system's deterministic counters
-            # per expanded state; the parent replays them in global bfs
-            # order so the caller's proof object shows sequential counts.
-            # ``dispatch_steps`` rides along: each worker's executor
-            # accumulates into its forked stats copy, and the replay
-            # makes the parent's count the sequential prefix sum.
-            counter_probe=lambda: (
-                proof.queries, proof.solver_queries, st.dispatch_steps,
-            ),
-            counter_sink=lambda c: (
-                setattr(proof, "queries", c[0]),
-                setattr(proof, "solver_queries", c[1]),
-                setattr(st, "dispatch_steps", c[2]),
-            ),
-        )
-    else:
-        kernel = SearchKernel(
-            m.step,
-            strategy=strategy,
-            fingerprint=CoreFingerprinter() if memo else None,
-            max_states=max_states,
-            expander=expander,
-            enter=m.proof.note_path,  # per-path solver context follows the search
-            stats=st,
-        )
+        expander = CoreExecutor(m, program, stats=st).expand
+    kernel = SearchKernel(
+        m.step,
+        strategy=strategy,
+        fingerprint=CoreFingerprinter() if memo else None,
+        max_states=max_states,
+        expander=expander,
+        enter=m.proof.note_path,  # per-path solver context follows the search
+        stats=st,
+    )
     for state in kernel.run(inject(program)):
         if state.is_error:
             st.errors += 1
@@ -151,15 +109,12 @@ def find_errors(
     stats: Optional[SearchStats] = None,
     strategy: str = "bfs",
     memo: bool = True,
-    shards: int = 1,
     compiled: bool = False,
-    compile_cache=None,
 ) -> Iterator[SearchResult]:
     """Yield only the error answers reachable from ``program``."""
     for r in explore(
         program, machine=machine, max_states=max_states, stats=stats,
-        strategy=strategy, memo=memo, shards=shards, compiled=compiled,
-        compile_cache=compile_cache,
+        strategy=strategy, memo=memo, compiled=compiled,
     ):
         if r.is_error:
             yield r

@@ -74,7 +74,7 @@ def _int_flag(what: str):
 
 def _env_int(var: str, default: int) -> int:
     """Resolve an integer environment variable, exiting 2 on garbage
-    (``REPRO_SHARDS=abc`` must be a clear CLI error, not a traceback
+    (``REPRO_SERVE_WORKERS=abc`` must be a clear CLI error, not a traceback
     and not a silently-ignored setting)."""
     raw = os.environ.get(var)
     if raw is None or not raw.strip():
@@ -115,15 +115,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
         help="search kernel frontier discipline: breadth-first (the "
         "paper's §5.3 default), depth-first, or deepest-first priority "
         "(default bfs)",
-    )
-    p.add_argument(
-        "--shards", type=_int_flag("--shards"), default=None, metavar="N",
-        help="partition each program's bfs frontier across N forked "
-        "worker processes with a deterministic merge (byte-identical "
-        "verdicts and counterexamples; see docs/ARCHITECTURE.md). "
-        "Default: the REPRO_SHARDS environment variable, else 1. "
-        "Ignored by batch-runner pool workers when --jobs > 1 (the pool "
-        "is already saturating cores and its workers cannot fork)",
     )
     p.add_argument(
         "--compile", dest="compile", action="store_true", default=None,
@@ -175,13 +166,6 @@ def _store_dir(args: argparse.Namespace):
     return os.environ.get("REPRO_STORE") or None
 
 
-def _shards(args: argparse.Namespace) -> int:
-    """Resolve the shard count: --shards N > $REPRO_SHARDS > 1."""
-    if args.shards is not None:
-        return max(1, args.shards)
-    return max(1, _env_int("REPRO_SHARDS", 1))
-
-
 def _compile_enabled(args: argparse.Namespace) -> bool:
     """Resolve bytecode compilation: --compile/--no-compile >
     $REPRO_COMPILE (0/false/off/no = off) > on."""
@@ -204,7 +188,6 @@ def _config(args: argparse.Namespace, jobs: int = 1) -> RunConfig:
         memo=not args.no_memo,
         incremental=not args.no_incremental,
         store_dir=_store_dir(args),
-        shards=_shards(args),
         compile=_compile_enabled(args),
     )
 

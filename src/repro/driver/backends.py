@@ -27,7 +27,6 @@ engines answer the identical question (see ``scv.machine``).
 
 from __future__ import annotations
 
-import os
 import signal
 import time
 import warnings
@@ -98,34 +97,12 @@ class RunConfig:
     incremental: bool = True  # per-path incremental solver contexts
     store_dir: Optional[str] = None  # persistent store root (None: no store)
     client_of: Optional[str] = None  # narrow the demonic client (repro.store)
-    shards: int = 1  # in-program frontier shards (repro.search.parallel)
     # Bytecode compilation (repro.compile).  ``compile`` swaps the
     # step-at-a-time machines for the fused dispatch-loop executors —
     # byte-identical results (the differential oracle pins this), so it
     # is *not* part of the semantic config digest and compiled/
-    # interpreted runs share store entries.  ``compile_cache_dir``
-    # overrides where compiled units persist; by default they live under
-    # ``<store_dir>/compiled`` when a store is configured, else nowhere.
+    # interpreted runs share store entries.
     compile: bool = True
-    compile_cache_dir: Optional[str] = None
-
-
-def _compile_cache(cfg: RunConfig, program: Program):
-    """The compiled-unit cache for this run, or None (no cache dir, or
-    the program has no stable digest)."""
-    cache_dir = cfg.compile_cache_dir or (
-        os.path.join(cfg.store_dir, "compiled") if cfg.store_dir else None
-    )
-    if not cache_dir:
-        return None
-    from ..compile import CompiledUnitCache
-    from ..store.fingerprint import DigestError, program_digest
-
-    try:
-        digest = program_digest(program)
-    except DigestError:
-        return None
-    return CompiledUnitCache(cache_dir, digest, cfg.client_of)
 
 
 class _Deadline(Exception):
@@ -311,10 +288,6 @@ class TypedCoreBackend:
                 solver_queries=proof.solver_queries,
                 pruned=stats.pruned,
                 chained=stats.chained,
-                shards=stats.shards,
-                stolen_tasks=stats.stolen_tasks,
-                frontier_exchanges=stats.frontier_exchanges,
-                shard_states=list(stats.shard_states),
                 deadline_enforced=dl.enforced,
                 compiled_units=stats.compiled_units,
                 compile_ms=stats.compile_ms,
@@ -329,7 +302,6 @@ class TypedCoreBackend:
         except (ParseError, ReadError, LowerError, TypeError_) as exc:
             return done(STATUS_UNSUPPORTED, detail=f"{type(exc).__name__}: {exc}")
 
-        compile_cache = _compile_cache(cfg, program) if cfg.compile else None
         errors_found = 0
         attempts = 0
         found = None  # the first validated counterexample, if any
@@ -339,8 +311,7 @@ class TypedCoreBackend:
                 for result in find_errors(
                     core, machine=machine, max_states=cfg.max_states,
                     stats=stats, strategy=cfg.strategy, memo=cfg.memo,
-                    shards=cfg.shards, compiled=cfg.compile,
-                    compile_cache=compile_cache,
+                    compiled=cfg.compile,
                 ):
                     errors_found += 1
                     if attempts >= cfg.max_cex_attempts:
@@ -471,10 +442,6 @@ class UntypedScvBackend:
                 solver_queries=solver_queries,
                 pruned=stats.pruned,
                 chained=stats.chained,
-                shards=stats.shards,
-                stolen_tasks=stats.stolen_tasks,
-                frontier_exchanges=stats.frontier_exchanges,
-                shard_states=list(stats.shard_states),
                 deadline_enforced=dl.enforced,
                 compiled_units=stats.compiled_units,
                 compile_ms=stats.compile_ms,
@@ -487,7 +454,6 @@ class UntypedScvBackend:
         except (ParseError, ReadError) as exc:
             return done(STATUS_UNSUPPORTED, detail=f"{type(exc).__name__}: {exc}")
 
-        compile_cache = _compile_cache(cfg, program) if cfg.compile else None
         machine = SMachine(
             struct_types=collect_struct_types(program),
             assume_well_typed=not uses_contracts(program),
@@ -503,8 +469,8 @@ class UntypedScvBackend:
                                       client_of=cfg.client_of)
                 for blame_state in find_known_blames(
                     init, machine, max_states=cfg.max_states, stats=stats,
-                    strategy=cfg.strategy, memo=cfg.memo, shards=cfg.shards,
-                    compiled=cfg.compile, compile_cache=compile_cache,
+                    strategy=cfg.strategy, memo=cfg.memo,
+                    compiled=cfg.compile,
                 ):
                     errors_found += 1
                     if attempts >= cfg.max_cex_attempts:

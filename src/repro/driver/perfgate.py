@@ -20,10 +20,9 @@ either gated total:
   contexts stopped being reused (thrashing trails, over-eager rebuilds,
   or a proof system that silently fell back to one-shot solving).
 * ``max_wall_ms`` — the slowest single program row (schema v7).  The
-  sharded in-program search exists to shrink the corpus's worst-case
-  row, so the gate watches it alongside the sum: speeding up the
-  average while regressing the tail fails.  As a timing it shares the
-  wall-clock budget (``--max-regress-wall`` when given).
+  gate watches the corpus's worst-case row alongside the sum: speeding
+  up the average while regressing the tail fails.  As a timing it
+  shares the wall-clock budget (``--max-regress-wall`` when given).
 
 One total is gated in the *other* direction, with no tolerance:
 
@@ -66,10 +65,9 @@ GATED = (
     ("states_explored", "states explored"),
     ("wall_ms", "wall time (ms)"),
     ("solver_fresh_solves", "from-scratch solver solves"),
-    # Schema v7: the slowest single program row.  In-program frontier
-    # sharding exists to shrink exactly this number, so it is gated
-    # alongside the sum — a change that speeds the corpus up on average
-    # while making the worst program slower still fails.  Shares the
+    # Schema v7: the slowest single program row, gated alongside the
+    # sum — a change that speeds the corpus up on average while making
+    # the worst program slower still fails.  Shares the
     # wall-clock budget (``--max-regress-wall``): it is a timing, and on
     # shared CI runners single-row noise is even larger than total-noise.
     ("max_wall_ms", "slowest program wall (ms)"),

@@ -7,8 +7,7 @@ serialised as ``BENCH_driver.json``.  The JSON shape is versioned
 of the benchmark file are meaningful and the perf trajectory can be
 tracked across commits.
 
-Schema ``repro-bench/v8`` (the bytecode-compilation revision;
-supersedes the sharded-search ``v7``):
+Schema ``repro-bench/v9`` (``v8`` without the sharded-search fields):
 
 * every program row carries a ``backend`` field (``core`` or ``scv``);
 * rows and totals carry the search kernel's economy counters:
@@ -57,19 +56,8 @@ supersedes the sharded-search ``v7``):
   counterexamples (canonical ``err_op``, canonical scalar bindings —
   see the two ``counterexample`` modules) are compared field by field
   under ``agreement.counterexamples``;
-* new in v7 — the sharded-search counters from
-  :mod:`repro.search.parallel`: per row, ``shards`` (frontier shards
-  the search ran with; 1 for the sequential kernel), ``stolen_tasks``
-  (expansion chunks reassigned away from their home shard),
-  ``frontier_exchanges`` (successor states routed to a different shard
-  than the one that generated them), and ``shard_states`` (per-shard
-  expanded-state counts).  All four are *volatile*: sharding is
-  required to be invisible in every other field — a sharded row must
-  be byte-identical to its sequential twin outside the volatile set —
-  while these four describe the scheduling itself.  Totals sum the
-  counters (not ``shards``/``shard_states``) and gain ``max_wall_ms``,
-  the slowest single program row — the metric in-program sharding
-  exists to shrink, gated by ``perfgate`` alongside the totals;
+* new in v7 — totals gain ``max_wall_ms``, the slowest single program
+  row, gated by ``perfgate`` alongside the totals;
 * v7 addendum (the serving revision): rows carry
   ``deadline_enforced`` — False when a positive wall-clock budget could
   not be armed (no ``SIGALRM``, or the caller was not the main thread),
@@ -78,14 +66,19 @@ supersedes the sharded-search ``v7``):
 * new in v8 — the bytecode-compilation counters from
   :mod:`repro.compile`: per row, ``compiled_units`` (instruction
   streams lowered for the program — the module/main unit plus one per
-  lambda), ``compile_ms`` (lowering or cache-load time) and
-  ``dispatch_steps`` (micro-steps executed by the fused dispatch loop).
-  All three are zero on ``--no-compile`` runs, and hence *volatile* for
-  differential purposes: compiled and interpreted rows must be
-  byte-identical outside the volatile set — that identity is the
-  compile oracle.  Totals sum all three, and ``dispatch_steps`` joins
-  the perf-gate ratchets (skipped cleanly on pre-v8 or interpreted
-  baselines where the total is missing or zero).
+  lambda), ``compile_ms`` (lowering time) and ``dispatch_steps``
+  (micro-steps executed by the fused dispatch loop).  All three are
+  zero on ``--no-compile`` runs, and hence *volatile* for differential
+  purposes: compiled and interpreted rows must be byte-identical
+  outside the volatile set — that identity is the compile oracle.  A
+  unit replayed from the store compiled nothing, so it reports zero
+  ``compiled_units`` and ``compile_ms`` but keeps its ``dispatch_steps``
+  (a work counter, like ``states_explored``).  Totals sum all three,
+  and ``dispatch_steps`` joins the perf-gate ratchets (skipped cleanly
+  on pre-v8 or interpreted baselines where the total is missing or
+  zero);
+* v9 — v8 minus the four sharded-search row fields and their totals,
+  and minus the sharding and compile-cache keys of the config block.
 """
 
 from __future__ import annotations
@@ -94,7 +87,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-SCHEMA = "repro-bench/v8"
+SCHEMA = "repro-bench/v9"
 
 # Terminal statuses a verification attempt can end in.
 STATUS_SAFE = "safe"  # search exhausted, no (modelable) error
@@ -124,13 +117,6 @@ VOLATILE_ROW_FIELDS = frozenset({
     "store_hits",
     "store_misses",
     "modules_reverified",
-    # The sharded-search scheduling counters (repro.search.parallel): a
-    # sharded run must agree with the sequential run on everything
-    # *except* how the work was distributed.
-    "shards",
-    "stolen_tasks",
-    "frontier_exchanges",
-    "shard_states",
     # Whether the per-program wall-clock budget could actually be armed
     # (SIGALRM, main thread only — see driver.backends._deadline).  An
     # execution-environment fact, not a property of the program: a
@@ -196,13 +182,9 @@ class ProgramResult:
     store_hits: int = 0  # verification units replayed from the store
     store_misses: int = 0  # units the store did not hold
     modules_reverified: int = 0  # units actually recomputed this run
-    shards: int = 1  # frontier shards the search ran with
-    stolen_tasks: int = 0  # expansion chunks reassigned between shards
-    frontier_exchanges: int = 0  # successors routed to a different shard
-    shard_states: list = field(default_factory=list)  # per-shard expansions
     deadline_enforced: bool = True  # was the wall-clock budget actually armed
     compiled_units: int = 0  # instruction streams lowered (0: interpreted)
-    compile_ms: float = 0.0  # lowering / cache-load time
+    compile_ms: float = 0.0  # lowering time
     dispatch_steps: int = 0  # micro-steps run by the fused dispatch loop
     counterexample: Optional[CexReport] = None
     detail: str = ""
@@ -265,15 +247,12 @@ def _totals(results: list[ProgramResult]) -> dict:
         "store_hits": sum(r.store_hits for r in results),
         "store_misses": sum(r.store_misses for r in results),
         "modules_reverified": sum(r.modules_reverified for r in results),
-        "stolen_tasks": sum(r.stolen_tasks for r in results),
-        "frontier_exchanges": sum(r.frontier_exchanges for r in results),
         "compiled_units": sum(r.compiled_units for r in results),
         "compile_ms": round(sum(r.compile_ms for r in results), 1),
         "dispatch_steps": sum(r.dispatch_steps for r in results),
         "wall_ms": round(sum(r.wall_ms for r in results), 1),
-        # The slowest single program row: the wall-clock target of
-        # in-program sharding (ROADMAP: "the wall-clock of the slowest
-        # path, not the sum of all paths").
+        # The slowest single program row: a regression in the tail can
+        # hide inside a flat sum.
         "max_wall_ms": round(max((r.wall_ms for r in results), default=0.0), 1),
     }
 

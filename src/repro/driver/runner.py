@@ -196,21 +196,11 @@ def run_corpus(
 
     import multiprocessing as mp
 
-    # Nested-pool handling: in-program frontier shards only make sense
-    # when the batch runner is not already saturating the cores — and
-    # pool workers are daemonic, so they could not fork shard children
-    # anyway.  Demote the worker-side config to shards=1 (identical
-    # output by construction; see repro.search.parallel) rather than
-    # ship a knob the workers would have to ignore.
-    worker_cfg = cfg if cfg.shards <= 1 else RunConfig(
-        **{**asdict(cfg), "shards": 1}
-    )
-
     ctx = mp.get_context()
     with ctx.Pool(
         processes=min(cfg.jobs, len(tasks)),
         initializer=init_worker,
-        initargs=(asdict(worker_cfg),),
+        initargs=(asdict(cfg),),
     ) as pool:
         for r in pool.imap_unordered(_run_one, tasks, chunksize=1):
             report.results.append(r)

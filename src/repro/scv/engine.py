@@ -263,12 +263,6 @@ class USearchStats:
     pruned: int = 0  # states dropped by fingerprint memoisation
     chained: int = 0  # deterministic micro-steps folded into macro states
     truncated: bool = False
-    # Sharded-search extras (see repro.search.parallel); scheduling-
-    # dependent, reported as volatile fields.
-    shards: int = 1
-    stolen_tasks: int = 0
-    frontier_exchanges: int = 0
-    shard_states: tuple = ()
     # Bytecode-compilation extras (see repro.compile); all zero on
     # interpreted runs.  ``dispatch_steps`` counts executed micro-steps
     # in the dispatch loop — deterministic for a given configuration.
@@ -285,63 +279,33 @@ def explore_u(
     stats: Optional[USearchStats] = None,
     strategy: str = "bfs",
     memo: bool = True,
-    shards: int = 1,
     compiled: bool = False,
-    compile_cache=None,
 ) -> Iterator[SState]:
     """Search over machine states, yielding answer states (values and
     blame) in ``strategy`` order; ``memo=False`` disables fingerprint
-    pruning (the exact pre-kernel behaviour).  ``shards > 1`` runs the
-    bfs frontier sharded across forked processes
-    (``repro.search.parallel``) with byte-identical output; requires
-    memoisation, falls back to sequential otherwise.  ``compiled``
-    lowers the assembled program once (``repro.compile``) and expands
-    states with the fused dispatch loop instead of the step-at-a-time
-    machine — byte-identical results; ``compile_cache`` optionally
-    reuses the lowered units across runs of the same program digest."""
+    pruning (the exact pre-kernel behaviour).  ``compiled`` lowers the
+    assembled program once (``repro.compile``) and expands states with
+    the fused dispatch loop instead of the step-at-a-time machine —
+    byte-identical results."""
     # Imported lazily: repro.search.fingerprint imports this package at
     # module level, so a module-level import here would be circular.
-    from ..search import ScvFingerprinter, SearchKernel, ShardedSearch
+    from ..search import ScvFingerprinter, SearchKernel
 
     st = stats if stats is not None else USearchStats()
     expander = None
     if compiled:
         from ..compile import ScvExecutor
 
-        expander = ScvExecutor(
-            machine, init.control, stats=st, cache=compile_cache
-        ).expand
-    if shards > 1 and strategy == "bfs" and memo:
-        proof = machine.proof
-        kernel = ShardedSearch(
-            machine.step,
-            shards=shards,
-            fingerprint=ScvFingerprinter(),
-            max_states=max_states,
-            enter=proof.note_path,
-            stats=st,
-            expander=expander,
-            # ``dispatch_steps`` rides the deterministic counter replay
-            # (see core.search.explore) so sharded totals match.
-            counter_probe=lambda: (
-                proof.queries, proof.solver_queries, st.dispatch_steps,
-            ),
-            counter_sink=lambda c: (
-                setattr(proof, "queries", c[0]),
-                setattr(proof, "solver_queries", c[1]),
-                setattr(st, "dispatch_steps", c[2]),
-            ),
-        )
-    else:
-        kernel = SearchKernel(
-            machine.step,
-            strategy=strategy,
-            fingerprint=ScvFingerprinter() if memo else None,
-            max_states=max_states,
-            expander=expander,
-            enter=machine.proof.note_path,  # per-path solver context hook
-            stats=st,
-        )
+        expander = ScvExecutor(machine, init.control, stats=st).expand
+    kernel = SearchKernel(
+        machine.step,
+        strategy=strategy,
+        fingerprint=ScvFingerprinter() if memo else None,
+        max_states=max_states,
+        expander=expander,
+        enter=machine.proof.note_path,  # per-path solver context hook
+        stats=st,
+    )
     for state in kernel.run(init):
         if isinstance(state.control, Blame):
             st.blames += 1
@@ -358,16 +322,13 @@ def find_known_blames(
     stats: Optional[USearchStats] = None,
     strategy: str = "bfs",
     memo: bool = True,
-    shards: int = 1,
     compiled: bool = False,
-    compile_cache=None,
 ) -> Iterator[SState]:
     """Answer states blaming *known* code — errors from the unknown
     context (synthetic labels, ``•`` parties) are not findings."""
     for state in explore_u(
         init, machine, max_states=max_states, stats=stats,
-        strategy=strategy, memo=memo, shards=shards, compiled=compiled,
-        compile_cache=compile_cache,
+        strategy=strategy, memo=memo, compiled=compiled,
     ):
         c = state.control
         if isinstance(c, Blame) and c.known:

@@ -93,8 +93,7 @@ def current_syn_counter() -> int:
     stepping: machine-minted labels ('hv:N', 'mon:N', …) become a pure
     function of the path from the initial state, independent of the
     order in which the search interleaves sibling branches — the
-    invariant that lets a sharded search report byte-identical blame
-    labels to the sequential one."""
+    invariant the compiled executor's counter stamps rely on."""
     return _syn_counter
 
 

@@ -5,16 +5,12 @@
 * :mod:`repro.search.fingerprint` — canonical state fingerprints for
   ``core.State`` and ``scv.SState``;
 * :mod:`repro.search.intern` — the hash-consing table fingerprints are
-  built over;
-* :mod:`repro.search.parallel` — the sharded frontier engine: the same
-  bfs search partitioned across forked worker processes with a
-  deterministic merge (byte-identical answers and stats).
+  built over.
 """
 
 from .fingerprint import CoreFingerprinter, ScvFingerprinter
 from .intern import Interner
 from .kernel import Fingerprint, KernelStats, STRATEGIES, SearchKernel
-from .parallel import ShardStats, ShardedSearch, fork_available
 
 __all__ = [
     "CoreFingerprinter",
@@ -24,7 +20,4 @@ __all__ = [
     "STRATEGIES",
     "ScvFingerprinter",
     "SearchKernel",
-    "ShardStats",
-    "ShardedSearch",
-    "fork_available",
 ]

@@ -172,13 +172,7 @@ class SearchKernel:
         if self.fingerprint is None:
             return True
         fp = self.fingerprint(state)
-        return self._admit_fp(fp)
-
-    def _admit_fp(self, fp: Optional[Fingerprint]) -> bool:
-        """Admit by fingerprint alone (the sharded engine routes states
-        between workers by fingerprint, so admission must not need the
-        state).  ``None`` means the caller exempted the state."""
-        if fp is None:
+        if fp is None:  # the fingerprinter exempted the state
             return True
         if fp in self._seen:
             self.stats.pruned += 1

@@ -3,7 +3,7 @@
 One JSON dialect, versioned as ``repro-serve/v1``, shared by the HTTP
 layer (:mod:`repro.serve.app`), the client tooling
 (``tools/serve_smoke.py``) and the tests.  Result rows inside job views
-are the batch runner's ``repro-bench/v8`` rows verbatim
+are the batch runner's ``repro-bench/v9`` rows verbatim
 (:class:`repro.driver.report.ProgramResult` as a dict), so a report
 assembled from served jobs diffs cleanly against a batch report with
 ``tools/diff_reports.py``.
@@ -37,9 +37,9 @@ JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE)
 #: types — exactly the semantic knobs of ``driver.backends.RunConfig``
 #: (the store key's config digest is computed over these, so a request
 #: that overrides none of them shares warm entries with the batch
-#: runner's defaults).  Orchestration knobs (``jobs``, ``shards``,
-#: ``store_dir``, ``client_of``) are the server's business, not the
-#: client's, and are rejected.
+#: runner's defaults).  Orchestration knobs (``jobs``, ``store_dir``,
+#: ``client_of``) are the server's business, not the client's, and are
+#: rejected.
 REQUEST_CONFIG_FIELDS: dict[str, type] = {
     "max_states": int,
     "fuel": int,
@@ -129,7 +129,7 @@ def parse_verify_request(body) -> dict:
 def job_view(job, *, include_rows: bool = True) -> dict:
     """The public JSON shape of a job (``GET /v1/jobs/<id>``).
 
-    ``rows`` — present once the job is done — are ``repro-bench/v8``
+    ``rows`` — present once the job is done — are ``repro-bench/v9``
     result rows, one per engine the backend selection expanded to."""
     view = {
         "api": API_VERSION,

@@ -65,11 +65,8 @@ def job_run_config(
     return {
         **base_fields,
         **overrides,
-        # The serve pool is already one process per job; in-job frontier
-        # shards would fork from a daemonic worker, which cannot.  Same
-        # demotion (identical output by construction) as the batch pool.
+        # The serve pool is already one process per job.
         "jobs": 1,
-        "shards": 1,
         "client_of": None,
         "store_dir": store_root,
     }

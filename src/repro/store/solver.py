@@ -244,14 +244,6 @@ class SolverStore:
             return
         self._buffer[key] = (result, model, model_known)
 
-    def refresh(self) -> None:
-        """Drop the cached index so the next lookup rescans the shard
-        directory.  Long-lived readers sharing a directory with live
-        writers — the sharded search's workers between frontier levels —
-        call this to pick up sibling shards published since the index
-        was built; buffered (unflushed) entries are unaffected."""
-        self._index = None
-
     # -- publishing ------------------------------------------------------
 
     def flush(self) -> Optional[str]:

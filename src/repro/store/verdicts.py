@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -93,6 +94,16 @@ def _row_to_json(row: ProgramResult) -> dict:
 
 def _row_from_json(d: dict) -> ProgramResult:
     return result_from_row(d)
+
+
+def _replayed_row(entry: dict) -> ProgramResult:
+    """A stored unit row as a replay reports it.  The replay compiled
+    nothing, so its compile cost reads zero; ``dispatch_steps`` is kept,
+    a work counter like ``states_explored``.  Raises ``TypeError`` when
+    the stored row has fields ``ProgramResult`` no longer has."""
+    return replace(
+        _row_from_json(entry["result"]), compiled_units=0, compile_ms=0.0
+    )
 
 
 class VerdictStore:
@@ -292,7 +303,11 @@ class VerdictStore:
     def gc(self, max_bytes: Optional[int] = None) -> dict:
         """Compact the solver shards, then (with a bound) evict oldest
         verdict entries — and, as a last resort, the compacted solver
-        shard — until the store fits in ``max_bytes``."""
+        shard — until the store fits in ``max_bytes``.
+
+        A ``compiled/`` directory left by older versions, which kept
+        compiled units there outside the byte count, is removed."""
+        shutil.rmtree(os.path.join(self.root, "compiled"), ignore_errors=True)
         compacted = self.solver.compact()
         evicted = 0
         if max_bytes is not None:
@@ -489,7 +504,7 @@ def _store_verify(
             if entry is None:
                 return None
             try:
-                row = _row_from_json(entry["result"])
+                row = _replayed_row(entry)
             except TypeError:
                 return None  # schema drift inside the row: recompute
             hits += 1
@@ -502,7 +517,7 @@ def _store_verify(
                 entry = store.lookup(key)
                 if entry is not None:
                     try:
-                        row = _row_from_json(entry["result"])
+                        row = _replayed_row(entry)
                     except TypeError:
                         entry = None  # schema drift in the row: recompute
                     else:
@@ -516,15 +531,8 @@ def _store_verify(
                     unit_source,
                     name=unit_name,
                     kind=kind,
-                    # Unit runs drop store_dir (no nested store lookups)
-                    # but keep the store's compiled-unit cache, so the
-                    # lowered bytecode for a program digest is shared
-                    # across units and across warm restarts.
-                    config=replace(
-                        cfg, client_of=client_of, store_dir=None,
-                        compile_cache_dir=os.path.join(
-                            store.root, "compiled"),
-                    ),
+                    # Unit runs drop store_dir: no nested store lookups.
+                    config=replace(cfg, client_of=client_of, store_dir=None),
                 )
                 misses += 1
                 if row.status != STATUS_ERROR:

@@ -1,37 +1,27 @@
-"""The bytecode compiler (``repro.compile``): lowering, the dispatch
-executors, and the compiled-unit cache.
+"""The bytecode compiler (``repro.compile``): lowering and the dispatch
+executors.
 
-Three layers of pinning:
+Two layers of pinning:
 
 * **golden opcode streams** — the pre-order instruction sequence for
   the representative forms (application, conditional, letrec, contract
-  monitor) is part of the compiler's contract: the serialized cache
-  format replays exactly this walk, so an accidental reordering would
-  silently orphan every cached unit;
+  monitor) is part of the compiler's contract;
 * **byte-identity over the smoke corpus** — compiled runs must produce
   the same rows as the step machines outside the volatile fields,
-  across shard counts and store temperatures; the step machines are
-  the semantics of record (the fuzz oracle in
-  ``tests/test_differential.py`` extends this to random programs);
-* **cache round-trip and invalidation** — units persist per program
-  digest, rebind against a fresh parse, and refuse to load for a
-  different program or engine; a module edit changes the digest and
-  orphans the old unit file (a recompile, never a wrong program).
+  without a store and with a cold and a warm one; the step machines
+  are the semantics of record (the fuzz oracle in
+  ``tests/test_differential.py`` extends this to random programs).
 """
 
-import os
 from dataclasses import asdict, replace
 
-from repro.compile import CompiledUnitCache, lower_core, lower_scv
+from repro.compile import lower_core, lower_scv
 from repro.core.syntax import NAT, App, If, Lam, Num, PrimApp, Ref
 from repro.driver.corpus import corpus_names, get_program
 from repro.driver.report import VOLATILE_ROW_FIELDS
 from repro.driver.runner import RunConfig, verify_source
-from repro.lang.ast import Quote, UApp, UIf, ULam, ULetrec, UVar, reset_labels
-from repro.lang.parser import parse_program
-from repro.scv.engine import assemble
+from repro.lang.ast import Quote, UApp, UIf, ULam, ULetrec, UVar
 from repro.scv.machine import UMon
-from repro.store.fingerprint import program_digest
 
 SMOKE = corpus_names(tag="smoke")
 
@@ -120,8 +110,8 @@ class TestCoreLowering:
 
 class TestSmokeCorpusByteIdentity:
     """Every smoke program, on every engine it supports: the compiled
-    rows equal the interpreted rows (volatile fields aside) with 1 and
-    4 frontier shards and with a cold and a warm persistent store."""
+    rows equal the interpreted rows (volatile fields aside) without a
+    store and with a cold and a warm persistent store."""
 
     @staticmethod
     def _rows(cfg: RunConfig):
@@ -136,7 +126,7 @@ class TestSmokeCorpusByteIdentity:
                 out[(name, engine)] = row
         return out
 
-    def test_compiled_matches_interpreted_across_shards_and_store(
+    def test_compiled_matches_interpreted_across_store_temperatures(
         self, tmp_path
     ):
         # Store runs verify scv programs module-by-module (and combine
@@ -147,10 +137,8 @@ class TestSmokeCorpusByteIdentity:
         store_i = str(tmp_path / "store-interp")
         store_c = str(tmp_path / "store-compiled")
         matrix = {
-            "shards=1": (replace(base, compile=False),
+            "no-store": (replace(base, compile=False),
                          replace(base, compile=True)),
-            "shards=4": (replace(base, compile=False, shards=4),
-                         replace(base, compile=True, shards=4)),
             # The same config twice: the first pass is the cold store,
             # the second replays warm (separate stores per engine mode,
             # so the compiled run cannot just replay interpreted rows).
@@ -167,10 +155,7 @@ class TestSmokeCorpusByteIdentity:
             got = {k: _stable(r) for k, r in rows.items()}
             assert got == want, f"[{label}] compiled diverges from interpreted"
             dispatch[label] = {k: r.dispatch_steps for k, r in rows.items()}
-        # The dispatch count is deterministic: sharded replay and the
-        # sequential loop execute the same micro-steps.
-        assert dispatch["shards=4"] == dispatch["shards=1"]
-        assert any(dispatch["shards=1"].values())
+        assert any(dispatch["no-store"].values())
 
     def test_warm_store_replays_without_recompiling(self, tmp_path):
         store = str(tmp_path / "store")
@@ -178,111 +163,15 @@ class TestSmokeCorpusByteIdentity:
         prog = get_program("modules-chain-div")
         cold = verify_source(prog.source, name=prog.name, kind=prog.kind,
                              config=cfg, backend="scv")
-        assert cold.compiled_units > 0
+        assert cold.compiled_units > 0 and cold.compile_ms > 0
         warm = verify_source(prog.source, name=prog.name, kind=prog.kind,
                              config=cfg, backend="scv")
         assert _stable(warm) == _stable(cold)
-        # A pure store replay never reaches the compiler.
+        # A pure store replay never reaches the compiler, so it reports
+        # no compile cost; the work counter replays as stored.
         assert warm.store_misses == 0
-        # The cold run persisted its units next to the verdicts.
-        compiled_dir = os.path.join(store, "compiled")
-        assert os.path.isdir(compiled_dir) and os.listdir(compiled_dir)
-
-
-# ---------------------------------------------------------------------------
-# The compiled-unit cache
-# ---------------------------------------------------------------------------
-
-
-def _assembled(source: str):
-    reset_labels()
-    program = parse_program(source)
-    return program, assemble(program)
-
-
-CACHED_SRC = (
-    "(module m\n"
-    "  (define (shift x) (+ x 10))\n"
-    "  (provide [shift (-> positive? positive?)]))"
-)
-
-
-class TestCompiledUnitCache:
-    def test_round_trip_rebinds_to_a_fresh_parse(self, tmp_path):
-        program, root = _assembled(CACHED_SRC)
-        digest = program_digest(program)
-        cache = CompiledUnitCache(str(tmp_path), digest)
-        units = lower_scv(root)
-        assert cache.store("scv", units)
-
-        _, fresh_root = _assembled(CACHED_SRC)
-        loaded = CompiledUnitCache(str(tmp_path), digest).load(
-            "scv", fresh_root
-        )
-        assert loaded is not None
-        assert [u.opcode_names() for u in loaded] == \
-            [u.opcode_names() for u in units]
-        # Node operands are rebound to the *fresh* AST, not the stored
-        # walk: the fresh root's own nodes back the new units.
-        assert loaded[0].root is fresh_root
-        assert loaded[0].nodes[0] is fresh_root
-
-    def test_module_edit_changes_digest_and_orphans_the_units(
-        self, tmp_path
-    ):
-        program, root = _assembled(CACHED_SRC)
-        digest = program_digest(program)
-        cache = CompiledUnitCache(str(tmp_path), digest)
-        assert cache.store("scv", lower_scv(root))
-
-        edited_src = CACHED_SRC.replace("(+ x 10)", "(+ x 20)")
-        edited_program, edited_root = _assembled(edited_src)
-        edited_digest = program_digest(edited_program)
-        assert edited_digest != digest
-        # The new digest addresses a file that does not exist: a miss,
-        # and the old unit file is left orphaned rather than reused.
-        fresh = CompiledUnitCache(str(tmp_path), edited_digest)
-        assert fresh.load("scv", edited_root) is None
-        assert fresh.misses == 1
-
-    def test_mismatched_program_under_the_same_digest_is_rejected(
-        self, tmp_path
-    ):
-        # Defense in depth: even if the digest collided, rebinding
-        # validates every node's class against the stored opcode.
-        program, root = _assembled(CACHED_SRC)
-        digest = program_digest(program)
-        cache = CompiledUnitCache(str(tmp_path), digest)
-        assert cache.store("scv", lower_scv(root))
-        _, other_root = _assembled(
-            "(module m\n"
-            "  (define (shift x) (if (zero? x) 1 x))\n"
-            "  (provide [shift (-> positive? positive?)]))"
-        )
-        assert cache.load("scv", other_root) is None
-
-    def test_wrong_engine_is_a_miss(self, tmp_path):
-        program, root = _assembled(CACHED_SRC)
-        cache = CompiledUnitCache(str(tmp_path), program_digest(program))
-        assert cache.store("scv", lower_scv(root))
-        assert cache.load("core", root) is None
-
-    def test_truncated_file_recompiles_not_crashes(self, tmp_path):
-        program, root = _assembled(CACHED_SRC)
-        digest = program_digest(program)
-        cache = CompiledUnitCache(str(tmp_path), digest)
-        assert cache.store("scv", lower_scv(root))
-        (path,) = [
-            os.path.join(str(tmp_path), f) for f in os.listdir(str(tmp_path))
-        ]
-        with open(path, encoding="utf-8") as fh:
-            payload = fh.read()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload[: len(payload) // 2])
-        _, fresh_root = _assembled(CACHED_SRC)
-        assert CompiledUnitCache(str(tmp_path), digest).load(
-            "scv", fresh_root
-        ) is None
+        assert warm.compiled_units == 0 and warm.compile_ms == 0
+        assert warm.dispatch_steps == cold.dispatch_steps > 0
 
 
 class TestCompileFlagPlumbing:

@@ -19,8 +19,7 @@ fuzzed program is re-verified with the bytecode executor
 result rows must match byte-for-byte outside the volatile fields — the
 step machines are the semantics of record and the compiler must never
 drift from them.  ``REPRO_FUZZ_N`` scales both populations (nightly
-runs crank it up; the seed is fixed so any size is reproducible) and
-``REPRO_SHARDS`` routes everything through the sharded frontier.
+runs crank it up; the seed is fixed so any size is reproducible).
 
 Any disagreement is *shrunk*: subterms are repeatedly replaced with
 smaller ones while the disagreement persists, and the minimal program
@@ -70,18 +69,7 @@ N_CLOSED = _env_int("REPRO_FUZZ_N", 140)
 N_OPEN = max(10, (N_CLOSED * 3) // 7)
 FUEL = 200_000
 
-def _env_shards() -> int:
-    """``REPRO_SHARDS`` routes the whole fuzz through the sharded
-    frontier engine (one CI leg runs with 2 shards): byte-identical
-    verdicts are the engine's contract, so every assertion — including
-    the shrinker's disagreement checks — must hold unchanged."""
-    try:
-        return max(1, int(os.environ.get("REPRO_SHARDS", "1") or "1"))
-    except ValueError:
-        return 1
-
-
-CFG = RunConfig(timeout_s=0, fuel=FUEL, shards=_env_shards())
+CFG = RunConfig(timeout_s=0, fuel=FUEL)
 
 
 def _stable(row) -> dict:
@@ -378,7 +366,7 @@ class TestOpenPrograms:
         rng = random.Random(SEED + 1)
         # Solver-hard programs degrade to timeout/no-model rows instead
         # of wedging the suite; those are skips, not failures.
-        cfg = RunConfig(timeout_s=5.0, fuel=FUEL, shards=_env_shards())
+        cfg = RunConfig(timeout_s=5.0, fuel=FUEL)
         cexs = safes = 0
         for _ in range(N_OPEN):
             tree = gen(rng, depth=4, env=(), allow_opq=True)

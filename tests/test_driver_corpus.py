@@ -119,7 +119,6 @@ PROGRAM_KEYS = {
     "chained_steps", "solver_fresh_solves", "solver_incremental",
     "solver_clauses_reused", "solver_scope_depth", "errors_found",
     "cex_attempts", "store_hits", "store_misses", "modules_reverified",
-    "shards", "stolen_tasks", "frontier_exchanges", "shard_states",
     "compiled_units", "compile_ms", "dispatch_steps",
     "deadline_enforced", "counterexample", "detail",
 }
@@ -133,8 +132,8 @@ TOTALS_KEYS = {
     "chained_steps", "pruned_states", "solver_queries",
     "solver_cache_hits", "solver_fresh_solves", "solver_incremental",
     "solver_clauses_reused", "solver_scope_depth", "store_hits",
-    "store_misses", "modules_reverified", "stolen_tasks",
-    "frontier_exchanges", "compiled_units", "compile_ms", "dispatch_steps",
+    "store_misses", "modules_reverified", "compiled_units", "compile_ms",
+    "dispatch_steps",
     "wall_ms", "max_wall_ms",
 }
 AGREEMENT_KEYS = {

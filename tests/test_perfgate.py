@@ -180,6 +180,17 @@ class TestSchemaValidation:
         fresh = _report(tmp_path, "fresh.json", 100, 1000)
         assert main([base, fresh]) == 0
 
+    def test_v8_baseline_gates_a_v9_report(self, tmp_path):
+        base = self._write(tmp_path, "base.json", {
+            "schema": "repro-bench/v8",
+            "totals": {"states_explored": 100, "wall_ms": 1000},
+        })
+        fresh = self._write(tmp_path, "fresh.json", {
+            "schema": "repro-bench/v9",
+            "totals": {"states_explored": 100, "wall_ms": 1000},
+        })
+        assert main([base, fresh]) == 0
+
     def test_non_numeric_totals_fail_without_traceback(self):
         lines = compare(
             {"states_explored": "lots", "wall_ms": 1000},

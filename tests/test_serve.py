@@ -15,7 +15,7 @@
 * **deadline flag** — a caller that cannot arm SIGALRM gets
   ``deadline_enforced: false`` on the row plus a one-time warning,
   instead of a silently unbounded run;
-* **env/flag numerics** — garbage in ``REPRO_SHARDS`` /
+* **env/flag numerics** — garbage in ``REPRO_SERVE_WORKERS`` /
   ``REPRO_SERVE_PORT`` / ``--port`` exits 2 with a clear message;
 * **solver flush** — buffered solver entries survive worker teardown,
   SIGTERM, and concurrent compaction.
@@ -546,12 +546,12 @@ class TestDeadlineFlag:
 
 
 class TestEnvNumerics:
-    def test_garbage_shards_env_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SHARDS", "abc")
+    def test_garbage_serve_workers_env_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "abc")
         with pytest.raises(SystemExit) as exc:
-            cli_main(["bench"])
+            cli_main(["serve"])
         assert exc.value.code == 2
-        assert "REPRO_SHARDS" in capsys.readouterr().err
+        assert "REPRO_SERVE_WORKERS" in capsys.readouterr().err
 
     def test_garbage_port_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

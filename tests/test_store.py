@@ -48,7 +48,12 @@ from repro.store import (
     module_slices,
     program_digest,
 )
-from repro.store.verdicts import check_entries, get_store
+from repro.store.verdicts import (
+    check_entries,
+    get_store,
+    try_replay,
+    verify_with_store,
+)
 
 CHAIN = get_program("modules-chain-div").source
 TRIPLE = get_program("modules-triple-pipeline").source
@@ -300,6 +305,27 @@ class TestCorruptionRecovery:
         r2 = verify_source(CHAIN, config=cfg, backend="scv")
         assert r2.store_hits == 2
 
+    def test_row_with_retired_fields_recomputes(self, tmp_path):
+        # Entries written by an older schema carry row fields that
+        # ProgramResult no longer has (the sharding counters): they are
+        # recomputed by the store path and refused by the replay path.
+        store_dir = str(tmp_path / "store")
+        cfg = _cfg(store_dir)
+        cold = verify_source(CHAIN, config=cfg, backend="scv")
+        vs = get_store(store_dir)
+        for path in vs.entry_paths():
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+            entry["result"].update(shards=1, stolen_tasks=0)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(entry, fh)
+        assert try_replay(CHAIN, config=cfg, backend="scv") is None
+        r = verify_with_store(CHAIN, config=cfg, backend="scv")
+        assert r.store_hits == 0 and r.store_misses == 2
+        assert _stable(r) == _stable(cold)
+        # The recompute rewrote the entries in the current schema.
+        assert try_replay(CHAIN, config=cfg, backend="scv") is not None
+
     def test_solver_cache_backing_round_trip(self, tmp_path):
         root = str(tmp_path / "solver")
         writer = SolverStore(root)
@@ -349,6 +375,17 @@ class TestGc:
         summary = vs.gc(max_bytes=bound)
         assert summary["entries_evicted"] > 0
         assert summary["bytes"] <= bound
+
+    def test_leftover_compiled_dir_is_removed(self, tmp_path):
+        # Older stores kept compiled units under compiled/, outside the
+        # byte count, where --max-bytes could never reach them.
+        store_dir = str(tmp_path / "store")
+        verify_source(CHAIN, config=_cfg(store_dir), backend="scv")
+        compiled = tmp_path / "store" / "compiled"
+        compiled.mkdir()
+        (compiled / "unit.scv.all.json").write_text("{}")
+        get_store(store_dir).gc()
+        assert not compiled.exists()
 
 
 class TestStoreVerify:
