@@ -5,7 +5,8 @@ Two layers of pinning:
 
 * **golden opcode streams** — the pre-order instruction sequence for
   the representative forms (application, conditional, letrec, contract
-  monitor) is part of the compiler's contract;
+  monitor) is part of the compiler's contract, and lowering is a pure
+  function of the program: fresh parses lower to the same streams;
 * **byte-identity over the smoke corpus** — compiled runs must produce
   the same rows as the step machines outside the volatile fields,
   without a store and with a cold and a warm one; the step machines
@@ -18,9 +19,12 @@ from dataclasses import asdict, replace
 from repro.compile import lower_core, lower_scv
 from repro.core.syntax import NAT, App, If, Lam, Num, PrimApp, Ref
 from repro.driver.corpus import corpus_names, get_program
+from repro.driver.lower import lower_program
 from repro.driver.report import VOLATILE_ROW_FIELDS
 from repro.driver.runner import RunConfig, verify_source
-from repro.lang.ast import Quote, UApp, UIf, ULam, ULetrec, UVar
+from repro.lang.ast import Quote, UApp, UIf, ULam, ULetrec, UVar, reset_labels
+from repro.lang.parser import parse_program
+from repro.scv.engine import assemble
 from repro.scv.machine import UMon
 
 SMOKE = corpus_names(tag="smoke")
@@ -101,6 +105,42 @@ class TestCoreLowering:
     def test_primitive_application(self):
         (unit,) = lower_core(PrimApp("div", (Num(1), Num(2)), "ℓ"))
         assert unit.opcode_names() == ("prim", "const", "const")
+
+
+MODULE_SRC = (
+    "(module m\n"
+    "  (define (shift x) (+ x 10))\n"
+    "  (provide [shift (-> positive? positive?)]))"
+)
+
+
+def _assembled(source: str):
+    reset_labels()
+    return assemble(parse_program(source))
+
+
+class TestLoweringIsAPureFunctionOfTheProgram:
+    """Units are compiled afresh on every run, so two parses of one
+    program must lower to the same streams, each bound to its own AST."""
+
+    def test_scv_fresh_parses_lower_alike(self):
+        first, again = _assembled(MODULE_SRC), _assembled(MODULE_SRC)
+        units, fresh = lower_scv(first), lower_scv(again)
+        assert [u.kind for u in fresh] == [u.kind for u in units]
+        assert [u.opcode_names() for u in fresh] == \
+            [u.opcode_names() for u in units]
+        assert fresh[0].root is again and units[0].root is first
+
+    def test_core_fresh_lowerings_agree(self):
+        src = get_program("sum-unknown-fn-abs").source
+        streams = []
+        for _ in range(2):
+            reset_labels()
+            root = lower_program(parse_program(src))
+            units = lower_core(root)
+            assert units[0].root is root
+            streams.append([u.opcode_names() for u in units])
+        assert streams[0] == streams[1]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +226,18 @@ class TestCompileFlagPlumbing:
         row = verify_source("(+ 1 2)", config=cfg, backend="scv")
         assert row.compiled_units >= 1
         assert row.dispatch_steps > 0
+
+    def test_compiled_counters_repeat_across_runs(self):
+        cfg = RunConfig(timeout_s=60.0, compile=True)
+        prog = get_program("modules-chain-div")
+        rows = [
+            verify_source(prog.source, name=prog.name, kind=prog.kind,
+                          config=cfg, backend="scv")
+            for _ in range(2)
+        ]
+        assert _stable(rows[0]) == _stable(rows[1])
+        assert rows[0].compiled_units == rows[1].compiled_units > 0
+        assert rows[0].dispatch_steps == rows[1].dispatch_steps > 0
 
     def test_compile_is_not_part_of_the_semantic_digest(self):
         # Compiled and interpreted runs must share store entries.

@@ -168,6 +168,16 @@ class TestReportSchema:
         names = [r["name"] for r in json.loads(out.read_text())["programs"]]
         assert names == sorted(names)
 
+    def test_config_block_is_the_run_config(self, full_report):
+        # One sequential search path: the config block records exactly
+        # the RunConfig knobs plus the batch shape, no sharding keys.
+        from dataclasses import fields
+
+        config = full_report.to_json()["config"]
+        knobs = {f.name for f in fields(RunConfig)}
+        assert set(config) == knobs | {"backend", "programs", "runs"}
+        assert not {"shards", "compile_cache_dir"} & set(config)
+
     def test_totals_consistent(self, full_report):
         t = full_report.totals()
         assert t["programs"] == len(corpus_names(backend="core"))
@@ -224,6 +234,14 @@ class TestCli:
             if "core" in get_program(n).backends
         ]
         assert len(data["programs"]) == len(smoke_core)
+
+    def test_bench_has_no_shards_option(self, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench", "--smoke", "--shards", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_file_exit_codes(self, tmp_path):
         buggy = tmp_path / "buggy.rkt"

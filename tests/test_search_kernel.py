@@ -1,5 +1,6 @@
 """The shared search kernel: fingerprint canonicality, pruning
-soundness, strategy behaviour, and the memo-on/off corpus property.
+soundness, strategy behaviour, determinism of the sequential search on
+real programs, and the memo-on/off corpus property.
 
 The load-bearing guarantee is the last one: fingerprint memoisation,
 subsumption and chain compression may only change how *fast* the search
@@ -10,11 +11,19 @@ backends.
 
 import os
 
+import pytest
+
 from repro.core import NAT, PrimApp, SNum, SOpq, PLt, HConst
-from repro.core.heap import Heap
-from repro.core.machine import State
+from repro.core.heap import Heap, reset_locs, set_loc_counter
+from repro.core.machine import Machine, State, inject
+from repro.core.search import SearchStats
 from repro.core.syntax import Loc
+from repro.core.syntax import reset_labels as reset_core_labels
+from repro.driver.corpus import get_program
+from repro.driver.lower import lower_program
 from repro.driver.runner import RunConfig, run_corpus
+from repro.lang.ast import reset_labels as reset_surface_labels
+from repro.lang.parser import parse_program
 from repro.search import (
     CoreFingerprinter,
     Fingerprint,
@@ -23,8 +32,16 @@ from repro.search import (
 )
 from repro.search.intern import Interner
 from repro.search.kernel import KernelStats
+from repro.scv.engine import inject_program
 from repro.scv.heap import UConc, UHeap, UOpq
-from repro.scv.machine import MEnv, SState
+from repro.scv.machine import (
+    MEnv,
+    SMachine,
+    SState,
+    reset_syn_labels,
+    set_syn_counter,
+)
+from repro.smt import solver_cache
 
 
 def _core_state(loc_name: str, store, extra=None) -> State:
@@ -231,6 +248,117 @@ class TestGlobalShadowing:
         assert not base.has_global_writes  # freezing resets the flag
         assert base.set(Loc("u1"), UConc(2)).has_global_writes is False
         assert base.set(Loc("g0"), UConc(3)).has_global_writes is True
+
+
+def _core_program(name: str):
+    reset_surface_labels()
+    reset_core_labels()
+    reset_locs()
+    return lower_program(parse_program(get_program(name).source))
+
+
+def _scv_init(source: str):
+    reset_surface_labels()
+    reset_syn_labels()
+    reset_locs()
+    machine = SMachine()
+    return machine, inject_program(parse_program(source), machine)
+
+
+def _run_core(core, *, memo: bool = True, **kernel_kw):
+    """Answer states + deterministic counters for one sequential run."""
+    reset_locs()
+    solver_cache.clear()
+    machine = Machine()
+    st = SearchStats()
+    kernel = SearchKernel(
+        machine.step, fingerprint=CoreFingerprinter() if memo else None,
+        enter=machine.proof.note_path, stats=st, **kernel_kw,
+    )
+    answers = list(kernel.run(inject(core)))
+    return answers, (
+        st.states_explored, st.chained, st.pruned, st.answers,
+        st.truncated, machine.proof.queries, machine.proof.solver_queries,
+    )
+
+
+def _walk(step, init, limit: int):
+    """The first ``limit`` states of a plain bfs walk (no memo)."""
+    frontier, seen = [init], []
+    while frontier and len(seen) < limit:
+        state = frontier.pop(0)
+        seen.append(state)
+        frontier.extend(step(state) or ())
+    return seen
+
+
+class TestSequentialSearchOnRealPrograms:
+    """The one search path over real programs.  The machines thread the
+    location and synthetic-label counters through states (``loc_base``,
+    ``syn_base``), so every state is a pure function of its path: runs
+    repeat exactly, a state budget cuts the bfs order at a prefix, and
+    the frontier discipline cannot rename what a path allocates."""
+
+    def test_repeated_runs_are_identical(self):
+        core = _core_program("sum-unknown-fn-abs")
+        first = _run_core(core)
+        assert first[0], "the program must reach at least one answer"
+        for rep in range(2):
+            assert _run_core(core) == first, f"run {rep + 2} diverged"
+
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    def test_truncation_cuts_the_bfs_order_at_a_prefix(self, budget):
+        core = _core_program("sum-unknown-fn-abs")
+        full, full_counts = _run_core(core)
+        assert full_counts[0] > budget
+        cut, counts = _run_core(core, max_states=budget)
+        assert cut == full[: len(cut)]
+        states_explored, truncated = counts[0], counts[4]
+        assert states_explored == budget and truncated
+
+    def test_core_step_ignores_the_global_location_counter(self):
+        machine = Machine()
+        init = inject(_core_program("sum-unknown-fn-abs"))
+        states = _walk(machine.step, init, 40)
+        assert any(s.loc_base > init.loc_base for s in states)
+        for state in states:
+            set_loc_counter(state.loc_base + 1000)
+            scrambled = machine.step(state)
+            set_loc_counter(0)
+            assert machine.step(state) == scrambled
+
+    def test_scv_step_ignores_the_global_counters(self):
+        machine, init = _scv_init(get_program("sum-unknown-fn-abs").source)
+        states = _walk(machine.step, init, 40)
+        assert any(s.loc_base > init.loc_base for s in states)
+        for state in states:
+            set_syn_counter(state.syn_base + 1000)
+            set_loc_counter(state.loc_base + 1000)
+            scrambled = repr(machine.step(state))
+            set_syn_counter(0)
+            set_loc_counter(0)
+            # UHeap compares by identity, so compare printed states.
+            assert repr(machine.step(state)) == scrambled
+
+    def test_core_frontier_order_does_not_rename_answers(self):
+        # Without memoisation both disciplines visit the same tree, so
+        # they must reach the same answer states, location names and all.
+        core = _core_program("sum-unknown-fn-abs")
+        found = {
+            strategy: sorted(repr(a) for a in _run_core(
+                core, memo=False, strategy=strategy)[0])
+            for strategy in ("bfs", "dfs")
+        }
+        assert found["bfs"] and found["bfs"] == found["dfs"]
+
+    def test_scv_frontier_order_does_not_rename_answers(self):
+        found = {}
+        for strategy in ("bfs", "dfs"):
+            machine, init = _scv_init(get_program("sum-unknown-fn-abs").source)
+            kernel = SearchKernel(machine.step, strategy=strategy,
+                                  fingerprint=None)
+            found[strategy] = sorted(repr(a) for a in kernel.run(init))
+        assert found["bfs"] and found["bfs"] == found["dfs"]
 
 
 class TestMemoOnOffProperty:

@@ -264,6 +264,40 @@ class TestConcurrentWriters:
             r = verify_source(src, config=_cfg(store), backend="scv")
             assert r.store_misses == 0, src
 
+    def test_sibling_solver_handles_publish_to_one_directory(self, tmp_path):
+        # Two handles on one directory model two batch workers: each
+        # flush is its own shard, and a fresh reader sees both.
+        root = str(tmp_path / "solver")
+        phi = Eq(Var("$0"), IntConst(3))
+        psi = Le(Var("$0"), IntConst(9))
+        a, b = SolverStore(root), SolverStore(root)
+        a.store(phi, Result.SAT, (((0, 3),), ()), True)
+        b.store(psi, Result.UNSAT, None, False)
+        a.flush()
+        b.flush()
+        reader = SolverStore(root)
+        assert reader.lookup(phi) == (Result.SAT, (((0, 3),), ()), True)
+        assert reader.lookup(psi) == (Result.UNSAT, None, False)
+        assert reader.stats()["shards"] == 2
+        assert reader.compact() == {"entries": 2, "shards_removed": 2}
+        assert SolverStore(root).stats()["shards"] == 1
+
+    def test_solver_handle_reads_the_directory_once(self, tmp_path):
+        # A handle indexes the shards on first use and keeps that view
+        # for the rest of its run; its own buffered entries are always
+        # visible.  Later writers reach the next handle opened.
+        root = str(tmp_path / "solver")
+        phi = Eq(Var("$0"), IntConst(3))
+        psi = Eq(Var("$0"), IntConst(9))
+        writer, reader = SolverStore(root), SolverStore(root)
+        assert reader.lookup(phi) is None
+        writer.store(phi, Result.SAT, (((0, 3),), ()), True)
+        writer.flush()
+        assert reader.lookup(phi) is None
+        reader.store(psi, Result.UNSAT, None, False)
+        assert reader.lookup(psi) == (Result.UNSAT, None, False)
+        assert SolverStore(root).lookup(phi) is not None
+
     def test_parallel_bench_jobs_share_the_store(self, tmp_path):
         store = str(tmp_path / "store")
         names = corpus_names(tag="modules")
