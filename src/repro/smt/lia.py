@@ -14,6 +14,10 @@ Algorithm
    system to the linear case.  Exhausting the enumeration budget yields
    UNKNOWN — this is the solver's documented incompleteness boundary
    (mirroring the paper's reliance on Z3's nonlinear heuristics, §5.3).
+   The enumeration therefore answers SAT or UNKNOWN, never UNSAT:
+   assignments that fail are skipped, not refuted.  ``refutes`` (and
+   through it ``Solver._shrink_core``'s unsat-core trials) relies on
+   this to answer "not refuted" without enumerating.
 3. The *linear* core is solved by Gaussian elimination of equalities,
    Fourier–Motzkin elimination of inequalities over the rationals with
    back-substitution model construction, then branch-and-bound to repair
@@ -139,8 +143,36 @@ class LiaSolver:
         if hit is not None:
             self._memo.move_to_end(key)
             return hit
+        return self._solve_memoized(key, *_propagate_constants(list(constraints)))
+
+    def refutes(self, constraints: Sequence[Constraint]) -> bool:
+        """Whether the conjunction is UNSAT — ``solve(...).status is
+        UNSAT`` without the work that cannot yield UNSAT.
+
+        This is the question an unsat-core trial asks.  A conjunction
+        that stays nonlinear after constant propagation goes to the
+        enumeration, which only ever answers SAT or UNKNOWN, so it is
+        "not refuted" without enumerating (and leaves no memo entry).
+        Every other answer is the one ``solve`` gives, memoized the same
+        way."""
+        key = frozenset(constraints)
+        hit = self._memo.get(key)
+        if hit is not None:
+            self._memo.move_to_end(key)
+            return hit.status is Result.UNSAT
+        propagated, pinned = _propagate_constants(list(constraints))
+        if propagated is not None and _nonlinear_vars(propagated):
+            return False
+        return self._solve_memoized(key, propagated, pinned).status is Result.UNSAT
+
+    def _solve_memoized(
+        self,
+        key: frozenset[Constraint],
+        propagated: Optional[list[Constraint]],
+        pinned: dict[LinAtom, int],
+    ) -> LiaResult:
         try:
-            model = self._solve_nonlinear(list(constraints))
+            model = self._solve_propagated(propagated, pinned)
         except BudgetExhausted:
             result = LiaResult(Result.UNKNOWN)
         else:
@@ -155,10 +187,13 @@ class LiaSolver:
 
     # -- nonlinear layer -------------------------------------------------
 
-    def _solve_nonlinear(
-        self, constraints: list[Constraint]
+    def _solve_propagated(
+        self,
+        constraints: Optional[list[Constraint]],
+        pinned: dict[LinAtom, int],
     ) -> Optional[dict[LinAtom, int]]:
-        constraints, pinned = _propagate_constants(constraints)
+        """Solve a conjunction already through ``_propagate_constants``
+        (None: propagation refuted it)."""
         if constraints is None:
             return None
         nonlin_vars = _nonlinear_vars(constraints)
@@ -429,14 +464,29 @@ def _propagate_constants(
             out.append(c)
         if not progress:
             return out, pinned
-        cons = []
-        for c in out:
-            e = c.expr
-            for atom, val in pinned.items():
-                e = e.substitute(atom, LinExpr.constant(val))
-            e = _fold_products(e, pinned)
-            cons.append(Constraint(e, c.kind))
+        cons = [
+            Constraint(_fold_products(_pin_values(c.expr, pinned), pinned), c.kind)
+            for c in out
+        ]
     return cons, pinned
+
+
+def _pin_values(e: LinExpr, values: dict) -> LinExpr:
+    """``e`` with every atom in ``values`` replaced by its value.
+
+    Equal to substituting each pinned atom in turn, but it looks only at
+    the atoms ``e`` contains and builds one expression."""
+    if not any(a in values for a, _ in e.coeffs):
+        return e
+    rest: dict[LinAtom, Fraction] = {}
+    const = e.const
+    for a, c in e.coeffs:
+        val = values.get(a)
+        if val is None:
+            rest[a] = c
+        else:
+            const += c * val
+    return LinExpr.from_dict(rest, const)
 
 
 def _fold_products(e: LinExpr, pinned: dict[LinAtom, int]) -> LinExpr:
@@ -482,14 +532,10 @@ def _nonlinear_vars(constraints: list[Constraint]) -> set[Var]:
 def _substitute_all(
     constraints: list[Constraint], subst: dict[Var, int]
 ) -> list[Constraint]:
-    out = []
-    for c in constraints:
-        e = c.expr
-        for v, val in subst.items():
-            e = e.substitute(v, LinExpr.constant(val))
-        e = _fold_products(e, dict(subst))
-        out.append(Constraint(e, c.kind))
-    return out
+    return [
+        Constraint(_fold_products(_pin_values(c.expr, subst), subst), c.kind)
+        for c in constraints
+    ]
 
 
 def _seed_values(constraints: list[Constraint], half_width: int) -> list[int]:

@@ -4,7 +4,8 @@ A conflict-driven clause-learning solver with the standard modern kernel:
 
 * two-watched-literal propagation,
 * first-UIP conflict analysis with clause minimisation,
-* VSIDS-style exponential variable activities,
+* VSIDS-style exponential variable activities; a decision takes the
+  unassigned variable of highest activity, the lowest index on a tie,
 * Luby-sequence restarts with phase saving,
 * incremental solving under assumptions (used by the DPLL(T) loop to add
   theory lemmas between calls, and by the scoped :class:`~repro.smt.solver.

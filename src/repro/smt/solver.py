@@ -572,7 +572,11 @@ class Solver:
     def _shrink_core(
         self, lits: list[tuple[Formula, bool]]
     ) -> list[tuple[Formula, bool]]:
-        """Deletion-based unsat-core shrinking (keeps lemmas strong)."""
+        """Deletion-based unsat-core shrinking (keeps lemmas strong).
+
+        A trial only asks whether the rest still refutes, so it goes
+        through ``LiaSolver.refutes``, which skips the nonlinear
+        enumeration that could never answer UNSAT."""
         if len(lits) > 40:
             return lits
         core = list(lits)
@@ -580,7 +584,7 @@ class Solver:
         while i < len(core):
             trial = core[:i] + core[i + 1 :]
             constraints = [self._constraint(a, pol) for a, pol in trial]
-            if self._lia.solve(constraints).status is Result.UNSAT:
+            if self._lia.refutes(constraints):
                 core = trial
             else:
                 i += 1

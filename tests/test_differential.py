@@ -35,8 +35,11 @@ free: reachable zero denominators are exactly the fault class the tool
 exists to find.  In the *open* population multiplication only scales by
 a constant — products of unknowns produce nonlinear queries outside the
 bundled solver's fragment (the documented §5.3 boundary) — and open
-programs run under a wall timeout with inconclusive verdicts counted as
-skips rather than failures.
+programs run under a wall timeout.  At the default population size the
+open population's budget for inconclusive verdicts (``timeout``,
+``no-counterexample``, ``truncated`` — anything else) is zero: every
+program must end in a validated counterexample or a spot-checked
+``safe``.
 """
 
 import os
@@ -67,6 +70,9 @@ def _env_int(var: str, default: int) -> int:
 #: fixed so any population size is reproducible).
 N_CLOSED = _env_int("REPRO_FUZZ_N", 140)
 N_OPEN = max(10, (N_CLOSED * 3) // 7)
+#: The open population's size without ``REPRO_FUZZ_N``, where its
+#: budget for inconclusive verdicts is zero.
+DEFAULT_N_OPEN = 60
 FUEL = 200_000
 
 CFG = RunConfig(timeout_s=0, fuel=FUEL)
@@ -364,10 +370,12 @@ class TestOpenPrograms:
 
     def test_core_verdicts_hold_up_on_60_random_open_programs(self):
         rng = random.Random(SEED + 1)
-        # Solver-hard programs degrade to timeout/no-model rows instead
-        # of wedging the suite; those are skips, not failures.
+        # The wall timeout keeps a solver-hard program from wedging the
+        # suite; at the default size any inconclusive row fails the test
+        # (a scaled-up nightly population may meet harder programs).
         cfg = RunConfig(timeout_s=5.0, fuel=FUEL)
         cexs = safes = 0
+        inconclusive: list[str] = []
         for _ in range(N_OPEN):
             tree = gen(rng, depth=4, env=(), allow_opq=True)
             source = render(tree)
@@ -394,6 +402,13 @@ class TestOpenPrograms:
                         f"[open] core proved safe but • = {v} blames {label}"
                         f" in\n  {source}"
                     )
+            else:
+                inconclusive.append(f"{r.status}: {source}")
+        if N_OPEN == DEFAULT_N_OPEN:
+            assert not inconclusive, (
+                "[open] inconclusive verdicts (budget 0):\n  "
+                + "\n  ".join(inconclusive)
+            )
         # The populations must both be non-trivially exercised.
         assert cexs > 5
         assert safes > 5
