@@ -116,13 +116,12 @@ class _Base:
 
     def finish(self, shape: Hashable, *, exact_only: bool) -> Fingerprint:
         self.drain_pending()
-        refs = tuple(self.refs)
+        intern = self._intern.intern
         if exact_only:
             # Fold refinements into the shape: exact dedup still works,
             # pointwise-subset subsumption can never fire.
-            shape = (shape, refs)
-            refs = ()
-        return Fingerprint(self._intern.intern(shape), self._intern.intern(refs))
+            return Fingerprint(intern((shape, tuple(self.refs))), ())
+        return Fingerprint(intern(shape), tuple([intern(r) for r in self.refs]))
 
     # -- predicates and heap terms --------------------------------------
 
@@ -229,10 +228,12 @@ class CoreFingerprinter:
 
 
 class _ScvRun(_Base):
-    def __init__(self, interner: Interner, heap, genv_cache: dict) -> None:
-        super().__init__(interner)
+    def __init__(self, fingerprinter: "ScvFingerprinter", heap) -> None:
+        super().__init__(fingerprinter._interner)
         self.heap = heap
-        self._genv_cache = genv_cache
+        self._genv_cache = fingerprinter._genv_cache
+        self._sheap = fingerprinter._sheap
+        self._smach = fingerprinter._smach
 
     def loc(self, l: Loc) -> Hashable:
         name = l.name
@@ -247,8 +248,7 @@ class _ScvRun(_Base):
         return ("#", idx, ident, self._store(self.heap.get(l)))
 
     def _store(self, s) -> Hashable:
-        from ..scv import heap as sheap
-
+        sheap = self._sheap
         if isinstance(s, sheap.UConc):
             return ("c", _datum_token(s.value))
         if isinstance(s, sheap.UPair):
@@ -317,7 +317,8 @@ class _ScvRun(_Base):
                 and items
                 and all(l.name.startswith("g") for _, l in items)
             ):
-                token = ("genv", tuple((n, l.name) for n, l in items))
+                token = self._intern.intern(
+                    ("genv", tuple((n, l.name) for n, l in items)))
                 self._genv_cache[id(env)] = (env, token)
                 frames.append(token)
                 break
@@ -326,8 +327,7 @@ class _ScvRun(_Base):
         return tuple(frames)
 
     def uexpr(self, e: uast.UExpr) -> Hashable:
-        from ..scv import machine as smach
-
+        smach = self._smach
         if isinstance(e, smach.ULocE):
             return self.loc(e.loc)
         if isinstance(e, uast.Quote):
@@ -358,8 +358,7 @@ class _ScvRun(_Base):
         raise TypeError(f"cannot fingerprint expression {e!r}")
 
     def kont(self, stack) -> Hashable:
-        from ..scv import machine as smach
-
+        smach = self._smach
         out = []
         for k in stack:
             if isinstance(k, smach.KIf):
@@ -391,23 +390,29 @@ class _ScvRun(_Base):
 
 
 class ScvFingerprinter:
-    """``scv.SState -> Fingerprint``; caches the globals-only base
-    environment frame across states (it is per-program constant)."""
+    """``scv.SState -> Fingerprint``; caches the interned globals-only
+    base environment frame across states (it is per-program constant)."""
 
     def __init__(self) -> None:
+        # Resolved once per fingerprinter rather than per node; a
+        # module-level import would close an import cycle through
+        # repro.prims.
+        from ..scv import heap as sheap
+        from ..scv import machine as smach
+
+        self._sheap = sheap
+        self._smach = smach
         self._interner = Interner()
         self._genv_cache: dict[int, tuple] = {}
 
     def __call__(self, state) -> Fingerprint:
-        from ..scv.machine import Blame
-
-        run = _ScvRun(self._interner, state.heap, self._genv_cache)
+        run = _ScvRun(self, state.heap)
         c = state.control
         # The control kind is part of the state's identity: a ULocE
         # *expression* steps to the bare Loc control (value-plugging
         # mode), and both would otherwise serialize to the same token —
         # colliding a state with its own parent.
-        if isinstance(c, Blame):
+        if isinstance(c, self._smach.Blame):
             kind, ctrl = "b", (c.party, c.label, c.description)
         elif isinstance(c, Loc):
             kind, ctrl = "v", run.loc(c)

@@ -66,6 +66,12 @@ class Fingerprint:
     tokens per opaque value, in shape-traversal order.  Exact identity is
     ``(shape, refs)``; subsumption compares ``refs`` pointwise under a
     shared ``shape``.
+
+    ``shape`` is a canonical node of the fingerprinter's
+    :class:`~repro.search.intern.Interner` and compares by identity, so
+    hashing a fingerprint costs O(``len(refs)``) whatever the size of the
+    state — and fingerprints compare only within the fingerprinter (one
+    per search) that made them.
     """
 
     shape: Hashable

@@ -1,6 +1,7 @@
-"""The shared search kernel: fingerprint canonicality, pruning
-soundness, strategy behaviour, determinism of the sequential search on
-real programs, and the memo-on/off corpus property.
+"""The shared search kernel: fingerprint canonicality, identity
+interning against the reference recursive-tuple interner, fingerprint
+cost, pruning soundness, strategy behaviour, determinism of the
+sequential search on real programs, and the memo-on/off corpus property.
 
 The load-bearing guarantee is the last one: fingerprint memoisation,
 subsumption and chain compression may only change how *fast* the search
@@ -10,6 +11,9 @@ backends.
 """
 
 import os
+import random
+from functools import partial
+from unittest import mock
 
 import pytest
 
@@ -30,9 +34,10 @@ from repro.search import (
     ScvFingerprinter,
     SearchKernel,
 )
+from repro.search import fingerprint as fingerprint_module
 from repro.search.intern import Interner
 from repro.search.kernel import KernelStats
-from repro.scv.engine import inject_program
+from repro.scv.engine import collect_struct_types, inject_program
 from repro.scv.heap import UConc, UHeap, UOpq
 from repro.scv.machine import (
     MEnv,
@@ -121,6 +126,79 @@ class TestScvFingerprints:
         assert fp(answer).refs == ()
 
 
+class _ReferenceInterner:
+    """The recursive-tuple interner the identity hash-consing replaced:
+    every tuple is rebuilt from its interned children and looked up by
+    structural hash.  Kept as the equivalence oracle for
+    :class:`Interner` (same equalities, same subsumptions)."""
+
+    def __init__(self) -> None:
+        self._table: dict = {}
+        self.hits = 0
+        self.misses = 0
+
+    def intern(self, value):
+        if isinstance(value, tuple):
+            value = tuple(self.intern(v) for v in value)
+        elif isinstance(value, frozenset):
+            value = frozenset(self.intern(v) for v in value)
+        else:
+            return value
+        hit = self._table.get(value)
+        if hit is not None:
+            self.hits += 1
+            return hit
+        self.misses += 1
+        self._table[value] = value
+        return value
+
+
+def _reference_finish(self, shape, *, exact_only):
+    """``_Base.finish`` as it was over the reference interner: the
+    whole refinement tuple interned as one value."""
+    self.drain_pending()
+    refs = tuple(self.refs)
+    if exact_only:
+        shape = (shape, refs)
+        refs = ()
+    return Fingerprint(self._intern.intern(shape), self._intern.intern(refs))
+
+
+class _Reference:
+    """A fingerprinter of ``kind`` serializing through the reference
+    interner and the reference ``finish``."""
+
+    def __init__(self, kind) -> None:
+        self._fingerprinter = kind()
+        self._interner = self._fingerprinter._interner = _ReferenceInterner()
+
+    def __call__(self, state) -> Fingerprint:
+        with mock.patch.object(fingerprint_module._Base, "finish",
+                               _reference_finish):
+            return self._fingerprinter(state)
+
+
+def _random_value(rng, depth: int, *, leaf: bool = True):
+    """A small nested tuple/frozenset over a tiny leaf alphabet, so
+    equal pairs are common; ``False``/``0`` and ``True``/``1`` are in
+    the alphabet to pin Python's ``==`` conflation.  ``leaf=False``
+    forces a container at the top."""
+    roll = rng.random()
+    if leaf and (depth == 0 or roll < 0.3):
+        return rng.choice((0, 1, 2, False, True, "a", "b", None))
+    items = [_random_value(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    return frozenset(items) if roll < 0.5 else tuple(items)
+
+
+def _rebuilt(value):
+    """An equal copy of ``value`` sharing no container with it."""
+    if isinstance(value, tuple):
+        return tuple([_rebuilt(v) for v in value])
+    if isinstance(value, frozenset):
+        return frozenset([_rebuilt(v) for v in value])
+    return value
+
+
 class TestInterner:
     def test_structurally_equal_tuples_share_identity(self):
         it = Interner()
@@ -128,6 +206,237 @@ class TestInterner:
         b = it.intern((1, ("x", 2), frozenset({3})))
         assert a is b
         assert it.hits > 0
+
+    def test_canonical_nodes_pass_through_without_a_walk(self):
+        it = Interner()
+        node = it.intern(("genv", tuple((f"p{i}", f"g{i}") for i in range(50))))
+        lookups = it.hits + it.misses
+        assert it.intern(node) is node
+        assert it.intern(("frame", node)) is it.intern(("frame", node))
+        # Two lookups for the two ("frame", node) tuples; none inside node.
+        assert it.hits + it.misses == lookups + 2
+
+    def test_frozensets_stay_frozensets_of_canonical_elements(self):
+        it = Interner()
+        small = it.intern(frozenset({("<", 3)}))
+        big = it.intern(frozenset({("<", 3), ("=", 0)}))
+        assert isinstance(small, frozenset) and small <= big
+        assert it.intern(("<", 3)) in small
+
+    def test_identity_iff_equal_on_random_values(self):
+        rng = random.Random(20061)
+        pool = [_random_value(rng, 4, leaf=False) for _ in range(150)]
+        pool += [_rebuilt(v) for v in pool[:75]]
+        it = Interner()
+        canon = [it.intern(v) for v in pool]
+        equal_pairs = 0
+        for i, a in enumerate(pool):
+            for j in range(i, len(pool)):
+                b = pool[j]
+                assert (canon[i] is canon[j]) == (a == b), (a, b)
+                equal_pairs += a == b
+                if isinstance(a, frozenset) and isinstance(b, frozenset):
+                    assert (canon[i] <= canon[j]) == (a <= b), (a, b)
+        assert equal_pairs > len(pool)  # not just the diagonal
+
+
+class _Recording:
+    """Records every state a search fingerprints, with the fingerprint
+    it got and the reference interner's fingerprint of the same state;
+    one list per fingerprinter, i.e. per search."""
+
+    searches: list = []
+    kind: type
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reference = _Reference(self.kind)
+        self.seen: list = []
+        self.searches.append(self.seen)
+
+    def __call__(self, state):
+        fp = super().__call__(state)
+        self.seen.append((state, fp, self.reference(state)))
+        return fp
+
+
+class _RecordingCore(_Recording, CoreFingerprinter):
+    kind = CoreFingerprinter
+
+
+class _RecordingScv(_Recording, ScvFingerprinter):
+    kind = ScvFingerprinter
+
+
+#: Closed recursive programs over concrete bounds, one per family of the
+#: benchmark's concrete-loops workload (small bounds, one seeded fault).
+_LOOP_SOURCES = (
+    "(define (loop n acc) (if (<= n 0) acc (loop (- n 1) (+ acc 3))))\n"
+    "(quotient 100 (add1 (loop 4 0)))",
+    "(define (fold f n acc) (if (<= n 0) acc (fold f (- n 1) (f acc n))))\n"
+    "(quotient 100 (add1 (fold (lambda (a i) (+ a (* 2 i))) 4 0)))",
+    "(define (sum n) (if (<= n 0) 0 (+ 5 (sum (- n 1)))))\n"
+    "(quotient 100 (add1 (sum 4)))",
+    "(define (iter f n x) (if (<= n 0) x (iter f (- n 1) (f x))))\n"
+    "(quotient 100 (add1 (iter (lambda (v) (+ v 7)) 4 0)))",
+    "(define (steps m) (if (<= m 0) 0 (+ 1 (steps (- m 1)))))\n"
+    "(define pre (quotient 7 (- (steps 2) 2)))\n"
+    "(define (walk n acc)"
+    " (if (<= n 0) acc (walk (- n 1) (if (< acc 50) (+ acc 4) (- acc 4)))))\n"
+    "(quotient 100 (add1 (walk 4 0)))",
+)
+
+
+class TestIdentityInterningMatchesTheReference:
+    """Identity hash-consing must not change which states are equal or
+    subsume each other.  Every state fingerprinted by real memoised
+    searches is compared pairwise under the interner and under the
+    reference recursive-tuple interner: within each search, with the
+    fingerprints the search itself used, and across all searches of a
+    test, re-fingerprinted by one fingerprinter of each kind.  Each
+    program is verified twice, so every state has an equal twin built
+    from distinct objects."""
+
+    CORPUS = ("havoc-probes-lambda", "window-inside", "letstar-and-window",
+              "factorial-offset-abs", "clamp-positive", "twice-guarded")
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        import repro.search
+
+        monkeypatch.setattr(repro.search, "CoreFingerprinter", _RecordingCore)
+        monkeypatch.setattr(repro.search, "ScvFingerprinter", _RecordingScv)
+        _Recording.searches.clear()
+        yield _Recording.searches
+        _Recording.searches.clear()
+
+    @staticmethod
+    def _assert_pairs_agree(pairs) -> int:
+        """Pairwise agreement of ``(fingerprint, reference)`` pairs;
+        returns the number of equal pairs."""
+        equal = 0
+        for i, (a, ra) in enumerate(pairs):
+            for b, rb in pairs[i + 1:]:
+                assert (a == b) == (ra == rb)
+                assert (a.shape is b.shape) == (ra.shape == rb.shape)
+                assert a.subsumed_by(b) == ra.subsumed_by(rb)
+                assert b.subsumed_by(a) == rb.subsumed_by(ra)
+                equal += ra == rb
+        return equal
+
+    def _check(self, searches) -> int:
+        """Assert agreement within and across searches; returns the
+        number of equal pairs across searches."""
+        for seen in searches:
+            self._assert_pairs_agree([(fp, ref) for _, fp, ref in seen])
+        equal = 0
+        for kind in (CoreFingerprinter, ScvFingerprinter):
+            fresh, reference = kind(), _Reference(kind)
+            equal += self._assert_pairs_agree([
+                (fresh(state), reference(state))
+                for seen in searches for state, _, _ in seen
+                if isinstance(state, SState) == (kind is ScvFingerprinter)
+            ])
+        return equal
+
+    def _verify_twice(self, source: str, backend: str) -> None:
+        from repro.driver.runner import verify_source
+
+        for _ in range(2):
+            verify_source(source, backend=backend,
+                          config=RunConfig(timeout_s=60.0))
+
+    def test_corpus_programs_on_both_backends(self, searches):
+        for name in self.CORPUS:
+            for backend in ("core", "scv"):
+                self._verify_twice(get_program(name).source, backend)
+        self._verify_twice(get_program("struct-posn-invx").source, "scv")
+        assert sum(map(len, searches)) > 100
+        assert self._check(searches) > 50
+
+    def test_concrete_loop_programs(self, searches):
+        for source in _LOOP_SOURCES:
+            for backend in ("core", "scv"):
+                self._verify_twice(source, backend)
+        assert len(searches) >= 4 * len(_LOOP_SOURCES)
+        assert self._check(searches) > 0
+
+    def test_pruned_cycle_and_shadowed_global(self, searches):
+        from repro.core import App, Fix, Lam, Num, Ref, fun
+        from repro.core.search import explore
+
+        loop = Fix("f", fun(NAT, NAT), Lam("x", NAT, App(Ref("f"), Ref("x"))))
+        stats = SearchStats()
+        list(explore(App(loop, Num(0)), max_states=25, stats=stats))
+        assert stats.pruned > 0
+        # The pruned repeat is an equal pair within the cycle's search.
+        cycle = [(fp, ref) for _, fp, ref in searches[0]]
+        assert self._assert_pairs_agree(cycle) > 0
+        self._verify_twice(TestGlobalShadowing.SOURCE, "scv")
+        assert self._check(searches) > 0
+
+
+def _tags(token) -> set:
+    """Every string at the head of a tuple in a reference token."""
+    out: set = set()
+    stack = [token]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, (tuple, frozenset)):
+            items = tuple(t)
+            if isinstance(t, tuple) and items and isinstance(items[0], str):
+                out.add(items[0])
+            stack.extend(items)
+    return out
+
+
+class TestFingerprintCost:
+    """The globals-only base frame is interned once per fingerprinter:
+    re-fingerprinting a state costs the same number of interner lookups
+    however many bindings that frame has."""
+
+    @staticmethod
+    def _second_call_lookups(n_structs: int, make) -> tuple[int, int]:
+        # Each struct adds a constructor, a predicate and two accessors
+        # to the globals-only frame; nothing else differs.
+        structs = "".join(f"  (struct s{i} (a b))\n" for i in range(n_structs))
+        source = (
+            "(module m\n" + structs
+            + "  (define (adder k) (lambda (x) (+ x k)))\n"
+            "  (provide [adder (-> integer? (-> integer? integer?))]))\n"
+        )
+        reset_surface_labels()
+        reset_syn_labels()
+        reset_locs()
+        program = parse_program(source)
+        machine = SMachine(struct_types=collect_struct_types(program))
+        init = inject_program(program, machine)
+        # The first state of the walk whose heap holds a closure whose
+        # environment reaches the base frame.
+        state = next(
+            s for s in _walk(machine.step, init, 200)
+            if "clos" in _tags(_Reference(ScvFingerprinter)(s).shape)
+        )
+        fp = make()
+        fp(state)
+        before = fp._interner.hits + fp._interner.misses
+        fp(state)
+        return fp._interner.hits + fp._interner.misses - before, \
+            len(init.env.frame)
+
+    def test_second_call_does_not_grow_with_the_globals_frame(self):
+        small, small_frame = self._second_call_lookups(0, ScvFingerprinter)
+        large, large_frame = self._second_call_lookups(8, ScvFingerprinter)
+        assert large_frame == small_frame + 8 * 4
+        assert large == small
+
+    def test_the_reference_interner_re_walks_the_frame(self):
+        # The regression this guards against: re-interning the frame
+        # token on every call makes the count linear in its size.
+        reference = partial(_Reference, ScvFingerprinter)
+        small, _ = self._second_call_lookups(0, reference)
+        large, _ = self._second_call_lookups(8, reference)
+        assert large >= small + 8 * 4
 
 
 def _toy_kernel(step, **kw):
