@@ -6,12 +6,12 @@ execution graph, then stops and reports on the first error encountered"
 enumerate *all* errors (the completeness experiments need every seeded
 bug) or stop at the first.
 
-The loop itself lives in the shared :mod:`repro.search` kernel: the
-frontier discipline is pluggable (``strategy`` — bfs / dfs / depth) and
-redundant states are pruned against canonical fingerprints
-(``memo`` — see ``search.fingerprint``), which is what keeps the search
-affordable as programs grow.  ``memo=False`` restores the exact
-pre-kernel behaviour (every state explored once per path reaching it).
+The loop itself lives in the shared :mod:`repro.search` kernel, which
+runs exactly that breadth-first order and prunes every state whose
+canonical fingerprint (``memo`` — see ``search.fingerprint``) it has
+already seen; that is what keeps the search affordable as programs
+grow.  ``memo=False`` restores the exact pre-kernel behaviour (every
+state explored once per path reaching it).
 
 No abstraction/widening is performed (§4.5): for counterexample
 generation on erroneous programs the concrete-ish search terminates at
@@ -66,12 +66,11 @@ def explore(
     machine: Optional[Machine] = None,
     max_states: int = 50_000,
     stats: Optional[SearchStats] = None,
-    strategy: str = "bfs",
     memo: bool = True,
     compiled: bool = False,
 ) -> Iterator[SearchResult]:
     """Search over ⟨E, Σ⟩ states, yielding answers (locations and
-    errors) in ``strategy`` order.  ``compiled`` lowers the program once
+    errors) in breadth-first order.  ``compiled`` lowers the program once
     (``repro.compile``) and expands states with the fused dispatch loop
     instead of the step-at-a-time machine — byte-identical results,
     fewer interpreter overheads."""
@@ -88,7 +87,6 @@ def explore(
         expander = CoreExecutor(m, program, stats=st).expand
     kernel = SearchKernel(
         m.step,
-        strategy=strategy,
         fingerprint=CoreFingerprinter() if memo else None,
         max_states=max_states,
         expander=expander,
@@ -107,14 +105,13 @@ def find_errors(
     machine: Optional[Machine] = None,
     max_states: int = 50_000,
     stats: Optional[SearchStats] = None,
-    strategy: str = "bfs",
     memo: bool = True,
     compiled: bool = False,
 ) -> Iterator[SearchResult]:
     """Yield only the error answers reachable from ``program``."""
     for r in explore(
         program, machine=machine, max_states=max_states, stats=stats,
-        strategy=strategy, memo=memo, compiled=compiled,
+        memo=memo, compiled=compiled,
     ):
         if r.is_error:
             yield r

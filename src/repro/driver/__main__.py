@@ -110,19 +110,11 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
         help="heap translation mode (paper Fig. 4 ablation)",
     )
     p.add_argument(
-        "--strategy", choices=("bfs", "dfs", "depth"),
-        default=_DEFAULTS.strategy,
-        help="search kernel frontier discipline: breadth-first (the "
-        "paper's §5.3 default), depth-first, or deepest-first priority "
-        "(default bfs)",
-    )
-    p.add_argument(
-        "--compile", dest="compile", action="store_true", default=None,
+        "--compile", dest="compile", action="store_true",
+        default=_DEFAULTS.compile,
         help="lower each program to flat bytecode and expand states "
         "with the fused dispatch loop (byte-identical verdicts and "
-        "counterexamples; the default). Resolution: --compile/"
-        "--no-compile > the REPRO_COMPILE environment variable "
-        "(0/false = off) > on",
+        "counterexamples; the default)",
     )
     p.add_argument(
         "--no-compile", dest="compile", action="store_false",
@@ -166,17 +158,6 @@ def _store_dir(args: argparse.Namespace):
     return os.environ.get("REPRO_STORE") or None
 
 
-def _compile_enabled(args: argparse.Namespace) -> bool:
-    """Resolve bytecode compilation: --compile/--no-compile >
-    $REPRO_COMPILE (0/false/off/no = off) > on."""
-    if getattr(args, "compile", None) is not None:
-        return args.compile
-    raw = os.environ.get("REPRO_COMPILE")
-    if raw is None or not raw.strip():
-        return _DEFAULTS.compile
-    return raw.strip().lower() not in ("0", "false", "off", "no")
-
-
 def _config(args: argparse.Namespace, jobs: int = 1) -> RunConfig:
     return RunConfig(
         max_states=args.max_states,
@@ -184,11 +165,10 @@ def _config(args: argparse.Namespace, jobs: int = 1) -> RunConfig:
         timeout_s=args.timeout,
         mode=args.mode,
         jobs=jobs,
-        strategy=args.strategy,
         memo=not args.no_memo,
         incremental=not args.no_incremental,
         store_dir=_store_dir(args),
-        compile=_compile_enabled(args),
+        compile=args.compile,
     )
 
 

@@ -92,7 +92,6 @@ class RunConfig:
     max_cex_attempts: int = 20  # error states to try to model before giving up
     mode: str = "implications"  # heap translation mode (paper Fig. 4)
     jobs: int = 1  # worker processes
-    strategy: str = "bfs"  # search kernel frontier discipline
     memo: bool = True  # fingerprint memoisation + solver-query cache
     incremental: bool = True  # per-path incremental solver contexts
     store_dir: Optional[str] = None  # persistent store root (None: no store)
@@ -310,7 +309,7 @@ class TypedCoreBackend:
                 machine = Machine(proof)
                 for result in find_errors(
                     core, machine=machine, max_states=cfg.max_states,
-                    stats=stats, strategy=cfg.strategy, memo=cfg.memo,
+                    stats=stats, memo=cfg.memo,
                     compiled=cfg.compile,
                 ):
                     errors_found += 1
@@ -469,8 +468,7 @@ class UntypedScvBackend:
                                       client_of=cfg.client_of)
                 for blame_state in find_known_blames(
                     init, machine, max_states=cfg.max_states, stats=stats,
-                    strategy=cfg.strategy, memo=cfg.memo,
-                    compiled=cfg.compile,
+                    memo=cfg.memo, compiled=cfg.compile,
                 ):
                     errors_found += 1
                     if attempts >= cfg.max_cex_attempts:

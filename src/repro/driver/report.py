@@ -12,7 +12,7 @@ Schema ``repro-bench/v9`` (``v8`` without the sharded-search fields):
 * every program row carries a ``backend`` field (``core`` or ``scv``);
 * rows and totals carry the search kernel's economy counters:
   ``pruned_states`` (frontier states dropped by fingerprint
-  memoisation/subsumption), ``solver_cache_hits`` (queries answered by
+  memoisation), ``solver_cache_hits`` (queries answered by
   the canonicalized solver-result cache), and ``chained_steps``
   (deterministic micro-steps folded into macro states), so partial work
   stays visible even on rows whose budget expired inside a compressed

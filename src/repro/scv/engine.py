@@ -20,7 +20,7 @@ into one initial machine state:
 
 ``explore_u``/``find_known_blames`` run the search of §5.3 over the
 resulting nondeterministic transition system on the shared
-:mod:`repro.search` kernel — same pluggable strategies, fingerprint
+:mod:`repro.search` kernel — same breadth-first order, fingerprint
 memoisation and counting as ``core.search``.
 """
 
@@ -277,12 +277,11 @@ def explore_u(
     *,
     max_states: int = 50_000,
     stats: Optional[USearchStats] = None,
-    strategy: str = "bfs",
     memo: bool = True,
     compiled: bool = False,
 ) -> Iterator[SState]:
     """Search over machine states, yielding answer states (values and
-    blame) in ``strategy`` order; ``memo=False`` disables fingerprint
+    blame) in breadth-first order; ``memo=False`` disables fingerprint
     pruning (the exact pre-kernel behaviour).  ``compiled`` lowers the
     assembled program once (``repro.compile``) and expands states with
     the fused dispatch loop instead of the step-at-a-time machine —
@@ -299,7 +298,6 @@ def explore_u(
         expander = ScvExecutor(machine, init.control, stats=st).expand
     kernel = SearchKernel(
         machine.step,
-        strategy=strategy,
         fingerprint=ScvFingerprinter() if memo else None,
         max_states=max_states,
         expander=expander,
@@ -320,7 +318,6 @@ def find_known_blames(
     *,
     max_states: int = 50_000,
     stats: Optional[USearchStats] = None,
-    strategy: str = "bfs",
     memo: bool = True,
     compiled: bool = False,
 ) -> Iterator[SState]:
@@ -328,7 +325,7 @@ def find_known_blames(
     context (synthetic labels, ``•`` parties) are not findings."""
     for state in explore_u(
         init, machine, max_states=max_states, stats=stats,
-        strategy=strategy, memo=memo, compiled=compiled,
+        memo=memo, compiled=compiled,
     ):
         c = state.control
         if isinstance(c, Blame) and c.known:

@@ -1,7 +1,7 @@
 """Shared search infrastructure for both symbolic engines.
 
-* :mod:`repro.search.kernel` — the strategy-pluggable search loop with
-  seen-set memoisation and subsumption pruning;
+* :mod:`repro.search.kernel` — the breadth-first search loop with
+  exact seen-set memoisation and chain compression;
 * :mod:`repro.search.fingerprint` — canonical state fingerprints for
   ``core.State`` and ``scv.SState``;
 * :mod:`repro.search.intern` — the hash-consing table fingerprints are
@@ -10,14 +10,12 @@
 
 from .fingerprint import CoreFingerprinter, ScvFingerprinter
 from .intern import Interner
-from .kernel import Fingerprint, KernelStats, STRATEGIES, SearchKernel
+from .kernel import KernelStats, SearchKernel
 
 __all__ = [
     "CoreFingerprinter",
-    "Fingerprint",
     "Interner",
     "KernelStats",
-    "STRATEGIES",
     "ScvFingerprinter",
     "SearchKernel",
 ]

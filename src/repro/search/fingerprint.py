@@ -21,25 +21,24 @@ heap garbage.  A fingerprint erases exactly those differences:
   overlay, in which case their content is serialized like any other
   cell.
 
-The result is a :class:`~repro.search.kernel.Fingerprint`: a hash-consed
-``shape`` with opaque refinement sets erased, plus one frozenset of
-refinement tokens per opaque (in traversal order) for the kernel's
-subsumption check.  Answer states fold their refinements into the shape
-— they are deduplicated exactly, never subsumption-pruned, because a
-counterexample model is read off the answer heap's refinements and a
-weaker answer is not a substitute for a stronger one.
+The result is one canonical :class:`~repro.search.intern.Node` of the
+fingerprinter's hash-consing table: the state's structure paired with
+one frozenset of refinement tokens per opaque value (in traversal
+order).  Nodes compare by identity, so the seen-set lookup costs O(1)
+whatever the size of the state, and two states get the same node iff
+they are equal up to location renaming and heap garbage — refinements
+included.  Pruning is therefore exact: a state with a stronger
+refinement set than one already admitted is a different state and is
+explored.  That matters beyond pruning soundness: an answer heap's
+refinements (and its ``UCase`` argument-pattern tables) are precisely
+what counterexample construction *and* the demonic-client synthesis of
+:mod:`repro.synth` read back, so a weaker state is never a substitute
+for a stronger one.
 
 Refinement predicates may mention locations nothing else reaches; those
-serialize *inside* the refinement token (shapes stay refinement-blind)
-and are processed after the main traversal so shape-level canonical
-indices never depend on refinements.
-
-The exact-dedup rule for answers matters beyond pruning correctness:
-an answer heap's refinements (and its ``UCase`` argument-pattern
-tables) are precisely what counterexample construction *and* the
-demonic-client synthesis of :mod:`repro.synth` read back — pruning a
-stronger answer in favour of a weaker one would change which concrete
-witness (and which synthesized client) the tool reports.
+serialize *inside* the refinement token and are processed after the
+main traversal, so the canonical indices of the control, environment
+and heap structure never depend on refinements.
 """
 
 from __future__ import annotations
@@ -65,8 +64,7 @@ from ..core.heap import (
 from ..core.syntax import Loc
 from ..lang import ast as uast
 from ..lang.sexp import Symbol
-from .intern import Interner
-from .kernel import Fingerprint
+from .intern import Interner, Node
 
 
 def _datum_token(datum: object) -> Hashable:
@@ -104,24 +102,15 @@ class _Base:
         self.pending.append((slot, preds))
         return slot
 
-    def drain_pending(self) -> None:
+    def finish(self, shape: Hashable) -> Node:
+        """The state's fingerprint: ``shape`` with every refinement set
+        folded in, interned to one canonical node."""
         # Serializing a predicate can reach an opaque nothing else
-        # reached, queueing more work — hence a worklist, not a loop
-        # over a snapshot.
-        i = 0
-        while i < len(self.pending):
-            slot, preds = self.pending[i]
+        # reached, appending to ``pending`` mid-loop; list iteration
+        # picks the new entries up.
+        for slot, preds in self.pending:
             self.refs[slot] = frozenset(self._pred(p) for p in preds)
-            i += 1
-
-    def finish(self, shape: Hashable, *, exact_only: bool) -> Fingerprint:
-        self.drain_pending()
-        intern = self._intern.intern
-        if exact_only:
-            # Fold refinements into the shape: exact dedup still works,
-            # pointwise-subset subsumption can never fire.
-            return Fingerprint(intern((shape, tuple(self.refs))), ())
-        return Fingerprint(intern(shape), tuple([intern(r) for r in self.refs]))
+        return self._intern.intern((shape, tuple(self.refs)))
 
     # -- predicates and heap terms --------------------------------------
 
@@ -211,15 +200,15 @@ class _CoreRun(_Base):
 
 
 class CoreFingerprinter:
-    """``core.State -> Fingerprint`` with a per-search interning table."""
+    """``core.State -> Node`` with a per-search interning table."""
 
     def __init__(self) -> None:
         self._interner = Interner()
 
-    def __call__(self, state: core_machine.State) -> Fingerprint:
+    def __call__(self, state: core_machine.State) -> Node:
         run = _CoreRun(self._interner, state.heap)
         shape = ("core", run.expr(state.control))
-        return run.finish(shape, exact_only=state.is_answer)
+        return run.finish(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +379,7 @@ class _ScvRun(_Base):
 
 
 class ScvFingerprinter:
-    """``scv.SState -> Fingerprint``; caches the interned globals-only
+    """``scv.SState -> Node``; caches the interned globals-only
     base environment frame across states (it is per-program constant)."""
 
     def __init__(self) -> None:
@@ -405,7 +394,7 @@ class ScvFingerprinter:
         self._interner = Interner()
         self._genv_cache: dict[int, tuple] = {}
 
-    def __call__(self, state) -> Fingerprint:
+    def __call__(self, state) -> Node:
         run = _ScvRun(self, state.heap)
         c = state.control
         # The control kind is part of the state's identity: a ULocE
@@ -421,4 +410,4 @@ class ScvFingerprinter:
         # gen_effort is deliberately excluded: it is search-heuristic
         # metadata, not machine state.
         shape = ("scv", kind, ctrl, run.menv(state.env), run.kont(state.kont))
-        return run.finish(shape, exact_only=state.is_answer)
+        return run.finish(shape)

@@ -14,8 +14,8 @@ reaches them.  Interning maps every distinct tuple to one canonical
 * a value that is already a node passes through without a walk — a
   fingerprinter can cache the node for a per-program constant (the scv
   globals frame) and splice it into every state for free;
-* frozensets stay frozensets of canonical elements, so subsumption keeps
-  structural ``⊆`` (frozensets cache their own hash);
+* frozensets (refinement sets) stay frozensets of canonical elements:
+  their equality is order-free, and they cache their own hash;
 * the seen-set stores each distinct subtree once (memory stays
   proportional to the number of distinct states, not to the number of
   fingerprint tokens).

@@ -4,19 +4,19 @@ Both machines — the typed SPCF reduction machine (``core.machine``) and
 the untyped CESK machine (``scv.machine``) — present the same shape to a
 search: a ``step`` function from a state to successor states (``None``
 for answers) over an immutable state space.  This kernel owns everything
-above that interface:
+above that interface, and runs one policy:
 
-* **strategy** — the frontier discipline: ``bfs`` (the paper's §5.3
-  default, and the only one the batch driver uses for reports), ``dfs``
-  (LIFO), or ``depth`` (deepest-first priority queue — a greedy dive
-  with global backtracking, useful for reaching deep errors under tight
-  budgets);
+* **breadth-first order** — the paper's tool "finds bugs by performing
+  a simple breadth-first search on the execution graph" (§5.3); the
+  frontier is a FIFO queue;
 * **memoisation** — a seen-set over canonical state fingerprints
   (``search.fingerprint``): a state whose fingerprint was already
   enqueued is pruned at enqueue time, so diamond-shaped regions of the
   execution graph are explored once instead of once per path, and
   cyclic regions (unproductive loops) terminate instead of consuming
-  the whole state budget;
+  the whole state budget.  Pruning is exact: a state is dropped only
+  when an equal state (up to location renaming and heap garbage,
+  refinements included) was admitted before;
 * **chain compression** — the dominant cost in both machines is
   *administrative*: context decomposition, allocation and
   value-plugging steps with exactly one successor (87–93% of all
@@ -29,16 +29,11 @@ above that interface:
   deterministic chain cannot evade the budget: chains are capped at
   ``chain_limit`` micro-steps, and cap-boundary states are fingerprinted
   like any other, so unproductive loops are recognised within one loop
-  length;
-* **subsumption** — an optional strengthening of the seen-set: a state
-  is also pruned when an already-enqueued state has the *same shape*
-  (fingerprint with opaque refinements erased) and pointwise *weaker*
-  refinements.  The weaker state branches everywhere the stronger one
-  would, so every answer control reachable from the pruned state is
-  reachable from its subsumer; counterexample models are re-validated
-  concretely downstream, which keeps verdicts identical (the
-  memo-on/off property test in ``tests/test_search_kernel.py`` pins
-  this).
+  length.
+
+Without a fingerprinter the kernel is the paper-faithful micro-step
+loop: no seen-set and no chain compression (compression relies on the
+seen-set to detect loops).
 
 The kernel counts exactly like the loops it replaces: every state popped
 and stepped increments ``states_explored``; pruned states are counted in
@@ -49,41 +44,9 @@ work remaining.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Optional
-
-STRATEGIES = ("bfs", "dfs", "depth")
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """A canonical state identity.
-
-    ``shape`` is the hash-consed structure of the state with opaque
-    refinement sets erased; ``refs`` holds one frozenset of refinement
-    tokens per opaque value, in shape-traversal order.  Exact identity is
-    ``(shape, refs)``; subsumption compares ``refs`` pointwise under a
-    shared ``shape``.
-
-    ``shape`` is a canonical node of the fingerprinter's
-    :class:`~repro.search.intern.Interner` and compares by identity, so
-    hashing a fingerprint costs O(``len(refs)``) whatever the size of the
-    state — and fingerprints compare only within the fingerprinter (one
-    per search) that made them.
-    """
-
-    shape: Hashable
-    refs: tuple[frozenset, ...]
-
-    def subsumed_by(self, other: "Fingerprint") -> bool:
-        """Is this state covered by ``other`` (same shape, weaker
-        refinements)?  ``other.refs[i] ⊆ self.refs[i]`` pointwise means
-        every branch this state can take, ``other`` could take too."""
-        if len(self.refs) != len(other.refs):
-            return False
-        return all(o <= s for o, s in zip(other.refs, self.refs))
+from typing import Callable, Iterator, Optional
 
 
 @dataclass
@@ -98,19 +61,16 @@ class KernelStats:
 
 
 class SearchKernel:
-    """Strategy-pluggable exploration of a nondeterministic transition
-    system with optional fingerprint memoisation.
+    """Breadth-first exploration of a nondeterministic transition system
+    with optional fingerprint memoisation.
 
     Parameters:
 
     * ``step`` — successor function; ``None`` marks an answer state;
-    * ``strategy`` — ``bfs`` | ``dfs`` | ``depth``;
-    * ``fingerprint`` — canonicaliser ``state -> Fingerprint`` (or
-      ``None`` for a state the caller wants exempted); pass ``None`` to
-      disable memoisation entirely (every state is explored, exactly the
-      pre-kernel behaviour);
-    * ``subsume`` — also prune refinement-subsumed states (ignored
-      without a fingerprinter);
+    * ``fingerprint`` — canonicaliser from a state to a hashable
+      identity (``search.fingerprint``); pass ``None`` to disable
+      memoisation and chain compression (every state is explored once
+      per path reaching it, exactly the pre-kernel behaviour);
     * ``expander`` — optional fused expansion function
       ``(state, chain_limit) -> (final_state, successors, chained)``
       replacing the step-at-a-time ``_expand`` loop.  This is how the
@@ -140,119 +100,62 @@ class SearchKernel:
         self,
         step: Callable,
         *,
-        strategy: str = "bfs",
         fingerprint: Optional[Callable] = None,
-        subsume: bool = True,
-        compress: Optional[bool] = None,
         chain_limit: int = 128,
         max_states: int = 50_000,
         expander: Optional[Callable] = None,
         enter: Optional[Callable] = None,
         stats=None,
     ) -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r} (have: {', '.join(STRATEGIES)})"
-            )
         self.step = step
-        self.strategy = strategy
         self.fingerprint = fingerprint
-        self.subsume = subsume and fingerprint is not None
-        # Chain compression needs the seen-set for loop detection, so it
-        # defaults to (and requires) memoisation being on; without a
-        # fingerprinter the kernel is the paper-faithful micro-step loop.
-        self.compress = (fingerprint is not None) if compress is None \
-            else (compress and fingerprint is not None)
-        self.chain_limit = chain_limit
+        # Chain compression needs the seen-set for loop detection.
+        self.chain_limit = chain_limit if fingerprint is not None else 0
         self.max_states = max_states
         self.expander = expander
         self.enter = enter
         self.stats = stats if stats is not None else KernelStats()
-        self._seen: set[Fingerprint] = set()
-        self._by_shape: dict[Hashable, list[Fingerprint]] = {}
-
-    # -- memoisation -----------------------------------------------------
+        self._seen: set = set()
 
     def _admit(self, state) -> bool:
         """Record ``state``'s fingerprint; False when it is redundant."""
         if self.fingerprint is None:
             return True
         fp = self.fingerprint(state)
-        if fp is None:  # the fingerprinter exempted the state
-            return True
         if fp in self._seen:
             self.stats.pruned += 1
             return False
-        if self.subsume:
-            shelf = self._by_shape.setdefault(fp.shape, [])
-            if any(fp.subsumed_by(old) for old in shelf):
-                self.stats.pruned += 1
-                return False
-            shelf.append(fp)
         self._seen.add(fp)
         return True
-
-    # -- the loop --------------------------------------------------------
 
     def _expand(self, state):
         """Step ``state``, running any deterministic chain to its next
         choice point.  Returns ``(final_state, successors)`` where
         ``successors`` is ``None`` when ``final_state`` is an answer."""
         if self.expander is not None:
-            limit = self.chain_limit if self.compress else 0
-            state, succs, chained = self.expander(state, limit)
-            if chained and hasattr(self.stats, "chained"):
-                self.stats.chained += chained
-            return state, succs
-        succs = self.step(state)
-        if not self.compress:
-            return state, succs
-        chained = 0
-        while succs is not None and len(succs) == 1 and chained < self.chain_limit:
-            state = succs[0]
-            chained += 1
+            state, succs, chained = self.expander(state, self.chain_limit)
+        else:
             succs = self.step(state)
-        if chained and hasattr(self.stats, "chained"):
-            self.stats.chained += chained
+            chained = 0
+            while (succs is not None and len(succs) == 1
+                   and chained < self.chain_limit):
+                state = succs[0]
+                chained += 1
+                succs = self.step(state)
+        self.stats.chained += chained
         return state, succs
 
     def run(self, init) -> Iterator:
-        """Explore from ``init``, yielding answer states."""
+        """Explore from ``init`` breadth-first, yielding answer states."""
         st = self.stats
-        strategy = self.strategy
-        if strategy == "depth":
-            seq = 0
-            heap: list[tuple[int, int, object]] = []
-            if self._admit(init):
-                heapq.heappush(heap, (0, seq, init))
-            while heap:
-                if st.states_explored >= self.max_states:
-                    st.truncated = True
-                    return
-                negdepth, _, state = heapq.heappop(heap)
-                st.states_explored += 1
-                if self.enter is not None:
-                    self.enter(state)
-                state, succs = self._expand(state)
-                if succs is None:
-                    st.answers += 1
-                    yield state
-                    continue
-                for s in succs:
-                    if self._admit(s):
-                        seq += 1
-                        heapq.heappush(heap, (negdepth - 1, seq, s))
-            return
-
         frontier: deque = deque()
         if self._admit(init):
             frontier.append(init)
-        pop = frontier.popleft if strategy == "bfs" else frontier.pop
         while frontier:
             if st.states_explored >= self.max_states:
                 st.truncated = True
                 return
-            state = pop()
+            state = frontier.popleft()
             st.states_explored += 1
             if self.enter is not None:
                 self.enter(state)

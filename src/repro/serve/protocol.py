@@ -21,6 +21,7 @@ per requested engine — a job never hangs and never vanishes.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 #: Protocol version, echoed by ``/v1/healthz`` and every job view.
@@ -46,13 +47,15 @@ REQUEST_CONFIG_FIELDS: dict[str, type] = {
     "timeout_s": (int, float),
     "max_cex_attempts": int,
     "mode": str,
-    "strategy": str,
     "memo": bool,
     "incremental": bool,
     "compile": bool,
 }
 
 _BACKEND_CHOICES = ("core", "scv", "both")
+
+#: Heap translation modes (``driver.backends.RunConfig.mode``).
+_MODE_CHOICES = ("implications", "euf")
 
 #: Submitted source text above this size is rejected outright (a
 #: denial-of-service guard, not a semantic limit).
@@ -111,6 +114,7 @@ def parse_verify_request(body) -> dict:
             )
             raise ProtocolError(f"config key {key!r} must be {wanted}")
         overrides[key] = value
+    _check_config_values(overrides)
     unknown = sorted(
         k for k in body
         if k not in ("source", "name", "kind", "backend", "config")
@@ -124,6 +128,33 @@ def parse_verify_request(body) -> dict:
         "backend": backend,
         "config": overrides,
     }
+
+
+def _check_config_values(config: dict) -> None:
+    """Reject override values outside their domain.  A ``timeout_s``
+    that is not a positive finite number would disarm both the worker's
+    own deadline and the parent's SIGKILL backstop, letting one request
+    hold a worker forever."""
+    if "timeout_s" in config and not _positive_finite(config["timeout_s"]):
+        raise ProtocolError(
+            "config key 'timeout_s' must be a finite number > 0"
+        )
+    for key in ("max_states", "fuel"):
+        if config.get(key, 1) < 1:
+            raise ProtocolError(f"config key {key!r} must be >= 1")
+    if config.get("max_cex_attempts", 0) < 0:
+        raise ProtocolError("config key 'max_cex_attempts' must be >= 0")
+    if config.get("mode", _MODE_CHOICES[0]) not in _MODE_CHOICES:
+        raise ProtocolError(
+            f"config key 'mode' must be one of: {', '.join(_MODE_CHOICES)}"
+        )
+
+
+def _positive_finite(x) -> bool:
+    try:
+        return math.isfinite(x) and x > 0
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def job_view(job, *, include_rows: bool = True) -> dict:

@@ -633,8 +633,12 @@ def check_entries(store: VerdictStore, *, sample: Optional[int] = None
     each mismatch names the entry and the differing fields.  Entries
     whose config digest no longer matches the current store/schema
     version are *stale* (skipped: a fresh run would use different code),
-    as are timeout rows (budget-relative by definition)."""
+    as are timeout rows (budget-relative by definition).  A recorded
+    config field ``RunConfig`` no longer has is dropped before the
+    digest check, which then finds such an entry stale."""
     from ..driver.backends import RunConfig, get_backend
+
+    known = RunConfig.__dataclass_fields__.keys()
 
     paths = store.entry_paths()
     if sample is not None and 0 < sample < len(paths):
@@ -650,7 +654,8 @@ def check_entries(store: VerdictStore, *, sample: Optional[int] = None
                 entry = json.load(fh)
             key = StoreKey(**entry["key"])
             stored = entry["result"]
-            cfg_fields = dict(entry["config"])
+            cfg_fields = {k: v for k, v in dict(entry["config"]).items()
+                          if k in known}
             client_of = cfg_fields.pop("client_of", None)
             cfg = replace(
                 RunConfig(**cfg_fields), client_of=client_of

@@ -1,19 +1,17 @@
 """The shared search kernel: fingerprint canonicality, identity
 interning against the reference recursive-tuple interner, fingerprint
-cost, pruning soundness, strategy behaviour, determinism of the
-sequential search on real programs, and the memo-on/off corpus property.
+cost, exact pruning, determinism of the breadth-first search on real
+programs, and the memo-on/off corpus property.
 
-The load-bearing guarantee is the last one: fingerprint memoisation,
-subsumption and chain compression may only change how *fast* the search
-converges, never what it concludes — the full corpus must produce
-byte-identical verdicts with memoisation enabled and disabled, on both
-backends.
+The load-bearing guarantee is the last one: fingerprint memoisation and
+chain compression may only change how *fast* the search converges,
+never what it concludes — the full corpus must produce byte-identical
+verdicts with memoisation enabled and disabled, on both backends.
 """
 
 import os
 import random
 from functools import partial
-from unittest import mock
 
 import pytest
 
@@ -28,14 +26,8 @@ from repro.driver.lower import lower_program
 from repro.driver.runner import RunConfig, run_corpus
 from repro.lang.ast import reset_labels as reset_surface_labels
 from repro.lang.parser import parse_program
-from repro.search import (
-    CoreFingerprinter,
-    Fingerprint,
-    ScvFingerprinter,
-    SearchKernel,
-)
-from repro.search import fingerprint as fingerprint_module
-from repro.search.intern import Interner
+from repro.search import CoreFingerprinter, ScvFingerprinter, SearchKernel
+from repro.search.intern import Interner, Node
 from repro.search.kernel import KernelStats
 from repro.scv.engine import collect_struct_types, inject_program
 from repro.scv.heap import UConc, UHeap, UOpq
@@ -53,7 +45,6 @@ def _core_state(loc_name: str, store, extra=None) -> State:
     entries = {Loc(loc_name): store}
     if extra:
         entries.update(extra)
-    # A non-answer control so refinements stay subsumption-comparable.
     return State(PrimApp("zero?", (Loc(loc_name),), "t"), Heap(entries))
 
 
@@ -83,19 +74,12 @@ class TestCoreFingerprints:
         b = fp(_core_state("L5", SOpq(NAT)))
         assert a != b
 
-    def test_refinements_are_erased_from_the_shape(self):
+    def test_refinements_are_part_of_the_identity(self):
         fp = CoreFingerprinter()
         plain = fp(_core_state("L5", SOpq(NAT)))
         refined = fp(_core_state("L5", SOpq(NAT, (PLt(HConst(3)),))))
-        assert plain.shape == refined.shape
-        assert plain != refined
-
-    def test_subsumption_is_pointwise_subset(self):
-        fp = CoreFingerprinter()
-        plain = fp(_core_state("L5", SOpq(NAT)))
-        refined = fp(_core_state("L5", SOpq(NAT, (PLt(HConst(3)),))))
-        assert refined.subsumed_by(plain)  # weaker covers stronger
-        assert not plain.subsumed_by(refined)
+        assert plain is not refined
+        assert fp(_core_state("L9", SOpq(NAT, (PLt(HConst(3)),)))) is refined
 
 
 class TestScvFingerprints:
@@ -117,20 +101,27 @@ class TestScvFingerprints:
         assert wide != narrow
 
     def test_answers_fold_refinements_into_the_shape(self):
-        # Answer states are deduplicated exactly, never subsumed: their
-        # refinement sets are what counterexample models are read from.
+        # An answer's refinement sets are what counterexample models are
+        # read from: they are part of its one interned node, so answers
+        # differing only in refinements stay apart.
         fp = ScvFingerprinter()
-        heap = UHeap({Loc("u3"): UConc(5)}).frozen()
-        answer = SState(Loc("u3"), MEnv({}), heap, ())
-        assert answer.is_answer
-        assert fp(answer).refs == ()
+
+        def answer(loc_name: str, preds) -> SState:
+            heap = UHeap({Loc(loc_name): UOpq(preds=preds)}).frozen()
+            return SState(Loc(loc_name), MEnv({}), heap, ())
+
+        plain = answer("u3", ())
+        assert plain.is_answer
+        assert isinstance(fp(plain), Node)
+        assert fp(answer("u8", ())) is fp(plain)
+        assert fp(answer("u3", (PLt(HConst(3)),))) is not fp(plain)
 
 
 class _ReferenceInterner:
     """The recursive-tuple interner the identity hash-consing replaced:
     every tuple is rebuilt from its interned children and looked up by
     structural hash.  Kept as the equivalence oracle for
-    :class:`Interner` (same equalities, same subsumptions)."""
+    :class:`Interner` (same equalities)."""
 
     def __init__(self) -> None:
         self._table: dict = {}
@@ -153,29 +144,17 @@ class _ReferenceInterner:
         return value
 
 
-def _reference_finish(self, shape, *, exact_only):
-    """``_Base.finish`` as it was over the reference interner: the
-    whole refinement tuple interned as one value."""
-    self.drain_pending()
-    refs = tuple(self.refs)
-    if exact_only:
-        shape = (shape, refs)
-        refs = ()
-    return Fingerprint(self._intern.intern(shape), self._intern.intern(refs))
-
-
 class _Reference:
     """A fingerprinter of ``kind`` serializing through the reference
-    interner and the reference ``finish``."""
+    interner: its fingerprint is the folded ``(shape, refs)`` pair as a
+    structurally compared tuple."""
 
     def __init__(self, kind) -> None:
         self._fingerprinter = kind()
         self._interner = self._fingerprinter._interner = _ReferenceInterner()
 
-    def __call__(self, state) -> Fingerprint:
-        with mock.patch.object(fingerprint_module._Base, "finish",
-                               _reference_finish):
-            return self._fingerprinter(state)
+    def __call__(self, state):
+        return self._fingerprinter(state)
 
 
 def _random_value(rng, depth: int, *, leaf: bool = True):
@@ -288,10 +267,12 @@ _LOOP_SOURCES = (
 
 
 class TestIdentityInterningMatchesTheReference:
-    """Identity hash-consing must not change which states are equal or
-    subsume each other.  Every state fingerprinted by real memoised
-    searches is compared pairwise under the interner and under the
-    reference recursive-tuple interner: within each search, with the
+    """Identity hash-consing must not change which states are equal:
+    two fingerprints are the same node iff the reference interner's
+    folded ``(shape, refs)`` pairs are equal.  Every state fingerprinted
+    by real memoised searches is compared pairwise under the interner
+    and under the reference recursive-tuple interner: within each
+    search, with the
     fingerprints the search itself used, and across all searches of a
     test, re-fingerprinted by one fingerprinter of each kind.  Each
     program is verified twice, so every state has an equal twin built
@@ -317,10 +298,7 @@ class TestIdentityInterningMatchesTheReference:
         equal = 0
         for i, (a, ra) in enumerate(pairs):
             for b, rb in pairs[i + 1:]:
-                assert (a == b) == (ra == rb)
-                assert (a.shape is b.shape) == (ra.shape == rb.shape)
-                assert a.subsumed_by(b) == ra.subsumed_by(rb)
-                assert b.subsumed_by(a) == rb.subsumed_by(ra)
+                assert (a is b) == (ra == rb)
                 equal += ra == rb
         return equal
 
@@ -415,7 +393,7 @@ class TestFingerprintCost:
         # environment reaches the base frame.
         state = next(
             s for s in _walk(machine.step, init, 200)
-            if "clos" in _tags(_Reference(ScvFingerprinter)(s).shape)
+            if "clos" in _tags(_Reference(ScvFingerprinter)(s))
         )
         fp = make()
         fp(state)
@@ -440,8 +418,7 @@ class TestFingerprintCost:
 
 
 def _toy_kernel(step, **kw):
-    ident = lambda s: Fingerprint(s, ())  # noqa: E731
-    kw.setdefault("fingerprint", ident)
+    kw.setdefault("fingerprint", lambda s: s)
     return SearchKernel(step, **kw)
 
 
@@ -453,7 +430,7 @@ class TestKernelBehaviour:
             return None if n >= 10 else [n + 1, n + 1]
 
         stats = KernelStats()
-        k = _toy_kernel(step, compress=False, stats=stats)
+        k = _toy_kernel(step, stats=stats)
         answers = list(k.run(0))
         assert answers == [10]
         assert stats.states_explored == 11
@@ -490,25 +467,23 @@ class TestKernelBehaviour:
         assert list(k.run(0)) == []
         assert stats.pruned >= 1
 
-    def test_strategies_find_the_same_answers(self):
-        def step(state):
-            n, path = state
-            if n >= 3:
-                return None
-            return [(n + 1, path + "L"), (n + 1, path + "R")]
+    def test_stronger_refinements_are_explored_not_pruned(self):
+        # Three successors of one root: an opaque, the same opaque with
+        # a strictly stronger refinement set, and a renamed twin of the
+        # first.  Only the exact duplicate is pruned.
+        root = _core_state("L1", SNum(0))
+        plain = _core_state("L5", SOpq(NAT))
+        stronger = _core_state("L6", SOpq(NAT, (PLt(HConst(3)),)))
+        twin = _core_state("L7", SOpq(NAT))
 
-        found = {}
-        for strategy in ("bfs", "dfs", "depth"):
-            k = SearchKernel(step, strategy=strategy, fingerprint=None)
-            found[strategy] = sorted(p for _, p in k.run((0, "")))
-        assert found["bfs"] == found["dfs"] == found["depth"]
-        assert len(found["bfs"]) == 8
+        def step(s):
+            return [plain, stronger, twin] if s is root else None
 
-    def test_unknown_strategy_is_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            SearchKernel(lambda s: None, strategy="astar")
+        stats = KernelStats()
+        k = SearchKernel(step, fingerprint=CoreFingerprinter(), stats=stats)
+        assert list(k.run(root)) == [plain, stronger]
+        assert stats.pruned == 1
+        assert stats.states_explored == 3
 
     def test_budget_truncates(self):
         def step(n):
@@ -605,8 +580,7 @@ class TestSequentialSearchOnRealPrograms:
     """The one search path over real programs.  The machines thread the
     location and synthetic-label counters through states (``loc_base``,
     ``syn_base``), so every state is a pure function of its path: runs
-    repeat exactly, a state budget cuts the bfs order at a prefix, and
-    the frontier discipline cannot rename what a path allocates."""
+    repeat exactly, and a state budget cuts the bfs order at a prefix."""
 
     def test_repeated_runs_are_identical(self):
         core = _core_program("sum-unknown-fn-abs")
@@ -648,26 +622,6 @@ class TestSequentialSearchOnRealPrograms:
             set_loc_counter(0)
             # UHeap compares by identity, so compare printed states.
             assert repr(machine.step(state)) == scrambled
-
-    def test_core_frontier_order_does_not_rename_answers(self):
-        # Without memoisation both disciplines visit the same tree, so
-        # they must reach the same answer states, location names and all.
-        core = _core_program("sum-unknown-fn-abs")
-        found = {
-            strategy: sorted(repr(a) for a in _run_core(
-                core, memo=False, strategy=strategy)[0])
-            for strategy in ("bfs", "dfs")
-        }
-        assert found["bfs"] and found["bfs"] == found["dfs"]
-
-    def test_scv_frontier_order_does_not_rename_answers(self):
-        found = {}
-        for strategy in ("bfs", "dfs"):
-            machine, init = _scv_init(get_program("sum-unknown-fn-abs").source)
-            kernel = SearchKernel(machine.step, strategy=strategy,
-                                  fingerprint=None)
-            found[strategy] = sorted(repr(a) for a in kernel.run(init))
-        assert found["bfs"] and found["bfs"] == found["dfs"]
 
 
 class TestMemoOnOffProperty:

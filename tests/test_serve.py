@@ -1,7 +1,9 @@
 """The verification service (repro.serve) and this PR's bugfixes:
 
 * **protocol** — request validation rejects malformed bodies with
-  clear messages instead of crashing a worker;
+  clear messages instead of crashing a worker, and rejects config
+  values outside their domain (a non-positive or non-finite
+  ``timeout_s`` would disarm every deadline on the job);
 * **queue** — the disk-backed job queue survives restarts, requeues a
   crashed job exactly once, and terminates it with clean ``error``
   rows when the retry budget is spent;
@@ -158,6 +160,33 @@ class TestProtocol:
                 {"source": "1", "config": {"max_states": True}}
             )
 
+    @pytest.mark.parametrize("config, key", [
+        ({"timeout_s": 0}, "timeout_s"),
+        ({"timeout_s": -1.5}, "timeout_s"),
+        ({"timeout_s": float("nan")}, "timeout_s"),
+        ({"timeout_s": float("inf")}, "timeout_s"),
+        ({"timeout_s": 10 ** 400}, "timeout_s"),
+        ({"max_states": 0}, "max_states"),
+        ({"fuel": -3}, "fuel"),
+        ({"max_cex_attempts": -1}, "max_cex_attempts"),
+        ({"mode": "fast"}, "mode"),
+    ])
+    def test_out_of_domain_config_values_rejected(self, config, key):
+        with pytest.raises(ProtocolError, match=key):
+            parse_verify_request({"source": "1", "config": config})
+
+    def test_in_domain_config_values_accepted(self):
+        config = {"timeout_s": 0.5, "max_states": 1, "fuel": 1,
+                  "max_cex_attempts": 0, "mode": "euf"}
+        req = parse_verify_request({"source": "1", "config": config})
+        assert req["config"] == config
+
+    def test_strategy_is_no_longer_a_config_key(self):
+        with pytest.raises(ProtocolError, match="strategy"):
+            parse_verify_request(
+                {"source": "1", "config": {"strategy": "bfs"}}
+            )
+
     def test_oversized_source_rejected(self):
         with pytest.raises(ProtocolError, match="exceeds"):
             parse_verify_request({"source": "x" * ((1 << 20) + 1)})
@@ -292,6 +321,9 @@ class TestServeHTTP:
     def test_bad_requests_get_clean_errors(self, server):
         code, resp = server.request("/v1/verify", {"nope": 1})
         assert code == 400 and "source" in resp["error"]
+        code, resp = server.request(
+            "/v1/verify", {"source": "1", "config": {"timeout_s": 0}})
+        assert code == 400 and "timeout_s" in resp["error"]
         assert server.request("/v1/jobs/deadbeef")[0] == 404
         assert server.request("/v1/nonsense")[0] == 404
         code, resp = server.request("/v1/results/abc")

@@ -109,7 +109,7 @@ class TestFingerprints:
             {**base, "max_states": 7}
         )
         assert config_digest(base) != config_digest(
-            {**base, "strategy": "dfs"}
+            {**base, "mode": "euf"}
         )
 
 
@@ -449,6 +449,25 @@ class TestStoreVerify:
         outcome = check_entries(vs)
         assert len(outcome["mismatches"]) == tampered
         assert "status" in outcome["mismatches"][0]["fields"]
+
+    def test_entry_with_a_removed_config_field_is_stale(self, tmp_path):
+        # An entry written while RunConfig still had a field (here the
+        # removed search ``strategy`` and ``shards``) carries it in its
+        # recorded config and a digest over it: it is skipped as stale,
+        # not reported unreadable.
+        store_dir = str(tmp_path / "store")
+        verify_source(CHAIN, config=_cfg(store_dir), backend="scv")
+        vs = get_store(store_dir)
+        for path in vs.entry_paths():
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+            entry["config"].update(strategy="bfs", shards=1)
+            entry["key"]["config"] = "0" * 64
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(entry, fh)
+        outcome = check_entries(vs)
+        assert outcome["mismatches"] == []
+        assert outcome["skipped"] == 2 and outcome["checked"] == 0
 
 
 class TestCli:
