@@ -124,8 +124,8 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--no-memo", action="store_true",
-        help="disable state-fingerprint memoisation and the solver-query "
-        "cache (the pre-kernel micro-step search; for A/B comparison)",
+        help="disable state-fingerprint memoisation and chain compression "
+        "(the pre-kernel micro-step search; for A/B comparison)",
     )
     p.add_argument(
         "--no-incremental", action="store_true",

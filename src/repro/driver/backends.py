@@ -92,7 +92,7 @@ class RunConfig:
     max_cex_attempts: int = 20  # error states to try to model before giving up
     mode: str = "implications"  # heap translation mode (paper Fig. 4)
     jobs: int = 1  # worker processes
-    memo: bool = True  # fingerprint memoisation + solver-query cache
+    memo: bool = True  # fingerprint memoisation + chain compression
     incremental: bool = True  # per-path incremental solver contexts
     store_dir: Optional[str] = None  # persistent store root (None: no store)
     client_of: Optional[str] = None  # narrow the demonic client (repro.store)
@@ -183,18 +183,11 @@ def _deadline(seconds: float, status: Optional[DeadlineStatus] = None):
 def _reset_counters() -> None:
     # Labels and heap locations are only unique per program; restarting
     # the counters per verification makes reports (and solver model
-    # choices) reproducible regardless of worker assignment.  The solver
-    # cache is cleared for the same reason: results are pure either way,
-    # but the per-row `solver_cache_hits` counter must not depend on
-    # which programs happened to share a worker process.  `clear()`
-    # resets the hit/miss counters together with the table, so a reused
-    # pool worker cannot bleed one row's hits into the next row's stats
-    # whatever order snapshots are taken in.
+    # choices) reproducible regardless of worker assignment.
     reset_surface_labels()
     reset_core_labels()
     reset_syn_labels()
     reset_locs()
-    solver_cache.clear()
 
 
 class Backend(Protocol):
@@ -216,21 +209,14 @@ class Backend(Protocol):
 class _ResultBuilder:
     """Shared bookkeeping: wall clock, counters, result assembly.
 
-    Construction also applies the run's memoisation setting to the
-    process-wide solver cache and snapshots its hit counter, so every
-    result row carries the cache hits *this* verification scored
-    (verifications never interleave within a worker process).  ``done``
-    — the single exit point of every verification — restores the
-    previous cache setting, so a ``memo=False`` run does not leave the
-    process cache disabled for unrelated callers."""
+    Construction snapshots the solver tier's hit counter, so every
+    result row carries the hits *this* verification scored
+    (verifications never interleave within a worker process)."""
 
-    def __init__(self, backend: str, name: str, kind: str,
-                 memo: bool = True) -> None:
+    def __init__(self, backend: str, name: str, kind: str) -> None:
         self.backend = backend
         self.name = name
         self.kind = kind
-        self._prev_cache_enabled = solver_cache.enabled
-        solver_cache.enabled = memo
         self._cache_snap = solver_cache.snapshot()
         self._solve_snap = SOLVE_STATS.begin_window()
         self.t0 = time.perf_counter()
@@ -239,7 +225,6 @@ class _ResultBuilder:
              solver_queries: int, pruned: int = 0, chained: int = 0,
              **kw) -> ProgramResult:
         hits = solver_cache.hits_since(self._cache_snap)
-        solver_cache.enabled = self._prev_cache_enabled
         return ProgramResult(
             name=self.name,
             kind=self.kind,
@@ -274,7 +259,7 @@ class TypedCoreBackend:
         _reset_counters()
         stats = SearchStats()
         proof = ProofSystem(mode=cfg.mode, incremental=cfg.incremental)
-        rb = _ResultBuilder(self.name, name, kind, memo=cfg.memo)
+        rb = _ResultBuilder(self.name, name, kind)
         dl = DeadlineStatus()
 
         def done(status: str, **kw) -> ProgramResult:
@@ -427,7 +412,7 @@ class UntypedScvBackend:
         cfg = config or RunConfig()
         _reset_counters()
         stats = USearchStats()
-        rb = _ResultBuilder(self.name, name, kind, memo=cfg.memo)
+        rb = _ResultBuilder(self.name, name, kind)
         dl = DeadlineStatus()
         proof_queries = solver_queries = 0
 

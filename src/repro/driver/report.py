@@ -13,13 +13,13 @@ Schema ``repro-bench/v9`` (``v8`` without the sharded-search fields):
 * rows and totals carry the search kernel's economy counters:
   ``pruned_states`` (frontier states dropped by fingerprint
   memoisation), ``solver_cache_hits`` (queries answered by
-  the canonicalized solver-result cache), and ``chained_steps``
+  the ``--store`` solver-result tier), and ``chained_steps``
   (deterministic micro-steps folded into macro states), so partial work
   stays visible even on rows whose budget expired inside a compressed
   chain;
 * new in v5 — the incremental-solving economy counters from the
   per-path solver contexts (``smt.incremental``):
-  ``solver_fresh_solves`` (from-scratch solver context builds — cache
+  ``solver_fresh_solves`` (from-scratch solver context builds — tier
   misses on the one-shot path plus path-context rebuilds),
   ``solver_incremental`` (checks answered on a warm context, reusing
   its scopes and lemmas), ``solver_clauses_reused`` (lemma and learned
@@ -171,7 +171,7 @@ class ProgramResult:
     proof_queries: int = 0
     solver_queries: int = 0
     pruned_states: int = 0  # dropped by fingerprint memoisation
-    solver_cache_hits: int = 0  # queries answered from the result cache
+    solver_cache_hits: int = 0  # queries answered by the --store solver tier
     chained_steps: int = 0  # micro-steps folded into macro states
     solver_fresh_solves: int = 0  # from-scratch solver context builds
     solver_incremental: int = 0  # checks answered on a warm context

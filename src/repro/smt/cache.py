@@ -1,39 +1,37 @@
-"""Canonicalizing LRU cache over solver results.
+"""Canonical keys for solver results.
 
-Symbolic execution re-asks the solver the same question constantly: the
-proof relation translates a whole heap per query, sibling branches share
-most of their heaps, and location *names* — the only thing that varies
-between isomorphic heaps — are an artefact of the global allocation
-counter.  This module makes those repeats free:
+Symbolic execution asks the solver about whole heaps, and location
+*names* — the only thing that varies between isomorphic heaps — are an
+artefact of the global allocation counter.  This module makes the
+answer a function of the query's structure alone:
 
 * :func:`canonicalize` alpha-renames a formula's variables and
   uninterpreted function symbols to their first-occurrence index in a
   deterministic structural traversal.  Two queries differing only in
   location naming collapse to one key — the query-level mirror of the
   state fingerprints in ``search.fingerprint``.
-* :class:`SolverCache` maps canonical keys to ``(Result, model)``
-  pairs, LRU-bounded.  Models are stored in canonical names and
+* :class:`SolverCache` is the front of a persistent result tier keyed
+  by canonical formulas.  Models are stored in canonical names and
   rehydrated through the inverse renaming of whichever query hits, so a
-  cached model is exactly as usable as a fresh one.
+  stored model is exactly as usable as a fresh one.
 
-Satisfiability is a pure function of the formula, so the cache is safe
-to share across programs in a long-lived batch worker; hit/miss
-counters can be snapshotted per program run (``snapshot``/``hits_since``)
-for reporting.  The cache deliberately solves the *canonical* formula
+Satisfiability is a pure function of the formula, so the tier is safe
+to share across programs, processes and runs; hit/miss counters can be
+snapshotted per program run (``snapshot``/``hits_since``) for
+reporting.  One-shot queries always solve the *canonical* formula
 rather than the original, so model choice is identical however a query
-is named — cached and uncached runs cannot drift apart.
+is named and whether or not a tier is attached.
 
 Model determinism is a correctness property downstream, not just a
 reporting nicety: ``get_model`` feeds counterexample construction and
-the client synthesis of :mod:`repro.synth`, so a cache that returned
+the client synthesis of :mod:`repro.synth`, so a tier that returned
 differently-named (or differently-chosen) models on hits would make
 reported witnesses — and the emitted client programs — depend on what
-else ran in the worker process.
+else had been solved before.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
 from .errors import Result, SolverError
@@ -141,40 +139,35 @@ _CachedModel = tuple[
 
 
 class SolverCache:
-    """LRU table: canonical formula -> (Result, canonical model or None,
-    model_known).
+    """The canonical-key front of a persistent solver-result tier.
 
-    Two populations share the table.  One-shot queries store *full*
+    The cache itself holds no results: entries live in ``backing``
+    (``repro.store.solver.SolverStore``, or anything with its
+    ``lookup``/``store`` methods), attached by the driver's store layer
+    and never constructed here — the smt package stays
+    storage-agnostic.  With no backing every lookup misses: the search
+    does not repeat a canonical query within one program, so an
+    in-memory table would only add a tier to trust.  Repeats across
+    runs are answered by the store, and repeats within a run by the
+    store's own buffer.
+
+    Two populations share the tier.  One-shot queries store *full*
     entries: the canonical formula was solved and, when SAT, its model
     kept (``model_known=True``).  The incremental path (``smt.
     incremental``) answers checks on a per-path solver context whose
     model choice depends on context history, so it stores *result-only*
     entries (``model_known=False``): the verdict is reusable, the model
     deliberately is not.  A later ``get_model`` on such an entry misses
-    (``need_model=True``), solves the canonical formula and upgrades the
-    entry — so reported models remain a deterministic function of the
-    canonical formula regardless of which path asked first.  This is how
-    the canonicalizing cache and incremental contexts compose instead of
-    fighting.
+    (``need_model=True``), solves the canonical formula and the backing
+    upgrades the entry — so reported models remain a deterministic
+    function of the canonical formula regardless of which path asked
+    first.
     """
 
-    def __init__(self, maxsize: int = 4096) -> None:
-        self.maxsize = maxsize
-        self.enabled = True
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        #: Optional persistent tier (``repro.store.solver.SolverStore``
-        #: or anything with its ``lookup``/``store`` methods).  Probed on
-        #: in-memory misses and notified of fresh solves; attached by the
-        #: driver's store layer, never constructed here — the smt package
-        #: stays storage-agnostic.
         self.backing = None
-        self._table: OrderedDict[
-            Formula, tuple[Result, Optional[_CachedModel], bool]
-        ]
-        self._table = OrderedDict()
-
-    # -- bookkeeping -----------------------------------------------------
 
     def snapshot(self) -> tuple[int, int]:
         return self.hits, self.misses
@@ -182,44 +175,19 @@ class SolverCache:
     def hits_since(self, snap: tuple[int, int]) -> int:
         return self.hits - snap[0]
 
-    def clear(self) -> None:
-        """Drop the table AND zero the hit/miss counters, atomically from
-        the caller's point of view: a batch worker that clears between
-        programs cannot bleed one row's counter into the next, whatever
-        snapshots are taken relative to the clear."""
-        self._table.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    # -- access ----------------------------------------------------------
-
     def get(
         self, key: Formula, *, need_model: bool = False
     ) -> Optional[tuple[Result, Optional[_CachedModel], bool]]:
-        """Look up an entry; with ``need_model`` a result-only SAT entry
-        counts as a miss (the caller will solve and upgrade it).  On an
-        in-memory miss the persistent backing (when attached) is probed
-        and a hit promoted into the table — entries are pure functions
-        of the canonical formula, so a disk hit is exactly as good as a
-        fresh solve."""
-        entry = self._table.get(key)
-        if entry is None and self.backing is not None:
-            entry = self.backing.lookup(key)
-            if entry is not None:
-                self._table[key] = entry
-                while len(self._table) > self.maxsize:
-                    self._table.popitem(last=False)
+        """Look up an entry in the backing; with ``need_model`` a
+        result-only SAT entry counts as a miss (the caller will solve
+        and upgrade it)."""
+        entry = None if self.backing is None else self.backing.lookup(key)
         if entry is None or (
             need_model and entry[0] is Result.SAT and not entry[2]
         ):
             self.misses += 1
             return None
         self.hits += 1
-        if key in self._table:
-            self._table.move_to_end(key)
         return entry
 
     def put(
@@ -230,24 +198,10 @@ class SolverCache:
         *,
         model_known: bool = True,
     ) -> None:
-        old = self._table.get(key)
-        if old is not None:
-            if result is Result.UNKNOWN and old[0] is not Result.UNKNOWN:
-                # Never downgrade a decisive verdict to UNKNOWN (a cold
-                # re-solve for a model can give up where the warm context
-                # that stored the entry did not); cached verdicts must
-                # not flip mid-run.
-                return
-            if old[2] and not model_known:
-                # Never downgrade a full entry to result-only.
-                model, model_known = old[1], True
-        self._table[key] = (result, model, model_known)
-        self._table.move_to_end(key)
-        while len(self._table) > self.maxsize:
-            self._table.popitem(last=False)
+        """Persist a decisive result.  UNKNOWN is budget-relative and
+        another run (or machine) may well do better; the backing never
+        downgrades a full entry to a result-only one."""
         if self.backing is not None and result is not Result.UNKNOWN:
-            # Decisive verdicts persist; UNKNOWN is budget-relative and
-            # another run (or machine) may well do better.
             self.backing.store(key, result, model, model_known)
 
 

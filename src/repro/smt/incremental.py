@@ -26,12 +26,13 @@ O(path-length) per query; a :class:`PathContext` makes it O(delta):
   context_rebuilds`` and show up as fresh solves — they are the only
   from-scratch work left on the hot path.
 
-Composition with the canonicalizing result cache (``smt.cache``) is by
-*result-only entries*: ``check_under`` consults the cache first (a hit
-answers without touching the context — sibling paths with isomorphic
-heaps still collapse), and decisive incremental answers are stored
-without a model, so ``get_model`` later re-solves canonically rather
-than exposing a context-history-dependent model.
+Composition with the persistent solver-result tier (``smt.cache``, when
+a store is attached) is by *result-only entries*: ``check_under``
+consults the tier first (a hit answers without touching the context),
+and decisive incremental answers are stored without a model, so
+``get_model`` later re-solves canonically rather than exposing a
+context-history-dependent model.  With no store attached the query goes
+straight to the context: nothing would read its canonical key.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ class PathContext:
 
     def check_under(self, parts: Sequence[Formula], psi: Formula) -> Result:
         """Satisfiability of ``AND(parts) ∧ psi`` through the
-        canonicalizing result cache, solved incrementally on a miss.
+        solver-result tier, solved incrementally on a miss.
 
-        The cache key is the same canonical conjunction the one-shot
+        The key is the same canonical conjunction the one-shot
         ``check_sat`` would use, so entries are shared across the two
         paths; incremental answers are stored result-only (UNKNOWNs not
         at all — they can be budget artefacts of context history)."""
@@ -143,7 +144,7 @@ class PathContext:
             return Result.SAT
         if full == FALSE:
             return Result.UNSAT
-        if not GLOBAL_CACHE.enabled:
+        if GLOBAL_CACHE.backing is None:
             return self.check(parts, psi)
         canon, _, _ = canonicalize(full)
         entry = GLOBAL_CACHE.get(canon)

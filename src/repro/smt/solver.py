@@ -84,9 +84,9 @@ __all__ = [
     "solver_cache",
 ]
 
-#: The process-wide canonicalizing result cache behind the one-shot
-#: helpers below.  ``solver_cache.enabled = False`` restores uncached
-#: behaviour; ``snapshot``/``hits_since`` meter a region of work.
+#: The process-wide front of the solver-result tier behind the one-shot
+#: helpers below (a miss unless a ``backing`` store is attached);
+#: ``snapshot``/``hits_since`` meter a region of work.
 solver_cache = GLOBAL_CACHE
 
 
@@ -290,14 +290,14 @@ class SolveStats:
     """Process-wide incremental-solving economy counters.
 
     ``fresh_solves`` counts the *first* check of each :class:`Solver`
-    instance — a from-scratch context build (one-shot cached queries,
+    instance — a from-scratch context build (one-shot queries,
     path-context rebuilds).  Every later check on the same instance is an
     ``incremental_queries`` tick: it reuses the asserted scopes, the
     preprocessor caches, the atom map and every retained lemma.
     ``clauses_reused`` sums, over incremental checks, the lemma and
     CDCL-learned clauses already present when the check started.  Like
-    the solver cache, the counters are monotone; ``begin_window`` /
-    ``window`` meter one verification (verifications never interleave
+    the solver tier's hit counters, these are monotone; ``begin_window``
+    / ``window`` meter one verification (verifications never interleave
     within a worker process).
     """
 
@@ -644,14 +644,14 @@ def _eval_int(t: Term, env: dict[Var, int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Convenience helpers — cached behind canonicalized queries
+# Convenience helpers — one-shot queries solved in canonical form
 # ---------------------------------------------------------------------------
 
 
 def _encode_model(m: Model):
     """Canonical-name model -> compact hashless storage form.  The
     canonical renaming maps variables to ``$<i>`` and function symbols
-    to ``$f<i>``; only those survive into the cache entry."""
+    to ``$f<i>``; only those survive into the stored entry."""
     env = tuple(
         sorted(
             (int(v.name[1:]), val)
@@ -683,16 +683,17 @@ def _decode_model(cached, orig_vars, orig_funcs) -> Model:
 def _cached_check(
     phi: Formula, *, need_model: bool = False
 ) -> tuple[Result, Optional[Model]]:
-    """Decide ``phi`` through the canonicalizing cache.
+    """Decide ``phi`` by solving its canonical form, through the
+    solver-result tier.
 
     The *canonical* formula is what gets solved, so the verdict and the
     model are functions of the query's structure alone — however its
-    locations happened to be numbered, and whether or not the entry was
-    already cached.  Entries written by the incremental path are
+    locations happened to be numbered, and whether or not a stored
+    entry answered.  Entries written by the incremental path are
     *result-only* (see ``smt.cache``); when a model is needed for one,
     the canonical formula is solved here and the entry upgraded, so
     model choice stays a deterministic function of the canonical formula
-    no matter which path populated the cache first.
+    no matter which path populated the tier first.
     """
     canon, orig_vars, orig_funcs = canonicalize(phi)
     entry = GLOBAL_CACHE.get(canon, need_model=need_model)
@@ -710,9 +711,9 @@ def _cached_check(
 
 
 def check_sat(*formulas: Formula, solver: Optional[Solver] = None) -> Result:
-    """One-shot satisfiability check of a conjunction (cached); with an
-    explicit ``solver`` the check runs on its incremental state,
-    uncached."""
+    """One-shot satisfiability check of a conjunction, on its canonical
+    form; with an explicit ``solver`` the check runs on its incremental
+    state instead."""
     if solver is not None:
         solver.add(*formulas)
         return solver.check()
@@ -721,10 +722,6 @@ def check_sat(*formulas: Formula, solver: Optional[Solver] = None) -> Result:
         return Result.SAT
     if phi == FALSE:
         return Result.UNSAT
-    if not GLOBAL_CACHE.enabled:
-        s = Solver()
-        s.add(phi)
-        return s.check()
     return _cached_check(phi)[0]
 
 
@@ -735,12 +732,6 @@ def get_model(*formulas: Formula) -> Optional[Model]:
         return None
     if phi == TRUE:
         return Model()
-    if not GLOBAL_CACHE.enabled:
-        s = Solver()
-        s.add(phi)
-        if s.check() is Result.SAT:
-            return s.model()
-        return None
     res, model = _cached_check(phi, need_model=True)
     return model if res is Result.SAT else None
 

@@ -6,9 +6,9 @@ Two tiers under one ``--store`` directory:
   canonical program fingerprint × backend × semantic-config digest ×
   client marker, with per-module granularity for multi-module scv
   programs (:func:`repro.store.fingerprint.module_slices`);
-* :mod:`repro.store.solver` — the persistent tier behind the
-  canonicalizing in-memory solver cache, append-only JSONL shards
-  published by atomic rename.
+* :mod:`repro.store.solver` — the solver-result tier behind
+  :class:`~repro.smt.cache.SolverCache`, keyed by canonical formula:
+  append-only JSONL shards published by atomic rename.
 
 Warm runs replay stored rows byte-for-byte (timing and the store
 counters aside), which the warm/cold differential in CI enforces.

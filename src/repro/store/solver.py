@@ -1,9 +1,9 @@
 """Persistent, cross-process shard store for solver results.
 
-The in-memory :class:`~repro.smt.cache.SolverCache` already collapses
-isomorphic queries to one canonical formula and caches ``(result,
-model)`` per canonical key — but it dies with the process.  This module
-gives it a disk tier:
+:class:`~repro.smt.cache.SolverCache` collapses isomorphic queries to
+one canonical formula but holds no results itself.  This module is the
+tier that does: ``(result, model)`` per canonical key, kept on disk so
+it outlives the process.
 
 * **serialization** — canonical formulas contain only canonical names
   (``$i`` variables, ``$fi/arity`` function symbols), so a deterministic
@@ -25,8 +25,9 @@ gives it a disk tier:
   on-disk index), dropping duplicates.
 
 The cache consults the store through the ``backing`` protocol
-(:meth:`lookup`/:meth:`store`): on an in-memory miss the backing is
-probed, on a fresh solve the entry is buffered for the next flush.
+(:meth:`lookup`/:meth:`store`): every query probes it, and a fresh
+decisive solve is buffered for the next flush.  The buffer answers
+repeats within a run; the shards answer them across runs.
 Results are pure functions of the canonical formula, so sharing entries
 across programs, processes and runs can never change a verdict — only
 how fast it is reached.
@@ -281,7 +282,9 @@ class SolverStore:
     def compact(self) -> dict:
         """Fold every shard into a single deduplicated one (the on-disk
         index).  Safe against concurrent writers: only the shards that
-        existed when compaction started are removed."""
+        existed when compaction started are removed.  Buffered entries
+        are published first, so they are folded in rather than lost."""
+        self.flush()
         before = self._shard_paths()
         self._index = None  # re-read everything, including new shards
         idx = self.index()

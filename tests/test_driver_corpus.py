@@ -2,6 +2,7 @@
 the batch runner parallelises it, and the JSON report schema is stable."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,8 @@ from repro.driver.report import (
     STATUS_UNSUPPORTED,
 )
 from repro.lang.parser import parse_program
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCorpusIntegrity:
@@ -177,6 +180,11 @@ class TestReportSchema:
         knobs = {f.name for f in fields(RunConfig)}
         assert set(config) == knobs | {"backend", "programs", "runs"}
         assert not {"shards", "compile_cache_dir"} & set(config)
+        # The committed reports were recorded under today's knobs too:
+        # a removed knob left in their config block means they are stale.
+        for report in ("BENCH_driver.json", "BENCH_warm.json"):
+            committed = json.loads((REPO_ROOT / report).read_text())
+            assert set(committed["config"]) == set(config), report
 
     def test_totals_consistent(self, full_report):
         t = full_report.totals()

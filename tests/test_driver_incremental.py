@@ -10,9 +10,9 @@
   assembly must not be killed by the per-program SIGALRM: the deadline
   context is exited (cancelling the alarm, restoring the previous
   handler) before assembly;
-* **worker hygiene** — the solver cache's hit/miss counters reset
-  atomically with its table, so a reused pool worker cannot bleed one
-  row's ``solver_cache_hits`` into the next row's stats.
+* **worker hygiene** — each row counts solver-tier hits over its own
+  ``snapshot``/``hits_since`` window, so a reused pool worker cannot
+  bleed one row's ``solver_cache_hits`` into the next row's stats.
 """
 
 import signal
@@ -29,7 +29,6 @@ from repro.driver.report import (
     VOLATILE_ROW_FIELDS,
 )
 from repro.driver.runner import RunConfig, run_corpus, verify_program, verify_source
-from repro.smt import solver_cache
 
 
 def _stable(result) -> dict:
@@ -145,22 +144,11 @@ class TestWorkerCounterHygiene:
         cfg = RunConfig(timeout_s=60.0)
         alone = verify_program(prog, cfg, backend="core")
         # Simulate a reused worker: another program ran first and left
-        # cache counters behind.
+        # tier counters behind.
         verify_program(get_program("pred-chain-guarded"), cfg, backend="core")
         after = verify_program(prog, cfg, backend="core")
         assert after.solver_cache_hits == alone.solver_cache_hits
         assert _stable(after) == _stable(alone)
-
-    def test_clear_is_atomic_even_with_foreign_snapshots(self):
-        solver_cache.clear()
-        # A stale snapshot taken before unrelated traffic...
-        snap = solver_cache.snapshot()
-        solver_cache.hits += 7  # ...traffic from a previous row
-        solver_cache.clear()
-        # ...cannot produce a negative or bled counter afterwards.
-        assert solver_cache.snapshot() == (0, 0)
-        assert solver_cache.hits_since(solver_cache.snapshot()) == 0
-        assert solver_cache.hits_since(snap) <= 0
 
 
 class TestBothBackendsCrossCheckWithIncrementality:

@@ -39,6 +39,7 @@ from repro.smt import (
     solver_cache,
 )
 from repro.smt.cache import canonicalize
+from repro.store import SolverStore
 
 x, y, z, w = mk_var("x"), mk_var("y"), mk_var("z"), mk_var("w")
 f = FuncDecl("f", 1)
@@ -307,25 +308,28 @@ class TestPathContext:
 
 
 class TestCacheComposition:
-    """Incremental answers and the canonicalizing cache must compose:
+    """Incremental answers and the solver-result tier must compose:
     result-only entries serve verdicts, and a later ``get_model`` solves
     canonically and upgrades the entry instead of reporting a context-
     history-dependent model."""
 
-    def setup_method(self):
-        solver_cache.clear()
+    @pytest.fixture(autouse=True)
+    def store(self, tmp_path, monkeypatch):
+        store = SolverStore(str(tmp_path / "solver"))
+        monkeypatch.setattr(solver_cache, "backing", store)
+        return store
 
-    def test_check_under_stores_result_only(self):
+    def test_check_under_stores_result_only(self, store):
         ctx = PathContext()
         parts = (mk_ge(x, 2), mk_le(x, 2))
         psi = mk_eq(x, 2)
         assert ctx.check_under(parts, psi) is Result.SAT
         canon, _, _ = canonicalize(mk_and(*parts, psi))
-        entry = solver_cache.get(canon)
+        entry = store.lookup(canon)
         assert entry is not None and entry[0] is Result.SAT
         assert entry[2] is False  # result-only: no model captured
 
-    def test_get_model_upgrades_result_only_entry(self):
+    def test_get_model_upgrades_result_only_entry(self, store):
         ctx = PathContext()
         parts = (mk_ge(x, 2), mk_le(x, 2))
         psi = mk_eq(x, 2)
@@ -333,7 +337,7 @@ class TestCacheComposition:
         m = get_model(mk_and(*parts, psi))
         assert m is not None and m[x] == 2
         canon, _, _ = canonicalize(mk_and(*parts, psi))
-        entry = solver_cache.get(canon)
+        entry = store.lookup(canon)
         assert entry is not None and entry[2] is True  # upgraded
 
     def test_cached_verdict_answers_without_context(self):
@@ -354,14 +358,16 @@ class TestCacheComposition:
             )
 
 
-class TestAtomicCacheClear:
-    def test_clear_resets_counters_with_table(self):
-        solver_cache.clear()
-        check_sat(mk_eq(x, 1))  # miss
-        check_sat(mk_eq(x, 1))  # hit
-        assert solver_cache.hits >= 1 and solver_cache.misses >= 1
-        solver_cache.clear()
-        assert solver_cache.hits == 0
-        assert solver_cache.misses == 0
-        assert len(solver_cache) == 0
-        assert solver_cache.snapshot() == (0, 0)
+class TestNoTierAttached:
+    def test_repeats_are_solved_again(self):
+        assert solver_cache.backing is None
+        snap = solver_cache.snapshot()
+        check_sat(mk_eq(x, 1))
+        check_sat(mk_eq(x, 1))
+        assert solver_cache.hits_since(snap) == 0
+
+    def test_check_under_skips_the_tier(self):
+        snap = solver_cache.snapshot()
+        ctx = PathContext()
+        assert ctx.check_under((mk_ge(x, 0),), mk_lt(x, 0)) is Result.UNSAT
+        assert solver_cache.snapshot() == snap  # not even probed

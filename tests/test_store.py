@@ -399,6 +399,19 @@ class TestGc:
         r = verify_source(CHAIN, config=cfg, backend="scv")
         assert r.store_misses == 0
 
+    def test_compaction_keeps_buffered_solver_entries(self, tmp_path):
+        root = str(tmp_path / "solver")
+        store = SolverStore(root)
+        one = Eq(Var("$0"), IntConst(1))
+        two = Eq(Var("$0"), IntConst(2))
+        store.store(one, Result.SAT, (((0, 1),), ()), True)
+        store.flush()
+        store.store(two, Result.SAT, (((0, 2),), ()), True)  # unflushed
+        assert store.compact()["entries"] == 2
+        fresh = SolverStore(root)
+        assert fresh.stats()["entries"] == 2
+        assert fresh.lookup(two) == (Result.SAT, (((0, 2),), ()), True)
+
     def test_size_bound_evicts_until_it_fits(self, tmp_path):
         store_dir = str(tmp_path / "store")
         cfg = _cfg(store_dir)

@@ -27,8 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.driver.report import VOLATILE_ROW_FIELDS  # noqa: E402
 

@@ -28,8 +28,9 @@ import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.driver.corpus import corpus_names, get_program  # noqa: E402
 from repro.driver.report import (  # noqa: E402
