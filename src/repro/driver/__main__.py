@@ -432,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sverify = store_sub.add_parser(
         "verify",
         help="re-run a sample of stored verdicts and compare (exit 1 on "
-        "any disagreement)",
+        "any disagreement); solver-tier entries are not checked",
     )
     p_sverify.add_argument(
         "--sample", type=int, default=16,

@@ -145,19 +145,21 @@ class SolverCache:
     (``repro.store.solver.SolverStore``, or anything with its
     ``lookup``/``store`` methods), attached by the driver's store layer
     and never constructed here — the smt package stays
-    storage-agnostic.  With no backing every lookup misses: the search
-    does not repeat a canonical query within one program, so an
-    in-memory table would only add a tier to trust.  Repeats across
-    runs are answered by the store, and repeats within a run by the
-    store's own buffer.
+    storage-agnostic.  With no backing every lookup misses: the
+    store-less path keys proof queries on the whole heap, and those keys
+    do not repeat within one program, so an in-memory table would only
+    add a tier to trust.  With a backing, proof queries are keyed on the
+    goal's cone of influence (``smt.incremental``), and those keys do
+    repeat within a run — the store's own buffer answers them, and the
+    shards answer repeats across runs.
 
     Two populations share the tier.  One-shot queries store *full*
     entries: the canonical formula was solved and, when SAT, its model
     kept (``model_known=True``).  The incremental path (``smt.
     incremental``) answers checks on a per-path solver context whose
     model choice depends on context history, so it stores *result-only*
-    entries (``model_known=False``): the verdict is reusable, the model
-    deliberately is not.  A later ``get_model`` on such an entry misses
+    entries (``model_known=False``) under the canonical cone of the
+    query: the verdict is reusable, the model deliberately is not.  A later ``get_model`` on such an entry misses
     (``need_model=True``), solves the canonical formula and the backing
     upgrades the entry — so reported models remain a deterministic
     function of the canonical formula regardless of which path asked

@@ -27,12 +27,29 @@ O(path-length) per query; a :class:`PathContext` makes it O(delta):
   from-scratch work left on the hot path.
 
 Composition with the persistent solver-result tier (``smt.cache``, when
-a store is attached) is by *result-only entries*: ``check_under``
-consults the tier first (a hit answers without touching the context),
-and decisive incremental answers are stored without a model, so
-``get_model`` later re-solves canonically rather than exposing a
-context-history-dependent model.  With no store attached the query goes
-straight to the context: nothing would read its canonical key.
+a store is attached) is by *result-only entries* under *sliced keys*:
+
+* the heap conjuncts split into independent groups — two conjuncts are
+  linked when they share a variable or an uninterpreted function symbol
+  (EUF consistency ties ``f(a)`` to ``f(b)``), transitively.  The groups
+  ``ψ`` touches are its *cone*; the rest share no symbol with
+  ``cone ∧ ψ``;
+* each rest group is decided once per heap by the one-shot ``check_sat``
+  (so through the tier, under its own canonical key).  An UNSAT group
+  answers UNSAT outright; an UNKNOWN one makes the query fall back to
+  the whole-heap key;
+* otherwise every rest group is SAT, so ``sat(Σ ∧ ψ) = sat(cone ∧ ψ)``
+  and the query is keyed on the canonical ``cone ∧ ψ`` alone.  A
+  conjunct added elsewhere in the program — an unused define — leaves
+  the key unchanged, so the entry survives the edit.  A slice that
+  *assumed* the rest satisfiable would not be exact: on an infeasible
+  heap it would turn PROVED into AMBIG;
+* a miss still solves the *whole* heap on the context, and the answer
+  is stored without a model, so ``get_model`` later re-solves
+  canonically rather than exposing a context-history-dependent model.
+
+With no store attached the query goes straight to the context, with no
+slicing: nothing would read its key.
 """
 
 from __future__ import annotations
@@ -42,15 +59,28 @@ from typing import Callable, Optional, Sequence
 from .cache import GLOBAL_CACHE, canonicalize
 from .errors import Result
 from .simplify import simplify
-from .solver import SOLVE_STATS, Solver
-from .terms import FALSE, Formula, TRUE, mk_and
+from .solver import SOLVE_STATS, Solver, check_sat
+from .terms import (
+    FALSE,
+    TRUE,
+    App,
+    Formula,
+    Var,
+    formula_terms,
+    mk_and,
+)
 
 __all__ = ["PathContext"]
 
 
 class PathContext:
     """An incremental solver context that follows the search through the
-    execution graph, forking its assertion scope at branch points."""
+    execution graph, forking its assertion scope at branch points.
+
+    With a solver tier attached it also holds the current heap's
+    :class:`_Slice` (the independence groups of its conjuncts and their
+    verdicts), dropped with the heap-translation memo: nothing it keeps
+    outlives a heap."""
 
     def __init__(self, *, rebuild_after: int = 256) -> None:
         self.rebuild_after = rebuild_after
@@ -62,6 +92,8 @@ class PathContext:
         # cannot be recycled) skips re-translation entirely.
         self._last_heap: Optional[object] = None
         self._last_parts: Optional[tuple[Formula, ...]] = None
+        # The independence structure of ``_last_parts`` (tier only).
+        self._slice: Optional[_Slice] = None
 
     # -- search-kernel hook ---------------------------------------------
 
@@ -73,6 +105,7 @@ class PathContext:
         SOLVE_STATS.path_switches += 1
         self._last_heap = None
         self._last_parts = None
+        self._slice = None
 
     def parts_for(
         self, heap: object, translate: Callable[[object], Sequence[Formula]]
@@ -85,6 +118,7 @@ class PathContext:
         parts = tuple(translate(heap))
         self._last_heap = heap
         self._last_parts = parts
+        self._slice = None
         return parts
 
     # -- scope management -------------------------------------------------
@@ -135,18 +169,31 @@ class PathContext:
         """Satisfiability of ``AND(parts) ∧ psi`` through the
         solver-result tier, solved incrementally on a miss.
 
-        The key is the same canonical conjunction the one-shot
-        ``check_sat`` would use, so entries are shared across the two
-        paths; incremental answers are stored result-only (UNKNOWNs not
-        at all — they can be budget artefacts of context history)."""
-        full = simplify(mk_and(*parts, psi))
-        if full == TRUE:
-            return Result.SAT
-        if full == FALSE:
+        The key is the canonical ``cone ∧ psi`` once every other group
+        of ``parts`` is known SAT (see the module docstring), else the
+        whole conjunction; either way it is the key the one-shot
+        ``check_sat`` would use for that formula, so entries are shared
+        across the two paths.  Incremental answers are stored
+        result-only (UNKNOWNs not at all — they can be budget artefacts
+        of context history)."""
+        cone: Sequence[Formula] = parts
+        if GLOBAL_CACHE.backing is not None:
+            sl = self._slice
+            if sl is None or sl.parts is not parts:
+                sl = self._slice = _Slice(parts)
+            cone, rest = sl.cone(psi)
+            if rest is Result.UNSAT:
+                return Result.UNSAT
+            if rest is Result.UNKNOWN:
+                cone = parts  # an undecided group: key on the whole heap
+        key = simplify(mk_and(*cone, psi))
+        if key == TRUE:
+            return Result.SAT  # every group outside the cone is SAT
+        if key == FALSE:
             return Result.UNSAT
         if GLOBAL_CACHE.backing is None:
             return self.check(parts, psi)
-        canon, _, _ = canonicalize(full)
+        canon, _, _ = canonicalize(key)
         entry = GLOBAL_CACHE.get(canon)
         if entry is not None:
             return entry[0]
@@ -154,3 +201,72 @@ class PathContext:
         if res is not Result.UNKNOWN:
             GLOBAL_CACHE.put(canon, res, None, model_known=False)
         return res
+
+
+def _symbols(phi: Formula) -> set:
+    """The variables and function symbols of ``phi``: what links two
+    conjuncts of one query."""
+    out: set = set()
+    for t in formula_terms(phi):
+        if isinstance(t, Var):
+            out.add(t)
+        elif isinstance(t, App):
+            out.add(t.func)
+    return out
+
+
+class _Slice:
+    """The independence structure of one heap's conjuncts: their groups
+    of transitively symbol-sharing parts, and each group's one-shot
+    verdict once asked for.  Built at most once per heap, so the paired
+    ``ψ``/``¬ψ`` queries (and every other query on the heap) share it."""
+
+    __slots__ = ("parts", "_part_group", "_sym_group", "_groups", "_verdicts")
+
+    def __init__(self, parts: Sequence[Formula]) -> None:
+        self.parts = parts
+        parent = list(range(len(parts)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        first: dict[object, int] = {}  # symbol -> first part using it
+        for i, c in enumerate(parts):
+            for sym in _symbols(c):
+                a, b = find(i), find(first.setdefault(sym, i))
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+        # A group is named by its first part, so ``_groups`` iterates
+        # in heap order.
+        self._part_group = [find(i) for i in range(len(parts))]
+        self._sym_group = {s: self._part_group[i] for s, i in first.items()}
+        groups: dict[int, list[Formula]] = {}
+        for c, g in zip(parts, self._part_group):
+            groups.setdefault(g, []).append(c)
+        self._groups = groups
+        self._verdicts: dict[int, Result] = {}
+
+    def cone(self, psi: Formula) -> tuple[tuple[Formula, ...], Result]:
+        """The parts in ``psi``'s cone of influence, in heap order, and
+        the combined verdict of every other group: UNSAT if one is
+        UNSAT, else UNKNOWN if one is UNKNOWN, else SAT."""
+        sym_group = self._sym_group
+        roots = {sym_group[s] for s in _symbols(psi) if s in sym_group}
+        cone = tuple(
+            c for c, g in zip(self.parts, self._part_group) if g in roots
+        )
+        rest = Result.SAT
+        for g, members in self._groups.items():
+            if g in roots:
+                continue
+            verdict = self._verdicts.get(g)
+            if verdict is None:
+                verdict = self._verdicts[g] = check_sat(*members)
+            if verdict is Result.UNSAT:
+                return cone, verdict
+            if verdict is Result.UNKNOWN:
+                rest = verdict
+        return cone, rest

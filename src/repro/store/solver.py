@@ -27,7 +27,9 @@ it outlives the process.
 The cache consults the store through the ``backing`` protocol
 (:meth:`lookup`/:meth:`store`): every query probes it, and a fresh
 decisive solve is buffered for the next flush.  The buffer answers
-repeats within a run; the shards answer them across runs.
+repeats within a run — proof queries are keyed on the goal's cone of
+influence (``smt.incremental``), and sibling states share cones, so
+such repeats are common — and the shards answer them across runs.
 Results are pure functions of the canonical formula, so sharing entries
 across programs, processes and runs can never change a verdict — only
 how fast it is reached.

@@ -615,6 +615,7 @@ def try_replay(
 
 # ---------------------------------------------------------------------------
 # ``repro store verify`` — spot-check stored verdicts against fresh runs
+# (the verdict entries only; the solver tier is not re-checked)
 # ---------------------------------------------------------------------------
 
 
@@ -626,8 +627,9 @@ def _stable_row(d: dict) -> dict:
 
 def check_entries(store: VerdictStore, *, sample: Optional[int] = None
                   ) -> dict:
-    """Re-verify a deterministic sample of stored entries from their own
-    recorded source + config and compare the stable row fields.
+    """Re-verify a deterministic sample of stored verdict entries from
+    their own recorded source + config and compare the stable row
+    fields.  Solver-tier entries (``store.solver``) are not checked.
 
     Returns ``{"checked", "matched", "skipped", "mismatches"}`` where
     each mismatch names the entry and the differing fields.  Entries

@@ -31,6 +31,7 @@ from repro.smt import (
     mk_ge,
     mk_le,
     mk_lt,
+    mk_mod,
     mk_mul,
     mk_not,
     mk_or,
@@ -39,6 +40,7 @@ from repro.smt import (
     solver_cache,
 )
 from repro.smt.cache import canonicalize
+from repro.smt.incremental import _Slice
 from repro.store import SolverStore
 
 x, y, z, w = mk_var("x"), mk_var("y"), mk_var("z"), mk_var("w")
@@ -356,6 +358,120 @@ class TestCacheComposition:
             assert ctx.check_under(parts, psi) is check_sat(
                 mk_and(*parts), psi
             )
+
+
+class TestSlicedKeys:
+    """With a tier attached, ``check_under`` keys a query on the goal's
+    cone of influence.  The answer must stay exactly the whole-heap
+    answer: the rest of the heap is decided, not assumed satisfiable,
+    and function symbols link conjuncts as much as variables do."""
+
+    @pytest.fixture(autouse=True)
+    def store(self, tmp_path, monkeypatch):
+        store = SolverStore(str(tmp_path / "solver"))
+        monkeypatch.setattr(solver_cache, "backing", store)
+        return store
+
+    def test_unsat_rest_group_answers_unsat(self):
+        # The cone of y > 3 is {y = 5}, which is SAT — and already in the
+        # tier as such — but the heap is not.
+        psi = mk_lt(3, y)
+        assert _paired_check((mk_eq(y, 5),), psi) is Result.SAT
+        parts = (mk_lt(x, 0), mk_lt(0, x), mk_eq(y, 5))
+        assert _paired_check(parts, psi) is Result.UNSAT
+        assert check_sat(*parts, psi) is Result.UNSAT
+
+    def test_shared_function_symbol_links_parts(self):
+        # f(b) = 2 ∧ b = 3 alone is SAT, and in the tier as such; through
+        # f, a = 3 forces f(b) = f(a) = 1.
+        a, b = mk_var("a"), mk_var("b")
+        psi = mk_eq(b, 3)
+        assert _paired_check((mk_eq(mk_app(f, b), 2),), psi) is Result.SAT
+        parts = (mk_eq(mk_app(f, a), 1), mk_eq(mk_app(f, b), 2), mk_eq(a, 3))
+        assert _paired_check(parts, psi) is Result.UNSAT
+
+    def test_unrelated_conjunct_keeps_the_key(self):
+        first = PathContext()
+        assert first.check_under(
+            (mk_ge(x, 0), mk_eq(z, 5)), mk_lt(x, 0)
+        ) is Result.UNSAT
+        assert first.scope_depth == 2  # a miss: solved on the context
+        second = PathContext()
+        hits = solver_cache.hits
+        assert second.check_under(
+            (mk_ge(x, 0), mk_eq(z, 7)), mk_lt(x, 0)
+        ) is Result.UNSAT
+        assert solver_cache.hits > hits
+        assert second.scope_depth == 0  # answered by the tier alone
+
+    def test_undecided_rest_keys_the_whole_heap(self, store, monkeypatch):
+        import repro.smt.incremental as incremental
+
+        monkeypatch.setattr(
+            incremental, "check_sat", lambda *fs: Result.UNKNOWN
+        )
+        parts = (mk_ge(x, 0), mk_eq(z, 5))
+        psi = mk_lt(x, 0)
+        assert PathContext().check_under(parts, psi) is Result.UNSAT
+        whole, _, _ = canonicalize(mk_and(*parts, psi))
+        cone, _, _ = canonicalize(mk_and(parts[0], psi))
+        assert store.lookup(whole) is not None
+        assert store.lookup(cone) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_differential_against_whole_heap(self, seed):
+        rng = random.Random(0x511CE + seed)
+        g = FuncDecl("g", 1)
+        pool = (x, y, z, w, mk_var("u"), mk_var("v"))
+
+        def term():
+            a = rng.choice(pool)
+            pick = rng.random()
+            if pick < 0.4:
+                return a
+            if pick < 0.6:
+                return mk_add(a, rng.randint(-3, 3))
+            if pick < 0.75:
+                return mk_app(rng.choice((f, g)), a)
+            if pick < 0.9:
+                return mk_div(a, rng.choice((2, 3, -2)))
+            return mk_mod(a, rng.choice((2, 3)))
+
+        def atom():
+            k = rng.random()
+            if k < 0.4:
+                return mk_eq(term(), rng.randint(-4, 4))
+            if k < 0.7:
+                return mk_le(term(), term())
+            if k < 0.85:
+                return mk_lt(term(), rng.randint(-4, 4))
+            return mk_distinct(term(), term())
+
+        ctx = PathContext()
+        sliced = 0
+        for _case in range(15):
+            parts = tuple(atom() for _ in range(rng.randint(1, 5)))
+            for psi in (atom(), mk_not(atom())):
+                for goal in (psi, mk_not(psi)):  # the ψ/¬ψ pair
+                    got = ctx.check_under(parts, goal)
+                    ref = Solver()
+                    ref.add(*parts, goal)
+                    want = ref.check()
+                    if Result.UNKNOWN not in (got, want):
+                        assert got is want, (
+                            f"seed {seed}: sliced {got} vs whole {want} "
+                            f"on {parts} + {goal}"
+                        )
+                    sliced += len(_Slice(parts).cone(goal)[0]) < len(parts)
+        assert sliced > 0  # the population exercises real slices
+
+
+def _paired_check(parts, psi):
+    """``check_under`` on a fresh context, asked as the proof system
+    asks: ¬ψ first, then ψ, on one heap."""
+    ctx = PathContext()
+    ctx.check_under(parts, mk_not(psi))
+    return ctx.check_under(parts, psi)
 
 
 class TestNoTierAttached:

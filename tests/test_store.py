@@ -10,6 +10,8 @@
   the volatile fields (the same differential CI enforces corpus-wide);
 * **invalidation** — editing one module of a multi-module program
   re-verifies only the units that can reach it;
+* **edit survival** — appending an unused define keeps the solver
+  tier's keys, because proof queries are keyed on the goal's cone;
 * **concurrency** — two writer processes sharing a store directory
   publish entries without losing or corrupting either's work;
 * **corruption** — truncated or garbage shard lines and verdict files
@@ -29,7 +31,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.driver.__main__ import main as cli_main
-from repro.driver.corpus import corpus_names, get_program
+from repro.driver.corpus import CORPUS, corpus_names, get_program
 from repro.driver.report import (
     STATUS_COUNTEREXAMPLE,
     STATUS_SAFE,
@@ -37,6 +39,7 @@ from repro.driver.report import (
 )
 from repro.driver.runner import RunConfig, run_corpus, verify_source
 from repro.lang.parser import parse_program
+from repro.smt import solver_cache
 from repro.smt.cache import SolverCache
 from repro.smt.errors import Result
 from repro.smt.terms import And, Eq, IntConst, Le, Var
@@ -231,6 +234,34 @@ class TestInvalidation:
             config=cfg, backend="scv",
         )
         assert r.store_hits == 3 and r.store_misses == 0
+
+
+class TestEditSurvival:
+    """An unrelated edit must not cost the solver tier its entries:
+    proof queries are keyed on the goal's cone of influence, so the
+    conjunct an unused define adds to every heap stays out of the keys."""
+
+    @staticmethod
+    def _append_define(source: str, value: int) -> str:
+        return f"{source}\n(define pad-edit {value})\n"
+
+    def test_appended_define_hits_the_solver_tier(self, tmp_path):
+        cfg = _cfg(str(tmp_path / "store"))
+        tasks = [(p, b) for p in CORPUS[:40] for b in p.backends]
+        for prog, backend in tasks:
+            verify_source(prog.source, name=prog.name, kind=prog.kind,
+                          config=cfg, backend=backend)
+        snap = solver_cache.snapshot()
+        for i, (prog, backend) in enumerate(tasks):
+            r = verify_source(
+                self._append_define(prog.source, 1_000_001 + i),
+                name=prog.name, kind=prog.kind, config=cfg, backend=backend,
+            )
+            assert r.store_misses >= 1  # the edit did reach the engine
+        hits = solver_cache.hits - snap[0]
+        lookups = hits + solver_cache.misses - snap[1]
+        assert lookups > 0
+        assert hits / lookups >= 0.9, f"{hits}/{lookups} solver-tier hits"
 
 
 def _worker(store_dir: str, source: str, out):

@@ -17,9 +17,11 @@ With ``--min-hit-rate`` the *second* report must additionally have
 answered at least that fraction of its verdict-store lookups from the
 store — the warm-start CI leg's economy assertion.
 
-Used by two CI legs: the incremental-solving differential (same corpus
-with ``--no-incremental``) and the warm-start differential (same corpus
-against a populated ``--store``).
+Used by the CI differential legs, among them the incremental-solving
+differential (same corpus with ``--no-incremental``), the warm-start
+differential (same corpus against a populated ``--store``) and the
+store-backed identity check (a cold ``--store`` run against the
+committed ``BENCH_warm.json``).
 """
 
 from __future__ import annotations
