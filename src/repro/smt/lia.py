@@ -15,15 +15,26 @@ Algorithm
    UNKNOWN — this is the solver's documented incompleteness boundary
    (mirroring the paper's reliance on Z3's nonlinear heuristics, §5.3).
    The enumeration therefore answers SAT or UNKNOWN, never UNSAT:
-   assignments that fail are skipped, not refuted.  ``refutes`` (and
-   through it ``Solver._shrink_core``'s unsat-core trials) relies on
-   this to answer "not refuted" without enumerating.
+   assignments that fail are skipped, not refuted.
 3. The *linear* core is solved by Gaussian elimination of equalities,
    Fourier–Motzkin elimination of inequalities over the rationals with
    back-substitution model construction, then branch-and-bound to repair
    fractional values, and splitting to repair violated disequalities.
 
 Everything is exact (``fractions.Fraction``); no floating point.
+
+Explanations
+------------
+An UNSAT answer carries its *core*: the inputs its own derivation used.
+Input ``i`` has the bit mask ``1 << i``; a derived row carries the OR of
+its sources' masks.  A pin keeps its equation's mask, and rows it is
+substituted into OR it in; a Gaussian step ORs the pivot's mask into the
+rows containing the eliminated atom; a Fourier–Motzkin combination ORs
+both sides.  Each row is thus a non-negative combination (or a
+substitution instance) of the inputs in its mask, which are infeasible
+on their own.  Branch-and-bound cuts carry mask 0, as the two cuts cover
+the integers; a ``!=`` split carries the ``!=`` constraint's mask; UNSAT
+is the OR over all leaves.
 """
 
 from __future__ import annotations
@@ -75,7 +86,8 @@ def normalize(expr: LinExpr, kind: str, *, strict: bool = False) -> Constraint:
     if kind == LE and coeffs:
         g = math.gcd(*(abs(c) for c in coeffs))
         if g > 1:
-            const = Fraction(math.floor(Fraction(e.const) / g))
+            # e.const = -b, so the new constant is -floor(b/g) = ceil(-b/g).
+            const = Fraction(math.ceil(Fraction(e.const) / g))
             e = LinExpr.from_dict(
                 {a: c / g for a, c in e.coeffs}, const
             )
@@ -84,18 +96,26 @@ def normalize(expr: LinExpr, kind: str, *, strict: bool = False) -> Constraint:
         if g > 1:
             if e.const % g != 0:
                 # gcd does not divide the constant: eq is UNSAT, ne is valid.
-                # Encode with a constant-only expr the caller will resolve.
-                return Constraint(LinExpr.constant(0 if kind == NE else 1), kind)
+                # ``1 = 0`` / ``1 != 0`` encode exactly that.
+                return Constraint(LinExpr.constant(1), kind)
             e = e.scale(Fraction(1, g))
     return Constraint(e, kind)
 
 
 @dataclass
 class LiaResult:
-    """Outcome of a conjunction solve."""
+    """Outcome of a conjunction solve; UNSAT carries its explanation."""
 
     status: Result
     model: Optional[dict[LinAtom, int]] = None
+    core: frozenset[Constraint] = frozenset()
+
+
+class _Refuted(Exception):
+    """A derived contradiction; bit ``i`` of ``mask``: input ``i`` was used."""
+
+    def __init__(self, mask: int) -> None:
+        self.mask = mask
 
 
 class LiaSolver:
@@ -143,43 +163,18 @@ class LiaSolver:
         if hit is not None:
             self._memo.move_to_end(key)
             return hit
-        return self._solve_memoized(key, *_propagate_constants(list(constraints)))
-
-    def refutes(self, constraints: Sequence[Constraint]) -> bool:
-        """Whether the conjunction is UNSAT — ``solve(...).status is
-        UNSAT`` without the work that cannot yield UNSAT.
-
-        This is the question an unsat-core trial asks.  A conjunction
-        that stays nonlinear after constant propagation goes to the
-        enumeration, which only ever answers SAT or UNKNOWN, so it is
-        "not refuted" without enumerating (and leaves no memo entry).
-        Every other answer is the one ``solve`` gives, memoized the same
-        way."""
-        key = frozenset(constraints)
-        hit = self._memo.get(key)
-        if hit is not None:
-            self._memo.move_to_end(key)
-            return hit.status is Result.UNSAT
-        propagated, pinned = _propagate_constants(list(constraints))
-        if propagated is not None and _nonlinear_vars(propagated):
-            return False
-        return self._solve_memoized(key, propagated, pinned).status is Result.UNSAT
-
-    def _solve_memoized(
-        self,
-        key: frozenset[Constraint],
-        propagated: Optional[list[Constraint]],
-        pinned: dict[LinAtom, int],
-    ) -> LiaResult:
+        cons = list(constraints)
         try:
-            model = self._solve_propagated(propagated, pinned)
+            model = self._solve_propagated(
+                *_propagate_constants(cons, [1 << i for i in range(len(cons))])
+            )
         except BudgetExhausted:
             result = LiaResult(Result.UNKNOWN)
+        except _Refuted as refuted:
+            core = frozenset(c for i, c in enumerate(cons) if refuted.mask >> i & 1)
+            result = LiaResult(Result.UNSAT, core=core)
         else:
-            if model is None:
-                result = LiaResult(Result.UNSAT)
-            else:
-                result = LiaResult(Result.SAT, model)
+            result = LiaResult(Result.SAT, model)
         self._memo[key] = result
         while len(self._memo) > self.memo_size:
             self._memo.popitem(last=False)
@@ -189,18 +184,14 @@ class LiaSolver:
 
     def _solve_propagated(
         self,
-        constraints: Optional[list[Constraint]],
+        constraints: list[Constraint],
+        masks: list[int],
         pinned: dict[LinAtom, int],
-    ) -> Optional[dict[LinAtom, int]]:
-        """Solve a conjunction already through ``_propagate_constants``
-        (None: propagation refuted it)."""
-        if constraints is None:
-            return None
+    ) -> dict[LinAtom, int]:
+        """Solve a conjunction already through ``_propagate_constants``."""
         nonlin_vars = _nonlinear_vars(constraints)
         if not nonlin_vars:
-            model = self._solve_linear(constraints, self.branch_budget)
-            if model is None:
-                return None
+            model = self._solve_linear(constraints, masks, self.branch_budget)
             model.update(pinned)
             return _complete_products(model)
 
@@ -213,36 +204,43 @@ class LiaSolver:
             if tried > self.enum_budget:
                 raise BudgetExhausted("nonlinear enumeration budget")
             subst = dict(zip(ordered, values))
-            reduced = _substitute_all(constraints, subst)
-            reduced, more_pinned = _propagate_constants(reduced)
-            if reduced is None:
+            try:  # a failed assignment is skipped: its masks go unreported
+                reduced, reduced_masks, more_pinned = _propagate_constants(
+                    _substitute_all(constraints, subst), masks
+                )
+                if _nonlinear_vars(reduced):
+                    continue  # substitution did not fully linearise; try next
+                model = self._solve_linear(
+                    reduced, reduced_masks, max(self.branch_budget // 10, 50)
+                )
+            except _Refuted:
                 continue
-            if _nonlinear_vars(reduced):
-                continue  # substitution did not fully linearise; try next
-            model = self._solve_linear(reduced, max(self.branch_budget // 10, 50))
-            if model is not None:
-                model.update(pinned)
-                model.update(more_pinned)
-                for v, val in subst.items():
-                    model[v] = val
-                return _complete_products(model)
+            model.update(pinned)
+            model.update(more_pinned)
+            for v, val in subst.items():
+                model[v] = val
+            return _complete_products(model)
         raise BudgetExhausted("nonlinear enumeration exhausted")
 
     # -- linear layer ------------------------------------------------------
 
     def _solve_linear(
-        self, constraints: list[Constraint], budget: int
-    ) -> Optional[dict[LinAtom, int]]:
-        """Branch-and-bound around the rational relaxation."""
-        stack: list[list[Constraint]] = [constraints]
+        self, constraints: list[Constraint], masks: list[int], budget: int
+    ) -> dict[LinAtom, int]:
+        """Branch-and-bound around the rational relaxation; UNSAT raises
+        ``_Refuted`` with the OR of every leaf's mask."""
+        stack = [(constraints, masks)]
         spent = 0
+        support = 0
         while stack:
-            cons = stack.pop()
+            cons, ms = stack.pop()
             spent += 1
             if spent > budget:
                 raise BudgetExhausted("branch-and-bound budget")
-            rat = _solve_rational(cons)
-            if rat is None:
+            try:
+                rat = _solve_rational(cons, ms)
+            except _Refuted as refuted:
+                support |= refuted.mask
                 continue
             # Repair a fractional assignment first.
             frac = next(
@@ -256,27 +254,28 @@ class LiaSolver:
                 above = LinExpr.atom(frac, -1).add(
                     LinExpr.constant(math.ceil(v))
                 )
-                stack.append(cons + [normalize(below, LE)])
-                stack.append(cons + [normalize(above, LE)])
+                stack.append((cons + [normalize(below, LE)], ms + [0]))
+                stack.append((cons + [normalize(above, LE)], ms + [0]))
                 continue
             int_model = {a: int(v) for a, v in rat.items()}
             # Repair a violated disequality.
             bad = next(
                 (
-                    c
-                    for c in cons
+                    i
+                    for i, c in enumerate(cons)
                     if c.kind == NE and _eval_lin(c.expr, int_model) == 0
                 ),
                 None,
             )
             if bad is not None:
-                lo = bad.expr.add(LinExpr.constant(1))  # expr <= -1
-                hi = bad.expr.scale(-1).add(LinExpr.constant(1))  # expr >= 1
-                stack.append(cons + [normalize(lo, LE)])
-                stack.append(cons + [normalize(hi, LE)])
+                expr, why = cons[bad].expr, [ms[bad]]
+                lo = expr.add(LinExpr.constant(1))  # expr <= -1
+                hi = expr.scale(-1).add(LinExpr.constant(1))  # expr >= 1
+                stack.append((cons + [normalize(lo, LE)], ms + why))
+                stack.append((cons + [normalize(hi, LE)], ms + why))
                 continue
             return int_model
-        return None
+        raise _Refuted(support)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +283,19 @@ class LiaSolver:
 # ---------------------------------------------------------------------------
 
 
+#: An elimination row: an expression and the mask of the inputs it came from.
+_Row = tuple[LinExpr, int]
+
+
 def _solve_rational(
-    constraints: list[Constraint],
-) -> Optional[dict[LinAtom, Fraction]]:
+    constraints: list[Constraint], masks: list[int]
+) -> dict[LinAtom, Fraction]:
     """Satisfy the eq/le constraints over the rationals, ignoring ne
     (handled by splitting in the caller).  Returns an assignment for every
-    atom mentioned, or None if infeasible."""
-    eqs = [c.expr for c in constraints if c.kind == EQ]
-    les = [c.expr for c in constraints if c.kind == LE]
+    atom mentioned; raises ``_Refuted`` with the support of the derived
+    contradiction if infeasible (``masks[i]`` is ``constraints[i]``'s)."""
+    eqs = [(c.expr, m) for c, m in zip(constraints, masks) if c.kind == EQ]
+    les = [(c.expr, m) for c, m in zip(constraints, masks) if c.kind == LE]
     all_atoms: set[LinAtom] = set()
     for c in constraints:
         all_atoms |= c.expr.atoms()
@@ -299,30 +303,30 @@ def _solve_rational(
     # Gaussian elimination of equalities.
     substitutions: list[tuple[LinAtom, LinExpr]] = []
     while eqs:
-        e = eqs.pop()
+        e, m = eqs.pop()
         if e.is_constant:
             if e.const != 0:
-                return None
+                raise _Refuted(m)
             continue
         atom, coeff = e.coeffs[0]
         # atom = -(e - coeff*atom)/coeff
         rest = e.substitute(atom, LinExpr.constant(0))
         repl = rest.scale(Fraction(-1, 1) / coeff)
         substitutions.append((atom, repl))
-        eqs = [x.substitute(atom, repl) for x in eqs]
-        les = [x.substitute(atom, repl) for x in les]
+        eqs = [_substitute_row(row, atom, repl, m) for row in eqs]
+        les = [_substitute_row(row, atom, repl, m) for row in les]
 
     # Fourier–Motzkin elimination with recorded stages.
-    les = [e for e in les if not (e.is_constant and e.const <= 0)]
-    for e in les:
+    les = [(e, m) for e, m in les if not (e.is_constant and e.const <= 0)]
+    for e, m in les:
         if e.is_constant and e.const > 0:
-            return None
-    stages: list[tuple[LinAtom, list[LinExpr], list[LinExpr]]] = []
-    remaining = [e for e in les if not e.is_constant]
+            raise _Refuted(m)
+    stages: list[tuple[LinAtom, list[_Row], list[_Row]]] = []
+    remaining = [(e, m) for e, m in les if not e.is_constant]
 
-    def pick_var(exprs: list[LinExpr]) -> LinAtom:
+    def pick_var(rows: list[_Row]) -> LinAtom:
         counts: dict[LinAtom, tuple[int, int]] = {}
-        for e in exprs:
+        for e, _ in rows:
             for a, c in e.coeffs:
                 lo, hi = counts.get(a, (0, 0))
                 if c < 0:
@@ -334,38 +338,38 @@ def _solve_rational(
 
     while remaining:
         x = pick_var(remaining)
-        lowers: list[LinExpr] = []  # x >= expr
-        uppers: list[LinExpr] = []  # x <= expr
-        others: list[LinExpr] = []
-        for e in remaining:
+        lowers: list[_Row] = []  # x >= expr
+        uppers: list[_Row] = []  # x <= expr
+        others: list[_Row] = []
+        for e, m in remaining:
             c = e.coeff_of(x)
             if c == 0:
-                others.append(e)
+                others.append((e, m))
                 continue
             rest = e.substitute(x, LinExpr.constant(0)).scale(Fraction(-1) / c)
             if c > 0:
-                uppers.append(rest)  # c*x + rest' <= 0  =>  x <= rest
+                uppers.append((rest, m))  # c*x + rest' <= 0  =>  x <= rest
             else:
-                lowers.append(rest)
+                lowers.append((rest, m))
         stages.append((x, lowers, uppers))
-        for lo in lowers:
-            for up in uppers:
+        for lo, lo_mask in lowers:
+            for up, up_mask in uppers:
                 combo = lo.sub(up)  # lo <= x <= up  =>  lo - up <= 0
                 if combo.is_constant:
                     if combo.const > 0:
-                        return None
+                        raise _Refuted(lo_mask | up_mask)
                 else:
-                    others.append(combo)
+                    others.append((combo, lo_mask | up_mask))
         remaining = others
 
     # Back-substitution: assign eliminated variables innermost-first.
     assignment: dict[LinAtom, Fraction] = {}
     for x, lowers, uppers in reversed(stages):
         lb = max(
-            (_eval_lin_frac(e, assignment) for e in lowers), default=None
+            (_eval_lin_frac(e, assignment) for e, _ in lowers), default=None
         )
         ub = min(
-            (_eval_lin_frac(e, assignment) for e in uppers), default=None
+            (_eval_lin_frac(e, assignment) for e, _ in uppers), default=None
         )
         assignment[x] = _pick_value(lb, ub)
 
@@ -379,6 +383,13 @@ def _solve_rational(
         assignment[atom] = _eval_lin_frac(repl, assignment)
 
     return assignment
+
+
+def _substitute_row(row: _Row, atom: LinAtom, repl: LinExpr, mask: int) -> _Row:
+    """A Gaussian step on one row; ORs in ``mask`` iff it contains ``atom``."""
+    e, m = row
+    out = e.substitute(atom, repl)
+    return row if out is e else (out, m | mask)
 
 
 def _pick_value(lb: Optional[Fraction], ub: Optional[Fraction]) -> Fraction:
@@ -420,23 +431,25 @@ def _eval_lin(e: LinExpr, env: dict[LinAtom, int]) -> Fraction:
 
 
 def _propagate_constants(
-    constraints: list[Constraint],
-) -> tuple[Optional[list[Constraint]], dict[LinAtom, int]]:
+    constraints: list[Constraint], masks: list[int]
+) -> tuple[list[Constraint], list[int], dict[LinAtom, int]]:
     """Repeatedly pin *variables* forced to a constant by a unary equality
     and fold nonlinear product atoms whose factors become known.
 
     Only plain variables are ever pinned: pinning a product atom would
     silently decouple it from its factors and make SAT answers unsound.
 
-    Returns (constraints', pinned) where constraints' is None on direct
-    contradiction.
+    Returns (constraints', masks', pinned); raises ``_Refuted`` on a
+    direct contradiction.
     """
     pinned: dict[LinAtom, int] = {}
-    cons = list(constraints)
+    why: dict[LinAtom, int] = {}  # the mask behind each pin
+    cons, ms = list(constraints), list(masks)
     for _round in range(len(constraints) + 8):
         progress = False
         out: list[Constraint] = []
-        for c in cons:
+        out_masks: list[int] = []
+        for c, m in zip(cons, ms):
             e = c.expr
             if e.is_constant:
                 v = e.const
@@ -446,29 +459,45 @@ def _propagate_constants(
                     or (c.kind == NE and v != 0)
                 )
                 if not ok:
-                    return None, pinned
+                    raise _Refuted(m)
                 progress = True
                 continue
             if c.kind == EQ and len(e.coeffs) == 1:
                 atom, coeff = e.coeffs[0]
                 value = -e.const / coeff
                 if value.denominator != 1:
-                    return None, pinned
+                    raise _Refuted(m)
                 if isinstance(atom, Var):
                     prev = pinned.get(atom)
                     if prev is not None and prev != int(value):
-                        return None, pinned
+                        raise _Refuted(m | why[atom])
                     pinned[atom] = int(value)
+                    why.setdefault(atom, m)
                     progress = True
                     continue
             out.append(c)
+            out_masks.append(m)
         if not progress:
-            return out, pinned
+            return out, out_masks, pinned
         cons = [
             Constraint(_fold_products(_pin_values(c.expr, pinned), pinned), c.kind)
             for c in out
         ]
-    return cons, pinned
+        ms = [m | _pin_support(c.expr, why) for c, m in zip(out, out_masks)]
+    return cons, ms, pinned
+
+
+def _pin_support(e: LinExpr, why: dict[LinAtom, int]) -> int:
+    """The OR of the pin masks of ``e``'s atoms and product factors."""
+    mask = 0
+    for a, _ in e.coeffs:
+        m = why.get(a)
+        if m is not None:
+            mask |= m
+        elif isinstance(a, Mul):
+            for f in a.args:
+                mask |= why.get(f, 0)
+    return mask
 
 
 def _pin_values(e: LinExpr, values: dict) -> LinExpr:

@@ -142,8 +142,3 @@ def linearize(t: Term) -> LinExpr:
     if isinstance(t, (Div, Mod, App)):
         return LinExpr.atom(t)
     raise TypeError(f"cannot linearize {t!r}")
-
-
-def is_nonlinear_atom(a: LinAtom) -> bool:
-    """True for atoms that are not plain variables (products, div/mod, apps)."""
-    return not isinstance(a, Var)

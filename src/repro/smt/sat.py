@@ -92,10 +92,6 @@ class SatSolver:
             self.watches.setdefault(-v, [])
         self.num_vars = max(self.num_vars, n)
 
-    def new_var(self) -> int:
-        self.ensure_vars(self.num_vars + 1)
-        return self.num_vars
-
     def add_clause(self, lits: Iterable[Lit]) -> bool:
         """Add a clause at decision level 0.  Returns False if the solver
         becomes trivially UNSAT."""

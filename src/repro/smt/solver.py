@@ -361,7 +361,7 @@ class Solver:
     instead of deleting clauses, so CDCL lemmas over surviving atoms are
     kept — a learned clause that depended on the popped scope contains
     its negated selector and is satisfied, hence harmless.  Theory
-    lemmas (LIA unsat cores) are unconditionally valid and persist
+    lemmas (LIA explanations) are unconditionally valid and persist
     unguarded.  Preprocessing state is journaled per scope (see
     :class:`_Preprocessed`): popped quotient/remainder and Ackermann
     auxiliaries are retired so they cannot leak constraints into later
@@ -520,9 +520,10 @@ class Solver:
     ) -> Result:
         """The DPLL(T) loop over the persistent CDCL core.
 
-        LIA unsat cores become permanent lemmas; blocks for UNKNOWN
-        theory answers (not valid lemmas — the conjunction may be SAT)
-        are guarded by a per-check selector collected in ``guards`` and
+        An UNSAT theory answer blocks the literals in its explanation
+        (``LiaResult.core``) as a permanent lemma; an UNKNOWN one (not a
+        valid lemma — the conjunction may be SAT) blocks every literal,
+        guarded by a per-check selector collected in ``guards`` and
         retired by the caller."""
         active_theory: set[int] = set(temp.theory_vars)
         for s in self._scopes:
@@ -546,11 +547,12 @@ class Solver:
                 assert res.model is not None
                 self._model = self._build_model(res.model, temp)
                 return Result.SAT
-            core = lits
             if res.status is Result.UNKNOWN:
                 unknown_seen = True
+                core = lits
             else:
-                core = self._shrink_core(lits)
+                core = [lit for lit, c in zip(lits, constraints) if c in res.core]
+                assert core, "an UNSAT explanation is never empty"
             blocking = [
                 (-self._atoms.var_for(a)) if pol else self._atoms.var_for(a)
                 for a, pol in core
@@ -568,27 +570,6 @@ class Solver:
             if not self._sat.block_and_continue(blocking):
                 return Result.UNKNOWN if unknown_seen else Result.UNSAT
         return Result.UNKNOWN
-
-    def _shrink_core(
-        self, lits: list[tuple[Formula, bool]]
-    ) -> list[tuple[Formula, bool]]:
-        """Deletion-based unsat-core shrinking (keeps lemmas strong).
-
-        A trial only asks whether the rest still refutes, so it goes
-        through ``LiaSolver.refutes``, which skips the nonlinear
-        enumeration that could never answer UNSAT."""
-        if len(lits) > 40:
-            return lits
-        core = list(lits)
-        i = 0
-        while i < len(core):
-            trial = core[:i] + core[i + 1 :]
-            constraints = [self._constraint(a, pol) for a, pol in trial]
-            if self._lia.refutes(constraints):
-                core = trial
-            else:
-                i += 1
-        return core
 
     def _build_model(self, env: dict, temp: _Scope) -> Model:
         full_env: dict[Var, int] = {}

@@ -526,8 +526,7 @@ def eval_term(t: Term, env: dict[Var, int], funcs=None) -> int:
         den = eval_term(t.den, env, funcs)
         if den == 0:
             raise ZeroDivisionError("div by zero in model evaluation")
-        q, r = divmod(num, den)
-        return q
+        return (num - num % abs(den)) // den  # Euclidean, as axiomatised
     if isinstance(t, Mod):
         num = eval_term(t.num, env, funcs)
         den = eval_term(t.den, env, funcs)

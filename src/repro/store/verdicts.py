@@ -558,10 +558,9 @@ def _store_verify(
         combined = _combine_units(name, kind, backend, rows)
     return replace(
         combined,
-        wall_ms=(
-            combined.wall_ms if misses else
-            (time.perf_counter() - t0) * 1000
-        ),
+        # Measured, never summed: a replayed unit's stored wall_ms is the
+        # cold run's.
+        wall_ms=(time.perf_counter() - t0) * 1000,
         store_hits=hits,
         store_misses=misses,
         modules_reverified=misses,

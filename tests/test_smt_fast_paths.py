@@ -1,23 +1,28 @@
-"""The solver's fast paths against the reference code they replaced.
+"""The solver's derivations against the reference code they replaced.
 
-Two shortcuts in ``repro.smt`` skip work that cannot change an answer;
-each is pinned here to a straightforward reference implementation that
-stays in this file:
+The conjunction solver's answers are pinned here to straightforward
+reference implementations that stay in this file:
 
-* ``LiaSolver.refutes`` (the unsat-core trial question) never runs the
-  nonlinear enumeration, and always agrees with
-  ``solve(...).status is UNSAT``;
+* every UNSAT answer of ``LiaSolver.solve`` carries an *explanation*
+  (``LiaResult.core``): the inputs its own derivation used.  Against
+  the solver as it was before explanations (``_reference_solve``, with
+  deletion-based core shrinking in ``_reference_shrink_core``), the
+  status and every SAT model are unchanged, and every core is a
+  non-empty subset of the input that a fresh solve refutes on its own;
 * ``_propagate_constants`` / ``_substitute_all`` substitute only the
   atoms an expression contains, and return exactly what the per-atom
   ``LinExpr.substitute`` loop returned.
 """
 
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.smt import lia
-from repro.smt.errors import Result
+from repro.smt.errors import BudgetExhausted, Result
 from repro.smt.lia import EQ, LE, NE, Constraint, LiaSolver, normalize
 from repro.smt.linearize import LinExpr, linearize
 from repro.smt.solver import _atom_constraints
@@ -50,7 +55,201 @@ def _cons(*literals):
 
 
 # ---------------------------------------------------------------------------
-# (a) LiaSolver.refutes
+# Reference: the conjunction solver before explanations
+# ---------------------------------------------------------------------------
+
+
+def _reference_solve_rational(constraints):
+    """Gaussian elimination + Fourier–Motzkin without provenance, kept
+    verbatim as the oracle: an assignment, or None if infeasible."""
+    eqs = [c.expr for c in constraints if c.kind == EQ]
+    les = [c.expr for c in constraints if c.kind == LE]
+    all_atoms = set()
+    for c in constraints:
+        all_atoms |= c.expr.atoms()
+    substitutions = []
+    while eqs:
+        e = eqs.pop()
+        if e.is_constant:
+            if e.const != 0:
+                return None
+            continue
+        atom, coeff = e.coeffs[0]
+        rest = e.substitute(atom, LinExpr.constant(0))
+        repl = rest.scale(Fraction(-1, 1) / coeff)
+        substitutions.append((atom, repl))
+        eqs = [x.substitute(atom, repl) for x in eqs]
+        les = [x.substitute(atom, repl) for x in les]
+    les = [e for e in les if not (e.is_constant and e.const <= 0)]
+    for e in les:
+        if e.is_constant and e.const > 0:
+            return None
+    stages = []
+    remaining = [e for e in les if not e.is_constant]
+
+    def pick_var(exprs):
+        counts = {}
+        for e in exprs:
+            for a, c in e.coeffs:
+                lo, hi = counts.get(a, (0, 0))
+                counts[a] = (lo + 1, hi) if c < 0 else (lo, hi + 1)
+        return min(counts, key=lambda a: counts[a][0] * counts[a][1])
+
+    while remaining:
+        v = pick_var(remaining)
+        lowers, uppers, others = [], [], []
+        for e in remaining:
+            c = e.coeff_of(v)
+            if c == 0:
+                others.append(e)
+                continue
+            rest = e.substitute(v, LinExpr.constant(0)).scale(Fraction(-1) / c)
+            (uppers if c > 0 else lowers).append(rest)
+        stages.append((v, lowers, uppers))
+        for lo in lowers:
+            for up in uppers:
+                combo = lo.sub(up)
+                if combo.is_constant:
+                    if combo.const > 0:
+                        return None
+                else:
+                    others.append(combo)
+        remaining = others
+    assignment = {}
+    for v, lowers, uppers in reversed(stages):
+        lb = max((lia._eval_lin_frac(e, assignment) for e in lowers), default=None)
+        ub = min((lia._eval_lin_frac(e, assignment) for e in uppers), default=None)
+        assignment[v] = lia._pick_value(lb, ub)
+    for a in all_atoms:
+        if a not in assignment and not any(a == s for s, _ in substitutions):
+            assignment[a] = Fraction(0)
+    for atom, repl in reversed(substitutions):
+        assignment[atom] = lia._eval_lin_frac(repl, assignment)
+    return assignment
+
+
+def _reference_solve_linear(constraints, budget):
+    """Branch-and-bound around the reference relaxation (None: UNSAT)."""
+    stack = [constraints]
+    spent = 0
+    while stack:
+        cons = stack.pop()
+        spent += 1
+        if spent > budget:
+            raise BudgetExhausted("branch-and-bound budget")
+        rat = _reference_solve_rational(cons)
+        if rat is None:
+            continue
+        frac = next((a for a, v in rat.items() if v.denominator != 1), None)
+        if frac is not None:
+            v = rat[frac]
+            below = LinExpr.atom(frac).add(LinExpr.constant(-math.floor(v)))
+            above = LinExpr.atom(frac, -1).add(LinExpr.constant(math.ceil(v)))
+            stack.append(cons + [normalize(below, LE)])
+            stack.append(cons + [normalize(above, LE)])
+            continue
+        int_model = {a: int(v) for a, v in rat.items()}
+        bad = next(
+            (
+                c
+                for c in cons
+                if c.kind == NE and lia._eval_lin(c.expr, int_model) == 0
+            ),
+            None,
+        )
+        if bad is not None:
+            lo = bad.expr.add(LinExpr.constant(1))
+            hi = bad.expr.scale(-1).add(LinExpr.constant(1))
+            stack.append(cons + [normalize(lo, LE)])
+            stack.append(cons + [normalize(hi, LE)])
+            continue
+        return int_model
+    return None
+
+
+def _reference_solve(constraints, *, branch_budget=2000, enum_budget=20000):
+    """``(status, model)`` as ``LiaSolver.solve`` answered before
+    explanations (same budgets, same enumeration order)."""
+    try:
+        model = _reference_solve_propagated(
+            *_reference_propagate_constants(list(constraints)),
+            branch_budget=branch_budget,
+            enum_budget=enum_budget,
+        )
+    except BudgetExhausted:
+        return Result.UNKNOWN, None
+    if model is None:
+        return Result.UNSAT, None
+    return Result.SAT, model
+
+
+def _reference_solve_propagated(cons, pinned, *, branch_budget, enum_budget):
+    if cons is None:
+        return None
+    nonlin = lia._nonlinear_vars(cons)
+    if not nonlin:
+        model = _reference_solve_linear(cons, branch_budget)
+        if model is None:
+            return None
+        model.update(pinned)
+        return lia._complete_products(model)
+    ordered = sorted(nonlin, key=lambda v: v.name)
+    seeds = lia._seed_values(cons, 12)
+    for tried, values in enumerate(itertools.product(seeds, repeat=len(ordered)), 1):
+        if tried > enum_budget:
+            raise BudgetExhausted("nonlinear enumeration budget")
+        subst = dict(zip(ordered, values))
+        reduced, more_pinned = _reference_propagate_constants(
+            _reference_substitute_all(cons, subst)
+        )
+        if reduced is None or lia._nonlinear_vars(reduced):
+            continue
+        model = _reference_solve_linear(reduced, max(branch_budget // 10, 50))
+        if model is not None:
+            model.update(pinned)
+            model.update(more_pinned)
+            model.update(subst)
+            return lia._complete_products(model)
+    raise BudgetExhausted("nonlinear enumeration exhausted")
+
+
+def _reference_shrink_core(constraints):
+    """Deletion-based unsat-core shrinking, as the DPLL(T) loop did it
+    before explanations: drop each constraint whose removal still
+    refutes."""
+    core = list(constraints)
+    i = 0
+    while i < len(core):
+        trial = core[:i] + core[i + 1 :]
+        if _reference_solve(trial)[0] is Result.UNSAT:
+            core = trial
+        else:
+            i += 1
+    return core
+
+
+def _assert_matches_reference(cs, **budgets):
+    """(a) status and SAT model equal the reference's; (b) an UNSAT core
+    is a non-empty subset of the input that refutes on its own."""
+    res = LiaSolver(**budgets).solve(cs)
+    status, model = _reference_solve(cs, **budgets)
+    assert res.status is status, cs
+    if status is Result.SAT:
+        assert res.model == model, cs
+    if status is not Result.UNSAT:
+        assert res.core == frozenset(), cs
+        return res
+    assert res.core and res.core <= set(cs), (cs, res.core)
+    alone = [c for c in cs if c in res.core]
+    assert LiaSolver(**budgets).solve(alone).status is Result.UNSAT, (
+        cs,
+        res.core,
+    )
+    return res
+
+
+# ---------------------------------------------------------------------------
+# (a) explanations
 # ---------------------------------------------------------------------------
 
 #: Linear conjunctions from tests/test_smt_solver.py (TestBasicSat and
@@ -77,74 +276,79 @@ LINEAR_CASES = [
 ]
 
 
-def _no_enumeration(monkeypatch):
-    def boom(*_args, **_kw):  # pragma: no cover - failing path
-        raise AssertionError("refutes ran the nonlinear enumeration")
-
-    monkeypatch.setattr(lia, "_seed_values", boom)
-    monkeypatch.setattr(lia, "_substitute_all", boom)
-
-
-class TestRefutes:
-    def test_still_nonlinear_is_not_refuted_without_enumerating(self, monkeypatch):
-        _no_enumeration(monkeypatch)
-        s = LiaSolver()
-        # x*y = 7 with x, y free: propagation leaves the product atom.
-        cs = _cons(mk_eq(mk_mul(x, y), 7), mk_ge(x, 2))
-        assert s.refutes(cs) is False
-        assert not s._memo  # nothing to remember: no answer was computed
-
-    def test_nonlinear_unsat_beyond_propagation_is_not_refuted(self, monkeypatch):
-        # x*y = 7 and x*y = 8 is UNSAT, but only the (never-UNSAT)
-        # enumeration could see it, so the trial keeps its literal.
-        cs = _cons(mk_eq(mk_mul(x, y), 7), mk_eq(mk_mul(x, y), 8))
-        assert LiaSolver(enum_budget=300).solve(cs).status is Result.UNKNOWN
-        _no_enumeration(monkeypatch)
-        assert LiaSolver(enum_budget=300).refutes(cs) is False
-
-    def test_refuted_by_propagation(self, monkeypatch):
-        _no_enumeration(monkeypatch)
-        s = LiaSolver()
-        # x = 3 folds x*y into 3y, and 3y = 7 has no integer solution.
-        cs = _cons(mk_eq(x, 3), mk_eq(mk_mul(x, y), 7))
-        assert s.refutes(cs) is True
-        assert s.solve(cs).status is Result.UNSAT
-
-    def test_linearised_by_propagation_goes_to_the_linear_solver(self):
-        cs = _cons(mk_eq(x, 3), mk_eq(mk_mul(x, y), z), mk_lt(z, 3), mk_gt(y, 0))
-        assert LiaSolver().refutes(cs) is True
-        assert LiaSolver().solve(cs).status is Result.UNSAT
-        cs = _cons(mk_eq(x, 3), mk_eq(mk_mul(x, y), z), mk_lt(z, 4), mk_gt(y, 0))
-        assert LiaSolver().refutes(cs) is False
-
+class TestExplanation:
     @pytest.mark.parametrize("case", range(len(LINEAR_CASES)))
-    def test_agrees_with_solve_on_linear_cases(self, case):
+    def test_linear_cases_and_their_deletion_trials(self, case):
         lits = LINEAR_CASES[case]
         # The whole conjunction and every deletion trial of it.
         for drop in range(-1, len(lits)):
-            trial = [l for i, l in enumerate(lits) if i != drop]
-            cs = _cons(*trial)
-            expected = LiaSolver().solve(cs).status is Result.UNSAT
-            assert LiaSolver().refutes(cs) is expected, trial
+            cs = _cons(*(l for i, l in enumerate(lits) if i != drop))
+            res = _assert_matches_reference(cs)
+            if res.status is Result.UNSAT:
+                # (c) the explanation is no smaller than a minimal core.
+                assert len(_reference_shrink_core(cs)) <= len(res.core), cs
 
-    def test_answer_and_memo_match_solve_on_the_linear_path(self):
-        cs = _cons(*LINEAR_CASES[0])
-        a, b = LiaSolver(), LiaSolver()
-        assert a.refutes(cs) is False
-        solved = b.solve(cs)
-        assert a._memo == b._memo
-        # A memoized refutation is answered from the memo.
-        assert a.refutes(list(reversed(cs))) is False
-        assert solved.status is Result.SAT
-
-    def test_agrees_with_solve_on_random_nonlinear_systems(self):
-        rng = random.Random(1301)
-        for _ in range(120):
-            cs = _random_system(rng, n_cons=rng.randint(1, 5))
-            expected = (
-                LiaSolver(enum_budget=200).solve(cs).status is Result.UNSAT
+    @pytest.mark.parametrize("population", ["linear", "pinned-product", "nonlinear"])
+    def test_random_systems_match_the_reference(self, population):
+        rng = random.Random(f"explain-{population}")
+        unsat = 0
+        for _ in range(80):
+            cs = _random_system(
+                rng,
+                n_cons=rng.randint(1, 6),
+                products=population != "linear",
+                pins=3 if population == "pinned-product" else 0,
             )
-            assert LiaSolver(enum_budget=200).refutes(cs) is expected, cs
+            res = _assert_matches_reference(cs, branch_budget=100, enum_budget=200)
+            unsat += res.status is Result.UNSAT
+        assert unsat >= 10  # the explanation path is exercised
+
+    def test_core_is_a_set_of_constraints_not_positions(self):
+        # Only x < y, y < z, z < x refute; the memo is keyed on the set,
+        # so a reordered repeat answers with the same constraints.
+        cs = _cons(mk_ge(w, 5), *LINEAR_CASES[2], mk_le(w, 9))
+        s = LiaSolver()
+        first = s.solve(cs)
+        assert first.core == frozenset(_cons(*LINEAR_CASES[2]))
+        assert s.solve(list(reversed(cs))) is first
+
+    def test_refuted_by_propagation_explains_with_the_pin(self):
+        # x = 3 folds x*y into 3y, and 3y = 7 has no integer solution;
+        # z >= 0 plays no part.
+        cs = _cons(mk_ge(z, 0), mk_eq(x, 3), mk_eq(mk_mul(x, y), 7))
+        res = LiaSolver().solve(cs)
+        assert res.status is Result.UNSAT
+        assert res.core == frozenset(cs[1:])
+
+    def test_linearised_by_propagation_goes_to_the_linear_solver(self):
+        cs = _cons(
+            mk_eq(x, 3), mk_eq(mk_mul(x, y), z), mk_lt(z, 3), mk_gt(y, 0),
+            mk_le(w, 0),
+        )
+        res = LiaSolver().solve(cs)
+        assert res.status is Result.UNSAT
+        assert res.core == frozenset(cs[:4])
+        cs = _cons(mk_eq(x, 3), mk_eq(mk_mul(x, y), z), mk_lt(z, 4), mk_gt(y, 0))
+        assert LiaSolver().solve(cs).status is Result.SAT
+
+    def test_nonlinear_unsat_beyond_propagation_is_unknown(self):
+        # x*y = 7 and x*y = 8 is UNSAT, but only the (never-UNSAT)
+        # enumeration could see it: no explanation, no core.
+        cs = _cons(mk_eq(mk_mul(x, y), 7), mk_eq(mk_mul(x, y), 8))
+        res = LiaSolver(enum_budget=300).solve(cs)
+        assert res.status is Result.UNKNOWN and res.core == frozenset()
+
+    def test_fractional_cuts_are_not_in_the_core(self):
+        # 2x = 2y + 1 is rationally feasible; branch-and-bound refutes it
+        # through cuts on x, which cover the integers.
+        cs = _cons(mk_ge(z, 1), mk_eq(mk_mul(2, x), mk_add(mk_mul(2, y), 1)))
+        res = LiaSolver().solve(cs)
+        assert res.status is Result.UNSAT and res.core == frozenset(cs[1:])
+
+    def test_disequality_split_keeps_the_disequality(self):
+        cs = _cons(mk_le(x, y), mk_le(y, x), mk_ge(z, 2), mk_not(mk_eq(x, y)))
+        res = LiaSolver().solve(cs)
+        assert res.core == frozenset([cs[0], cs[1], cs[3]])
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +358,20 @@ class TestRefutes:
 _VARS = [Var(f"v{i}") for i in range(5)]
 
 
-def _random_system(rng: random.Random, n_cons: int) -> list[Constraint]:
-    """Constraints over a few variables and their pairwise products,
-    with enough unary equalities that propagation has work to do."""
-    atoms = list(_VARS) + [
-        mk_mul(_VARS[i], _VARS[j]) for i in range(4) for j in range(i, 4)
-    ]
+def _random_system(
+    rng: random.Random, n_cons: int, *, products: bool = True, pins: int = 0
+) -> list[Constraint]:
+    """Constraints over a few variables and (with ``products``) their
+    pairwise products, with enough unary equalities that propagation has
+    work to do; ``pins`` more pin distinct variables outright."""
+    atoms = list(_VARS)
+    if products:
+        atoms += [mk_mul(_VARS[i], _VARS[j]) for i in range(4) for j in range(i, 4)]
     assert all(isinstance(a, (Var, Mul)) for a in atoms)
-    out = []
+    out = [
+        normalize(linearize(v).add(LinExpr.constant(rng.randint(-3, 3))), EQ)
+        for v in rng.sample(_VARS[:4], pins)
+    ]
     for _ in range(n_cons):
         if rng.random() < 0.4:
             expr = linearize(rng.choice(_VARS)).add(
@@ -248,14 +458,20 @@ class TestPropagation:
         refuted = survived = 0
         for _ in range(400):
             system = _random_system(rng, n_cons=rng.randint(1, 8))
-            got_cons, got_pins = lia._propagate_constants(system)
             ref_cons, ref_pins = _reference_propagate_constants(system)
+            masks = [1 << i for i in range(len(system))]
+            try:
+                got_cons, got_masks, got_pins = lia._propagate_constants(
+                    system, masks
+                )
+            except lia._Refuted:
+                assert ref_cons is None, system
+                refuted += 1
+                continue
             assert _shape(got_cons) == _shape(ref_cons), system
             assert list(got_pins.items()) == list(ref_pins.items()), system
-            if got_cons is None:
-                refuted += 1
-            else:
-                survived += 1
+            assert len(got_masks) == len(got_cons)
+            survived += 1
         # Both outcomes are exercised.
         assert refuted > 20 and survived > 20
 

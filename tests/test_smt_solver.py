@@ -29,6 +29,7 @@ from repro.smt import (
     mk_lt,
     mk_mod,
     mk_mul,
+    mk_not,
     mk_or,
     mk_sub,
     mk_var,
@@ -96,6 +97,16 @@ class TestBasicSat:
             mk_distinct(x, k) for k in (0, 1, 2)
         ]
         assert check_sat(*fs) is Result.UNSAT
+
+    def test_gcd_tightening_rounds_towards_the_constraint(self):
+        # y < 3y is 1 - 2y <= 0, i.e. y >= 1 (not y >= 0).
+        m = model_satisfies([mk_lt(y, mk_mul(3, y))])
+        assert m[y] >= 1
+
+    def test_disequality_the_gcd_makes_valid(self):
+        # 2x = -3 has no integer solution, so its negation always holds.
+        assert check_sat(mk_not(mk_eq(mk_mul(2, x), -3))) is Result.SAT
+        assert check_sat(mk_or(mk_lt(x, y), mk_eq(mk_mul(2, x), -3))) is Result.SAT
 
 
 class TestBooleanStructure:
@@ -202,6 +213,11 @@ class TestDivMod:
         m = model_satisfies(fs)
         assert m[z] == 2
 
+    def test_model_evaluates_negative_divisors_euclidean(self):
+        # 7 = -2 * -3 + 1: the Euclidean quotient is -3 (floor would be -4).
+        fs = [mk_eq(x, 7), mk_eq(mk_div(x, -2), -3), mk_eq(mk_mod(x, -2), 1)]
+        model_satisfies(fs)
+
     def test_div_by_zero_unsat(self):
         # Divisor forced to zero makes the axiomatisation unsatisfiable.
         fs = [mk_eq(z, mk_div(x, y)), mk_eq(y, 0)]
@@ -298,3 +314,26 @@ class TestSolverInterface:
         s.add(mk_eq(x, 3))
         assert s.check() is Result.SAT
         assert "x = 3" in repr(s.model())
+
+
+class TestExplanationRounds:
+    def test_hot_corpus_row_needs_few_dpll_rounds(self, monkeypatch):
+        """``sum-unknown-fn-abs`` on core: blocking each LIA conflict on
+        its explanation keeps the DPLL(T) loop short.  Blocking whole
+        assignments (conflicts too big to shrink) took 142 SAT solves."""
+        from repro.driver import get_program, verify_program
+        from repro.smt.sat import SatSolver
+
+        calls = 0
+        solve = SatSolver.solve
+
+        def counting(self, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(SatSolver, "solve", counting)
+        prog = get_program("sum-unknown-fn-abs")
+        row = verify_program(prog, backend="core")
+        assert row.status == prog.kind == "safe"
+        assert calls <= 50, calls

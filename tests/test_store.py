@@ -26,6 +26,7 @@
 import json
 import multiprocessing
 import os
+import time
 from dataclasses import asdict, replace
 
 import pytest
@@ -225,6 +226,23 @@ class TestInvalidation:
         edited = TRIPLE.replace("(- x 1)", "(- x 2)")
         r = verify_source(edited, config=cfg, backend="scv")
         assert r.store_hits == 0 and r.store_misses == 3
+
+    def test_partly_warm_row_reports_measured_wall_time(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+        cfg = _cfg(store_dir)
+        verify_source(TRIPLE, config=cfg, backend="scv")
+        for path in get_store(store_dir).entry_paths():
+            with open(path, encoding="utf-8") as fh:
+                entry = json.load(fh)
+            entry["result"]["wall_ms"] = 1e6
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(entry, fh)
+        edited = TRIPLE.replace("(dec (dec n))", "(dec (dec (dec n)))")
+        t0 = time.perf_counter()
+        r = verify_source(edited, config=cfg, backend="scv")
+        elapsed_ms = (time.perf_counter() - t0) * 1000
+        assert r.store_hits == 1 and r.store_misses == 2
+        assert r.wall_ms < elapsed_ms
 
     def test_whitespace_edit_is_a_full_hit(self, tmp_path):
         cfg = _cfg(str(tmp_path / "store"))
