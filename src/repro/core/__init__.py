@@ -45,7 +45,7 @@ from .heap import (
 from .machine import Machine, State, StuckError, inject
 from .pretty import pp, pp_counterexample, pp_heap, pp_type
 from .proof import ProofSystem, Verdict
-from .search import SearchResult, SearchStats, explore, find_errors, first_error
+from .search import SearchResult, explore, find_errors, first_error
 from .syntax import (
     App,
     Err,
@@ -91,7 +91,7 @@ __all__ = [
     "DeltaResult", "delta", "Machine", "State", "StuckError", "inject",
     "ProofSystem", "Verdict", "translate_heap",
     # search & counterexamples
-    "SearchResult", "SearchStats", "explore", "find_errors", "first_error",
+    "SearchResult", "explore", "find_errors", "first_error",
     "Counterexample", "check_counterexample", "construct", "default_value",
     "instantiate",
     # concrete evaluation

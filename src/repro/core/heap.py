@@ -66,14 +66,6 @@ class HOp(HTerm):
         return f"({self.op} " + " ".join(map(repr, self.args)) + ")"
 
 
-def hloc(l: Loc) -> HLoc:
-    return HLoc(l)
-
-
-def hconst(n: int) -> HConst:
-    return HConst(n)
-
-
 def hterm_locs(t: HTerm) -> Iterator[Loc]:
     if isinstance(t, HLoc):
         yield t.loc

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from ..smt import PathContext, Result, check_sat, mk_not
+from ..smt import PathContext, Result, check_sat, mk_and, mk_not
 from .heap import (
     HConst,
     Heap,
@@ -38,7 +38,6 @@ from .heap import (
 from .syntax import Loc
 from .translate import (
     loc_var,
-    translate_heap,
     translate_heap_parts,
     translate_pred,
 )
@@ -152,21 +151,30 @@ class ProofSystem:
                 return Verdict.REFUTED
         # Solver path (Fig. 5).
         self.solver_queries += 1
-        psi = translate_pred(p, loc_var(l))
-        if self._ctx is not None:
-            parts = self._ctx.parts_for(heap, self._translate_parts)
-            # {Σ} ∧ ¬{L:P} unsat  ⇒  valid implication  ⇒  PROVED
-            if self._ctx.check_under(parts, mk_not(psi)) is Result.UNSAT:
-                return Verdict.PROVED
-            if self._ctx.check_under(parts, psi) is Result.UNSAT:
-                return Verdict.REFUTED
-            return Verdict.AMBIG
-        phi = translate_heap(heap, mode=self.mode)
-        # {Σ} ∧ ¬{L:P} unsat  ⇒  valid implication  ⇒  PROVED
-        neg = check_sat(phi, mk_not(psi))
-        if neg is Result.UNSAT:
-            return Verdict.PROVED
-        pos = check_sat(phi, psi)
-        if pos is Result.UNSAT:
-            return Verdict.REFUTED
-        return Verdict.AMBIG
+        return solve_judgement(self._ctx, heap, self._translate_parts,
+                               translate_pred(p, loc_var(l)))
+
+
+def solve_judgement(ctx: Optional[PathContext], heap, translate_parts,
+                    psi) -> Verdict:
+    """The solver half of ``Σ ⊢ L : P``, shared by both proof systems:
+    ``{Σ} ∧ ¬ψ`` unsat proves the judgement, ``{Σ} ∧ ψ`` unsat refutes
+    it.  ``translate_parts`` turns the heap into its conjunct sequence;
+    with a per-path context the conjuncts stay asserted and the paired
+    checks run as assumptions on it, without one each check is a
+    one-shot solve of ``∧ parts``."""
+    if ctx is not None:
+        parts = ctx.parts_for(heap, translate_parts)
+
+        def unsat(f) -> bool:
+            return ctx.check_under(parts, f) is Result.UNSAT
+    else:
+        phi = mk_and(*translate_parts(heap))
+
+        def unsat(f) -> bool:
+            return check_sat(phi, f) is Result.UNSAT
+    if unsat(mk_not(psi)):
+        return Verdict.PROVED
+    if unsat(psi):
+        return Verdict.REFUTED
+    return Verdict.AMBIG

@@ -6,12 +6,13 @@ execution graph, then stops and reports on the first error encountered"
 enumerate *all* errors (the completeness experiments need every seeded
 bug) or stop at the first.
 
-The loop itself lives in the shared :mod:`repro.search` kernel, which
-runs exactly that breadth-first order and prunes every state whose
-canonical fingerprint (``memo`` — see ``search.fingerprint``) it has
-already seen; that is what keeps the search affordable as programs
-grow.  ``memo=False`` restores the exact pre-kernel behaviour (every
-state explored once per path reaching it).
+The loop itself is the shared :mod:`repro.search` kernel, entered
+through ``repro.search.search`` exactly as the scv engine enters it: one
+breadth-first order, one ``SearchStats`` record, and exact pruning of
+every state whose canonical fingerprint (``memo`` — see
+``search.fingerprint``) was already seen; that is what keeps the search
+affordable as programs grow.  ``memo=False`` restores the exact
+pre-kernel behaviour (every state explored once per path reaching it).
 
 No abstraction/widening is performed (§4.5): for counterexample
 generation on erroneous programs the concrete-ish search terminates at
@@ -22,26 +23,13 @@ A step budget bounds runaway executions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .machine import Machine, State, inject
 from .syntax import Err, Expr
 
-
-@dataclass
-class SearchStats:
-    states_explored: int = 0
-    answers: int = 0
-    errors: int = 0
-    pruned: int = 0  # states dropped by fingerprint memoisation
-    chained: int = 0  # deterministic micro-steps folded into macro states
-    truncated: bool = False
-    # Bytecode-compilation extras (see repro.compile); all zero on
-    # interpreted runs.  ``dispatch_steps`` counts executed micro-steps
-    # in the dispatch loop — deterministic for a given configuration.
-    compiled_units: int = 0
-    compile_ms: float = 0.0
-    dispatch_steps: int = 0
+if TYPE_CHECKING:
+    from ..search import SearchStats
 
 
 @dataclass
@@ -76,26 +64,19 @@ def explore(
     fewer interpreter overheads."""
     # Imported lazily: repro.search.fingerprint imports repro.core at
     # module level, so a module-level import here would be circular.
-    from ..search import CoreFingerprinter, SearchKernel
+    from ..compile import CoreExecutor
+    from ..search import CoreFingerprinter, SearchStats, search
 
     m = machine or Machine()
     st = stats if stats is not None else SearchStats()
-    expander = None
-    if compiled:
-        from ..compile import CoreExecutor
-
-        expander = CoreExecutor(m, program, stats=st).expand
-    kernel = SearchKernel(
-        m.step,
-        fingerprint=CoreFingerprinter() if memo else None,
-        max_states=max_states,
-        expander=expander,
-        enter=m.proof.note_path,  # per-path solver context follows the search
-        stats=st,
-    )
-    for state in kernel.run(inject(program)):
-        if state.is_error:
+    for state in search(
+        m, inject(program), program,
+        fingerprinter=CoreFingerprinter, executor=CoreExecutor,
+        memo=memo, compiled=compiled, max_states=max_states, stats=st,
+    ):
+        if state.is_error:  # every core error is a finding
             st.errors += 1
+            st.known_errors += 1
         yield SearchResult(state)
 
 

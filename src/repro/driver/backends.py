@@ -18,9 +18,12 @@ Counterexample rows from either backend carry the closed, runnable
 surface program (``CexReport.client``) that reproduces the blame —
 printed by ``repro verify --emit-cex-client``.
 
-Both backends enforce the same wall-clock deadline and report the same
-result schema, which is what makes ``--backend both`` cross-checking
-(``report.BenchReport.agreement``) meaningful.  On the contract-free
+Both backends run one verify loop (:class:`_Pipeline`) and differ only
+in its three hooks — front end, counterexample construction and report
+rendering — so they enforce the same wall-clock deadline and status
+cascade and report the same result schema, which is what makes
+``--backend both`` cross-checking (``report.BenchReport.agreement``)
+meaningful.  On the contract-free
 shared corpus the scv machine runs under ``assume_well_typed`` so both
 engines answer the identical question (see ``scv.machine``).
 """
@@ -32,13 +35,12 @@ import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Iterator, Optional, Protocol
 
 from ..conc.interp import Interp, InterpTimeout, PrimBlame, RuntimeFault
 from ..core import (
     Machine,
     ProofSystem,
-    SearchStats,
     TypeError_,
     check_program,
     construct,
@@ -54,9 +56,10 @@ from ..lang.parser import ParseError, parse_program
 from ..lang.sexp import ReadError
 from ..smt import SOLVE_STATS, solver_cache
 from ..scv import (
+    ScopeError,
     SMachine,
     UProofSystem,
-    USearchStats,
+    check_scope,
     collect_struct_types,
     construct_u,
     find_known_blames,
@@ -67,6 +70,7 @@ from ..scv import (
 from ..scv.counterexample import canonical_blame_op
 from ..scv.counterexample import render_bindings as render_scv_bindings
 from ..scv.machine import reset_syn_labels
+from ..search import SearchStats
 from ..synth import closed_program_text
 from .lower import LowerError, lower_program, raise_expr
 from .report import (
@@ -206,46 +210,39 @@ class Backend(Protocol):
         ...
 
 
-class _ResultBuilder:
-    """Shared bookkeeping: wall clock, counters, result assembly.
-
-    Construction snapshots the solver tier's hit counter, so every
-    result row carries the hits *this* verification scored
-    (verifications never interleave within a worker process)."""
-
-    def __init__(self, backend: str, name: str, kind: str) -> None:
-        self.backend = backend
-        self.name = name
-        self.kind = kind
-        self._cache_snap = solver_cache.snapshot()
-        self._solve_snap = SOLVE_STATS.begin_window()
-        self.t0 = time.perf_counter()
-
-    def done(self, status: str, *, states: int, proof_queries: int,
-             solver_queries: int, pruned: int = 0, chained: int = 0,
-             **kw) -> ProgramResult:
-        hits = solver_cache.hits_since(self._cache_snap)
-        return ProgramResult(
-            name=self.name,
-            kind=self.kind,
-            status=status,
-            wall_ms=(time.perf_counter() - self.t0) * 1000,
-            backend=self.backend,
-            states_explored=states,
-            proof_queries=proof_queries,
-            solver_queries=solver_queries,
-            pruned_states=pruned,
-            solver_cache_hits=hits,
-            chained_steps=chained,
-            **SOLVE_STATS.window(self._solve_snap),
-            **kw,
-        )
+#: Front-end failures that make a program unsupported rather than a
+#: driver error.
+_UNSUPPORTED = (ParseError, ReadError, LowerError, TypeError_, ScopeError)
 
 
-class TypedCoreBackend:
-    """The typed §3 SPCF pipeline (the seed driver's only path)."""
+@dataclass
+class _Run:
+    """What a backend's front end hands the shared verify loop."""
 
-    name = "core"
+    program: Program  # the parsed surface program
+    code: object  # what the engine runs: the SPCF term (core) / ``program`` (scv)
+    proof: object  # the proof system, whose query counters the row reports
+    errors: Iterator  # error states in search order (lazy: runs under the deadline)
+
+
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+class _Pipeline:
+    """The verify loop both backends share.
+
+    A backend supplies three hooks and nothing else: ``_front_end``
+    (source text to a :class:`_Run`, raising one of ``_UNSUPPORTED``
+    for programs outside its fragment), ``_counterexample`` (one error
+    state to an accepted counterexample, or ``None``) and ``_report``
+    (an accepted counterexample to its :class:`CexReport`).  The loop
+    owns everything else: the wall-clock deadline, the bounded
+    counterexample attempts, the exception-to-status mapping and the
+    status cascade (counterexample → no-model → truncated → safe)."""
+
+    name: str
+    error_noun: str  # what the no-model detail calls an error state
 
     def verify(
         self,
@@ -258,119 +255,92 @@ class TypedCoreBackend:
         cfg = config or RunConfig()
         _reset_counters()
         stats = SearchStats()
-        proof = ProofSystem(mode=cfg.mode, incremental=cfg.incremental)
-        rb = _ResultBuilder(self.name, name, kind)
         dl = DeadlineStatus()
+        run: Optional[_Run] = None
+        errors_found = attempts = 0
+        # Snapshot the process-wide solver counters, so the row carries
+        # what *this* verification scored (verifications never
+        # interleave within a worker process).
+        cache_snap = solver_cache.snapshot()
+        solve_snap = SOLVE_STATS.begin_window()
+        t0 = time.perf_counter()
 
         def done(status: str, **kw) -> ProgramResult:
             # Reads every counter at call time, so rows cut short by the
             # SIGALRM deadline still report the partial work observed.
-            return rb.done(
-                status,
-                states=stats.states_explored,
-                proof_queries=proof.queries,
-                solver_queries=proof.solver_queries,
-                pruned=stats.pruned,
-                chained=stats.chained,
+            queries, solver_queries = (
+                (run.proof.queries, run.proof.solver_queries)
+                if run is not None else (0, 0)
+            )
+            return ProgramResult(
+                name=name,
+                kind=kind,
+                status=status,
+                wall_ms=(time.perf_counter() - t0) * 1000,
+                backend=self.name,
+                states_explored=stats.states_explored,
+                proof_queries=queries,
+                solver_queries=solver_queries,
+                pruned_states=stats.pruned,
+                solver_cache_hits=solver_cache.hits_since(cache_snap),
+                chained_steps=stats.chained,
+                errors_found=errors_found,
+                cex_attempts=attempts,
                 deadline_enforced=dl.enforced,
                 compiled_units=stats.compiled_units,
                 compile_ms=stats.compile_ms,
                 dispatch_steps=stats.dispatch_steps,
+                **SOLVE_STATS.window(solve_snap),
                 **kw,
             )
 
         try:
-            program = parse_program(source)
-            core = lower_program(program)
-            check_program(core)
-        except (ParseError, ReadError, LowerError, TypeError_) as exc:
-            return done(STATUS_UNSUPPORTED, detail=f"{type(exc).__name__}: {exc}")
+            run = self._front_end(source, cfg, stats)
+        except _UNSUPPORTED as exc:
+            return done(STATUS_UNSUPPORTED, detail=_describe(exc))
+        except Exception as exc:  # driver bug
+            return done(STATUS_ERROR, detail=_describe(exc))
 
-        errors_found = 0
-        attempts = 0
-        found = None  # the first validated counterexample, if any
+        found = None  # the first accepted counterexample, if any
         try:
             with _deadline(cfg.timeout_s, dl):
-                machine = Machine(proof)
-                for result in find_errors(
-                    core, machine=machine, max_states=cfg.max_states,
-                    stats=stats, memo=cfg.memo,
-                    compiled=cfg.compile,
-                ):
+                for state in run.errors:
                     errors_found += 1
                     if attempts >= cfg.max_cex_attempts:
                         break  # enough unmodelable errors: give up
                     attempts += 1
-                    cex = construct(
-                        core,
-                        result.state,
-                        mode=cfg.mode,
-                        validate=True,
-                        fuel=cfg.fuel,
-                    )
-                    if cex is None or not cex.validated:
-                        continue
-                    found = cex
-                    break
+                    found = self._counterexample(run, state, cfg)
+                    if found is not None:
+                        break
         except _Deadline:
-            # The alarm can fire in the window between `found = cex` and
-            # the deadline context cancelling the timer; a validated
+            # The alarm can fire in the window between `found = ...` and
+            # the deadline context cancelling the timer; an accepted
             # counterexample in hand still gets its report assembled.
             if found is None:
                 return done(
                     STATUS_TIMEOUT,
-                    errors_found=errors_found,
-                    cex_attempts=attempts,
                     detail=f"wall clock exceeded {cfg.timeout_s:g}s",
                 )
         except Exception as exc:  # driver bug or engine stuck-state
-            return done(
-                STATUS_ERROR,
-                errors_found=errors_found,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
+            return done(STATUS_ERROR, detail=_describe(exc))
 
         if found is not None:
-            # Success path: the deadline context has exited — the alarm
-            # is cancelled and the previous SIGALRM handler restored — so
-            # report assembly (surface re-validation, client synthesis,
+            # The deadline context has exited — the alarm is cancelled
+            # and the previous SIGALRM handler restored — so report
+            # assembly (surface re-validation, client synthesis,
             # serialization) cannot be killed by a stale alarm.
-            cex = found
             try:
-                surface_bindings = {
-                    label: raise_expr(v) for label, v in cex.bindings.items()
-                }
-                conc_ok = _surface_revalidate(
-                    program, surface_bindings, cex.err.label, cfg.fuel
-                )
                 return done(
                     STATUS_COUNTEREXAMPLE,
-                    errors_found=errors_found,
-                    cex_attempts=attempts,
-                    counterexample=CexReport(
-                        bindings=render_core_bindings(cex),
-                        err_label=cex.err.label,
-                        err_op=canonical_op(cex.err.op),
-                        validated_core=bool(cex.validated),
-                        validated_conc=conc_ok,
-                        err_detail=cex.err.op,
-                        client=closed_program_text(
-                            program, surface_bindings
-                        ),
-                    ),
+                    counterexample=self._report(run, found, cfg),
                 )
             except Exception as exc:  # assembly bug: still a driver error
-                return done(
-                    STATUS_ERROR,
-                    errors_found=errors_found,
-                    cex_attempts=attempts,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-
+                return done(STATUS_ERROR, detail=_describe(exc))
         if errors_found:
             return done(
-                STATUS_NO_MODEL, errors_found=errors_found, cex_attempts=attempts,
-                detail="error states found but none had a validated model",
+                STATUS_NO_MODEL,
+                detail=f"{self.error_noun} states found but none had a "
+                "validated model",
             )
         if stats.truncated:
             return done(
@@ -378,6 +348,51 @@ class TypedCoreBackend:
                 detail=f"state budget {cfg.max_states} exhausted without an answer",
             )
         return done(STATUS_SAFE)
+
+
+class TypedCoreBackend(_Pipeline):
+    """The typed §3 SPCF pipeline (the seed driver's only path)."""
+
+    name = "core"
+    error_noun = "error"
+    # Bound in the class itself: perfbench's tracer patches
+    # ``vars(cls)["verify"]`` on each backend.
+    verify = _Pipeline.verify
+
+    def _front_end(self, source: str, cfg: RunConfig,
+                   stats: SearchStats) -> _Run:
+        program = parse_program(source)
+        core = lower_program(program)
+        check_program(core)
+        proof = ProofSystem(mode=cfg.mode, incremental=cfg.incremental)
+        errors = find_errors(
+            core, machine=Machine(proof), max_states=cfg.max_states,
+            stats=stats, memo=cfg.memo, compiled=cfg.compile,
+        )
+        return _Run(program, core, proof, (r.state for r in errors))
+
+    def _counterexample(self, run: _Run, state, cfg: RunConfig):
+        cex = construct(
+            run.code, state, mode=cfg.mode, validate=True, fuel=cfg.fuel
+        )
+        return cex if cex is not None and cex.validated else None
+
+    def _report(self, run: _Run, cex, cfg: RunConfig) -> CexReport:
+        surface_bindings = {
+            label: raise_expr(v) for label, v in cex.bindings.items()
+        }
+        conc_ok = _surface_revalidate(
+            run.program, surface_bindings, cex.err.label, cfg.fuel
+        )
+        return CexReport(
+            bindings=render_core_bindings(cex),
+            err_label=cex.err.label,
+            err_op=canonical_op(cex.err.op),
+            validated_core=bool(cex.validated),
+            validated_conc=conc_ok,
+            err_detail=cex.err.op,
+            client=closed_program_text(run.program, surface_bindings),
+        )
 
 
 def _surface_revalidate(
@@ -396,138 +411,49 @@ def _surface_revalidate(
     return False
 
 
-class UntypedScvBackend:
+class UntypedScvBackend(_Pipeline):
     """The untyped §4 pipeline — contracts, modules, blame and all."""
 
     name = "scv"
+    error_noun = "blame"
+    verify = _Pipeline.verify  # see TypedCoreBackend.verify
 
-    def verify(
-        self,
-        source: str,
-        *,
-        name: str = "<input>",
-        kind: str = "?",
-        config: Optional[RunConfig] = None,
-    ) -> ProgramResult:
-        cfg = config or RunConfig()
-        _reset_counters()
-        stats = USearchStats()
-        rb = _ResultBuilder(self.name, name, kind)
-        dl = DeadlineStatus()
-        proof_queries = solver_queries = 0
-
-        def done(status: str, **kw) -> ProgramResult:
-            # As in the core backend: counters are read at call time so
-            # deadline-interrupted rows keep their partial stats.
-            return rb.done(
-                status,
-                states=stats.states_explored,
-                proof_queries=proof_queries,
-                solver_queries=solver_queries,
-                pruned=stats.pruned,
-                chained=stats.chained,
-                deadline_enforced=dl.enforced,
-                compiled_units=stats.compiled_units,
-                compile_ms=stats.compile_ms,
-                dispatch_steps=stats.dispatch_steps,
-                **kw,
-            )
-
-        try:
-            program = parse_program(source)
-        except (ParseError, ReadError) as exc:
-            return done(STATUS_UNSUPPORTED, detail=f"{type(exc).__name__}: {exc}")
-
+    def _front_end(self, source: str, cfg: RunConfig,
+                   stats: SearchStats) -> _Run:
+        program = parse_program(source)
         machine = SMachine(
             struct_types=collect_struct_types(program),
             assume_well_typed=not uses_contracts(program),
             extended_prims=uses_extended_prims(program),
             proof=UProofSystem(incremental=cfg.incremental),
         )
-        errors_found = 0
-        attempts = 0
-        found = None  # the first validated counterexample, if any
-        try:
-            with _deadline(cfg.timeout_s, dl):
-                init = inject_program(program, machine,
-                                      client_of=cfg.client_of)
-                for blame_state in find_known_blames(
-                    init, machine, max_states=cfg.max_states, stats=stats,
-                    memo=cfg.memo, compiled=cfg.compile,
-                ):
-                    errors_found += 1
-                    if attempts >= cfg.max_cex_attempts:
-                        break
-                    attempts += 1
-                    cex = construct_u(
-                        program, blame_state, validate=True, fuel=cfg.fuel,
-                        client_of=cfg.client_of,
-                    )
-                    if cex is None or cex.validated is False:
-                        continue
-                    found = cex
-                    break
-        except _Deadline:
-            # As in the core backend: a counterexample validated just
-            # under the wire is reported, not discarded as a timeout.
-            if found is None:
-                proof_queries = machine.proof.queries
-                solver_queries = machine.proof.solver_queries
-                return done(
-                    STATUS_TIMEOUT,
-                    errors_found=errors_found,
-                    cex_attempts=attempts,
-                    detail=f"wall clock exceeded {cfg.timeout_s:g}s",
-                )
-        except Exception as exc:  # driver bug or engine stuck-state
-            proof_queries = machine.proof.queries
-            solver_queries = machine.proof.solver_queries
-            return done(
-                STATUS_ERROR,
-                errors_found=errors_found,
-                detail=f"{type(exc).__name__}: {exc}",
-            )
+        init = inject_program(program, machine, client_of=cfg.client_of)
+        check_scope(program, init.env.frame)
+        errors = find_known_blames(
+            init, machine, max_states=cfg.max_states, stats=stats,
+            memo=cfg.memo, compiled=cfg.compile,
+        )
+        return _Run(program, program, machine.proof, errors)
 
-        proof_queries = machine.proof.queries
-        solver_queries = machine.proof.solver_queries
-        if found is not None:
-            # Alarm cancelled, previous handler restored (see the core
-            # backend): assembly runs outside the wall-clock budget.
-            cex = found
-            blame = cex.blame
-            try:
-                return done(
-                    STATUS_COUNTEREXAMPLE,
-                    errors_found=errors_found,
-                    cex_attempts=attempts,
-                    counterexample=CexReport(
-                        bindings=render_scv_bindings(cex),
-                        err_label=blame.label,
-                        err_op=canonical_blame_op(blame),
-                        validated_core=None,  # scv has one oracle
-                        validated_conc=cex.validated,
-                        err_detail=f"{blame.party}: {blame.description}",
-                        client=cex.closed_program(program),
-                    ),
-                )
-            except Exception as exc:  # assembly bug: still a driver error
-                return done(
-                    STATUS_ERROR,
-                    errors_found=errors_found,
-                    cex_attempts=attempts,
-                    detail=f"{type(exc).__name__}: {exc}",
-                )
-        if errors_found:
-            return done(
-                STATUS_NO_MODEL, errors_found=errors_found, cex_attempts=attempts,
-                detail="blame states found but none had a validated model",
-            )
-        if stats.truncated:
-            return done(
-                STATUS_TRUNCATED,
-                detail=f"state budget {cfg.max_states} exhausted without an answer",
-            )
-        return done(STATUS_SAFE)
+    def _counterexample(self, run: _Run, state, cfg: RunConfig):
+        cex = construct_u(
+            run.program, state, validate=True, fuel=cfg.fuel,
+            client_of=cfg.client_of,
+        )
+        # scv rejects only a failed validation (``None``: not checked).
+        return None if cex is None or cex.validated is False else cex
+
+    def _report(self, run: _Run, cex, cfg: RunConfig) -> CexReport:
+        blame = cex.blame
+        return CexReport(
+            bindings=render_scv_bindings(cex),
+            err_label=blame.label,
+            err_op=canonical_blame_op(blame),
+            validated_core=None,  # scv has one oracle
+            validated_conc=cex.validated,
+            err_detail=f"{blame.party}: {blame.description}",
+            client=cex.closed_program(run.program),
+        )
 
 
 BACKENDS: dict[str, Backend] = {

@@ -85,10 +85,6 @@ class CorpusProgram:
     tags: tuple[str, ...] = ()
     backends: tuple[str, ...] = ("core", "scv")
 
-    @property
-    def is_buggy(self) -> bool:
-        return self.kind == BUGGY
-
 
 def _safe(name, source, description, *tags):
     return CorpusProgram(name, SAFE, source, description, tuple(tags))

@@ -153,14 +153,15 @@ def init_worker(cfg_fields: dict) -> None:
     atexit.register(flush_all_stores)
 
 
-# Back-compat alias: the initializer predates the serve refactor.
-_init_worker = init_worker
-
-
-def _run_one(task: tuple[str, str]) -> ProgramResult:
-    assert _WORKER_CFG is not None
+def _run_one(
+    task: tuple[str, str], cfg: Optional[RunConfig] = None
+) -> ProgramResult:
+    """Verify one (program, backend) task under ``cfg`` — by default the
+    worker's installed configuration."""
+    cfg = cfg if cfg is not None else _WORKER_CFG
+    assert cfg is not None
     name, backend = task
-    return verify_program(get_program(name), _WORKER_CFG, backend=backend)
+    return verify_program(get_program(name), cfg, backend=backend)
 
 
 def run_corpus(
@@ -188,7 +189,7 @@ def run_corpus(
 
     if cfg.jobs <= 1 or len(tasks) <= 1:
         for task in tasks:
-            r = _run_one_with(cfg, task)
+            r = _run_one(task, cfg)
             report.results.append(r)
             if progress is not None:
                 progress(r)
@@ -207,8 +208,3 @@ def run_corpus(
             if progress is not None:
                 progress(r)
     return report
-
-
-def _run_one_with(cfg: RunConfig, task: tuple[str, str]) -> ProgramResult:
-    name, backend = task
-    return verify_program(get_program(name), cfg, backend=backend)

@@ -95,20 +95,6 @@ class TagSig:
     desc: object = ""
     result: Optional[frozenset] = None
 
-    def per_arg(self, n: int) -> tuple[tuple, tuple]:
-        """``(wants, descs)`` padded/truncated to ``n`` arguments."""
-        if isinstance(self.want, tuple):
-            wants = tuple(self.want[min(i, len(self.want) - 1)]
-                          for i in range(n))
-        else:
-            wants = (self.want,) * n
-        if isinstance(self.desc, tuple):
-            descs = tuple(self.desc[min(i, len(self.desc) - 1)]
-                          for i in range(n))
-        else:
-            descs = (self.desc,) * n
-        return wants, descs
-
 
 @dataclass(frozen=True)
 class Refinement:

@@ -24,8 +24,9 @@ _EXPORTS = {
     "check_u": "counterexample",
     "construct_u": "counterexample",
     "opaque_labels": "counterexample",
-    "USearchStats": "engine",
+    "ScopeError": "engine",
     "assemble": "engine",
+    "check_scope": "engine",
     "collect_struct_types": "engine",
     "explore_u": "engine",
     "find_known_blames": "engine",

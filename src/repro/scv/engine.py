@@ -19,15 +19,16 @@ into one initial machine state:
   never blames our synthetic client for not being callable.
 
 ``explore_u``/``find_known_blames`` run the search of §5.3 over the
-resulting nondeterministic transition system on the shared
-:mod:`repro.search` kernel — same breadth-first order, fingerprint
-memoisation and counting as ``core.search``.
+resulting nondeterministic transition system through
+``repro.search.search``, the entry ``core.search`` uses too — one
+kernel, one breadth-first order, one ``SearchStats`` record.  A blame
+answer counts as an error; it is a finding (``known_errors``) unless it
+blames the unknown context.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..core.syntax import Loc
 from ..lang.ast import (
@@ -41,6 +42,7 @@ from ..lang.ast import (
     ULetrec,
     UOpaque,
     UVar,
+    free_vars,
     subexprs_u,
 )
 from ..lang.prims import base_primitives
@@ -65,6 +67,10 @@ from .machine import (
     current_syn_counter,
     syn_label,
 )
+
+if TYPE_CHECKING:
+    from ..search import SearchStats
+
 
 #: The blame party of the synthesised demonic client.  Starts with "•"
 #: so that contract violations *by the client* are the unknown context's
@@ -249,26 +255,36 @@ def inject_program(
     )
 
 
+class ScopeError(Exception):
+    """The program references a variable that nothing binds."""
+
+
+def check_scope(program: Program, base: Iterable[str]) -> None:
+    """Raise :class:`ScopeError` naming an unbound variable (the least
+    by name), in the scope ``assemble`` builds over the ``base`` frame
+    of the injected state: each module
+    sees its own opaques and definitions and every earlier module's, and
+    the top-level expression sees them all.  The machine would blame
+    ``top`` for such a reference, which no concrete run can reproduce —
+    the core backend rejects the same programs in lowering."""
+    scope = set(base)
+    unbound: set[str] = set()
+    for m in program.modules:
+        scope.update(n for n, _ in (*m.opaques, *m.definitions))
+        exprs = [e for _, e in (*m.opaques, *m.definitions) if e is not None]
+        exprs += [p.contract for p in m.provides if p.contract is not None]
+        exprs += [UVar(p.name) for p in m.provides]
+        for e in exprs:
+            unbound |= free_vars(e) - scope
+    if program.main is not None:
+        unbound |= free_vars(program.main) - scope
+    if unbound:
+        raise ScopeError(f"unbound variable {min(unbound)}")
+
+
 # ---------------------------------------------------------------------------
 # Search (§5.3: breadth-first over the execution graph)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class USearchStats:
-    states_explored: int = 0
-    answers: int = 0
-    blames: int = 0
-    known_blames: int = 0
-    pruned: int = 0  # states dropped by fingerprint memoisation
-    chained: int = 0  # deterministic micro-steps folded into macro states
-    truncated: bool = False
-    # Bytecode-compilation extras (see repro.compile); all zero on
-    # interpreted runs.  ``dispatch_steps`` counts executed micro-steps
-    # in the dispatch loop — deterministic for a given configuration.
-    compiled_units: int = 0
-    compile_ms: float = 0.0
-    dispatch_steps: int = 0
 
 
 def explore_u(
@@ -276,7 +292,7 @@ def explore_u(
     machine: SMachine,
     *,
     max_states: int = 50_000,
-    stats: Optional[USearchStats] = None,
+    stats: Optional[SearchStats] = None,
     memo: bool = True,
     compiled: bool = False,
 ) -> Iterator[SState]:
@@ -288,27 +304,19 @@ def explore_u(
     byte-identical results."""
     # Imported lazily: repro.search.fingerprint imports this package at
     # module level, so a module-level import here would be circular.
-    from ..search import ScvFingerprinter, SearchKernel
+    from ..compile import ScvExecutor
+    from ..search import ScvFingerprinter, SearchStats, search
 
-    st = stats if stats is not None else USearchStats()
-    expander = None
-    if compiled:
-        from ..compile import ScvExecutor
-
-        expander = ScvExecutor(machine, init.control, stats=st).expand
-    kernel = SearchKernel(
-        machine.step,
-        fingerprint=ScvFingerprinter() if memo else None,
-        max_states=max_states,
-        expander=expander,
-        enter=machine.proof.note_path,  # per-path solver context hook
-        stats=st,
-    )
-    for state in kernel.run(init):
+    st = stats if stats is not None else SearchStats()
+    for state in search(
+        machine, init, init.control,
+        fingerprinter=ScvFingerprinter, executor=ScvExecutor,
+        memo=memo, compiled=compiled, max_states=max_states, stats=st,
+    ):
         if isinstance(state.control, Blame):
-            st.blames += 1
+            st.errors += 1
             if state.control.known:
-                st.known_blames += 1
+                st.known_errors += 1
         yield state
 
 
@@ -317,7 +325,7 @@ def find_known_blames(
     machine: SMachine,
     *,
     max_states: int = 50_000,
-    stats: Optional[USearchStats] = None,
+    stats: Optional[SearchStats] = None,
     memo: bool = True,
     compiled: bool = False,
 ) -> Iterator[SState]:

@@ -166,17 +166,6 @@ class UVectorS(UStoreable):
 SEnv = tuple[tuple[str, Loc], ...]
 
 
-def senv_lookup(env: SEnv, name: str) -> Optional[Loc]:
-    for n, l in reversed(env):
-        if n == name:
-            return l
-    return None
-
-
-def senv_extend(env: SEnv, *bindings: tuple[str, Loc]) -> SEnv:
-    return env + tuple(bindings)
-
-
 @dataclass(frozen=True)
 class UClos(UStoreable):
     """A closure over a symbolic environment."""

@@ -41,18 +41,15 @@ from ..core.heap import (
     Pred,
     PZero,
 )
-from ..core.proof import Verdict
+from ..core.proof import Verdict, solve_judgement
 from ..core.syntax import Loc
 from ..lang.values import racket_equal
 from ..smt import (
     Formula,
     PathContext,
-    Result,
-    check_sat,
     mk_and,
     mk_eq,
     mk_implies,
-    mk_not,
 )
 from ..core.translate import loc_var, translate_pred
 from .heap import (
@@ -317,17 +314,5 @@ class UProofSystem:
             return Verdict.AMBIG
         # Solver path (Fig. 5).
         self.solver_queries += 1
-        psi = translate_pred(_as_core_pred(p), loc_var(target))
-        if self._ctx is not None:
-            parts = self._ctx.parts_for(heap, translate_uheap_parts)
-            if self._ctx.check_under(parts, mk_not(psi)) is Result.UNSAT:
-                return Verdict.PROVED
-            if self._ctx.check_under(parts, psi) is Result.UNSAT:
-                return Verdict.REFUTED
-            return Verdict.AMBIG
-        phi = translate_uheap(heap)
-        if check_sat(phi, mk_not(psi)) is Result.UNSAT:
-            return Verdict.PROVED
-        if check_sat(phi, psi) is Result.UNSAT:
-            return Verdict.REFUTED
-        return Verdict.AMBIG
+        return solve_judgement(self._ctx, heap, translate_uheap_parts,
+                               translate_pred(_as_core_pred(p), loc_var(target)))

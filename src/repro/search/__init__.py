@@ -1,7 +1,8 @@
 """Shared search infrastructure for both symbolic engines.
 
 * :mod:`repro.search.kernel` — the breadth-first search loop with
-  exact seen-set memoisation and chain compression;
+  exact seen-set memoisation and chain compression, its stats record,
+  and ``search``, the entry both backends build their kernel through;
 * :mod:`repro.search.fingerprint` — canonical state fingerprints for
   ``core.State`` and ``scv.SState``;
 * :mod:`repro.search.intern` — the hash-consing table fingerprints are
@@ -10,12 +11,13 @@
 
 from .fingerprint import CoreFingerprinter, ScvFingerprinter
 from .intern import Interner
-from .kernel import KernelStats, SearchKernel
+from .kernel import SearchKernel, SearchStats, search
 
 __all__ = [
     "CoreFingerprinter",
     "Interner",
-    "KernelStats",
     "ScvFingerprinter",
     "SearchKernel",
+    "SearchStats",
+    "search",
 ]

@@ -50,14 +50,24 @@ from typing import Callable, Iterator, Optional
 
 
 @dataclass
-class KernelStats:
-    """Default stats sink; any object with these attributes works."""
+class SearchStats:
+    """The one search-stats record, shared by both backends.  The kernel
+    and the bytecode executors mutate it in place; the backends' search
+    entries count the error answers."""
 
     states_explored: int = 0
     answers: int = 0
-    pruned: int = 0
+    errors: int = 0  # error answers: core ``Err`` / scv blame states
+    known_errors: int = 0  # errors that are findings (scv: blame on known code)
+    pruned: int = 0  # states dropped by fingerprint memoisation
     chained: int = 0  # micro-steps folded into macro states
     truncated: bool = False
+    # Bytecode-compilation extras (see repro.compile); all zero on
+    # interpreted runs.  ``dispatch_steps`` counts executed micro-steps
+    # in the dispatch loop — deterministic for a given configuration.
+    compiled_units: int = 0
+    compile_ms: float = 0.0
+    dispatch_steps: int = 0
 
 
 class SearchKernel:
@@ -114,7 +124,7 @@ class SearchKernel:
         self.max_states = max_states
         self.expander = expander
         self.enter = enter
-        self.stats = stats if stats is not None else KernelStats()
+        self.stats = stats if stats is not None else SearchStats()
         self._seen: set = set()
 
     def _admit(self, state) -> bool:
@@ -165,3 +175,34 @@ class SearchKernel:
                 yield state
                 continue
             frontier.extend(s for s in succs if self._admit(s))
+
+
+def search(
+    machine,
+    init,
+    code,
+    *,
+    fingerprinter: Callable,
+    executor: Callable,
+    memo: bool = True,
+    compiled: bool = False,
+    max_states: int = 50_000,
+    stats: Optional[SearchStats] = None,
+) -> Iterator:
+    """Answer states of ``machine`` reachable from ``init``, in
+    breadth-first order — the one search entry both backends use.
+
+    ``memo`` fingerprints states with a fresh ``fingerprinter()``;
+    ``compiled`` expands them with ``executor(machine, code, stats=...)``
+    (``repro.compile``) instead of ``machine.step``.  The machine's proof
+    system follows the search through its ``note_path`` hook."""
+    st = stats if stats is not None else SearchStats()
+    kernel = SearchKernel(
+        machine.step,
+        fingerprint=fingerprinter() if memo else None,
+        max_states=max_states,
+        expander=executor(machine, code, stats=st).expand if compiled else None,
+        enter=machine.proof.note_path,  # per-path solver context follows the search
+        stats=st,
+    )
+    return kernel.run(init)

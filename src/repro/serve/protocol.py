@@ -22,7 +22,6 @@ per requested engine — a job never hangs and never vanishes.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 #: Protocol version, echoed by ``/v1/healthz`` and every job view.
 API_VERSION = "repro-serve/v1"
@@ -188,8 +187,3 @@ def job_summary(job) -> dict:
     view = job_view(job, include_rows=False)
     del view["api"], view["config"]
     return view
-
-
-def verdicts_of(rows: Optional[list]) -> list[str]:
-    """The per-engine statuses of a finished job's rows."""
-    return [r.get("status", "?") for r in rows or []]

@@ -362,17 +362,3 @@ class WorkerPool:
             "jobs_errored": self.jobs_errored,
             "workers_replaced": self.workers_replaced,
         }
-
-    def worker_pids(self) -> list[int]:
-        with self._lock:
-            return [
-                w.proc.pid for w in self._workers.values()
-                if w.proc.pid is not None and w.proc.is_alive()
-            ]
-
-    def busy_pids(self) -> list[int]:
-        with self._lock:
-            return [
-                w.proc.pid for w in self._workers.values()
-                if w.job_id is not None and w.proc.pid is not None
-            ]

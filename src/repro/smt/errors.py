@@ -20,10 +20,6 @@ class SortError(SolverError):
     """A term was built or used at the wrong sort."""
 
 
-class UnsupportedTermError(SolverError):
-    """A term falls outside the fragment the solver understands."""
-
-
 class BudgetExhausted(SolverError):
     """An internal search (branch-and-bound, nonlinear enumeration) hit
     its configured budget.  Callers normally convert this to UNKNOWN."""

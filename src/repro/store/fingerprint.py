@@ -48,6 +48,7 @@ from ..lang.ast import (
     UOpaque,
     USet,
     UVar,
+    free_vars,
 )
 from ..lang.sexp import Symbol
 
@@ -189,39 +190,6 @@ _SEMANTIC_CONFIG_FIELDS = frozenset({
 # ---------------------------------------------------------------------------
 # Free variables and module slices
 # ---------------------------------------------------------------------------
-
-
-def free_vars(e: UExpr, bound: frozenset[str] = frozenset()) -> set[str]:
-    """Variable names ``e`` references without binding them locally."""
-    if isinstance(e, UVar):
-        return set() if e.name in bound else {e.name}
-    if isinstance(e, (Quote, UOpaque)):
-        return set()
-    if isinstance(e, ULam):
-        return free_vars(e.body, bound | frozenset(e.params))
-    if isinstance(e, ULetrec):
-        inner = bound | frozenset(n for n, _ in e.bindings)
-        out: set[str] = set()
-        for _, x in e.bindings:
-            out |= free_vars(x, inner)
-        return out | free_vars(e.body, inner)
-    if isinstance(e, UApp):
-        out = free_vars(e.fn, bound)
-        for a in e.args:
-            out |= free_vars(a, bound)
-        return out
-    if isinstance(e, UIf):
-        return (free_vars(e.test, bound) | free_vars(e.then, bound)
-                | free_vars(e.orelse, bound))
-    if isinstance(e, UBegin):
-        out = set()
-        for x in e.exprs:
-            out |= free_vars(x, bound)
-        return out
-    if isinstance(e, USet):
-        target = set() if e.name in bound else {e.name}
-        return target | free_vars(e.value, bound)
-    raise DigestError(f"cannot take free variables of {e!r}")
 
 
 def _module_exports(m: Module) -> set[str]:

@@ -5,7 +5,6 @@ from repro.core import (
     If,
     NAT,
     Num,
-    SearchStats,
     explore,
     find_errors,
     first_error,
@@ -14,6 +13,7 @@ from repro.core import (
     prim,
 )
 from repro.core.search import SearchResult
+from repro.search import SearchStats
 
 
 def _branchy_program():
@@ -36,6 +36,7 @@ class TestStats:
         results = list(explore(_branchy_program(), stats=stats))
         assert stats.answers == 2
         assert stats.errors == 1
+        assert stats.known_errors == 1  # every core error is a finding
         assert stats.truncated is False
         assert stats.states_explored >= stats.answers
         assert sum(1 for r in results if r.is_error) == 1

@@ -20,6 +20,7 @@ from repro.driver.__main__ import main as cli_main
 from repro.driver.report import (
     SCHEMA,
     STATUS_COUNTEREXAMPLE,
+    STATUS_ERROR,
     STATUS_SAFE,
     STATUS_TIMEOUT,
     STATUS_TRUNCATED,
@@ -193,31 +194,63 @@ class TestReportSchema:
         assert t["unexpected"] == 0
 
 
+@pytest.mark.parametrize("backend", ["core", "scv"])
 class TestVerifyStatuses:
-    def test_unsupported_source(self):
-        r = verify_source("(set! x 1)")
-        assert r.status == STATUS_UNSUPPORTED
-        assert "LowerError" in r.detail or "ParseError" in r.detail
+    """The status cascade of the verify loop both backends share."""
 
-    def test_unparseable_source(self):
-        r = verify_source("(((")
+    def test_unsupported_source(self, backend):
+        r = verify_source("(set! x 1)", backend=backend)
+        assert r.status == STATUS_UNSUPPORTED
+        if backend == "core":
+            assert "LowerError" in r.detail or "ParseError" in r.detail
+        else:  # scv runs set!, but nothing binds x
+            assert r.detail == "ScopeError: unbound variable x"
+
+    def test_unparseable_source(self, backend):
+        r = verify_source("(((", backend=backend)
         assert r.status == STATUS_UNSUPPORTED
 
-    def test_truncated_on_unbounded_search(self):
+    @pytest.mark.parametrize("source, var", [
+        ("(+ y 1)", "y"),
+        ("(define (f x) (g x))\n(f 1)", "g"),
+        ("(if #t 1 z)", "z"),  # unreachable, but still unbound
+    ])
+    def test_unbound_variable_is_unsupported(self, backend, source, var):
+        r = verify_source(source, backend=backend)
+        assert r.status == STATUS_UNSUPPORTED
+        assert r.detail.endswith(f"unbound variable {var}")
+
+    def test_truncated_on_unbounded_search(self, backend):
         src = "(define (spin n) (spin (+ n 1)))\n(spin •)"
-        r = verify_source(src, config=RunConfig(max_states=40))
+        r = verify_source(src, config=RunConfig(max_states=40),
+                          backend=backend)
         assert r.status == STATUS_TRUNCATED
         assert r.states_explored == 40
 
-    def test_timeout_is_reported_not_raised(self):
+    def test_timeout_is_reported_not_raised(self, backend):
         slow = get_program("mod-denominator")  # ~1s of solver work
         r = verify_source(
             slow.source, name=slow.name, kind=slow.kind,
-            config=RunConfig(timeout_s=0.01),
+            config=RunConfig(timeout_s=0.01), backend=backend,
         )
         assert r.status in (STATUS_TIMEOUT, STATUS_COUNTEREXAMPLE)
         if r.status == STATUS_TIMEOUT:
             assert "wall clock" in r.detail
+
+    def test_error_row_reports_cex_attempts(self, backend, monkeypatch):
+        # A counterexample hook that raises is a driver error; the row
+        # still reports the error state found and the attempt made.
+        import repro.driver.backends as backends
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(backends, "construct", boom)
+        monkeypatch.setattr(backends, "construct_u", boom)
+        r = verify_source("(quotient 1 •)", backend=backend)
+        assert r.status == STATUS_ERROR
+        assert r.detail == "RuntimeError: boom"
+        assert (r.errors_found, r.cex_attempts) == (1, 1)
 
 
 class TestCli:

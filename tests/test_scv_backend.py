@@ -14,9 +14,9 @@ from repro.driver import (
 )
 from repro.driver.report import STATUS_COUNTEREXAMPLE, STATUS_SAFE
 from repro.lang.parser import parse_program
+from repro.search import SearchStats
 from repro.scv import (
     SMachine,
-    USearchStats,
     collect_struct_types,
     construct_u,
     find_known_blames,
@@ -53,7 +53,7 @@ class TestScvEndToEnd:
     def test_finds_division_blame_with_validated_model(self):
         p = parse_program("(define (f g) (quotient 100 (- 100 (g 0))))\n(f •)")
         m = SMachine(assume_well_typed=True)
-        stats = USearchStats()
+        stats = SearchStats()
         state = next(
             iter(find_known_blames(inject_program(p, m), m, stats=stats))
         )
@@ -70,13 +70,13 @@ class TestScvEndToEnd:
             " (provide [shift (-> positive? positive?)]))"
         )
         m = SMachine(struct_types=collect_struct_types(p))
-        stats = USearchStats()
+        stats = SearchStats()
         found = list(
             find_known_blames(inject_program(p, m), m, stats=stats)
         )
         assert found == []
-        assert stats.blames > 0  # the client *was* blamed, and ignored
-        assert stats.known_blames == 0
+        assert stats.errors > 0  # the client *was* blamed, and ignored
+        assert stats.known_errors == 0
 
 
 class TestScvBackendVerdicts:

@@ -18,7 +18,6 @@ import pytest
 from repro.core import NAT, PrimApp, SNum, SOpq, PLt, HConst
 from repro.core.heap import Heap, reset_locs, set_loc_counter
 from repro.core.machine import Machine, State, inject
-from repro.core.search import SearchStats
 from repro.core.syntax import Loc
 from repro.core.syntax import reset_labels as reset_core_labels
 from repro.driver.corpus import get_program
@@ -26,9 +25,13 @@ from repro.driver.lower import lower_program
 from repro.driver.runner import RunConfig, run_corpus
 from repro.lang.ast import reset_labels as reset_surface_labels
 from repro.lang.parser import parse_program
-from repro.search import CoreFingerprinter, ScvFingerprinter, SearchKernel
+from repro.search import (
+    CoreFingerprinter,
+    ScvFingerprinter,
+    SearchKernel,
+    SearchStats,
+)
 from repro.search.intern import Interner, Node
-from repro.search.kernel import KernelStats
 from repro.scv.engine import collect_struct_types, inject_program
 from repro.scv.heap import UConc, UHeap, UOpq
 from repro.scv.machine import (
@@ -428,7 +431,7 @@ class TestKernelBehaviour:
         def step(n):
             return None if n >= 10 else [n + 1, n + 1]
 
-        stats = KernelStats()
+        stats = SearchStats()
         k = _toy_kernel(step, stats=stats)
         answers = list(k.run(0))
         assert answers == [10]
@@ -439,7 +442,7 @@ class TestKernelBehaviour:
         def step(n):
             return None if n >= 6 else [n + 1, n + 1]
 
-        stats = KernelStats()
+        stats = SearchStats()
         k = SearchKernel(step, fingerprint=None, stats=stats)
         answers = list(k.run(0))
         assert len(answers) == 2 ** 6
@@ -449,7 +452,7 @@ class TestKernelBehaviour:
         def step(n):
             return None if n >= 50 else [n + 1]
 
-        stats = KernelStats()
+        stats = SearchStats()
         k = _toy_kernel(step, stats=stats)
         assert list(k.run(0)) == [50]
         assert stats.states_explored == 1
@@ -461,7 +464,7 @@ class TestKernelBehaviour:
         def step(n):
             return [(n + 1) % 7]
 
-        stats = KernelStats()
+        stats = SearchStats()
         k = _toy_kernel(step, chain_limit=3, stats=stats)
         assert list(k.run(0)) == []
         assert stats.pruned >= 1
@@ -478,7 +481,7 @@ class TestKernelBehaviour:
         def step(s):
             return [plain, stronger, twin] if s is root else None
 
-        stats = KernelStats()
+        stats = SearchStats()
         k = SearchKernel(step, fingerprint=CoreFingerprinter(), stats=stats)
         assert list(k.run(root)) == [plain, stronger]
         assert stats.pruned == 1
@@ -488,7 +491,7 @@ class TestKernelBehaviour:
         def step(n):
             return [n + 1, -n]  # never an answer, never repeats
 
-        stats = KernelStats()
+        stats = SearchStats()
         k = SearchKernel(step, fingerprint=None, max_states=40, stats=stats)
         assert list(k.run(1)) == []
         assert stats.truncated is True
