@@ -107,7 +107,6 @@ def find_counterexample(
     program: Expr,
     *,
     max_states: int = 50_000,
-    mode: str = "implications",
     validate: bool = True,
 ) -> Optional[Counterexample]:
     """End-to-end driver: symbolically execute ``program``, stop at the
@@ -118,9 +117,7 @@ def find_counterexample(
     """
     machine = Machine()
     for result in find_errors(program, machine=machine, max_states=max_states):
-        cex = construct(
-            program, result.state, mode=mode, validate=validate
-        )
+        cex = construct(program, result.state, validate=validate)
         if cex is not None:
             return cex
     return None

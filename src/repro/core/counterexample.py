@@ -241,7 +241,6 @@ def construct(
     program: Expr,
     error_state: State,
     *,
-    mode: str = "implications",
     validate: bool = True,
     fuel: int = 200_000,
 ) -> Optional[Counterexample]:
@@ -256,7 +255,7 @@ def construct(
     assert isinstance(err, Err)
     heap = error_state.heap
 
-    phi = translate_heap(heap, mode=mode)
+    phi = translate_heap(heap)
     model = get_model(phi)  # cached: the proof relation often already
     if model is None:       # solved this very heap formula
         return None

@@ -17,7 +17,7 @@ syntactic checks on concrete numbers avoid most solver calls.
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Callable, Optional
 
 from ..smt import PathContext, Result, check_sat, mk_and, mk_not
 from .heap import (
@@ -49,36 +49,41 @@ class Verdict(enum.Enum):
     AMBIG = "?"
 
 
-def _eval_hterm_concrete(t: HTerm, heap: Heap) -> Optional[int]:
-    """Evaluate a heap term if every location it mentions is concrete."""
+def eval_hterm(
+    t: HTerm, int_at: Callable[[Loc], Optional[int]]
+) -> Optional[int]:
+    """Evaluate a heap term when ``int_at`` maps every location it
+    mentions to a concrete integer (Euclidean div/mod, matching the
+    solver's axioms); None otherwise.  Shared by both proof systems, so
+    their concrete fast paths agree with each other and with the
+    solver."""
     if isinstance(t, HConst):
         return t.value
     if isinstance(t, HLoc):
-        s = heap.get(t.loc)
-        return s.value if isinstance(s, SNum) else None
+        return int_at(t.loc)
     if isinstance(t, HOp):
-        args = [_eval_hterm_concrete(a, heap) for a in t.args]
+        args = [eval_hterm(a, int_at) for a in t.args]
         if any(a is None for a in args):
             return None
-        a = args
+        a, b = (args + [None])[0], (args + [None, None])[1]
         if t.op == "+":
-            return sum(a)  # type: ignore[arg-type]
+            return sum(args)  # type: ignore[arg-type]
         if t.op == "-":
-            return a[0] - a[1]  # type: ignore[operator]
+            return a - b  # type: ignore[operator]
         if t.op == "*":
             out = 1
-            for v in a:
+            for v in args:
                 out *= v  # type: ignore[assignment]
             return out
-        if t.op == "div":
-            if a[1] == 0:
-                return None
-            return a[0] // a[1]  # type: ignore[operator]
-        if t.op == "mod":
-            if a[1] == 0:
-                return None
-            return a[0] % abs(a[1])  # type: ignore[operator, arg-type]
+        if t.op in ("div", "mod") and b:
+            q = a // b if b > 0 else -(a // -b)  # type: ignore[operator]
+            return q if t.op == "div" else a - b * q  # type: ignore[operator]
     return None
+
+
+def _num_at(heap: Heap, l: Loc) -> Optional[int]:
+    s = heap.get(l)
+    return s.value if isinstance(s, SNum) else None
 
 
 def _check_concrete(value: int, p: Pred, heap: Heap) -> Optional[bool]:
@@ -87,7 +92,7 @@ def _check_concrete(value: int, p: Pred, heap: Heap) -> Optional[bool]:
     if isinstance(p, PZero):
         return value == 0
     if isinstance(p, (PEq, PLt, PLe)):
-        rhs = _eval_hterm_concrete(p.term, heap)
+        rhs = eval_hterm(p.term, lambda l: _num_at(heap, l))
         if rhs is None:
             return None
         if isinstance(p, PEq):
@@ -114,9 +119,7 @@ class ProofSystem:
     behaviour (per-query ``check_sat``) for differential debugging.
     """
 
-    def __init__(self, *, mode: str = "implications",
-                 incremental: bool = True) -> None:
-        self.mode = mode
+    def __init__(self, *, incremental: bool = True) -> None:
         self.queries = 0
         self.solver_queries = 0
         self._ctx = PathContext() if incremental else None
@@ -127,9 +130,6 @@ class ProofSystem:
         query."""
         if self._ctx is not None:
             self._ctx.note_switch()
-
-    def _translate_parts(self, heap: Heap):
-        return translate_heap_parts(heap, mode=self.mode)
 
     def check(self, heap: Heap, l: Loc, p: Pred) -> Verdict:
         self.queries += 1
@@ -151,7 +151,7 @@ class ProofSystem:
                 return Verdict.REFUTED
         # Solver path (Fig. 5).
         self.solver_queries += 1
-        return solve_judgement(self._ctx, heap, self._translate_parts,
+        return solve_judgement(self._ctx, heap, translate_heap_parts,
                                translate_pred(p, loc_var(l)))
 
 

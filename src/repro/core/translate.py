@@ -3,15 +3,9 @@
 Translates a heap ``Σ`` into a first-order formula over one integer
 variable per location.  Only base values are encoded; lambdas contribute
 no constraints, and ``case`` mappings contribute functional-consistency
-facts.  Two translation modes are provided (an ablation described in
-DESIGN.md):
-
-* ``"implications"`` (paper-faithful): a mapping
-  ``case [L1 ↦ L2] [L3 ↦ L4]`` becomes ``(L1 = L3) ⇒ (L2 = L4)`` for all
-  pairs, with function-sorted outputs compared structurally per Fig. 4;
-* ``"euf"``: a mapping with base-type outputs becomes an uninterpreted
-  function ``f_L`` with ``f_L(Lx) = La`` per entry, delegating
-  consistency to the solver's congruence reasoning.
+facts: a mapping ``case [L1 ↦ L2] [L3 ↦ L4]`` becomes
+``(L1 = L3) ⇒ (L2 = L4)`` for all pairs, with function-sorted outputs
+compared structurally per Fig. 4.
 """
 
 from __future__ import annotations
@@ -19,11 +13,9 @@ from __future__ import annotations
 
 from ..smt import (
     Formula,
-    FuncDecl,
     Term,
     TRUE,
     mk_and,
-    mk_app,
     mk_div,
     mk_eq,
     mk_implies,
@@ -164,18 +156,12 @@ def _loc_eq(heap: Heap, a: Loc, b: Loc) -> Formula:
     return _storeable_eq(heap, sa, sb)
 
 
-def _case_is_base(s: SCase) -> bool:
-    return isinstance(s.out_type, NatType)
-
-
-def translate_heap(heap: Heap, *, mode: str = "implications") -> Formula:
+def translate_heap(heap: Heap) -> Formula:
     """``{{Σ}}`` — the conjunction of per-location facts (Fig. 4)."""
-    return mk_and(*translate_heap_parts(heap, mode=mode))
+    return mk_and(*translate_heap_parts(heap))
 
 
-def translate_heap_parts(
-    heap: Heap, *, mode: str = "implications"
-) -> tuple[Formula, ...]:
+def translate_heap_parts(heap: Heap) -> tuple[Formula, ...]:
     """``{{Σ}}`` as its conjunct sequence, in heap (allocation) order.
 
     The per-path incremental contexts (``smt.incremental``) diff these
@@ -183,8 +169,6 @@ def translate_heap_parts(
     so consecutive sequences share a long prefix of identical conjuncts
     that stays asserted in the solver.
     """
-    if mode not in ("implications", "euf"):
-        raise ValueError(f"unknown translation mode {mode!r}")
     parts: list[Formula] = []
     for l, s in heap.items():
         if isinstance(s, SNum):
@@ -193,21 +177,16 @@ def translate_heap_parts(
             for p in s.refinements:
                 parts.append(translate_pred(p, loc_var(l)))
         elif isinstance(s, SCase):
-            if mode == "euf" and _case_is_base(s):
-                f = FuncDecl(f"case.{l.name}", 1)
-                for k, v in s.mapping:
-                    parts.append(mk_eq(mk_app(f, loc_var(k)), loc_var(v)))
-            else:
-                entries = list(s.mapping)
-                for i in range(len(entries)):
-                    for j in range(i + 1, len(entries)):
-                        (k1, v1), (k2, v2) = entries[i], entries[j]
-                        parts.append(
-                            mk_implies(
-                                mk_eq(loc_var(k1), loc_var(k2)),
-                                _loc_eq(heap, v1, v2),
-                            )
+            entries = list(s.mapping)
+            for i in range(len(entries)):
+                for j in range(i + 1, len(entries)):
+                    (k1, v1), (k2, v2) = entries[i], entries[j]
+                    parts.append(
+                        mk_implies(
+                            mk_eq(loc_var(k1), loc_var(k2)),
+                            _loc_eq(heap, v1, v2),
                         )
+                    )
         elif isinstance(s, SLam):
             pass  # lambdas contribute no first-order constraint
         else:  # pragma: no cover - exhaustiveness guard

@@ -106,10 +106,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
         help=f"per-program wall-clock budget (default {_DEFAULTS.timeout_s:g})",
     )
     p.add_argument(
-        "--mode", choices=("implications", "euf"), default=_DEFAULTS.mode,
-        help="heap translation mode (paper Fig. 4 ablation)",
-    )
-    p.add_argument(
         "--compile", dest="compile", action="store_true",
         default=_DEFAULTS.compile,
         help="lower each program to flat bytecode and expand states "
@@ -163,7 +159,6 @@ def _config(args: argparse.Namespace, jobs: int = 1) -> RunConfig:
         max_states=args.max_states,
         fuel=args.fuel,
         timeout_s=args.timeout,
-        mode=args.mode,
         jobs=jobs,
         memo=not args.no_memo,
         incremental=not args.no_incremental,

@@ -94,7 +94,6 @@ class RunConfig:
     fuel: int = 200_000  # concrete validation step budget
     timeout_s: float = 30.0  # per-program wall clock
     max_cex_attempts: int = 20  # error states to try to model before giving up
-    mode: str = "implications"  # heap translation mode (paper Fig. 4)
     jobs: int = 1  # worker processes
     memo: bool = True  # fingerprint memoisation + chain compression
     incremental: bool = True  # per-path incremental solver contexts
@@ -364,7 +363,7 @@ class TypedCoreBackend(_Pipeline):
         program = parse_program(source)
         core = lower_program(program)
         check_program(core)
-        proof = ProofSystem(mode=cfg.mode, incremental=cfg.incremental)
+        proof = ProofSystem(incremental=cfg.incremental)
         errors = find_errors(
             core, machine=Machine(proof), max_states=cfg.max_states,
             stats=stats, memo=cfg.memo, compiled=cfg.compile,
@@ -372,9 +371,7 @@ class TypedCoreBackend(_Pipeline):
         return _Run(program, core, proof, (r.state for r in errors))
 
     def _counterexample(self, run: _Run, state, cfg: RunConfig):
-        cex = construct(
-            run.code, state, mode=cfg.mode, validate=True, fuel=cfg.fuel
-        )
+        cex = construct(run.code, state, validate=True, fuel=cfg.fuel)
         return cex if cex is not None and cex.validated else None
 
     def _report(self, run: _Run, cex, cfg: RunConfig) -> CexReport:

@@ -31,9 +31,6 @@ from typing import Optional
 
 from ..core.heap import (
     HConst,
-    HLoc,
-    HOp,
-    HTerm,
     PEq,
     PLe,
     PLt,
@@ -41,7 +38,7 @@ from ..core.heap import (
     Pred,
     PZero,
 )
-from ..core.proof import Verdict, solve_judgement
+from ..core.proof import Verdict, eval_hterm, solve_judgement
 from ..core.syntax import Loc
 from ..lang.values import racket_equal
 from ..smt import (
@@ -74,33 +71,6 @@ def _int_value(heap: UHeap, l: Loc) -> Optional[int]:
     _, s = heap.deref(l)
     if isinstance(s, UConc) and _is_exact_int(s.value):
         return s.value
-    return None
-
-
-def _eval_hterm(t: HTerm, heap: UHeap) -> Optional[int]:
-    """Evaluate a heap term when every mentioned location is a concrete
-    exact integer (Euclidean div/mod, matching the solver's axioms)."""
-    if isinstance(t, HConst):
-        return t.value
-    if isinstance(t, HLoc):
-        return _int_value(heap, t.loc)
-    if isinstance(t, HOp):
-        args = [_eval_hterm(a, heap) for a in t.args]
-        if any(a is None for a in args):
-            return None
-        a, b = (args + [None])[0], (args + [None, None])[1]
-        if t.op == "+":
-            return sum(args)  # type: ignore[arg-type]
-        if t.op == "-":
-            return a - b  # type: ignore[operator]
-        if t.op == "*":
-            out = 1
-            for v in args:
-                out *= v  # type: ignore[assignment]
-            return out
-        if t.op in ("div", "mod") and b:
-            q = a // b if b > 0 else -(a // -b)  # type: ignore[operator]
-            return q if t.op == "div" else a - b * q  # type: ignore[operator]
     return None
 
 
@@ -137,7 +107,7 @@ def _check_concrete(value: object, p: Pred, heap: UHeap) -> Optional[bool]:
     if isinstance(p, PZero):
         return value == 0
     if isinstance(p, (PEq, PLt, PLe)):
-        rhs = _eval_hterm(p.term, heap)
+        rhs = eval_hterm(p.term, lambda l: _int_value(heap, l))
         if rhs is None:
             return None
         if isinstance(p, PEq):
@@ -156,8 +126,8 @@ def _check_concrete(value: object, p: Pred, heap: UHeap) -> Optional[bool]:
 def translate_uheap(heap: UHeap) -> Formula:
     """The conjunction of integer-sorted facts recorded in ``heap``.
 
-    Mirrors ``core.translate.translate_heap`` in ``implications`` mode:
-    concrete exact integers pin their variable, opaque refinements become
+    Mirrors ``core.translate.translate_heap`` (Fig. 4's implication
+    encoding): concrete exact integers pin their variable, opaque refinements become
     the Fig. 4 predicate formulas, and ``UCase`` memo tables become
     functional-consistency implications (restricted to entries whose keys
     and output are integer-sorted; mixed-sort entries are dropped, which

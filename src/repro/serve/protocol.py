@@ -45,16 +45,12 @@ REQUEST_CONFIG_FIELDS: dict[str, type] = {
     "fuel": int,
     "timeout_s": (int, float),
     "max_cex_attempts": int,
-    "mode": str,
     "memo": bool,
     "incremental": bool,
     "compile": bool,
 }
 
 _BACKEND_CHOICES = ("core", "scv", "both")
-
-#: Heap translation modes (``driver.backends.RunConfig.mode``).
-_MODE_CHOICES = ("implications", "euf")
 
 #: Submitted source text above this size is rejected outright (a
 #: denial-of-service guard, not a semantic limit).
@@ -143,10 +139,6 @@ def _check_config_values(config: dict) -> None:
             raise ProtocolError(f"config key {key!r} must be >= 1")
     if config.get("max_cex_attempts", 0) < 0:
         raise ProtocolError("config key 'max_cex_attempts' must be >= 0")
-    if config.get("mode", _MODE_CHOICES[0]) not in _MODE_CHOICES:
-        raise ProtocolError(
-            f"config key 'mode' must be one of: {', '.join(_MODE_CHOICES)}"
-        )
 
 
 def _positive_finite(x) -> bool:

@@ -5,11 +5,10 @@ Symbolic execution asks the solver about whole heaps, and location
 artefact of the global allocation counter.  This module makes the
 answer a function of the query's structure alone:
 
-* :func:`canonicalize` alpha-renames a formula's variables and
-  uninterpreted function symbols to their first-occurrence index in a
-  deterministic structural traversal.  Two queries differing only in
-  location naming collapse to one key — the query-level mirror of the
-  state fingerprints in ``search.fingerprint``.
+* :func:`canonicalize` alpha-renames a formula's variables to their
+  first-occurrence index in a deterministic structural traversal.  Two
+  queries differing only in location naming collapse to one key — the
+  query-level mirror of the state fingerprints in ``search.fingerprint``.
 * :class:`SolverCache` is the front of a persistent result tier keyed
   by canonical formulas.  Models are stored in canonical names and
   rehydrated through the inverse renaming of whichever query hits, so a
@@ -37,13 +36,11 @@ from typing import Optional
 from .errors import Result, SolverError
 from .terms import (
     Add,
-    App,
     BoolConst,
     And,
     Div,
     Eq,
     Formula,
-    FuncDecl,
     Iff,
     Implies,
     IntConst,
@@ -59,13 +56,11 @@ from .terms import (
 
 
 class _Canonicalizer:
-    """First-occurrence alpha-renaming of variables and function symbols."""
+    """First-occurrence alpha-renaming of variables."""
 
     def __init__(self) -> None:
         self.vars: list[Var] = []  # canonical index -> original
-        self.funcs: list[FuncDecl] = []
         self._vmap: dict[Var, Var] = {}
-        self._fmap: dict[FuncDecl, FuncDecl] = {}
 
     def var(self, v: Var) -> Var:
         c = self._vmap.get(v)
@@ -73,14 +68,6 @@ class _Canonicalizer:
             c = Var(f"${len(self.vars)}")
             self._vmap[v] = c
             self.vars.append(v)
-        return c
-
-    def func(self, f: FuncDecl) -> FuncDecl:
-        c = self._fmap.get(f)
-        if c is None:
-            c = FuncDecl(f"$f{len(self.funcs)}", f.arity)
-            self._fmap[f] = c
-            self.funcs.append(f)
         return c
 
     def term(self, t: Term) -> Term:
@@ -96,8 +83,6 @@ class _Canonicalizer:
             return Div(self.term(t.num), self.term(t.den))
         if isinstance(t, Mod):
             return Mod(self.term(t.num), self.term(t.den))
-        if isinstance(t, App):
-            return App(self.func(t.func), tuple(self.term(a) for a in t.args))
         raise SolverError(f"cannot canonicalize term {t!r}")
 
     def formula(self, f: Formula) -> Formula:
@@ -122,20 +107,17 @@ class _Canonicalizer:
         raise SolverError(f"cannot canonicalize formula {f!r}")
 
 
-def canonicalize(phi: Formula) -> tuple[Formula, list[Var], list[FuncDecl]]:
+def canonicalize(phi: Formula) -> tuple[Formula, list[Var]]:
     """Rename ``phi`` canonically.  Returns the renamed formula plus the
-    original variables/function symbols indexed by canonical id (the
-    inverse renaming, used to rehydrate cached models)."""
+    original variables indexed by canonical id (the inverse renaming,
+    used to rehydrate cached models)."""
     c = _Canonicalizer()
     renamed = c.formula(phi)
-    return renamed, c.vars, c.funcs
+    return renamed, c.vars
 
 
-#: Stored model form: canonical-id -> value, canonical func id -> table.
-_CachedModel = tuple[
-    tuple[tuple[int, int], ...],
-    tuple[tuple[int, tuple[tuple[tuple[int, ...], int], ...]], ...],
-]
+#: Stored model form: (canonical id, value) pairs, sorted by id.
+_CachedModel = tuple[tuple[int, int], ...]
 
 
 class SolverCache:

@@ -1,6 +1,6 @@
 """Exception hierarchy and result kinds for the first-order solver.
 
-The solver is the substitute for Z3 in this reproduction (see DESIGN.md):
+The solver is the substitute for Z3 in this reproduction:
 the paper's method is *relatively* complete with respect to a first-order
 solver, so the solver's ``UNKNOWN`` outcome is the precise boundary of the
 reproduction's completeness, exactly as Z3's incompleteness was for the

@@ -30,10 +30,8 @@ Composition with the persistent solver-result tier (``smt.cache``, when
 a store is attached) is by *result-only entries* under *sliced keys*:
 
 * the heap conjuncts split into independent groups — two conjuncts are
-  linked when they share a variable or an uninterpreted function symbol
-  (EUF consistency ties ``f(a)`` to ``f(b)``), transitively.  The groups
-  ``ψ`` touches are its *cone*; the rest share no symbol with
-  ``cone ∧ ψ``;
+  linked when they share a variable, transitively.  The groups ``ψ``
+  touches are its *cone*; the rest share no variable with ``cone ∧ ψ``;
 * each rest group is decided once per heap by the one-shot ``check_sat``
   (so through the tier, under its own canonical key).  An UNSAT group
   answers UNSAT outright; an UNKNOWN one makes the query fall back to
@@ -63,10 +61,9 @@ from .solver import SOLVE_STATS, Solver, check_sat
 from .terms import (
     FALSE,
     TRUE,
-    App,
     Formula,
     Var,
-    formula_terms,
+    free_vars,
     mk_and,
 )
 
@@ -193,7 +190,7 @@ class PathContext:
             return Result.UNSAT
         if GLOBAL_CACHE.backing is None:
             return self.check(parts, psi)
-        canon, _, _ = canonicalize(key)
+        canon, _ = canonicalize(key)
         entry = GLOBAL_CACHE.get(canon)
         if entry is not None:
             return entry[0]
@@ -203,25 +200,13 @@ class PathContext:
         return res
 
 
-def _symbols(phi: Formula) -> set:
-    """The variables and function symbols of ``phi``: what links two
-    conjuncts of one query."""
-    out: set = set()
-    for t in formula_terms(phi):
-        if isinstance(t, Var):
-            out.add(t)
-        elif isinstance(t, App):
-            out.add(t.func)
-    return out
-
-
 class _Slice:
     """The independence structure of one heap's conjuncts: their groups
-    of transitively symbol-sharing parts, and each group's one-shot
+    of transitively variable-sharing parts, and each group's one-shot
     verdict once asked for.  Built at most once per heap, so the paired
     ``ψ``/``¬ψ`` queries (and every other query on the heap) share it."""
 
-    __slots__ = ("parts", "_part_group", "_sym_group", "_groups", "_verdicts")
+    __slots__ = ("parts", "_part_group", "_var_group", "_groups", "_verdicts")
 
     def __init__(self, parts: Sequence[Formula]) -> None:
         self.parts = parts
@@ -233,16 +218,16 @@ class _Slice:
                 i = parent[i]
             return i
 
-        first: dict[object, int] = {}  # symbol -> first part using it
+        first: dict[Var, int] = {}  # variable -> first part using it
         for i, c in enumerate(parts):
-            for sym in _symbols(c):
-                a, b = find(i), find(first.setdefault(sym, i))
+            for v in free_vars(c):
+                a, b = find(i), find(first.setdefault(v, i))
                 if a != b:
                     parent[max(a, b)] = min(a, b)
         # A group is named by its first part, so ``_groups`` iterates
         # in heap order.
         self._part_group = [find(i) for i in range(len(parts))]
-        self._sym_group = {s: self._part_group[i] for s, i in first.items()}
+        self._var_group = {v: self._part_group[i] for v, i in first.items()}
         groups: dict[int, list[Formula]] = {}
         for c, g in zip(parts, self._part_group):
             groups.setdefault(g, []).append(c)
@@ -253,8 +238,8 @@ class _Slice:
         """The parts in ``psi``'s cone of influence, in heap order, and
         the combined verdict of every other group: UNSAT if one is
         UNSAT, else UNKNOWN if one is UNKNOWN, else SAT."""
-        sym_group = self._sym_group
-        roots = {sym_group[s] for s in _symbols(psi) if s in sym_group}
+        var_group = self._var_group
+        roots = {var_group[v] for v in free_vars(psi) if v in var_group}
         cone = tuple(
             c for c, g in zip(self.parts, self._part_group) if g in roots
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .terms import Add, App, Div, IntConst, Mod, Mul, Term, Var
+from .terms import Add, Div, IntConst, Mod, Mul, Term, Var
 
 # Atoms of a linear expression: variables, or opaque irreducible terms.
 LinAtom = Term
@@ -110,7 +110,7 @@ def linearize(t: Term) -> LinExpr:
     """Extract the linear form of ``t``.
 
     Products with at most one non-constant factor distribute; products of
-    two or more non-constant factors, and div/mod/App terms, become opaque
+    two or more non-constant factors, and div/mod terms, become opaque
     atoms (the nonlinear residue handled downstream).
     """
     if isinstance(t, IntConst):
@@ -139,6 +139,6 @@ def linearize(t: Term) -> LinExpr:
             return non_const[0].scale(const_factor)
         # Genuinely nonlinear: keep the original product as an opaque atom.
         return LinExpr.atom(t, const_factor) if const_factor != 1 else LinExpr.atom(t)
-    if isinstance(t, (Div, Mod, App)):
+    if isinstance(t, (Div, Mod)):
         return LinExpr.atom(t)
     raise TypeError(f"cannot linearize {t!r}")

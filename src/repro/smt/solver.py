@@ -1,8 +1,8 @@
 """The solver facade: a lazy DPLL(T) loop over the CDCL core and the LIA
 conjunction solver.
 
-This module is the reproduction's stand-in for Z3 (see DESIGN.md).  The
-public surface mimics the slice of the z3py API the paper's tool needs:
+This module is the reproduction's stand-in for Z3.  The public surface
+mimics the slice of the z3py API the paper's tool needs:
 
 * :class:`Solver` with ``add``, ``push``/``pop``, ``check`` and ``model``
   — *really* incremental since schema v5: scopes are selector-guarded
@@ -10,23 +10,14 @@ public surface mimics the slice of the z3py API the paper's tool needs:
   treats the extras as transient assumptions, learned lemmas survive
   ``pop`` (see the class docstring), and ``SOLVE_STATS`` meters the
   reuse economy;
-* :class:`Model` mapping variables to integers and uninterpreted functions
-  to finite tables;
-* module-level helpers :func:`check_sat`, :func:`is_valid`.
+* :class:`Model` mapping variables to integers;
+* module-level helpers :func:`check_sat`, :func:`get_model`.
 
-Preprocessing eliminates the two term forms the LIA core does not handle
-natively:
-
-* ``div``/``mod`` terms are axiomatised with fresh quotient/remainder
-  variables (Euclidean semantics; a zero divisor makes the axiom
-  unsatisfiable, which matches the tool's usage where every division is
-  guarded by a nonzero refinement);
-* uninterpreted applications are Ackermannised: each syntactically
-  distinct application becomes a fresh variable, with functional
-  consistency clauses between applications of the same symbol.  This is
-  the solver-side mirror of the paper's ``case``-mapping translation
-  (Fig. 4), where "equal inputs imply equal outputs" is exactly the
-  instantiated consistency axiom.
+Preprocessing eliminates the one term form the LIA core does not handle
+natively: ``div``/``mod`` terms are axiomatised with fresh
+quotient/remainder variables (Euclidean semantics; a zero divisor makes
+the axiom unsatisfiable, which matches the tool's usage where every
+division is guarded by a nonzero refinement).
 """
 
 from __future__ import annotations
@@ -44,13 +35,11 @@ from .sat import SatSolver
 from .simplify import simplify, to_nnf
 from .terms import (
     Add,
-    App,
     BoolConst,
     Div,
     Eq,
     FALSE,
     Formula,
-    FuncDecl,
     IntConst,
     Le,
     Lt,
@@ -65,10 +54,8 @@ from .terms import (
     mk_and,
     mk_eq,
     mk_ge,
-    mk_implies,
     mk_le,
     mk_mul,
-    mk_not,
     mk_or,
     mk_sub,
 )
@@ -79,7 +66,6 @@ __all__ = [
     "SolveStats",
     "SOLVE_STATS",
     "check_sat",
-    "is_valid",
     "get_model",
     "solver_cache",
 ]
@@ -92,11 +78,9 @@ solver_cache = GLOBAL_CACHE
 
 @dataclass
 class Model:
-    """A first-order model: integers for variables, finite tables for
-    uninterpreted functions (default output 0 off-table)."""
+    """A first-order model: integers for variables."""
 
     env: dict[Var, int] = field(default_factory=dict)
-    funcs: dict[FuncDecl, dict[tuple[int, ...], int]] = field(default_factory=dict)
 
     def __getitem__(self, v: Var | str) -> int:
         if isinstance(v, str):
@@ -111,43 +95,34 @@ class Model:
     def eval_term(self, t: Term) -> int:
         from .terms import eval_term
 
-        return eval_term(t, self.env, self.funcs)
+        return eval_term(t, self.env)
 
     def eval(self, f: Formula) -> bool:
-        return eval_formula(f, self.env, self.funcs)
-
-    def func_table(self, f: FuncDecl) -> dict[tuple[int, ...], int]:
-        return dict(self.funcs.get(f, {}))
+        return eval_formula(f, self.env)
 
     def __repr__(self) -> str:
         parts = [f"{v.name} = {val}" for v, val in sorted(
             self.env.items(), key=lambda kv: kv[0].name)]
-        for f, table in self.funcs.items():
-            for args, out in sorted(table.items()):
-                parts.append(f"{f.name}{args} = {out}")
         return "[" + ", ".join(parts) + "]"
 
 
 class _Preprocessed:
     """Persistent term-level preprocessing state: rewrites formulas free
-    of Div/Mod/App plus bookkeeping to reconstruct models.
+    of Div/Mod.
 
-    Incremental use adds a *journal*: every cache entry (fresh
-    quotient/remainder pair, Ackermann application variable) records its
-    creation, and ``undo_to`` retires entries created after a mark.  This
-    is the scope discipline that keeps popped auxiliary variables from
-    leaking into later scopes: a Div/App term re-encountered after its
-    scope was popped gets *fresh* auxiliaries with freshly re-emitted
-    axioms/consistency clauses, instead of silently reusing a variable
-    whose defining clauses are retired.
+    Incremental use adds a *journal*: every fresh quotient/remainder pair
+    records its creation, and ``undo_to`` retires pairs created after a
+    mark.  This is the scope discipline that keeps popped auxiliary
+    variables from leaking into later scopes: a Div/Mod term
+    re-encountered after its scope was popped gets *fresh* auxiliaries
+    with freshly re-emitted axioms, instead of silently reusing a
+    variable whose defining clauses are retired.
     """
 
     def __init__(self) -> None:
         self.defs: list[Formula] = []
         self.div_cache: dict[Term, Var] = {}
-        self.app_cache: dict[App, Var] = {}
-        self.apps_by_func: dict[FuncDecl, list[tuple[App, Var]]] = {}
-        self.journal: list[tuple] = []  # ("div", div_key, mod_key) | ("app", key)
+        self.journal: list[tuple[Div, Mod]] = []
         self._fresh = itertools.count()
 
     def fresh(self, prefix: str) -> Var:
@@ -161,19 +136,9 @@ class _Preprocessed:
     def undo_to(self, mark: int) -> None:
         """Retire every cache entry created after ``mark`` (LIFO)."""
         while len(self.journal) > mark:
-            entry = self.journal.pop()
-            if entry[0] == "div":
-                _, div_key, mod_key = entry
-                self.div_cache.pop(div_key, None)
-                self.div_cache.pop(mod_key, None)
-            else:
-                key = entry[1]
-                self.app_cache.pop(key, None)
-                apps = self.apps_by_func.get(key.func)
-                if apps:
-                    apps.pop()  # chronological list: the retired entry is last
-                    if not apps:
-                        del self.apps_by_func[key.func]
+            div_key, mod_key = self.journal.pop()
+            self.div_cache.pop(div_key, None)
+            self.div_cache.pop(mod_key, None)
 
     # -- term rewriting --------------------------------------------------
 
@@ -188,8 +153,6 @@ class _Preprocessed:
             return self._rewrite_divmod(t, want_mod=False)
         if isinstance(t, Mod):
             return self._rewrite_divmod(t, want_mod=True)
-        if isinstance(t, App):
-            return self._rewrite_app(t)
         raise SolverError(f"unsupported term {t!r}")
 
     def _rewrite_divmod(self, t: Div | Mod, *, want_mod: bool) -> Term:
@@ -202,7 +165,7 @@ class _Preprocessed:
             key_mod = Mod(t.num, t.den)
             self.div_cache[key_div] = q
             self.div_cache[key_mod] = r
-            self.journal.append(("div", key_div, key_mod))
+            self.journal.append((key_div, key_mod))
             # num = den*q + r, 0 <= r < |den|  (Euclidean).  den = 0 makes
             # both guarded disjuncts false, i.e. the axiom is unsat.
             self.defs.append(mk_eq(num, Add((mk_mul(den, q), r))))
@@ -218,26 +181,6 @@ class _Preprocessed:
             )
         key = Mod(t.num, t.den) if want_mod else key_div
         return self.div_cache[key]
-
-    def _rewrite_app(self, t: App) -> Term:
-        if t in self.app_cache:
-            return self.app_cache[t]
-        args = tuple(self.rewrite_term(a) for a in t.args)
-        v = self.fresh(f"f.{t.func.name}.")
-        self.app_cache[t] = v
-        self.journal.append(("app", t))
-        rewritten = App(t.func, args)
-        # Functional consistency with every previous application of func.
-        for prev_app, prev_v in self.apps_by_func.get(t.func, []):
-            agree = mk_and(
-                *(
-                    mk_eq(a, b)
-                    for a, b in zip(rewritten.args, prev_app.args)
-                )
-            )
-            self.defs.append(mk_implies(agree, mk_eq(v, prev_v)))
-        self.apps_by_func.setdefault(t.func, []).append((rewritten, v))
-        return v
 
     # -- formula rewriting ------------------------------------------------
 
@@ -363,9 +306,8 @@ class Solver:
     its negated selector and is satisfied, hence harmless.  Theory
     lemmas (LIA explanations) are unconditionally valid and persist
     unguarded.  Preprocessing state is journaled per scope (see
-    :class:`_Preprocessed`): popped quotient/remainder and Ackermann
-    auxiliaries are retired so they cannot leak constraints into later
-    scopes.
+    :class:`_Preprocessed`): popped quotient/remainder auxiliaries are
+    retired so they cannot leak constraints into later scopes.
     """
 
     def __init__(
@@ -581,47 +523,16 @@ class Solver:
         for v, val in env.items():
             if isinstance(v, Var):
                 full_env[v] = val
-        funcs: dict[FuncDecl, dict[tuple[int, ...], int]] = {}
-        from .terms import subterms
-
-        for apps in self._pre.apps_by_func.values():
-            for app, _ in apps:
-                # An argument variable the theory never constrained (a
-                # single application, no consistency atoms) defaults to 0
-                # so its table entry is kept; with two or more
-                # applications the consistency atoms put the argument
-                # variables in the LIA model, so no collision can arise.
-                for a in app.args:
-                    for t in subterms(a):
-                        if isinstance(t, Var) and t not in full_env:
-                            full_env[t] = 0
-        for func, apps in self._pre.apps_by_func.items():
-            table: dict[tuple[int, ...], int] = {}
-            for app, var in apps:
-                try:
-                    args = tuple(
-                        _eval_int(a, full_env) for a in app.args
-                    )
-                except KeyError:  # pragma: no cover - defensive
-                    continue
-                table[args] = full_env.get(var, 0)
-            funcs[func] = table
         # Drop internal auxiliary variables from the reported model.
         public_env = {
             v: val for v, val in full_env.items() if not v.name.startswith(".")
         }
-        return Model(public_env, funcs)
+        return Model(public_env)
 
     def model(self) -> Model:
         if self._model is None:
             raise SolverError("model() called without a preceding SAT check")
         return self._model
-
-
-def _eval_int(t: Term, env: dict[Var, int]) -> int:
-    from .terms import eval_term
-
-    return eval_term(t, env)
 
 
 # ---------------------------------------------------------------------------
@@ -631,34 +542,19 @@ def _eval_int(t: Term, env: dict[Var, int]) -> int:
 
 def _encode_model(m: Model):
     """Canonical-name model -> compact hashless storage form.  The
-    canonical renaming maps variables to ``$<i>`` and function symbols
-    to ``$f<i>``; only those survive into the stored entry."""
-    env = tuple(
+    canonical renaming maps variables to ``$<i>``; only those survive
+    into the stored entry."""
+    return tuple(
         sorted(
             (int(v.name[1:]), val)
             for v, val in m.env.items()
-            if v.name.startswith("$") and not v.name.startswith("$f")
+            if v.name.startswith("$")
         )
     )
-    funcs = tuple(
-        sorted(
-            (int(f.name[2:]), tuple(sorted(table.items())))
-            for f, table in m.funcs.items()
-            if f.name.startswith("$f")
-        )
-    )
-    return env, funcs
 
 
-def _decode_model(cached, orig_vars, orig_funcs) -> Model:
-    env_t, funcs_t = cached
-    env = {orig_vars[i]: val for i, val in env_t if i < len(orig_vars)}
-    funcs = {
-        orig_funcs[i]: dict(table)
-        for i, table in funcs_t
-        if i < len(orig_funcs)
-    }
-    return Model(env, funcs)
+def _decode_model(cached, orig_vars) -> Model:
+    return Model({orig_vars[i]: val for i, val in cached if i < len(orig_vars)})
 
 
 def _cached_check(
@@ -676,7 +572,7 @@ def _cached_check(
     model choice stays a deterministic function of the canonical formula
     no matter which path populated the tier first.
     """
-    canon, orig_vars, orig_funcs = canonicalize(phi)
+    canon, orig_vars = canonicalize(phi)
     entry = GLOBAL_CACHE.get(canon, need_model=need_model)
     if entry is None:
         s = Solver()
@@ -688,16 +584,12 @@ def _cached_check(
         res, stored, _ = entry
     if stored is None:
         return res, None
-    return res, _decode_model(stored, orig_vars, orig_funcs)
+    return res, _decode_model(stored, orig_vars)
 
 
-def check_sat(*formulas: Formula, solver: Optional[Solver] = None) -> Result:
+def check_sat(*formulas: Formula) -> Result:
     """One-shot satisfiability check of a conjunction, on its canonical
-    form; with an explicit ``solver`` the check runs on its incremental
-    state instead."""
-    if solver is not None:
-        solver.add(*formulas)
-        return solver.check()
+    form."""
     phi = simplify(mk_and(*formulas))
     if phi == TRUE:
         return Result.SAT
@@ -715,18 +607,3 @@ def get_model(*formulas: Formula) -> Optional[Model]:
         return Model()
     res, model = _cached_check(phi, need_model=True)
     return model if res is Result.SAT else None
-
-
-def is_valid(phi: Formula, *axioms: Formula) -> Optional[bool]:
-    """Validity of ``axioms => phi``.
-
-    Returns True (valid), False (invalid — a countermodel exists) or None
-    (inconclusive).  Implemented as unsatisfiability of
-    ``axioms and not phi``.
-    """
-    res = check_sat(mk_and(*axioms), mk_not(phi))
-    if res is Result.UNSAT:
-        return True
-    if res is Result.SAT:
-        return False
-    return None

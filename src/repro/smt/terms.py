@@ -1,11 +1,11 @@
 """Terms, atoms and formulas of the solver's first-order language.
 
-The language is quantifier-free integer arithmetic with uninterpreted
-functions (QF_UFLIA, plus nonlinear multiplication and Euclidean div/mod
-handled best-effort).  This is exactly the fragment the heap translation of
-the paper (Fig. 4) targets: the path condition of symbolic execution is
-always a first-order formula over base values, even when the program inputs
-are higher-order.
+The language is quantifier-free integer arithmetic (QF_LIA, plus
+nonlinear multiplication and Euclidean div/mod handled best-effort).
+This is exactly the fragment the heap translation of the paper (Fig. 4)
+targets: the path condition of symbolic execution is always a
+first-order formula over base values, even when the program inputs are
+higher-order.
 
 All node classes are immutable and hashable; construct them through the
 builder functions at the bottom of the module (``mk_add``, ``mk_eq``, ...)
@@ -25,8 +25,7 @@ from typing import Iterable, Iterator, Union
 
 
 class Sort:
-    """A first-order sort.  Only INT and BOOL exist; functions are handled
-    through :class:`FuncDecl` arities rather than arrow sorts."""
+    """A first-order sort.  Only INT and BOOL exist."""
 
     __slots__ = ("name",)
 
@@ -111,36 +110,6 @@ class Mod(Term):
 
     def __repr__(self) -> str:
         return f"(mod {self.num!r} {self.den!r})"
-
-
-@dataclass(frozen=True)
-class FuncDecl:
-    """An uninterpreted function symbol of a fixed arity.
-
-    Used by the heap translation for ``case`` mappings: an unknown
-    first-order function becomes an uninterpreted symbol, so "equal inputs
-    imply equal outputs" is exactly functional consistency.
-    """
-
-    name: str
-    arity: int
-
-    def __call__(self, *args: Term) -> "App":
-        return mk_app(self, *args)
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class App(Term):
-    """Application of an uninterpreted function to integer terms."""
-
-    func: FuncDecl
-    args: tuple[Term, ...]
-
-    def __repr__(self) -> str:
-        return f"({self.func.name} " + " ".join(map(repr, self.args)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +311,6 @@ def mk_mod(num: Union[Term, int], den: Union[Term, int]) -> Term:
     return Mod(num, den)
 
 
-def mk_app(func: FuncDecl, *args: Union[Term, int]) -> App:
-    """Apply an uninterpreted function symbol."""
-    coerced = tuple(map(_coerce, args))
-    if len(coerced) != func.arity:
-        raise ValueError(
-            f"{func.name} has arity {func.arity}, applied to {len(coerced)} args"
-        )
-    return App(func, coerced)
-
-
 def mk_eq(a: Union[Term, int], b: Union[Term, int]) -> Formula:
     a, b = _coerce(a), _coerce(b)
     if a == b:
@@ -471,9 +430,6 @@ def subterms(t: Term) -> Iterator[Term]:
     elif isinstance(t, (Div, Mod)):
         yield from subterms(t.num)
         yield from subterms(t.den)
-    elif isinstance(t, App):
-        for a in t.args:
-            yield from subterms(a)
 
 
 def formula_terms(f: Formula) -> Iterator[Term]:
@@ -496,18 +452,8 @@ def free_vars(f: Formula) -> set[Var]:
     return {t for t in formula_terms(f) if isinstance(t, Var)}
 
 
-def func_decls(f: Formula) -> set[FuncDecl]:
-    """The set of uninterpreted function symbols occurring in ``f``."""
-    return {t.func for t in formula_terms(f) if isinstance(t, App)}
-
-
-def eval_term(t: Term, env: dict[Var, int], funcs=None) -> int:
-    """Evaluate a term under an integer assignment.
-
-    ``funcs`` maps :class:`FuncDecl` to ``dict[tuple[int, ...], int]`` tables
-    (with a default of 0 for unlisted argument tuples), as produced by the
-    solver's model construction.
-    """
+def eval_term(t: Term, env: dict[Var, int]) -> int:
+    """Evaluate a term under an integer assignment."""
     if isinstance(t, IntConst):
         return t.value
     if isinstance(t, Var):
@@ -515,50 +461,45 @@ def eval_term(t: Term, env: dict[Var, int], funcs=None) -> int:
             raise KeyError(f"variable {t.name} not assigned")
         return env[t]
     if isinstance(t, Add):
-        return sum(eval_term(a, env, funcs) for a in t.args)
+        return sum(eval_term(a, env) for a in t.args)
     if isinstance(t, Mul):
         prod = 1
         for a in t.args:
-            prod *= eval_term(a, env, funcs)
+            prod *= eval_term(a, env)
         return prod
     if isinstance(t, Div):
-        num = eval_term(t.num, env, funcs)
-        den = eval_term(t.den, env, funcs)
+        num = eval_term(t.num, env)
+        den = eval_term(t.den, env)
         if den == 0:
             raise ZeroDivisionError("div by zero in model evaluation")
         return (num - num % abs(den)) // den  # Euclidean, as axiomatised
     if isinstance(t, Mod):
-        num = eval_term(t.num, env, funcs)
-        den = eval_term(t.den, env, funcs)
+        num = eval_term(t.num, env)
+        den = eval_term(t.den, env)
         if den == 0:
             raise ZeroDivisionError("mod by zero in model evaluation")
         return num % abs(den)
-    if isinstance(t, App):
-        argv = tuple(eval_term(a, env, funcs) for a in t.args)
-        if funcs is None or t.func not in funcs:
-            return 0
-        return funcs[t.func].get(argv, 0)
     raise TypeError(f"cannot evaluate {t!r}")
 
 
-def eval_formula(f: Formula, env: dict[Var, int], funcs=None) -> bool:
+def eval_formula(f: Formula, env: dict[Var, int]) -> bool:
     """Evaluate a formula under an integer assignment."""
     if isinstance(f, BoolConst):
         return f.value
     if isinstance(f, Eq):
-        return eval_term(f.lhs, env, funcs) == eval_term(f.rhs, env, funcs)
+        return eval_term(f.lhs, env) == eval_term(f.rhs, env)
     if isinstance(f, Le):
-        return eval_term(f.lhs, env, funcs) <= eval_term(f.rhs, env, funcs)
+        return eval_term(f.lhs, env) <= eval_term(f.rhs, env)
     if isinstance(f, Lt):
-        return eval_term(f.lhs, env, funcs) < eval_term(f.rhs, env, funcs)
+        return eval_term(f.lhs, env) < eval_term(f.rhs, env)
     if isinstance(f, Not):
-        return not eval_formula(f.arg, env, funcs)
+        return not eval_formula(f.arg, env)
     if isinstance(f, And):
-        return all(eval_formula(a, env, funcs) for a in f.args)
+        return all(eval_formula(a, env) for a in f.args)
     if isinstance(f, Or):
-        return any(eval_formula(a, env, funcs) for a in f.args)
+        return any(eval_formula(a, env) for a in f.args)
     if isinstance(f, Implies):
-        return (not eval_formula(f.lhs, env, funcs)) or eval_formula(f.rhs, env, funcs)
+        return (not eval_formula(f.lhs, env)) or eval_formula(f.rhs, env)
     if isinstance(f, Iff):
-        return eval_formula(f.lhs, env, funcs) == eval_formula(f.rhs, env, funcs)
+        return eval_formula(f.lhs, env) == eval_formula(f.rhs, env)
     raise TypeError(f"cannot evaluate {f!r}")

@@ -163,8 +163,8 @@ def program_digest(program: Program) -> str:
 
 def config_digest(fields: dict) -> str:
     """A stable hex identity for everything about a run configuration
-    that can change a verification *result* (budgets, translation mode,
-    memoisation, incrementality) plus the store and report
+    that can change a verification *result* (budgets, memoisation,
+    incrementality) plus the store and report
     schema versions — so format changes invalidate instead of corrupt.
     Worker count and store location are deliberately excluded: they
     change how a result is computed, never what it is."""
@@ -183,7 +183,7 @@ def config_digest(fields: dict) -> str:
 #: RunConfig fields that participate in the config digest.
 _SEMANTIC_CONFIG_FIELDS = frozenset({
     "max_states", "fuel", "timeout_s", "max_cex_attempts",
-    "mode", "memo", "incremental",
+    "memo", "incremental",
 })
 
 

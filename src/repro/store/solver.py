@@ -5,11 +5,11 @@ one canonical formula but holds no results itself.  This module is the
 tier that does: ``(result, model)`` per canonical key, kept on disk so
 it outlives the process.
 
-* **serialization** — canonical formulas contain only canonical names
-  (``$i`` variables, ``$fi/arity`` function symbols), so a deterministic
-  structural writer (:func:`formula_key`) is a faithful key; models are
-  already stored canonically as nested int tuples and round-trip through
-  JSON.
+* **serialization** — canonical formulas contain only canonical ``$i``
+  variable names, so a deterministic structural writer
+  (:func:`formula_key`) is a faithful key; models are already stored
+  canonically as ``(id, value)`` pairs and round-trip through JSON.  A
+  stored model of any other shape is a corrupt line.
 * **shards** — new entries accumulate in an in-process buffer and are
   published as immutable ``shard-*.jsonl`` files via write-to-temp +
   :func:`os.replace` (atomic on POSIX), so any number of batch-runner
@@ -48,7 +48,6 @@ from ..smt.errors import Result, SolverError
 from ..smt.terms import (
     Add,
     And,
-    App,
     BoolConst,
     Div,
     Eq,
@@ -106,9 +105,6 @@ def _term_key(t: Term) -> str:
         return f"(/ {_term_key(t.num)} {_term_key(t.den)})"
     if isinstance(t, Mod):
         return f"(% {_term_key(t.num)} {_term_key(t.den)})"
-    if isinstance(t, App):
-        args = " ".join(_term_key(a) for a in t.args)
-        return f"({t.func.name}/{t.func.arity} {args})"
     raise SolverError(f"cannot serialize term {t!r}")
 
 
@@ -136,18 +132,17 @@ def formula_key(f: Formula) -> str:
 
 
 def _freeze_model(m) -> Optional[tuple]:
-    """JSON lists back to the nested-tuple ``_CachedModel`` shape."""
+    """JSON lists back to the ``_CachedModel`` shape: ``(id, value)``
+    integer pairs.  Anything else raises ``ValueError``."""
     if m is None:
         return None
-    env, funcs = m
-    return (
-        tuple((int(i), int(v)) for i, v in env),
-        tuple(
-            (int(i), tuple((tuple(int(a) for a in args), int(v))
-                           for args, v in table))
-            for i, table in funcs
-        ),
-    )
+    if not all(
+        isinstance(pair, list) and len(pair) == 2
+        and all(type(x) is int for x in pair)
+        for pair in m
+    ):
+        raise ValueError(f"not a stored model: {m!r}")
+    return tuple((i, v) for i, v in m)
 
 
 def _valid_entry(row) -> bool:

@@ -284,6 +284,15 @@ class TestCli:
         assert "--shards" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bench_has_no_mode_option(self, tmp_path, capsys):
+        # Fig. 4's implication encoding is the only heap translation.
+        out = tmp_path / "b.json"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["bench", "--smoke", "--mode", "euf", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_file_exit_codes(self, tmp_path):
         buggy = tmp_path / "buggy.rkt"
         buggy.write_text("(quotient 1 •)\n")

@@ -1,10 +1,13 @@
 """The untyped proof relation: tag judgements, concrete fast paths,
-recorded refinements, and the solver path over the integer fragment."""
+recorded refinements, and the solver path over the integer fragment —
+plus the concrete fast path both proof systems share."""
 
 import pytest
 
-from repro.core.heap import HConst, HLoc, HOp, PEq, PLe, PLt, PNot, PZero
-from repro.core.proof import Verdict
+from repro.core.heap import (
+    HConst, HLoc, HOp, Heap, PEq, PLe, PLt, PNot, PZero, SNum,
+)
+from repro.core.proof import ProofSystem, Verdict
 from repro.lang.values import NIL
 from repro.scv.heap import (
     NUMBER_TAGS,
@@ -23,7 +26,9 @@ from repro.scv.heap import (
     UAlias,
 )
 from repro.scv.proof import UProofSystem, translate_uheap
-from repro.smt import Result, check_sat, mk_not
+from repro.smt import (
+    Result, check_sat, mk_div, mk_eq, mk_mod, mk_not, mk_var,
+)
 
 
 @pytest.fixture
@@ -82,6 +87,48 @@ class TestConcreteFastPath:
         subj, heap = _alloc(heap, UConc(7))
         term = HOp("-", (HLoc(b), HLoc(a)))
         assert proof.check(heap, subj, PEq(term)) is Verdict.PROVED
+
+
+def _int_heap(system: str, values):
+    """A proof system of ``system`` ("core" or "scv") and a heap of
+    concrete integers for it, with their locations."""
+    if system == "core":
+        proof, heap, wrap = ProofSystem(), Heap.empty(), SNum
+    else:
+        proof, heap, wrap = UProofSystem(), UHeap.empty(), UConc
+    locs = []
+    for v in values:
+        l, heap = heap.alloc(wrap(v))
+        locs.append(l)
+    return proof, heap, locs
+
+
+@pytest.mark.parametrize("system", ["core", "scv"])
+class TestConcreteDivMod:
+    """Both proof systems evaluate a concrete ``div``/``mod`` the way the
+    solver axiomatises it (Euclidean), so the fast path and the solver
+    path never disagree on one judgement — floor division does on a
+    negative divisor."""
+
+    def test_negative_divisor_is_euclidean(self, system):
+        # 7 div -2 is -3 (7 = -2 * -3 + 1); floor division says -4.
+        proof, heap, (l1, l2) = _int_heap(system, [7, -4])
+        term = HOp("div", (HLoc(l1), HConst(-2)))
+        assert proof.check(heap, l2, PEq(term)) is Verdict.REFUTED
+        assert proof.solver_queries == 0
+
+    @pytest.mark.parametrize("a, b", [(7, -2), (-7, -2), (-7, 2), (7, 3)])
+    def test_fast_path_agrees_with_the_solver(self, system, a, b):
+        x = mk_var("x")
+        for op, mk in (("div", mk_div), ("mod", mk_mod)):
+            for c in range(-4, 5):
+                proof, heap, (la, lc) = _int_heap(system, [a, c])
+                got = proof.check(
+                    heap, lc, PEq(HOp(op, (HLoc(la), HConst(b)))))
+                sat = check_sat(mk_eq(x, a), mk_eq(mk(x, b), c))
+                want = Verdict.PROVED if sat is Result.SAT else Verdict.REFUTED
+                assert got is want, (op, a, b, c)
+                assert proof.solver_queries == 0  # decided concretely
 
 
 class TestRecordedRefinements:

@@ -169,7 +169,6 @@ class TestProtocol:
         ({"max_states": 0}, "max_states"),
         ({"fuel": -3}, "fuel"),
         ({"max_cex_attempts": -1}, "max_cex_attempts"),
-        ({"mode": "fast"}, "mode"),
     ])
     def test_out_of_domain_config_values_rejected(self, config, key):
         with pytest.raises(ProtocolError, match=key):
@@ -177,7 +176,7 @@ class TestProtocol:
 
     def test_in_domain_config_values_accepted(self):
         config = {"timeout_s": 0.5, "max_states": 1, "fuel": 1,
-                  "max_cex_attempts": 0, "mode": "euf"}
+                  "max_cex_attempts": 0, "incremental": False}
         req = parse_verify_request({"source": "1", "config": config})
         assert req["config"] == config
 
@@ -328,6 +327,13 @@ class TestServeHTTP:
         assert server.request("/v1/nonsense")[0] == 404
         code, resp = server.request("/v1/results/abc")
         assert code == 400  # digest prefix too short
+
+    def test_mode_config_key_gets_400(self, server):
+        # The heap translation has one form (Fig. 4's implications), so
+        # there is no translation-mode key to override.
+        code, resp = server.request(
+            "/v1/verify", {"source": "1", "config": {"mode": "euf"}})
+        assert code == 400 and "'mode'" in resp["error"]
 
     def test_healthz_stats_and_results(self, server):
         code, health = server.request("/v1/healthz")
@@ -609,7 +615,7 @@ def _buffer_then_sleep(root: str, ready: str) -> None:
 
     signal.signal(signal.SIGTERM, _flush_and_exit)
     store = SolverStore(root)
-    store.store(_phi(7), Result.SAT, (((0, 7),), ()), True)
+    store.store(_phi(7), Result.SAT, ((0, 7),), True)
     open(ready, "w").close()
     time.sleep(300)
 
@@ -617,7 +623,7 @@ def _buffer_then_sleep(root: str, ready: str) -> None:
 def _write_entries(root: str, n: int) -> None:
     store = SolverStore(root)
     for i in range(n):
-        store.store(_phi(i), Result.SAT, (((0, i),), ()), True)
+        store.store(_phi(i), Result.SAT, ((0, i),), True)
         store.flush()
 
 
@@ -625,7 +631,7 @@ class TestSolverFlush:
     def test_flush_all_stores_publishes_every_buffer(self, tmp_path):
         a = SolverStore(str(tmp_path / "a"))
         b = SolverStore(str(tmp_path / "b"))
-        a.store(_phi(1), Result.SAT, (((0, 1),), ()), True)
+        a.store(_phi(1), Result.SAT, ((0, 1),), True)
         b.store(_phi(2), Result.UNSAT, None, False)
         assert flush_all_stores() >= 2
         assert SolverStore(str(tmp_path / "a")).lookup(_phi(1)) is not None

@@ -8,15 +8,13 @@ one-shot, explanations vs the pre-explanation conjunction solver); this
 one compares ``check_sat`` / ``get_model`` with ``eval_formula`` on
 every point of a small box:
 
-* a satisfying point inside ``[-4, 4]^n`` (under any of a few fixed
-  interpretations of the uninterpreted function) means the answer must
-  be SAT;
+* a satisfying point inside ``[-4, 4]^n`` means the answer must be SAT;
 * every SAT answer's model must satisfy the formula.
 
 Formulas are seeded, over 2–3 variables, built with ``and``/``or``/
 ``not`` over ``=``, ``<=``, ``<``, with ``div``/``mod`` by constants and
-by variables that a top-level conjunct keeps non-zero, and one unary
-uninterpreted function.
+by variables that a top-level conjunct keeps non-zero, and the affine
+image ``2t - 1`` of a subterm.
 """
 
 import itertools
@@ -25,13 +23,11 @@ import random
 import pytest
 
 from repro.smt import (
-    FuncDecl,
     Result,
     check_sat,
     get_model,
     mk_add,
     mk_and,
-    mk_app,
     mk_div,
     mk_eq,
     mk_le,
@@ -45,44 +41,21 @@ from repro.smt import (
 from repro.smt.terms import eval_formula
 
 BOX = range(-4, 5)
-F = FuncDecl("f", 1)
 VARS = [mk_var("x"), mk_var("y"), mk_var("z")]
-
-#: Interpretations of ``F`` tried by the brute-force side.  Any one
-#: satisfying point proves the formula satisfiable.
-INTERPRETATIONS = [
-    lambda a: 0,
-    lambda a: a,
-    lambda a: -a,
-    lambda a: a + 1,
-    lambda a: abs(a),
-    lambda a: 2 * a - 1,
-]
-
-
-class _Table:
-    """A function table (what ``eval_term`` reads) backed by a lambda."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def get(self, args, default):
-        return self.fn(*args)
 
 
 class _Gen:
-    """Small random formulas.  Sizes are capped — two applications of
-    ``F`` and one division per formula, shallow terms — because the
-    bundled solver's Fourier–Motzkin elimination is exponential in the
-    number of theory atoms (Ackermannisation and the div/mod axioms add
-    atoms), and a division by a variable goes to the nonlinear
-    enumeration."""
+    """Small random formulas.  Sizes are capped — two affine images and
+    one division per formula, shallow terms — because the bundled
+    solver's Fourier–Motzkin elimination is exponential in the number of
+    theory atoms (the div/mod axioms add atoms), and a division by a
+    variable goes to the nonlinear enumeration."""
 
     def __init__(self, rng: random.Random, n_vars: int) -> None:
         self.rng = rng
         self.vars = VARS[:n_vars]
         self.divisors: set = set()  # variables used as divisors
-        self.apps, self.divs = 2, 1  # remaining budgets
+        self.affines, self.divs = 2, 1  # remaining budgets
 
     def term(self, depth: int = 0):
         rng = self.rng
@@ -104,9 +77,9 @@ class _Gen:
             den = rng.choice(self.vars)
             self.divisors.add(den)
             return op(num, den)
-        if self.apps:
-            self.apps -= 1
-            return mk_app(F, self.term(depth + 1))
+        if self.affines:
+            self.affines -= 1
+            return mk_add(mk_mul(2, self.term(depth + 1)), -1)
         return rng.choice(self.vars)
 
     def atom(self):
@@ -132,21 +105,19 @@ def _random_formula(seed: int):
     return mk_and(*guards, body), gen.vars
 
 
-def _holds(phi, env, funcs) -> bool:
+def _holds(phi, env) -> bool:
     try:
-        return eval_formula(phi, env, funcs)
+        return eval_formula(phi, env)
     except ZeroDivisionError:  # only off the guards: a false point
         return False
 
 
 def _witness(phi, variables):
-    """A satisfying (point, interpretation) in the box, or None."""
-    for fn in INTERPRETATIONS:
-        funcs = {F: _Table(fn)}
-        for values in itertools.product(BOX, repeat=len(variables)):
-            env = dict(zip(variables, values))
-            if _holds(phi, env, funcs):
-                return env, fn
+    """A satisfying point in the box, or None."""
+    for values in itertools.product(BOX, repeat=len(variables)):
+        env = dict(zip(variables, values))
+        if _holds(phi, env):
+            return env
     return None
 
 
@@ -161,12 +132,12 @@ def test_solver_agrees_with_exhaustive_evaluation(chunk):
         res = check_sat(phi)
         witness = _witness(phi, variables)
         if witness is not None:
-            assert res is Result.SAT, (seed, phi, witness[0])
+            assert res is Result.SAT, (seed, phi, witness)
         if res is Result.SAT:
             m = get_model(phi)
             assert m is not None, (seed, phi)
             env = {v: m[v] for v in variables}
-            assert eval_formula(phi, env, m.funcs), (seed, phi, m)
+            assert eval_formula(phi, env), (seed, phi, m)
             sat += 1
         elif res is Result.UNSAT:
             unsat += 1

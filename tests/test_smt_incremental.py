@@ -6,7 +6,7 @@ interleaving of ``add``/``push``/``pop``/``check`` on one long-lived
 incremental solver must give, at every check, the same :class:`Result`
 as a fresh one-shot solver handed the same assertion prefix — and every
 SAT model must actually satisfy the assertions.  The formulas stay in
-the decisive (linear + UF + div-by-constant) fragment so every answer
+the decisive (linear + div-by-constant) fragment so every answer
 is SAT or UNSAT and the equality is exact.
 """
 
@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.smt import (
-    FuncDecl,
     PathContext,
     Result,
     SOLVE_STATS,
@@ -24,7 +23,6 @@ from repro.smt import (
     get_model,
     mk_add,
     mk_and,
-    mk_app,
     mk_distinct,
     mk_div,
     mk_eq,
@@ -33,6 +31,7 @@ from repro.smt import (
     mk_lt,
     mk_mod,
     mk_mul,
+    mk_neg,
     mk_not,
     mk_or,
     mk_sub,
@@ -44,7 +43,6 @@ from repro.smt.incremental import _Slice
 from repro.store import SolverStore
 
 x, y, z, w = mk_var("x"), mk_var("y"), mk_var("z"), mk_var("w")
-f = FuncDecl("f", 1)
 
 
 class TestScopeDiscipline:
@@ -74,17 +72,6 @@ class TestScopeDiscipline:
         s.add(mk_eq(mk_div(mk_var("n"), mk_var("d")), 3), mk_eq(mk_var("d"), 0))
         assert s.check() is Result.UNSAT
         s.pop()
-
-    def test_popped_ackermann_consistency_reemitted(self):
-        s = Solver()
-        s.push()
-        s.add(mk_eq(mk_app(f, x), 1), mk_eq(mk_app(f, y), 2))
-        assert s.check() is Result.SAT
-        s.pop()
-        # Re-using f(x)/f(y) after the pop must re-emit the functional-
-        # consistency clause; a leaked app-cache entry would answer SAT.
-        s.add(mk_eq(x, y), mk_eq(mk_app(f, x), 1), mk_eq(mk_app(f, y), 2))
-        assert s.check() is Result.UNSAT
 
     def test_pop_restores_sat(self):
         s = Solver()
@@ -165,7 +152,7 @@ class TestAssumptionChecks:
 
 def _random_formula(rng, depth=0):
     """A decisive-fragment formula: linear atoms, shallow disjunctions,
-    uninterpreted applications, division by a nonzero constant."""
+    negations, division by a nonzero constant."""
     vs = (x, y, z, w)
     def term():
         pick = rng.random()
@@ -177,7 +164,7 @@ def _random_formula(rng, depth=0):
         if pick < 0.8:
             return mk_sub(mk_mul(rng.randint(1, 3), a), rng.choice(vs))
         if pick < 0.9:
-            return mk_app(f, a)
+            return mk_neg(a)
         return mk_div(a, rng.choice((2, 3, -2)))
 
     def atom():
@@ -206,7 +193,7 @@ def _eval_defaulted(m, g):
     from repro.smt import eval_formula, free_vars
 
     env = {v: m[v] for v in free_vars(g)}
-    return eval_formula(g, env, m.funcs)
+    return eval_formula(g, env)
 
 
 class TestRandomizedDifferential:
@@ -326,7 +313,7 @@ class TestCacheComposition:
         parts = (mk_ge(x, 2), mk_le(x, 2))
         psi = mk_eq(x, 2)
         assert ctx.check_under(parts, psi) is Result.SAT
-        canon, _, _ = canonicalize(mk_and(*parts, psi))
+        canon, _ = canonicalize(mk_and(*parts, psi))
         entry = store.lookup(canon)
         assert entry is not None and entry[0] is Result.SAT
         assert entry[2] is False  # result-only: no model captured
@@ -338,7 +325,7 @@ class TestCacheComposition:
         ctx.check_under(parts, psi)
         m = get_model(mk_and(*parts, psi))
         assert m is not None and m[x] == 2
-        canon, _, _ = canonicalize(mk_and(*parts, psi))
+        canon, _ = canonicalize(mk_and(*parts, psi))
         entry = store.lookup(canon)
         assert entry is not None and entry[2] is True  # upgraded
 
@@ -363,8 +350,7 @@ class TestCacheComposition:
 class TestSlicedKeys:
     """With a tier attached, ``check_under`` keys a query on the goal's
     cone of influence.  The answer must stay exactly the whole-heap
-    answer: the rest of the heap is decided, not assumed satisfiable,
-    and function symbols link conjuncts as much as variables do."""
+    answer: the rest of the heap is decided, not assumed satisfiable."""
 
     @pytest.fixture(autouse=True)
     def store(self, tmp_path, monkeypatch):
@@ -380,15 +366,6 @@ class TestSlicedKeys:
         parts = (mk_lt(x, 0), mk_lt(0, x), mk_eq(y, 5))
         assert _paired_check(parts, psi) is Result.UNSAT
         assert check_sat(*parts, psi) is Result.UNSAT
-
-    def test_shared_function_symbol_links_parts(self):
-        # f(b) = 2 ∧ b = 3 alone is SAT, and in the tier as such; through
-        # f, a = 3 forces f(b) = f(a) = 1.
-        a, b = mk_var("a"), mk_var("b")
-        psi = mk_eq(b, 3)
-        assert _paired_check((mk_eq(mk_app(f, b), 2),), psi) is Result.SAT
-        parts = (mk_eq(mk_app(f, a), 1), mk_eq(mk_app(f, b), 2), mk_eq(a, 3))
-        assert _paired_check(parts, psi) is Result.UNSAT
 
     def test_unrelated_conjunct_keeps_the_key(self):
         first = PathContext()
@@ -413,15 +390,14 @@ class TestSlicedKeys:
         parts = (mk_ge(x, 0), mk_eq(z, 5))
         psi = mk_lt(x, 0)
         assert PathContext().check_under(parts, psi) is Result.UNSAT
-        whole, _, _ = canonicalize(mk_and(*parts, psi))
-        cone, _, _ = canonicalize(mk_and(parts[0], psi))
+        whole, _ = canonicalize(mk_and(*parts, psi))
+        cone, _ = canonicalize(mk_and(parts[0], psi))
         assert store.lookup(whole) is not None
         assert store.lookup(cone) is None
 
     @pytest.mark.parametrize("seed", range(6))
     def test_differential_against_whole_heap(self, seed):
         rng = random.Random(0x511CE + seed)
-        g = FuncDecl("g", 1)
         pool = (x, y, z, w, mk_var("u"), mk_var("v"))
 
         def term():
@@ -432,7 +408,7 @@ class TestSlicedKeys:
             if pick < 0.6:
                 return mk_add(a, rng.randint(-3, 3))
             if pick < 0.75:
-                return mk_app(rng.choice((f, g)), a)
+                return mk_mul(rng.choice((2, -1)), a)
             if pick < 0.9:
                 return mk_div(a, rng.choice((2, 3, -2)))
             return mk_mod(a, rng.choice((2, 3)))

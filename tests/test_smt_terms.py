@@ -9,7 +9,6 @@ from repro.smt.terms import (
     Add,
     Eq,
     FALSE,
-    FuncDecl,
     IntConst,
     Le,
     Lt,
@@ -19,10 +18,8 @@ from repro.smt.terms import (
     eval_formula,
     eval_term,
     free_vars,
-    func_decls,
     mk_add,
     mk_and,
-    mk_app,
     mk_div,
     mk_eq,
     mk_ge,
@@ -116,11 +113,6 @@ class TestBuilders:
         assert mk_iff(f, TRUE) == f
         assert mk_iff(f, FALSE) == mk_not(f)
 
-    def test_app_arity_checked(self):
-        f = FuncDecl("f", 2)
-        with pytest.raises(ValueError):
-            mk_app(f, x)
-
     def test_coercion_rejects_junk(self):
         with pytest.raises(TypeError):
             mk_add(x, "nope")  # type: ignore[arg-type]
@@ -130,11 +122,6 @@ class TestTraversals:
     def test_free_vars(self):
         f = mk_and(mk_eq(x, mk_add(y, 1)), mk_lt(z, 2))
         assert free_vars(f) == {x, y, z}
-
-    def test_func_decls(self):
-        g = FuncDecl("g", 1)
-        f = mk_eq(mk_app(g, x), y)
-        assert func_decls(f) == {g}
 
     def test_eval_term_arith(self):
         env = {x: 10, y: 3}
@@ -147,14 +134,6 @@ class TestTraversals:
         assert eval_formula(mk_lt(x, y), env)
         assert not eval_formula(mk_eq(x, y), env)
         assert eval_formula(mk_implies(mk_eq(x, y), FALSE), env)
-
-    def test_eval_app_uses_table(self):
-        g = FuncDecl("g", 1)
-        env = {x: 5}
-        funcs = {g: {(5,): 42}}
-        assert eval_term(mk_app(g, x), env, funcs) == 42
-        assert eval_term(mk_app(g, mk_int(6)), env, funcs) == 0  # default
-
 
 class TestNNF:
     def test_negated_le_becomes_lt(self):

@@ -14,8 +14,9 @@
   tier's keys, because proof queries are keyed on the goal's cone;
 * **concurrency** — two writer processes sharing a store directory
   publish entries without losing or corrupting either's work;
-* **corruption** — truncated or garbage shard lines and verdict files
-  degrade to recomputation, never to a wrong or missing answer;
+* **corruption** — truncated or garbage shard lines, stored models of
+  a retired shape, and corrupt verdict files degrade to recomputation,
+  never to a wrong or missing answer;
 * **gc** — compaction preserves every entry; a size bound evicts until
   the store fits;
 * **store verify** — re-running stored entries detects tampering;
@@ -40,10 +41,10 @@ from repro.driver.report import (
 )
 from repro.driver.runner import RunConfig, run_corpus, verify_source
 from repro.lang.parser import parse_program
-from repro.smt import solver_cache
+from repro.smt import get_model, solver_cache
 from repro.smt.cache import SolverCache
 from repro.smt.errors import Result
-from repro.smt.terms import And, Eq, IntConst, Le, Var
+from repro.smt.terms import And, Eq, IntConst, Le, Lt, Var
 from repro.store import (
     CLIENT_MAIN,
     CLIENT_MODULE,
@@ -52,6 +53,7 @@ from repro.store import (
     module_slices,
     program_digest,
 )
+from repro.store.solver import formula_key
 from repro.store.verdicts import (
     check_entries,
     get_store,
@@ -113,7 +115,7 @@ class TestFingerprints:
             {**base, "max_states": 7}
         )
         assert config_digest(base) != config_digest(
-            {**base, "mode": "euf"}
+            {**base, "memo": False}
         )
 
 
@@ -320,12 +322,12 @@ class TestConcurrentWriters:
         phi = Eq(Var("$0"), IntConst(3))
         psi = Le(Var("$0"), IntConst(9))
         a, b = SolverStore(root), SolverStore(root)
-        a.store(phi, Result.SAT, (((0, 3),), ()), True)
+        a.store(phi, Result.SAT, ((0, 3),), True)
         b.store(psi, Result.UNSAT, None, False)
         a.flush()
         b.flush()
         reader = SolverStore(root)
-        assert reader.lookup(phi) == (Result.SAT, (((0, 3),), ()), True)
+        assert reader.lookup(phi) == (Result.SAT, ((0, 3),), True)
         assert reader.lookup(psi) == (Result.UNSAT, None, False)
         assert reader.stats()["shards"] == 2
         assert reader.compact() == {"entries": 2, "shards_removed": 2}
@@ -340,7 +342,7 @@ class TestConcurrentWriters:
         psi = Eq(Var("$0"), IntConst(9))
         writer, reader = SolverStore(root), SolverStore(root)
         assert reader.lookup(phi) is None
-        writer.store(phi, Result.SAT, (((0, 3),), ()), True)
+        writer.store(phi, Result.SAT, ((0, 3),), True)
         writer.flush()
         assert reader.lookup(phi) is None
         reader.store(psi, Result.UNSAT, None, False)
@@ -363,7 +365,7 @@ class TestCorruptionRecovery:
         root = str(tmp_path / "solver")
         s = SolverStore(root)
         phi = And((Eq(Var("$0"), IntConst(1)), Le(IntConst(0), Var("$1"))))
-        s.store(phi, Result.SAT, (((0, 1),), ()), True)
+        s.store(phi, Result.SAT, ((0, 1),), True)
         s.flush()
         # Corrupt the shard: garbage line, then a torn (truncated) line.
         shard = s._shard_paths()[0]
@@ -371,8 +373,38 @@ class TestCorruptionRecovery:
             fh.write("not json at all\n")
             fh.write('["(= $0 7)", "sat", [[[0, 7]], []], tru')
         fresh = SolverStore(root)
-        assert fresh.lookup(phi) == (Result.SAT, (((0, 1),), ()), True)
+        assert fresh.lookup(phi) == (Result.SAT, ((0, 1),), True)
         assert fresh.skipped_lines == 2
+
+    def test_model_with_function_tables_is_skipped(self, tmp_path,
+                                                  monkeypatch):
+        # Older stores kept a SAT model as ``[env, funcs]``, with a
+        # function-table half.  Such a line is skipped and the query
+        # solved again; UNSAT and result-only lines carry no model, so
+        # they keep hitting under their unchanged keys.
+        root = tmp_path / "solver"
+        root.mkdir()
+        sat = Eq(Var("$0"), IntConst(4))
+        unsat = And((Lt(Var("$0"), IntConst(0)), Lt(IntConst(0), Var("$0"))))
+        result_only = Le(IntConst(0), Var("$0"))
+        rows = [
+            [formula_key(sat), "sat", [[[0, 4]], []], True],
+            [formula_key(unsat), "unsat", None, True],
+            [formula_key(result_only), "sat", None, False],
+        ]
+        (root / "shard-0-old.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        store = SolverStore(str(root))
+        assert store.lookup(sat) is None
+        assert store.skipped_lines == 1
+        assert store.lookup(unsat) == (Result.UNSAT, None, True)
+        assert store.lookup(result_only) == (Result.SAT, None, False)
+        # Through the one-shot helper the skipped query is solved again
+        # and its entry rewritten in the current shape.
+        monkeypatch.setattr(solver_cache, "backing", store)
+        l7 = Var("L7")
+        assert get_model(Eq(l7, IntConst(4)))[l7] == 4
+        assert store.lookup(sat) == (Result.SAT, ((0, 4),), True)
 
     def test_corrupt_verdict_entry_recomputes(self, tmp_path):
         store_dir = str(tmp_path / "store")
@@ -415,12 +447,12 @@ class TestCorruptionRecovery:
         cache = SolverCache()
         cache.backing = writer
         phi = And((Eq(Var("$0"), IntConst(3)), Le(Var("$0"), Var("$1"))))
-        cache.put(phi, Result.SAT, (((0, 3), (1, 3)), ()), model_known=True)
+        cache.put(phi, Result.SAT, ((0, 3), (1, 3)), model_known=True)
         writer.flush()
         # A different process (fresh cache, fresh store handle) hits.
         cache2 = SolverCache()
         cache2.backing = SolverStore(root)
-        assert cache2.get(phi) == (Result.SAT, (((0, 3), (1, 3)), ()), True)
+        assert cache2.get(phi) == (Result.SAT, ((0, 3), (1, 3)), True)
         assert cache2.hits == 1
         # UNKNOWN results are never persisted.
         psi = Eq(Var("$0"), IntConst(9))
@@ -453,13 +485,13 @@ class TestGc:
         store = SolverStore(root)
         one = Eq(Var("$0"), IntConst(1))
         two = Eq(Var("$0"), IntConst(2))
-        store.store(one, Result.SAT, (((0, 1),), ()), True)
+        store.store(one, Result.SAT, ((0, 1),), True)
         store.flush()
-        store.store(two, Result.SAT, (((0, 2),), ()), True)  # unflushed
+        store.store(two, Result.SAT, ((0, 2),), True)  # unflushed
         assert store.compact()["entries"] == 2
         fresh = SolverStore(root)
         assert fresh.stats()["entries"] == 2
-        assert fresh.lookup(two) == (Result.SAT, (((0, 2),), ()), True)
+        assert fresh.lookup(two) == (Result.SAT, ((0, 2),), True)
 
     def test_size_bound_evicts_until_it_fits(self, tmp_path):
         store_dir = str(tmp_path / "store")
