@@ -1,4 +1,5 @@
-"""Dispatch-loop executors over the lowered bytecode.
+"""Fused executors: an opcode dispatch loop over the lowered scv
+bytecode, and an environment machine for core.
 
 Both executors implement the kernel's ``expander`` contract:
 
@@ -11,9 +12,10 @@ step machine: run the deterministic single-successor chain (up to
 with every returned state stamped with the same post-step counter bases
 the step machine would stamp.  A full machine state is only
 materialised at the *observable* points: the states handed back to the
-kernel (fingerprinted, pruned, admitted to the frontier) and the states
-handed to the step machine's own rule methods at choice points.  In
-between, the machine registers live in Python locals.
+kernel (fingerprinted, pruned, admitted to the frontier) and, for scv,
+the states handed to the step machine at choice points (core's choice
+points take only the heap and location operands).  In between, the
+machine registers live in Python locals.
 
 The byte-identity argument, which the differential oracle
 (``tests/test_differential.py``) and the corpus identity suite
@@ -32,8 +34,9 @@ The byte-identity argument, which the differential oracle
 * **Choice points delegate.**  Anything that may branch or synthesise
   code — δ on primitives, opaque application/havoc, contract monitor
   expansion, branching ``if`` — is delegated to the step machine itself
-  on a materialised state, so prover interaction and synthesised-node
-  minting go through literally the same code.
+  (scv: its ``step`` on a materialised state; core: its rule methods),
+  so prover interaction and synthesised-node minting go through
+  literally the same code.
 
 ``dispatch_steps`` counts executed micro-steps (inline + delegated);
 it is deterministic for a given search.
@@ -52,6 +55,7 @@ from ..core.heap import (
 )
 from ..core.machine import State, _opq_loc
 from ..core.syntax import (
+    EMPTY_ENV,
     App,
     Err,
     Fix,
@@ -61,7 +65,8 @@ from ..core.syntax import (
     Num,
     Opq,
     PrimApp,
-    subst,
+    Ref,
+    subst_env,
 )
 from ..lang.values import VOID
 from ..prims import REGISTRY as _PRIM_REGISTRY
@@ -111,9 +116,8 @@ _INLINE_UPRIM_NAMES = frozenset(_PRIM_REGISTRY)
 
 class _ExecutorBase:
     """Shared unit bookkeeping: the program is lowered up front (all
-    reachable units), machine-synthesised expressions are compiled on
-    miss, and the per-run counters land in the stats object the search
-    reports from."""
+    reachable units), and the per-run counters land in the stats object
+    the search reports from."""
 
     def __init__(self, machine, program=None, stats=None):
         self.m = machine
@@ -128,9 +132,6 @@ class _ExecutorBase:
     def _lower_program(self, root):  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _lower_miss_unit(self, root):  # pragma: no cover - overridden
-        raise NotImplementedError
-
     def load_program(self, root) -> None:
         t0 = time.perf_counter()
         units = self._lower_program(root)
@@ -142,20 +143,8 @@ class _ExecutorBase:
                 code[id(node)] = ins
         self.compile_ms = (time.perf_counter() - t0) * 1000.0
         if self.stats is not None:
-            if hasattr(self.stats, "compiled_units"):
-                self.stats.compiled_units = len(units)
-            if hasattr(self.stats, "compile_ms"):
-                self.stats.compile_ms = round(self.compile_ms, 3)
-
-    def _compile_miss(self, node):
-        """Compile a machine-synthesised expression (monitor expansion,
-        havoc/guard wrappers) the first time the loop enters it."""
-        unit = self._lower_miss_unit(node)
-        self._pins.append(node)
-        code = self.code
-        for n, ins in zip(unit.nodes, unit.instructions):
-            code[id(n)] = ins
-        return code[id(node)]
+            self.stats.compiled_units = len(units)
+            self.stats.compile_ms = round(self.compile_ms, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +156,21 @@ class ScvExecutor(_ExecutorBase):
     def _lower_program(self, root):
         return lower_scv(root)
 
-    def _lower_miss_unit(self, root):
+    def _compile_miss(self, node):
+        """Compile a machine-synthesised expression (monitor expansion,
+        havoc/guard wrappers) the first time the loop enters it, with
+        the lambda bodies nested in it, so re-entry is a hit."""
         pending: list = []
-        units = [lower_scv_unit(root, None, pending, kind="lambda")]
+        units = [lower_scv_unit(node, None, pending, kind="lambda")]
         while pending:
             units.append(lower_scv_unit(pending.pop(0), None, pending,
                                         kind="lambda"))
-        # Register the nested lambda bodies too, so re-entry is a hit.
-        for extra in units[1:]:
-            self._pins.append(extra.root)
-            for n, ins in zip(extra.nodes, extra.instructions):
-                self.code[id(n)] = ins
-        return units[0]
+        code = self.code
+        for unit in units:
+            self._pins.append(unit.root)
+            for n, ins in zip(unit.nodes, unit.instructions):
+                code[id(n)] = ins
+        return code[id(node)]
 
     def expand(self, st, limit):
         m = self.m
@@ -556,390 +548,286 @@ class ScvExecutor(_ExecutorBase):
                     continue
                 return cur, succs, chained
         finally:
-            if steps and self.stats is not None and \
-                    hasattr(self.stats, "dispatch_steps"):
+            if steps and self.stats is not None:
                 self.stats.dispatch_steps += steps
 
 
 # ---------------------------------------------------------------------------
-# core: zipper-driven reduction
+# core: an environment machine over a zipper
 # ---------------------------------------------------------------------------
 
 
-def _plug_core(stack, focus):
-    """Rebuild the whole-term control expression from the focus and its
-    context stack (innermost frame last) — value-equal to the machine's
-    ``plug`` closures, so materialised states fingerprint identically."""
-    e = focus
+def _plug_core(stack, node, env):
+    """Read the whole control expression back from the focus closure
+    ``(node, env)`` and its context stack (innermost frame last).  The
+    result is value-equal to the step machine's term, so materialised
+    states fingerprint identically.  This is the executor's one
+    whole-term rebuild, and it runs only for states handed back to the
+    kernel."""
+    e = subst_env(node, env)
     for frame in reversed(stack):
         tag = frame[0]
-        if tag == "appfn":
-            e = App(e, frame[1])
-        elif tag == "apparg":
+        if tag == "appfn":  # ("appfn", arg, env)
+            e = App(e, subst_env(frame[1], frame[2]))
+        elif tag == "apparg":  # ("apparg", fn_loc)
             e = App(frame[1], e)
-        elif tag == "if":
-            e = If(e, frame[1], frame[2])
-        else:  # ("prim", op, before, after, label)
-            e = PrimApp(frame[1], frame[2] + (e,) + frame[3], frame[4])
+        elif tag == "if":  # ("if", then, orelse, env)
+            fenv = frame[3]
+            e = If(e, subst_env(frame[1], fenv), subst_env(frame[2], fenv))
+        else:  # ("prim", op, before_locs, after, label, env)
+            fenv = frame[5]
+            e = PrimApp(frame[1], frame[2] + (e,) + tuple(
+                [subst_env(a, fenv) for a in frame[3]]), frame[4])
     return e
 
 
-class CoreExecutor(_ExecutorBase):
-    """Fused reduction for the substitution-based SPCF machine.
+def _loc_prefix(args, env):
+    """The leading operands of ``args`` that are locations under ``env``,
+    up to the first that is not.  A ``Ref`` bound to a location counts,
+    as the substituted term would show it."""
+    out = []
+    for a in args:
+        if a.__class__ is Ref:
+            a = env.get(a.name, a)
+        if a.__class__ is not Loc:
+            break
+        out.append(a)
+    return tuple(out)
 
-    The machine re-walks the term from the root on every step to find
-    the redex (``_reduce``'s contextual closure).  The executor instead
-    keeps a **zipper**: the focused sub-expression plus a stack of
-    context frames.  Redex *navigation* (pushing into an application's
-    operator, an ``if``'s test, the first unevaluated primitive operand)
-    is free — it is part of finding the redex within one machine step —
-    while each *contraction* is one micro-step, in exactly the machine's
-    order.  Because β-reduction substitutes fresh ``App``/``Lam`` nodes,
-    core instruction streams are not directly executable (node identity
-    does not survive substitution); the compiled units drive accounting
-    and the golden tests, and the executor dispatches on node
-    classes like the machine — its win is eliminating the per-step root
-    re-walk, which is quadratic in redex depth for the interpreted loop.
+
+class CoreExecutor(_ExecutorBase):
+    """Fused reduction for the SPCF machine, as an environment machine.
+
+    The step machine substitutes on β and ``Fix`` unfolding and re-walks
+    the term from the root on every step to find the redex (``_reduce``'s
+    contextual closure).  The executor does neither.  Its focus is a
+    closure ``(node, env)``: a source node plus an environment mapping
+    each variable to a location, or to the ``(Fix, env)`` closure an
+    unfolding binds (see ``syntax.subst_env``).  β and unfolding extend
+    the environment; zipper frames carry the environment of the
+    sub-terms they hold; a lambda value is an ``SLam`` closure.  This is
+    the frame discipline of the Three Instruction Machine (Peyton Jones
+    & Lester, 1992, ch. 4).
+
+    Redex *navigation* — pushing into an application's operator, an
+    ``if``'s test, the first unevaluated primitive operand, and looking
+    a variable up — is free: it is part of finding the redex within one
+    machine step.  Each *contraction* is one micro-step, in exactly the
+    machine's order, so ``dispatch_steps`` and ``chained`` match it.
 
     Contractions that are certainly single-successor run inline (value
-    allocation, ``Fix`` unfolding, β on a known lambda, ``Err`` peeling
-    one context frame); δ-applications, conditionals and opaque
-    application delegate to the machine's own rule methods on the
-    current heap, and their results are plugged back through the zipper.
+    allocation, ``Fix`` unfolding, β on a lambda, ``Err`` peeling one
+    context frame).  δ-applications, conditionals and applications of
+    ``SCase``/``SOpq`` values delegate to the machine's own rule methods
+    on the current heap, with location operands; a one-result step just
+    continues.  Terms are read back only where a caller can observe
+    them: the states handed back to the kernel (``_plug_core``) — the
+    chain-end state, read lazily from the pre-step focus and counter,
+    and the successors — and a lambda value whose ``SLam.lam`` is asked
+    for (fingerprints, counterexamples).
+
+    The executor dispatches on node classes.  The core instruction
+    streams (``lower_core``) back the unit counters and the golden
+    tests only: the chain-end states the kernel hands back are read-back
+    terms whose nodes the streams never saw.
     """
 
     def _lower_program(self, root):
         return lower_core(root)
 
-    def _lower_miss_unit(self, root):
-        from .lower import lower_core_unit
-
-        pending: list = []
-        unit = lower_core_unit(root, None, pending, kind="lambda")
-        for extra_root in pending:
-            self._pins.append(extra_root)
-        return unit
-
     def expand(self, st, limit):
         m = self.m
         heap = st.heap
-        focus = st.control
+        node = st.control
+        env = EMPTY_ENV
         stack: list = []
         set_loc_counter(st.loc_base)
-        cur = st
+        cur = st  # the materialised current state, while there is one
         chained = 0
         steps = 0
-
-        def materialise():
-            return State(_plug_core(stack, focus), heap,
-                         current_loc_counter())
-
         try:
             while True:
-                cls = focus.__class__
-                # ---- answers -------------------------------------------
-                if (cls is Loc or cls is Err) and not stack:
+                cls = node.__class__
+                if cls is Ref:
+                    # A lookup is free: the substituted term would
+                    # already hold the value.
+                    v = env.get(node.name)
+                    if v is None:
+                        break  # free variable: the machine raises
+                    if v.__class__ is Loc:
+                        node = v
+                    else:
+                        node, env = v
+                    continue
+                if not stack and (cls is Loc or cls is Err):
                     if cur is None:
-                        cur = State(focus, heap, current_loc_counter())
+                        cur = State(node, heap, current_loc_counter())
                     return cur, None, chained
                 at_cap = chained >= limit
+                if at_cap and cur is None:
+                    # Navigation does not change the denoted state, so
+                    # the chain-end state is read back before the capped
+                    # step allocates.
+                    cur = State(_plug_core(stack, node, env), heap,
+                                current_loc_counter())
+                results = None  # set by a delegated contraction
 
-                # ---- navigation (free) / inline contractions ----------
                 if cls is Loc:
                     frame = stack[-1]
                     tag = frame[0]
                     if tag == "appfn":
                         arg = frame[1]
-                        acls = arg.__class__
-                        if acls is Loc:
-                            results = None  # contraction: β / opaque app
-                            fn_loc = focus
-                            s = heap.get(fn_loc)
-                            if s.__class__ is SLam:
-                                steps += 1
-                                if at_cap:
-                                    if cur is None:
-                                        cur = materialise()
-                                    stack.pop()
-                                    focus = subst(s.lam.body, s.lam.var, arg)
-                                    succ = materialise()
-                                    return cur, [succ], chained
-                                stack.pop()
-                                focus = subst(s.lam.body, s.lam.var, arg)
-                                chained += 1
-                                cur = None
-                                continue
-                            # SCase / SOpq: may branch or allocate in
-                            # rule-specific ways — delegate below.
-                            delegate = lambda: m._apply(fn_loc, arg, heap)
-                        elif acls is Err:
+                        if arg.__class__ is Err:
                             # Error: App(l, Err) contracts to Err.
-                            steps += 1
-                            if at_cap:
-                                if cur is None:
-                                    cur = materialise()
-                                stack.pop()
-                                focus = arg
-                                succ = materialise()
-                                return cur, [succ], chained
                             stack.pop()
-                            focus = arg
-                            chained += 1
-                            cur = None
-                            continue
+                            node = arg
                         else:
-                            stack.pop()
-                            stack.append(("apparg", focus))
-                            focus = arg
+                            stack[-1] = ("apparg", node)
+                            node, env = arg, frame[2]
                             continue
                     elif tag == "apparg":
                         fn_loc = frame[1]
-                        arg = focus
                         s = heap.get(fn_loc)
                         if s.__class__ is SLam:
-                            steps += 1
-                            if at_cap:
-                                if cur is None:
-                                    cur = materialise()
-                                stack.pop()
-                                focus = subst(s.lam.body, s.lam.var, arg)
-                                succ = materialise()
-                                return cur, [succ], chained
+                            # β: bind the parameter, do not substitute.
                             stack.pop()
-                            focus = subst(s.lam.body, s.lam.var, arg)
-                            chained += 1
-                            cur = None
-                            continue
-                        delegate = lambda: m._apply(fn_loc, arg, heap)
+                            lam = s.node
+                            env = s.env.copy()
+                            env[lam.var] = node
+                            node = lam.body
+                        else:
+                            # SCase / SOpq: may branch or allocate in
+                            # rule-specific ways.
+                            loc0 = current_loc_counter()
+                            results = m._apply(fn_loc, node, heap)
+                            renv = EMPTY_ENV
                     elif tag == "if":
-                        test = focus
-                        delegate = lambda: m._apply_if(
-                            test, frame[1], frame[2], heap)
-                    else:  # ("prim", op, before, after, label)
-                        op, before, after, label = (frame[1], frame[2],
-                                                    frame[3], frame[4])
-                        done = before + (focus,)
-                        nxt_i = None
-                        for j, a in enumerate(after):
-                            if a.__class__ is not Loc:
-                                nxt_i = j
-                                break
-                        if nxt_i is not None:
-                            nxt = after[nxt_i]
+                        loc0 = current_loc_counter()
+                        results = m._apply_if(node, frame[1], frame[2], heap)
+                        renv = frame[3]
+                    else:  # ("prim", op, before, after, label, env)
+                        after, fenv = frame[3], frame[5]
+                        done = frame[2] + (node,)
+                        locs = _loc_prefix(after, fenv)
+                        i = len(locs)
+                        if i < len(after):
+                            nxt = after[i]
                             if nxt.__class__ is Err:
                                 # Error inside an operand: the whole
                                 # PrimApp contracts to it.
-                                steps += 1
-                                if at_cap:
-                                    if cur is None:
-                                        cur = materialise()
-                                    stack.pop()
-                                    focus = nxt
-                                    succ = materialise()
-                                    return cur, [succ], chained
                                 stack.pop()
-                                focus = nxt
-                                chained += 1
-                                cur = None
+                                node = nxt
+                            else:
+                                stack[-1] = ("prim", frame[1], done + locs,
+                                             after[i + 1:], frame[4], fenv)
+                                node, env = nxt, fenv
                                 continue
-                            stack.pop()
-                            stack.append(("prim", op,
-                                          done + after[:nxt_i],
-                                          after[nxt_i + 1:], label))
-                            focus = nxt
-                            continue
-                        node = PrimApp(op, done + after, label)
-                        delegate = lambda: m._apply_prim(node, heap)
-                    # Contraction consumes the top frame; materialise the
-                    # pre-step state before popping it.
-                    steps += 1
-                    if cur is None:
-                        cur = materialise()
-                    stack.pop()
-                    results = delegate()
-                    base = current_loc_counter()
-                    if len(results) == 1 and not at_cap:
-                        focus, heap = results[0]
-                        chained += 1
-                        cur = None
-                        continue
-                    succs = [State(_plug_core(stack, e2), h2, base)
-                             for e2, h2 in results]
-                    return cur, succs, chained
-
-                if cls is Err:
-                    # Error: peel exactly one context frame per step.
-                    steps += 1
-                    if at_cap:
-                        if cur is None:
-                            cur = materialise()
-                        stack.pop()
-                        succ = materialise()
-                        return cur, [succ], chained
-                    stack.pop()
-                    chained += 1
-                    cur = None
-                    continue
-
-                # ---- eval-position forms -------------------------------
-                if cls is Num:
-                    steps += 1
-                    if at_cap and cur is None:
-                        cur = materialise()
-                    l, h = heap.alloc(SNum(focus.value))
-                    if at_cap:
-                        focus, heap = l, h
-                        succ = materialise()
-                        return cur, [succ], chained
-                    focus, heap = l, h
-                    chained += 1
-                    cur = None
-                    continue
-                if cls is Lam:
-                    steps += 1
-                    if at_cap and cur is None:
-                        cur = materialise()
-                    l, h = heap.alloc(SLam(focus))
-                    if at_cap:
-                        focus, heap = l, h
-                        succ = materialise()
-                        return cur, [succ], chained
-                    focus, heap = l, h
-                    chained += 1
-                    cur = None
-                    continue
-                if cls is Opq:
-                    steps += 1
-                    if at_cap and cur is None:
-                        cur = materialise()
-                    l = _opq_loc(focus.label)
-                    h = heap if l in heap else heap.set(l, SOpq(focus.type))
-                    if at_cap:
-                        focus, heap = l, h
-                        succ = materialise()
-                        return cur, [succ], chained
-                    focus, heap = l, h
-                    chained += 1
-                    cur = None
-                    continue
-                if cls is Fix:
-                    steps += 1
-                    if at_cap and cur is None:
-                        cur = materialise()
-                    unfolded = subst(focus.body, focus.var, focus)
-                    if at_cap:
-                        focus = unfolded
-                        succ = materialise()
-                        return cur, [succ], chained
-                    focus = unfolded
-                    chained += 1
-                    cur = None
-                    continue
-                if cls is If:
-                    t = focus.test
-                    tcls = t.__class__
-                    if tcls is Err:
-                        steps += 1
-                        if at_cap and cur is None:
-                            cur = materialise()
-                        if at_cap:
-                            focus = t
-                            succ = materialise()
-                            return cur, [succ], chained
-                        focus = t
-                        chained += 1
-                        cur = None
-                        continue
-                    stack.append(("if", focus.then, focus.orelse))
-                    focus = t
-                    continue
-                if cls is App:
-                    fn, arg = focus.fn, focus.arg
-                    if fn.__class__ is not Loc:
-                        if fn.__class__ is Err:
-                            steps += 1
-                            if at_cap and cur is None:
-                                cur = materialise()
-                            if at_cap:
-                                focus = fn
-                                succ = materialise()
-                                return cur, [succ], chained
-                            focus = fn
-                            chained += 1
-                            cur = None
-                            continue
-                        stack.append(("appfn", arg))
-                        focus = fn
-                        continue
-                    if arg.__class__ is not Loc:
-                        if arg.__class__ is Err:
-                            steps += 1
-                            if at_cap and cur is None:
-                                cur = materialise()
-                            if at_cap:
-                                focus = arg
-                                succ = materialise()
-                                return cur, [succ], chained
-                            focus = arg
-                            chained += 1
-                            cur = None
-                            continue
-                        stack.append(("apparg", fn))
-                        focus = arg
-                        continue
-                    # Both operands finished: redex in place.
-                    stack.append(("appfn", arg))
-                    focus = fn
-                    continue
-                if cls is PrimApp:
-                    args = focus.args
-                    nxt_i = None
-                    for j, a in enumerate(args):
-                        if a.__class__ is not Loc:
-                            nxt_i = j
-                            break
-                    if nxt_i is not None:
-                        nxt = args[nxt_i]
+                        else:
+                            loc0 = current_loc_counter()
+                            results = m._apply_prim(
+                                PrimApp(frame[1], done + locs, frame[4]),
+                                heap)
+                            renv = EMPTY_ENV
+                # ---- eval-position forms (most frequent first) --------
+                elif cls is PrimApp:
+                    args = node.args
+                    locs = _loc_prefix(args, env)
+                    i = len(locs)
+                    if i < len(args):
+                        nxt = args[i]
                         if nxt.__class__ is Err:
-                            steps += 1
-                            if at_cap and cur is None:
-                                cur = materialise()
-                            if at_cap:
-                                focus = nxt
-                                succ = materialise()
-                                return cur, [succ], chained
-                            focus = nxt
-                            chained += 1
-                            cur = None
+                            node = nxt
+                        else:
+                            stack.append(("prim", node.op, locs,
+                                          args[i + 1:], node.label, env))
+                            node = nxt
                             continue
-                        stack.append(("prim", focus.op, args[:nxt_i],
-                                      args[nxt_i + 1:], focus.label))
-                        focus = nxt
+                    else:
+                        # All operands are locations: δ in place.
+                        loc0 = current_loc_counter()
+                        results = m._apply_prim(
+                            PrimApp(node.op, locs, node.label), heap)
+                        renv = EMPTY_ENV
+                elif cls is Num:
+                    node, heap = heap.alloc(SNum(node.value))
+                elif cls is App:
+                    fn = node.fn
+                    if fn.__class__ is Ref:
+                        fn = env.get(fn.name, fn)
+                    if fn.__class__ is Loc:
+                        arg = node.arg
+                        if arg.__class__ is Err:
+                            node = arg
+                        else:
+                            stack.append(("apparg", fn))
+                            node = arg
+                            continue
+                    elif fn.__class__ is Err:
+                        node = fn
+                    else:
+                        stack.append(("appfn", node.arg, env))
+                        node = node.fn
                         continue
-                    # All operands are locations: δ in place.
-                    steps += 1
-                    if cur is None:
-                        cur = materialise()
-                    node = focus
-                    results = m._apply_prim(node, heap)
-                    base = current_loc_counter()
-                    if len(results) == 1 and not at_cap:
-                        focus, heap = results[0]
-                        chained += 1
-                        cur = None
+                elif cls is Lam:
+                    node, heap = heap.alloc(SLam(node, env))
+                elif cls is If:
+                    t = node.test
+                    if t.__class__ is Err:
+                        node = t
+                    else:
+                        stack.append(("if", node.then, node.orelse, env))
+                        node = t
                         continue
-                    succs = [State(_plug_core(stack, e2), h2, base)
-                             for e2, h2 in results]
-                    return cur, succs, chained
+                elif cls is Fix:
+                    env2 = env.copy()
+                    env2[node.var] = (node, env)
+                    node, env = node.body, env2
+                elif cls is Opq:
+                    l = _opq_loc(node.label)
+                    if l not in heap:
+                        heap = heap.set(l, SOpq(node.type))
+                    node = l
+                elif cls is Err:
+                    # Error: peel exactly one context frame per step.
+                    stack.pop()
+                else:
+                    break  # no rule: the machine raises
 
-                # Ref / unknown node: let the machine raise its own
-                # StuckError on the materialised state.
-                if cur is None:
-                    cur = materialise()
-                succs = m.step(cur)
                 steps += 1
+                if results is None:  # an inline contraction
+                    if at_cap:
+                        succ = State(_plug_core(stack, node, env), heap,
+                                     current_loc_counter())
+                        return cur, [succ], chained
+                    chained += 1
+                    cur = None
+                    continue
+                pop = cls is Loc  # a delegated frame rule consumes its frame
+                if len(results) == 1 and not at_cap:
+                    if pop:
+                        stack.pop()
+                    node, heap = results[0]
+                    env = renv
+                    chained += 1
+                    cur = None
+                    continue
+                if cur is None:
+                    cur = State(_plug_core(stack, node, env), heap, loc0)
+                if pop:
+                    stack.pop()
+                base = current_loc_counter()
+                succs = [State(_plug_core(stack, e2, renv), h2, base)
+                         for e2, h2 in results]
                 return cur, succs, chained
+
+            # Free variable / unknown node: let the machine raise its own
+            # StuckError on the materialised state.
+            if cur is None:
+                cur = State(_plug_core(stack, node, env), heap,
+                            current_loc_counter())
+            succs = m.step(cur)
+            steps += 1
+            return cur, succs, chained
         finally:
-            if steps and self.stats is not None and \
-                    hasattr(self.stats, "dispatch_steps"):
+            if steps and self.stats is not None:
                 self.stats.dispatch_steps += steps

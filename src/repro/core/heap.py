@@ -3,8 +3,10 @@
 A heap ``Σ`` maps locations to storeables ``S``:
 
 * ``SNum`` — a concrete number;
-* ``SLam`` — a lambda whose free variables have been substituted by
-  locations (the machine is substitution-based, like the paper's);
+* ``SLam`` — a closed lambda: the step machine substitutes locations
+  for its free variables, like the paper's; the compiled executor keeps
+  the variables bound in an environment instead and reads the closed
+  term back on demand;
 * ``SOpq`` — an opaque value of some type carrying a conjunction of
   *refinements*, the incrementally accumulated upper bound on its
   behaviour (``•{T, P...}``);
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .syntax import Lam, Loc, Type
+from .syntax import EMPTY_ENV, Lam, Loc, Type, subst_env
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +165,42 @@ class SNum(Storeable):
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class SLam(Storeable):
-    """A lambda value; free variables already substituted by locations."""
+    """A lambda value, as the closure ``(node, env)``.
 
-    lam: Lam
+    The step machine stores closed lambdas (an empty ``env``).  The
+    compiled executor (``repro.compile.executor``) never substitutes: it
+    stores the source lambda node with the environment that binds its
+    free variables (see ``syntax.subst_env``), and applies it by
+    extending ``env``.  ``lam`` is the closed term the closure denotes,
+    read back on first use and cached; the cache then replaces the
+    closure, so a read-back value holds one term, as a machine-made one
+    does.  Equality, hashing and fingerprints are those of ``lam``, so
+    the two representations are interchangeable.
+    """
+
+    __slots__ = ("node", "env")
+
+    def __init__(self, lam: Lam, env: dict = EMPTY_ENV) -> None:
+        self.node = lam
+        self.env = env
+
+    @property
+    def lam(self) -> Lam:
+        if self.env:
+            self.node = subst_env(self.node, self.env)
+            self.env = EMPTY_ENV
+        return self.node
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not SLam:
+            return NotImplemented
+        return self.lam == other.lam
+
+    def __hash__(self) -> int:
+        return hash(self.lam)
 
     def __repr__(self) -> str:
         return repr(self.lam)

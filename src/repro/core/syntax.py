@@ -276,6 +276,50 @@ def subst(e: Expr, name: str, replacement: Expr) -> Expr:
     raise TypeError(f"cannot substitute into {e!r}")
 
 
+#: The empty environment.  Environments are plain dicts that are never
+#: mutated once built, so closures may share them.
+EMPTY_ENV: dict = {}
+
+
+def subst_env(e: Expr, env: dict) -> Expr:
+    """Simultaneous substitution ``e[env]``: the term that the closure
+    ``(e, env)`` of an environment machine denotes.
+
+    ``env`` maps a variable to a location or to a ``(Fix, env')`` pair,
+    the recursive closure a ``Fix`` unfolding binds, which denotes
+    ``subst_env(Fix, env')``.  Every replacement is closed, so binders
+    can only shadow, and the result equals one ``subst`` per binding in
+    any order.
+    """
+    if not env:
+        return e
+    cls = e.__class__
+    if cls is Ref:
+        v = env.get(e.name)
+        if v is None:
+            return e
+        if v.__class__ is Loc:
+            return v
+        return subst_env(v[0], v[1])
+    if cls is App:
+        return App(subst_env(e.fn, env), subst_env(e.arg, env))
+    if cls is PrimApp:
+        return PrimApp(e.op, tuple([subst_env(a, env) for a in e.args]),
+                       e.label)
+    if cls is If:
+        return If(subst_env(e.test, env), subst_env(e.then, env),
+                  subst_env(e.orelse, env))
+    if cls is Lam or cls is Fix:
+        if e.var in env:
+            env = {k: v for k, v in env.items() if k != e.var}
+            if not env:
+                return e
+        return cls(e.var, e.var_type, subst_env(e.body, env))
+    if cls is Num or cls is Loc or cls is Opq or cls is Err:
+        return e
+    raise TypeError(f"cannot substitute into {e!r}")
+
+
 def subexprs(e: Expr) -> Iterator[Expr]:
     """All subexpressions, pre-order."""
     yield e

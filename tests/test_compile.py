@@ -11,21 +11,41 @@ Two layers of pinning:
   the same rows as the step machines outside the volatile fields,
   without a store and with a cold and a warm one; the step machines
   are the semantics of record (the fuzz oracle in
-  ``tests/test_differential.py`` extends this to random programs).
+  ``tests/test_differential.py`` extends this to random programs);
+* **state-level identity** — every ``(final_state, successors)`` pair the
+  search kernel's expansion returns is the same with and without an
+  executor, at several chain limits, and the core executor rebuilds a
+  whole term only for the states it hands back.
 """
 
 from dataclasses import asdict, replace
 
-from repro.compile import lower_core, lower_scv
+import pytest
+
+from repro.compile import CoreExecutor, ScvExecutor, lower_core, lower_scv
+from repro.compile import executor as executor_module
+from repro.core.machine import Machine, inject
+from repro.core.proof import ProofSystem
 from repro.core.syntax import NAT, App, If, Lam, Num, PrimApp, Ref
+from repro.core.typecheck import check_program
+from repro.driver.backends import _reset_counters
 from repro.driver.corpus import corpus_names, get_program
 from repro.driver.lower import lower_program
 from repro.driver.report import VOLATILE_ROW_FIELDS
 from repro.driver.runner import RunConfig, verify_source
 from repro.lang.ast import Quote, UApp, UIf, ULam, ULetrec, UVar, reset_labels
 from repro.lang.parser import parse_program
-from repro.scv.engine import assemble
-from repro.scv.machine import UMon
+from repro.scv.engine import (
+    assemble,
+    collect_struct_types,
+    inject_program,
+    uses_contracts,
+    uses_extended_prims,
+)
+from repro.scv.machine import SMachine, UMon
+from repro.scv.proof import UProofSystem
+from repro.search import CoreFingerprinter, ScvFingerprinter, SearchKernel
+from repro.search import SearchStats
 
 SMOKE = corpus_names(tag="smoke")
 
@@ -246,3 +266,192 @@ class TestCompileFlagPlumbing:
         on = config_digest(asdict(RunConfig(compile=True)))
         off = config_digest(asdict(RunConfig(compile=False)))
         assert on == off
+
+
+# ---------------------------------------------------------------------------
+# State-level identity of the expanders
+# ---------------------------------------------------------------------------
+
+#: Closed recursive loops over a concrete bound, one per loop shape.
+LOOPS = {
+    "acc": "(define (loop n acc) (if (<= n 0) acc (loop (- n 1) (+ acc 3))))\n"
+           "{pre}(quotient 100 (add1 (loop {n} 0)))",
+    "fold": "(define (fold f n acc) (if (<= n 0) acc (fold f (- n 1) (f acc n))))\n"
+            "{pre}(quotient 100 (add1 (fold (lambda (a i) (+ a (* 2 i))) {n} 0)))",
+    "sum": "(define (sum n) (if (<= n 0) 0 (+ 4 (sum (- n 1)))))\n"
+           "{pre}(quotient 100 (add1 (sum {n})))",
+    "iter": "(define (iter f n x) (if (<= n 0) x (iter f (- n 1) (f x))))\n"
+            "{pre}(quotient 100 (add1 (iter (lambda (v) (+ v 5)) {n} 0)))",
+    "walk": "(define (walk n acc)"
+            " (if (<= n 0) acc (walk (- n 1) (if (< acc 10) (+ acc 6) (- acc 6)))))\n"
+            "{pre}(quotient 100 (add1 (walk {n} 0)))",
+}
+
+#: A prelude that divides by zero after a short loop.
+DIV_ZERO_PRELUDE = (
+    "(define (steps m) (if (<= m 0) 0 (+ 1 (steps (- m 1)))))\n"
+    "(define pre (quotient 7 (- (steps 2) 2)))\n"
+)
+
+CURRIED = (
+    "(define (mix a b c) (quotient (* a b) (- c (+ a b))))\n"
+    "(mix 1 2 3)"
+)
+
+#: Unknown functions on the core backend: ``c`` becomes a case mapping
+#: (AppOpq1, then AppCase1), and ``u`` takes and returns functions
+#: (AppOpq2, AppOpq3, AppHavoc); its second application is β on the
+#: lambda the first one stored.
+OPEN = (
+    "(define u •)\n"
+    "(define c •)\n"
+    "(define (f x) (add1 x))\n"
+    "(define (g h) (+ ((u h) 1) ((u h) 2)))\n"
+    "(quotient 100 (- 7 (+ (g f) (+ (c 1) (c 1)))))"
+)
+
+CLOSED_PROGRAMS = [
+    *(pytest.param(LOOPS[shape].format(n=n, pre=""), id=f"{shape}-{n}")
+      for shape in sorted(LOOPS) for n in (3, 7, 12)),
+    *(pytest.param(LOOPS[shape].format(n=5, pre=DIV_ZERO_PRELUDE),
+                   id=f"{shape}-div-zero")
+      for shape in ("acc", "sum")),
+    pytest.param(CURRIED, id="curried"),
+]
+
+CHAIN_LIMITS = (1, 2, 3, 5, 128)
+
+
+def _core_search(source):
+    _reset_counters()
+    code = lower_program(parse_program(source))
+    check_program(code)
+    machine = Machine(ProofSystem())
+    return machine, inject(code), code, CoreFingerprinter, CoreExecutor
+
+
+def _scv_search(source):
+    _reset_counters()
+    program = parse_program(source)
+    machine = SMachine(
+        struct_types=collect_struct_types(program),
+        assume_well_typed=not uses_contracts(program),
+        extended_prims=uses_extended_prims(program),
+        proof=UProofSystem(),
+    )
+    init = inject_program(program, machine)
+    return machine, init, init.control, ScvFingerprinter, ScvExecutor
+
+
+def _expansions(front_end, source, limit, compiled, max_states):
+    """Every ``(final_state, successors)`` pair ``SearchKernel._expand``
+    returns over a whole search, with or without the executor."""
+    machine, init, code, fingerprinter, executor = front_end(source)
+    stats = SearchStats()
+    kernel = SearchKernel(
+        machine.step,
+        fingerprint=fingerprinter(),
+        chain_limit=limit,
+        max_states=max_states,
+        expander=executor(machine, code, stats=stats).expand
+        if compiled else None,
+        enter=machine.proof.note_path,
+        stats=stats,
+    )
+    seen = []
+    expand = kernel._expand
+
+    def recording(state):
+        final, succs = expand(state)
+        seen.append((final, succs))
+        return final, succs
+
+    kernel._expand = recording
+    for _ in kernel.run(init):
+        pass
+    return seen
+
+
+def _state_key(state):
+    return (state.control, dict(state.heap.items()), state.loc_base)
+
+
+def _assert_same_expansions(front_end, source, limit, max_states=400):
+    want = _expansions(front_end, source, limit, False, max_states)
+    got = _expansions(front_end, source, limit, True, max_states)
+    assert len(got) == len(want)
+    for i, ((final, succs), (final_w, succs_w)) in enumerate(zip(got, want)):
+        assert _state_key(final) == _state_key(final_w), f"expansion {i}"
+        assert (succs is None) == (succs_w is None), f"expansion {i}"
+        if succs is not None:
+            assert [_state_key(s) for s in succs] == \
+                [_state_key(s) for s in succs_w], f"expansion {i}"
+    return got
+
+
+class TestExpanderStateIdentity:
+    """The executors' contract at the level it is stated: the pairs the
+    kernel's expansion returns (control, heap and counter stamp of the
+    final state and of every successor) equal the step machine's,
+    pair by pair, whatever the chain limit — so a cap can fall on any
+    micro-step, a delegated δ and a conditional among them."""
+
+    @pytest.mark.parametrize("limit", CHAIN_LIMITS)
+    @pytest.mark.parametrize("source", CLOSED_PROGRAMS)
+    def test_core(self, source, limit):
+        assert _assert_same_expansions(_core_search, source, limit)
+
+    @pytest.mark.parametrize("limit", CHAIN_LIMITS)
+    @pytest.mark.parametrize("source", CLOSED_PROGRAMS)
+    def test_scv(self, source, limit):
+        assert _assert_same_expansions(_scv_search, source, limit)
+
+    @pytest.mark.parametrize("limit", CHAIN_LIMITS)
+    def test_core_open_program(self, limit, monkeypatch):
+        rules = {}
+        for name in ("_apply_case", "_app_opq1", "_app_opq_higher"):
+            original = getattr(Machine, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                rules[_name] = rules.get(_name, 0) + 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(Machine, name, counting)
+        # Havoc explores without end: a small budget still reaches
+        # every rule.
+        got = _assert_same_expansions(_core_search, OPEN, limit,
+                                      max_states=60)
+        assert len(got) > 1
+        assert set(rules) == {"_apply_case", "_app_opq1", "_app_opq_higher"}
+
+
+class TestCoreRebuilds:
+    """The core executor reads a whole term back only for the states it
+    returns: at most one rebuild per returned state and one per
+    successor, however long the chain between them."""
+
+    def test_deep_loop_rebuilds_only_returned_states(self, monkeypatch):
+        calls = []
+        plug = executor_module._plug_core
+
+        def counting(*args):
+            calls.append(1)
+            return plug(*args)
+
+        monkeypatch.setattr(executor_module, "_plug_core", counting)
+        machine, init, code, fingerprinter, executor = _core_search(
+            LOOPS["acc"].format(n=64, pre=""))
+        stats = SearchStats()
+        expand = executor(machine, code, stats=stats).expand
+        returned = []
+
+        def expander(state, limit):
+            final, succs, chained = expand(state, limit)
+            returned.append(1 + len(succs or ()))
+            return final, succs, chained
+
+        kernel = SearchKernel(machine.step, fingerprint=fingerprinter(),
+                              expander=expander, stats=stats)
+        answers = list(kernel.run(init))
+        assert len(answers) == 1 and stats.dispatch_steps > 500
+        assert 0 < len(calls) <= sum(returned)

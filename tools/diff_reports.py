@@ -17,6 +17,10 @@ With ``--min-hit-rate`` the *second* report must additionally have
 answered at least that fraction of its verdict-store lookups from the
 store — the warm-start CI leg's economy assertion.
 
+With ``--exact FIELD[,FIELD...]`` the named fields must also match
+exactly, per row and in the totals, volatile or not: a deterministic
+work counter such as ``dispatch_steps`` is pinned this way.
+
 Used by the CI differential legs, among them the incremental-solving
 differential (same corpus with ``--no-incremental``), the warm-start
 differential (same corpus against a populated ``--store``) and the
@@ -50,6 +54,24 @@ def stable_rows(report: dict) -> dict:
     }
 
 
+def exact_mismatches(a: dict, b: dict, fields: list[str]) -> list[str]:
+    """Where reports ``a`` and ``b`` differ on ``fields``, per row (rows
+    present in both) and in the totals."""
+    out = []
+    rows_b = {(r["name"], r["backend"]): r for r in b["programs"]}
+    for ra in a["programs"]:
+        key = (ra["name"], ra["backend"])
+        rb = rows_b.get(key)
+        if rb is None:
+            continue  # reported by the row comparison
+        out += [f"{key}: {f}: {ra.get(f)!r} != {rb.get(f)!r}"
+                for f in fields if ra.get(f) != rb.get(f)]
+    ta, tb = a.get("totals", {}), b.get("totals", {})
+    out += [f"totals: {f}: {ta.get(f)!r} != {tb.get(f)!r}"
+            for f in fields if ta.get(f) != tb.get(f)]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="reference report (e.g. the cold run)")
@@ -58,6 +80,11 @@ def main(argv: list[str] | None = None) -> int:
         "--min-hit-rate", type=float, default=None, metavar="FRACTION",
         help="require report B's verdict-store hit rate to be at least "
         "this fraction of its lookups",
+    )
+    parser.add_argument(
+        "--exact", default="", metavar="FIELD[,FIELD...]",
+        help="fields that must match exactly, per row and in the totals, "
+        "even when volatile",
     )
     args = parser.parse_args(argv)
     try:
@@ -89,6 +116,16 @@ def main(argv: list[str] | None = None) -> int:
     if not failed:
         print(f"{len(rows_a)} rows identical (volatile fields aside); "
               "agreement sections identical")
+
+    exact = [f for f in args.exact.split(",") if f]
+    if exact:
+        mismatches = exact_mismatches(a, b, exact)
+        for line in mismatches:
+            print(f"DIFF {line}", file=sys.stderr)
+        if mismatches:
+            failed = True
+        else:
+            print(f"{', '.join(exact)} identical per row and in the totals")
 
     if args.min_hit_rate is not None:
         t = b["totals"]
