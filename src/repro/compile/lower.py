@@ -13,10 +13,10 @@ push/enter/return style of the G-machine and TIM compilers this pass is
 modelled on.
 
 Instructions whose operands are all constants (variable references,
-blame sites, location and datum literals) are interned through
-:class:`repro.search.intern.Interner`, so the thousands of structurally
-equal references a monitored module expands into share one tuple — the
-same hash-consing discipline the fingerprinter uses.
+blame sites, location and datum literals) are interned in one
+type-exact table (:class:`InstrInterner`), so the thousands of
+structurally equal references a monitored module expands into share
+one tuple.
 
 The stream is *per unit* and pre-order, which makes it deterministic
 for a given AST: the golden tests in ``tests/test_compile.py`` pin the
@@ -26,7 +26,6 @@ opcode sequences for the representative forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.syntax import (
     App,
@@ -51,7 +50,6 @@ from ..lang.ast import (
     USet,
     UVar,
 )
-from ..search.intern import Interner
 
 # ---------------------------------------------------------------------------
 # Opcodes (shared namespace; not every opcode occurs in both engines)
@@ -124,22 +122,16 @@ def _typed_key(x):
 
 
 class InstrInterner:
-    """Type-exact hash-consing for instruction tuples, built on the
-    search kernel's :class:`~repro.search.intern.Interner` (which
-    canonicalises the type-tagged keys) plus a key→instruction table."""
+    """Type-exact hash-consing for instruction tuples: one table from
+    the type-tagged key to the first instruction seen with it."""
 
-    __slots__ = ("_interner", "_by_key")
+    __slots__ = ("_by_key",)
 
     def __init__(self) -> None:
-        self._interner = Interner()
         self._by_key: dict = {}
 
     def intern(self, ins: tuple) -> tuple:
-        key = self._interner.intern(_typed_key(ins))
-        hit = self._by_key.get(key)
-        if hit is None:
-            hit = self._by_key[key] = ins
-        return hit
+        return self._by_key.setdefault(_typed_key(ins), ins)
 
 
 def _intern_instr(interner, ins: tuple) -> tuple:

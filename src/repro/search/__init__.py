@@ -4,9 +4,9 @@
   exact seen-set memoisation and chain compression, its stats record,
   and ``search``, the entry both backends build their kernel through;
 * :mod:`repro.search.fingerprint` — canonical state fingerprints for
-  ``core.State`` and ``scv.SState``;
-* :mod:`repro.search.intern` — the hash-consing table fingerprints are
-  built over.
+  ``core.State`` and ``scv.SState``, hash-consed as they are built;
+* :mod:`repro.search.intern` — the one-level hash-consing table each
+  fingerprint token is interned in.
 """
 
 from .fingerprint import CoreFingerprinter, ScvFingerprinter

@@ -35,6 +35,19 @@ what counterexample construction *and* the demonic-client synthesis of
 :mod:`repro.synth` read back, so a weaker state is never a substitute
 for a stronger one.
 
+Tokens are hash-consed *as they are built*: every method interns the
+token it returns — a location's first-visit ``#`` token, a heap cell,
+an expression node, each environment frame and the chain, each
+continuation frame and the stack, a predicate and its refinement set —
+so each state is walked once, and :meth:`Interner.intern
+<repro.search.intern.Interner.intern>` does one lookup per token.  That
+is exact because every value is represented the same way wherever it
+occurs: the tokens above always by their node, and the small tuples
+left raw always raw, over canonical leaves — operand lists, ``(name,
+loc)`` pairs, datum tokens, the top-level shape, and the scalar-only
+``@`` back references and frozen-global ``g`` tokens, which hash
+cheaper than a lookup costs.
+
 Refinement predicates may mention locations nothing else reaches; those
 serialize *inside* the refinement token and are processed after the
 main traversal, so the canonical indices of the control, environment
@@ -87,7 +100,7 @@ class _Base:
     """Shared traversal state for one fingerprint computation."""
 
     def __init__(self, interner: Interner) -> None:
-        self._intern = interner
+        self.intern = interner.intern
         self.canon: dict[Loc, int] = {}
         self.refs: list[Optional[frozenset]] = []
         # (refs slot, predicate tuple) — serialized after the shape
@@ -108,36 +121,38 @@ class _Base:
         # Serializing a predicate can reach an opaque nothing else
         # reached, appending to ``pending`` mid-loop; list iteration
         # picks the new entries up.
+        intern = self.intern
         for slot, preds in self.pending:
-            self.refs[slot] = frozenset(self._pred(p) for p in preds)
-        return self._intern.intern((shape, tuple(self.refs)))
+            self.refs[slot] = intern(frozenset(map(self._pred, preds)))
+        return intern((shape, tuple(self.refs)))
 
     # -- predicates and heap terms --------------------------------------
 
     def _pred(self, p: Pred) -> Hashable:
         if isinstance(p, PZero):
-            return ("zero?",)
+            return self.intern(("zero?",))
         if isinstance(p, PEq):
-            return ("=", self._hterm(p.term))
+            return self.intern(("=", self._hterm(p.term)))
         if isinstance(p, PLt):
-            return ("<", self._hterm(p.term))
+            return self.intern(("<", self._hterm(p.term)))
         if isinstance(p, PLe):
-            return ("<=", self._hterm(p.term))
+            return self.intern(("<=", self._hterm(p.term)))
         if isinstance(p, PNot):
-            return ("not", self._pred(p.arg))
+            return self.intern(("not", self._pred(p.arg)))
         # PEqDatum (scv) and any future predicate with a datum payload.
         datum = getattr(p, "datum", None)
         if datum is not None or hasattr(p, "datum"):
-            return ("='", _datum_token(datum))
+            return self.intern(("='", _datum_token(datum)))
         raise TypeError(f"cannot fingerprint predicate {p!r}")
 
     def _hterm(self, t: HTerm) -> Hashable:
         if isinstance(t, HConst):
-            return ("c", t.value)
+            return self.intern(("c", t.value))
         if isinstance(t, HLoc):
             return self.loc(t.loc)
         if isinstance(t, HOp):
-            return (t.op, tuple(self._hterm(a) for a in t.args))
+            return self.intern(
+                (t.op, tuple(map(self._hterm, t.args))))
         raise TypeError(f"cannot fingerprint heap term {t!r}")
 
     def loc(self, l: Loc) -> Hashable:  # pragma: no cover - overridden
@@ -161,21 +176,22 @@ class _CoreRun(_Base):
         idx = len(self.canon)
         self.canon[l] = idx
         name = l.name if l.name.startswith("o:") else ""
-        return ("#", idx, name, self._store(self.heap.get(l)))
+        return self.intern(("#", idx, name, self._store(self.heap.get(l))))
 
     def _store(self, s: core_heap.Storeable) -> Hashable:
         if isinstance(s, core_heap.SNum):
-            return ("n", s.value)
+            return self.intern(("n", s.value))
         if isinstance(s, core_heap.SLam):
-            return ("sl", self.expr(s.lam))
+            return self.intern(("sl", self.expr(s.lam)))
         if isinstance(s, core_heap.SOpq):
-            return ("opq", self.opq_slot(s.refinements), s.type)
+            return self.intern(("opq", self.opq_slot(s.refinements), s.type))
         if isinstance(s, core_heap.SCase):
-            return (
+            loc = self.loc
+            return self.intern((
                 "case",
                 s.out_type,
-                tuple((self.loc(k), self.loc(v)) for k, v in s.mapping),
-            )
+                tuple([(loc(k), loc(v)) for k, v in s.mapping]),
+            ))
         raise TypeError(f"cannot fingerprint storeable {s!r}")
 
     def expr(self, e: core_syntax.Expr) -> Hashable:
@@ -184,18 +200,19 @@ class _CoreRun(_Base):
         if isinstance(e, (core_syntax.Num, core_syntax.Ref,
                           core_syntax.Opq, core_syntax.Err)):
             return e  # frozen, loc-free: the node is its own token
+        expr, intern = self.expr, self.intern
         if isinstance(e, core_syntax.Lam):
-            return ("lam", e.var, e.var_type, self.expr(e.body))
+            return intern(("lam", e.var, e.var_type, expr(e.body)))
         if isinstance(e, core_syntax.Fix):
-            return ("fix", e.var, e.var_type, self.expr(e.body))
+            return intern(("fix", e.var, e.var_type, expr(e.body)))
         if isinstance(e, core_syntax.App):
-            return ("app", self.expr(e.fn), self.expr(e.arg))
+            return intern(("app", expr(e.fn), expr(e.arg)))
         if isinstance(e, core_syntax.If):
-            return ("if", self.expr(e.test), self.expr(e.then),
-                    self.expr(e.orelse))
+            return intern(("if", expr(e.test), expr(e.then),
+                           expr(e.orelse)))
         if isinstance(e, core_syntax.PrimApp):
-            return ("prim", e.op, e.label,
-                    tuple(self.expr(a) for a in e.args))
+            return intern(("prim", e.op, e.label,
+                           tuple(map(expr, e.args))))
         raise TypeError(f"cannot fingerprint expression {e!r}")
 
 
@@ -221,6 +238,7 @@ class _ScvRun(_Base):
         super().__init__(fingerprinter._interner)
         self.heap = heap
         self._genv_cache = fingerprinter._genv_cache
+        self._env_memo: dict[int, Hashable] = {}
         self._sheap = fingerprinter._sheap
         self._smach = fingerprinter._smach
 
@@ -234,51 +252,50 @@ class _ScvRun(_Base):
         idx = len(self.canon)
         self.canon[l] = idx
         ident = name if name.startswith("o:") else ""
-        return ("#", idx, ident, self._store(self.heap.get(l)))
+        return self.intern(("#", idx, ident, self._store(self.heap.get(l))))
 
     def _store(self, s) -> Hashable:
-        sheap = self._sheap
+        sheap, loc = self._sheap, self.loc
         if isinstance(s, sheap.UConc):
-            return ("c", _datum_token(s.value))
-        if isinstance(s, sheap.UPair):
-            return ("pair", self.loc(s.car), self.loc(s.cdr))
-        if isinstance(s, sheap.UStruct):
-            return ("struct", s.type.name,
-                    tuple(self.loc(f) for f in s.fields))
-        if isinstance(s, sheap.UBoxS):
-            return ("box", self.loc(s.content))
-        if isinstance(s, sheap.UVectorS):
-            return ("vec", tuple(self.loc(f) for f in s.fields))
-        if isinstance(s, sheap.UAlias):
-            return ("alias", self.loc(s.target))
-        if isinstance(s, sheap.UClos):
+            tok = ("c", _datum_token(s.value))
+        elif isinstance(s, sheap.UPair):
+            tok = ("pair", loc(s.car), loc(s.cdr))
+        elif isinstance(s, sheap.UStruct):
+            tok = ("struct", s.type.name, tuple(map(loc, s.fields)))
+        elif isinstance(s, sheap.UBoxS):
+            tok = ("box", loc(s.content))
+        elif isinstance(s, sheap.UVectorS):
+            tok = ("vec", tuple(map(loc, s.fields)))
+        elif isinstance(s, sheap.UAlias):
+            tok = ("alias", loc(s.target))
+        elif isinstance(s, sheap.UClos):
             # UClos declares an SEnv (name/loc tuple) but the machine
             # stores MEnv chains; accept either.
             env_tok = (
                 self.menv(s.env)
                 if hasattr(s.env, "frame")
-                else tuple((n, self.loc(l)) for n, l in s.env)
+                else self.intern(tuple([(n, loc(l)) for n, l in s.env]))
             )
-            return ("clos", self.uexpr(s.lam), env_tok)
-        if isinstance(s, sheap.UPrim):
-            return ("uprim", s.name)
-        if isinstance(s, sheap.UStructCtor):
-            return ("ctor", s.type.name)
-        if isinstance(s, sheap.UGuard):
-            return ("guard", self.loc(s.contract), self.loc(s.inner),
-                    s.pos, s.neg)
-        if isinstance(s, sheap.UCtc):
-            return ("ctc", s.kind,
-                    s.stype.name if s.stype is not None else "",
-                    tuple(self.loc(p) for p in s.parts))
-        if isinstance(s, sheap.UOpq):
-            return ("opq", self.opq_slot(s.preds),
-                    tuple(sorted(s.possible)))
-        if isinstance(s, sheap.UCase):
-            return ("ucase", s.arity,
-                    tuple((tuple(self.loc(k) for k in key), self.loc(v))
-                          for key, v in s.mapping))
-        raise TypeError(f"cannot fingerprint storeable {s!r}")
+            tok = ("clos", self.uexpr(s.lam), env_tok)
+        elif isinstance(s, sheap.UPrim):
+            tok = ("uprim", s.name)
+        elif isinstance(s, sheap.UStructCtor):
+            tok = ("ctor", s.type.name)
+        elif isinstance(s, sheap.UGuard):
+            tok = ("guard", loc(s.contract), loc(s.inner), s.pos, s.neg)
+        elif isinstance(s, sheap.UCtc):
+            tok = ("ctc", s.kind,
+                   s.stype.name if s.stype is not None else "",
+                   tuple(map(loc, s.parts)))
+        elif isinstance(s, sheap.UOpq):
+            tok = ("opq", self.opq_slot(s.preds), tuple(sorted(s.possible)))
+        elif isinstance(s, sheap.UCase):
+            tok = ("ucase", s.arity,
+                   tuple([(tuple(map(loc, key)), loc(v))
+                          for key, v in s.mapping]))
+        else:
+            raise TypeError(f"cannot fingerprint storeable {s!r}")
+        return self.intern(tok)
 
     def menv(self, env) -> Hashable:
         """A machine environment chain, innermost frame first.
@@ -290,92 +307,103 @@ class _ScvRun(_Base):
         the shortcut and the frame serializes through ``loc`` like any
         other, picking up the overlaid value.  Cache entries pin the
         environment object so an ``id`` can never be recycled onto a
-        different frame."""
+        different frame.
+
+        Within one state, a chain whose locations had all been visited
+        before it serializes to back references only, and would again:
+        its token is memoised by ``id`` for the rest of the run (the
+        state keeps every environment it holds alive)."""
+        key = id(env)
+        memo = self._env_memo.get(key)
+        if memo is not None:
+            return memo
+        visited = len(self.canon)
+        intern, loc = self.intern, self.loc
         globals_clean = not self.heap.has_global_writes
         frames = []
         while env is not None:
-            if globals_clean:
+            if globals_clean and env.parent is None:
                 cached = self._genv_cache.get(id(env))
                 if cached is not None and cached[0] is env:
                     frames.append(cached[1])
                     break  # globals-only frames never chain further
-            items = tuple(sorted(env.frame.items()))
+            items = sorted(env.frame.items())
             if (
                 globals_clean
                 and env.parent is None
                 and items
                 and all(l.name.startswith("g") for _, l in items)
             ):
-                token = self._intern.intern(
-                    ("genv", tuple((n, l.name) for n, l in items)))
+                token = intern(("genv", tuple([(n, l.name) for n, l in items])))
                 self._genv_cache[id(env)] = (env, token)
                 frames.append(token)
                 break
-            frames.append(tuple((n, self.loc(l)) for n, l in items))
+            frames.append(intern(tuple([(n, loc(l)) for n, l in items])))
             env = env.parent
-        return tuple(frames)
+        token = intern(tuple(frames))
+        if len(self.canon) == visited:
+            self._env_memo[key] = token
+        return token
 
     def uexpr(self, e: uast.UExpr) -> Hashable:
         smach = self._smach
         if isinstance(e, smach.ULocE):
             return self.loc(e.loc)
+        if isinstance(e, (uast.UVar, uast.UOpaque, smach.UBlameE)):
+            return e  # frozen, loc-free: the node is its own token
+        uexpr = self.uexpr
         if isinstance(e, uast.Quote):
-            return ("q", _datum_token(e.datum))
-        if isinstance(e, (uast.UVar, uast.UOpaque)):
-            return e
-        if isinstance(e, smach.UBlameE):
-            return e
-        if isinstance(e, uast.ULam):
-            return ("ulam", e.params, self.uexpr(e.body))
-        if isinstance(e, uast.UApp):
-            return ("uapp", self.uexpr(e.fn),
-                    tuple(self.uexpr(a) for a in e.args), e.label)
-        if isinstance(e, uast.UIf):
-            return ("uif", self.uexpr(e.test), self.uexpr(e.then),
-                    self.uexpr(e.orelse))
-        if isinstance(e, uast.UBegin):
-            return ("ubegin", tuple(self.uexpr(x) for x in e.exprs))
-        if isinstance(e, uast.ULetrec):
-            return ("ulr",
-                    tuple((n, self.uexpr(x)) for n, x in e.bindings),
-                    self.uexpr(e.body))
-        if isinstance(e, uast.USet):
-            return ("uset", e.name, self.uexpr(e.value))
-        if isinstance(e, smach.UMon):
-            return ("umon", self.uexpr(e.contract), self.uexpr(e.value),
-                    e.pos, e.neg, e.label)
-        raise TypeError(f"cannot fingerprint expression {e!r}")
+            tok = ("q", _datum_token(e.datum))
+        elif isinstance(e, uast.ULam):
+            tok = ("ulam", e.params, uexpr(e.body))
+        elif isinstance(e, uast.UApp):
+            tok = ("uapp", uexpr(e.fn), tuple(map(uexpr, e.args)),
+                   e.label)
+        elif isinstance(e, uast.UIf):
+            tok = ("uif", uexpr(e.test), uexpr(e.then), uexpr(e.orelse))
+        elif isinstance(e, uast.UBegin):
+            tok = ("ubegin", tuple(map(uexpr, e.exprs)))
+        elif isinstance(e, uast.ULetrec):
+            tok = ("ulr", tuple([(n, uexpr(x)) for n, x in e.bindings]),
+                   uexpr(e.body))
+        elif isinstance(e, uast.USet):
+            tok = ("uset", e.name, uexpr(e.value))
+        elif isinstance(e, smach.UMon):
+            tok = ("umon", uexpr(e.contract), uexpr(e.value),
+                   e.pos, e.neg, e.label)
+        else:
+            raise TypeError(f"cannot fingerprint expression {e!r}")
+        return self.intern(tok)
 
     def kont(self, stack) -> Hashable:
-        smach = self._smach
+        smach, intern = self._smach, self.intern
+        loc, uexpr, menv = self.loc, self.uexpr, self.menv
         out = []
         for k in stack:
             if isinstance(k, smach.KIf):
-                out.append(("kif", self.uexpr(k.then), self.uexpr(k.orelse),
-                            self.menv(k.env)))
+                tok = ("kif", uexpr(k.then), uexpr(k.orelse), menv(k.env))
             elif isinstance(k, smach.KApp):
-                out.append(("kapp", tuple(self.loc(l) for l in k.done),
-                            tuple(self.uexpr(a) for a in k.pending),
-                            self.menv(k.env), k.label))
+                tok = ("kapp", tuple(map(loc, k.done)),
+                       tuple(map(uexpr, k.pending)),
+                       menv(k.env), k.label)
             elif isinstance(k, smach.KBegin):
-                out.append(("kbegin",
-                            tuple(self.uexpr(x) for x in k.rest),
-                            self.menv(k.env)))
+                tok = ("kbegin", tuple(map(uexpr, k.rest)),
+                       menv(k.env))
             elif isinstance(k, smach.KLetrec):
-                out.append(("klr", tuple(self.loc(c) for c in k.cells),
-                            k.index,
-                            tuple((n, self.uexpr(x)) for n, x in k.bindings),
-                            self.uexpr(k.body), self.menv(k.env)))
+                tok = ("klr", tuple(map(loc, k.cells)), k.index,
+                       tuple([(n, uexpr(x)) for n, x in k.bindings]),
+                       uexpr(k.body), menv(k.env))
             elif isinstance(k, smach.KSet):
-                out.append(("kset", self.loc(k.cell)))
+                tok = ("kset", loc(k.cell))
             elif isinstance(k, smach.KMonC):
-                out.append(("kmonc", self.uexpr(k.value), self.menv(k.env),
-                            k.pos, k.neg, k.label))
+                tok = ("kmonc", uexpr(k.value), menv(k.env),
+                       k.pos, k.neg, k.label)
             elif isinstance(k, smach.KMonV):
-                out.append(("kmonv", self.loc(k.ctc), k.pos, k.neg, k.label))
+                tok = ("kmonv", loc(k.ctc), k.pos, k.neg, k.label)
             else:
                 raise TypeError(f"cannot fingerprint continuation {k!r}")
-        return tuple(out)
+            out.append(intern(tok))
+        return intern(tuple(out))
 
 
 class ScvFingerprinter:

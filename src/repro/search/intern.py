@@ -1,31 +1,40 @@
 """Hash-consed interning of fingerprint structure.
 
-State fingerprints (``search.fingerprint``) are built as nested tuples,
-and equivalent states produce *equal* tuples along every path that
-reaches them.  Interning maps every distinct tuple to one canonical
-:class:`Node` (Filliâtre & Conchon's hash-consing), so
+State fingerprints (``search.fingerprint``) are hash-consed *as they are
+built* (Filliâtre & Conchon's hash-consing): every token is interned at
+the moment it is assembled from already-interned children, so
 
 * canonical nodes hash and compare by identity in O(1): a seen-set
   lookup on a fingerprint costs the same whatever the size of the state
   (Python does not cache tuple hashes, so an un-interned tuple re-walks
   its whole subtree on every hash);
-* a node's table key is the tuple of its children's canonical forms,
-  so interning a tuple hashes ``arity`` items, never a subtree;
-* a value that is already a node passes through without a walk — a
+* interning is one dict probe on the key exactly as given — no
+  recursion, no rebuilt key — and hashing that key touches its items,
+  whose nested nodes hash by identity;
+* a value that is already a node passes through without a lookup — a
   fingerprinter can cache the node for a per-program constant (the scv
   globals frame) and splice it into every state for free;
-* frozensets (refinement sets) stay frozensets of canonical elements:
-  their equality is order-free, and they cache their own hash;
-* the seen-set stores each distinct subtree once (memory stays
-  proportional to the number of distinct states, not to the number of
-  fingerprint tokens).
+* frozensets (refinement sets) stay frozensets: their equality is
+  order-free, and they cache their own hash;
+* the table stores each distinct interned token once, so states share
+  their common subtrees (memory stays proportional to the number of
+  distinct tokens, not to the number of fingerprint tokens built).
 
-Two tuples get the same node iff they are ``==`` — including Python's
-``False == 0`` conflation, which type-exact callers (``compile.lower``)
-tag away before interning.  Nodes from different tables never compare
-equal, so fingerprints compare only within the :class:`Interner` — one
-per search run — that made them; nothing leaks between programs in a
-long-lived batch worker.
+**The caller's contract.**  ``intern`` looks at one level only, so it
+is exact — two keys get the same node iff they are ``==`` — only when
+every value nested in a key is represented the same way wherever an
+equal value occurs: either always by its canonical form (a node, or the
+frozenset ``intern`` returned), or always raw (a tuple over canonical
+leaves) at that position.  A node never equals a raw tuple, so a value
+interned in one state and left raw in an equal one would split two
+equal states.  The fingerprinters keep the contract by interning each
+token at the point it is returned.
+
+Equality is Python's ``==`` — including the ``False == 0`` conflation,
+which fingerprint tokens tag away (``_datum_token``).  Nodes from
+different tables never compare equal, so fingerprints compare only
+within the :class:`Interner` — one per search run — that made them;
+nothing leaks between programs in a long-lived batch worker.
 """
 
 from __future__ import annotations
@@ -33,12 +42,8 @@ from __future__ import annotations
 from typing import Hashable
 
 
-#: The containers ``intern`` canonicalises; anything else is a leaf.
-_NESTED = (tuple, frozenset)
-
-
 class Node:
-    """The canonical form of one tuple: its interned ``children``.
+    """The canonical form of one tuple: its ``children``, as given.
 
     Hashes and compares by identity (``object``'s defaults)."""
 
@@ -54,11 +59,11 @@ class Node:
 class Interner:
     """Hash-consing table for immutable fingerprint values.
 
-    ``intern`` maps tuples to canonical :class:`Node` objects and
-    frozensets to canonical frozensets of canonical elements; scalars
-    (ints, strings, frozen AST nodes, ...) and nodes pass through
-    untouched.  ``hits``/``misses`` count table lookups — one per tuple
-    or frozenset walked."""
+    ``intern`` maps a tuple to its canonical :class:`Node` and a
+    frozenset to its canonical (first-seen equal) frozenset, with one
+    table lookup and no walk of nested values; anything else (scalars,
+    frozen AST nodes, nodes) passes through untouched.  ``hits`` /
+    ``misses`` count the lookups of tuples and frozensets."""
 
     __slots__ = ("_table", "hits", "misses")
 
@@ -68,20 +73,20 @@ class Interner:
         self.misses = 0
 
     def intern(self, value: Hashable) -> Hashable:
-        if isinstance(value, tuple):
-            kind = tuple
-        elif isinstance(value, frozenset):
-            kind = frozenset
-        else:
-            return value
-        intern = self.intern
-        key = kind([intern(v) if isinstance(v, _NESTED) else v for v in value])
-        hit = self._table.get(key)
+        # The table's keys are tuples and frozensets, which no leaf or
+        # node equals: probe first, and type-test only on a miss.
+        hit = self._table.get(value)
         if hit is not None:
             self.hits += 1
             return hit
+        if isinstance(value, tuple):
+            hit = Node(value)
+        elif isinstance(value, frozenset):
+            hit = value
+        else:
+            return value
         self.misses += 1
-        hit = self._table[key] = Node(key) if kind is tuple else key
+        self._table[value] = hit
         return hit
 
     def __len__(self) -> int:

@@ -198,11 +198,20 @@ class TestInterner:
         assert it.hits + it.misses == lookups + 2
 
     def test_frozensets_stay_frozensets_of_canonical_elements(self):
+        # One-level contract: the caller interns the elements first.
         it = Interner()
-        small = it.intern(frozenset({("<", 3)}))
-        big = it.intern(frozenset({("<", 3), ("=", 0)}))
+        lt, eq = it.intern(("<", 3)), it.intern(("=", 0))
+        small = it.intern(frozenset({lt}))
+        big = it.intern(frozenset({lt, eq}))
         assert isinstance(small, frozenset) and small <= big
         assert it.intern(("<", 3)) in small
+        assert it.intern(frozenset({it.intern(("<", 3))})) is small
+
+    def test_intern_does_not_recurse(self):
+        it = Interner()
+        lookups = it.hits + it.misses
+        it.intern((1, ("x", (2, 3)), frozenset({4})))
+        assert it.hits + it.misses == lookups + 1
 
     def test_identity_iff_equal_on_random_values(self):
         rng = random.Random(20061)
@@ -265,6 +274,17 @@ _LOOP_SOURCES = (
     "(define (walk n acc)"
     " (if (<= n 0) acc (walk (- n 1) (if (< acc 50) (+ acc 4) (- acc 4)))))\n"
     "(quotient 100 (add1 (walk 4 0)))",
+)
+
+#: Deep loops whose chains run into the 128-step cap, so cap-boundary
+#: states are fingerprinted: ``sum`` is not tail-recursive (long
+#: continuation stacks, each frame with its own environment chain) and
+#: ``fold`` threads a closure through a tail loop.
+_DEEP_LOOP_SOURCES = (
+    "(define (sum n) (if (<= n 0) 0 (+ 5 (sum (- n 1)))))\n"
+    "(quotient 100 (add1 (sum 40)))",
+    "(define (fold f n acc) (if (<= n 0) acc (fold f (- n 1) (f acc n))))\n"
+    "(quotient 100 (add1 (fold (lambda (a i) (+ a (* 2 i))) 48 0)))",
 )
 
 
@@ -339,6 +359,27 @@ class TestIdentityInterningMatchesTheReference:
             for backend in ("core", "scv"):
                 self._verify_twice(source, backend)
         assert len(searches) >= 4 * len(_LOOP_SOURCES)
+        assert self._check(searches) > 0
+
+    def test_deep_loop_programs_reach_the_chain_cap(self, searches,
+                                                    monkeypatch):
+        capped = []
+        expand = SearchKernel._expand
+
+        def counting_expand(kernel, state):
+            before = kernel.stats.chained
+            out = expand(kernel, state)
+            capped.append(kernel.stats.chained - before == kernel.chain_limit)
+            return out
+
+        monkeypatch.setattr(SearchKernel, "_expand", counting_expand)
+        for source in _DEEP_LOOP_SOURCES:
+            for backend in ("core", "scv"):
+                self._verify_twice(source, backend)
+        assert sum(capped) >= 20
+        assert len(searches) >= 4 * len(_DEEP_LOOP_SOURCES)
+        assert max(len(state.kont) for seen in searches
+                   for state, _, _ in seen if isinstance(state, SState)) >= 30
         assert self._check(searches) > 0
 
     def test_pruned_cycle_and_shadowed_global(self, searches):
