@@ -60,6 +60,7 @@ from .heap import (
     TAG_INTEGER,
     UConc,
     UHeap,
+    UNDEFINED,
     UOpq,
     UPair,
     UPrim,
@@ -142,7 +143,7 @@ def reify_concrete(heap: UHeap, l: Loc, depth: int = 0) -> object:
         return _UNREIFIABLE
     _, s = heap.deref(l)
     if isinstance(s, UConc):
-        if s.value is _LETREC_UNDEFINED():
+        if s.value is UNDEFINED:
             return _UNREIFIABLE
         return s.value
     if isinstance(s, UPair):
@@ -157,12 +158,6 @@ def reify_concrete(heap: UHeap, l: Loc, depth: int = 0) -> object:
             return _UNREIFIABLE
         return StructVal(s.type, tuple(fields))
     return _UNREIFIABLE
-
-
-def _LETREC_UNDEFINED() -> object:
-    from .machine import _UNDEFINED
-
-    return _UNDEFINED
 
 
 def alloc_value(heap: UHeap, v: object) -> tuple[Loc, UHeap]:

@@ -121,6 +121,11 @@ class UConc(UStoreable):
         return repr(self.value)
 
 
+#: The value of a ``letrec`` cell until its initialiser has run
+#: (``UConc(UNDEFINED)``); not a Racket value, so never reified.
+UNDEFINED = object()
+
+
 @dataclass(frozen=True)
 class UPair(UStoreable):
     car: Loc

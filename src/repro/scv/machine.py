@@ -59,6 +59,7 @@ from .heap import (
     UCtc,
     UGuard,
     UHeap,
+    UNDEFINED as _UNDEFINED,
     UOpq,
     UPair,
     UPrim,
@@ -963,9 +964,6 @@ class _MonitorSynth:
                 self._blame("->: not a procedure"),
             )
         return self._blame("->: not a procedure")
-
-
-_UNDEFINED = object()
 
 
 def _applicable_arity(heap: UHeap, s: UStoreable) -> Optional[int]:

@@ -21,7 +21,12 @@ Algorithm
    back-substitution model construction, then branch-and-bound to repair
    fractional values, and splitting to repair violated disequalities.
 
-Everything is exact (``fractions.Fraction``); no floating point.
+Everything is exact and nothing is a ``float``: coefficients and
+constants are ``int`` whenever they are integral (every normalised
+constraint, pin and model value), and a ``fractions.Fraction`` appears
+only where a quotient really is fractional — the ``-1/c`` scalings of
+Gaussian and Fourier–Motzkin elimination and ``_pick_value``'s midpoint
+(see :class:`~repro.smt.linearize.LinExpr`).
 
 Explanations
 ------------
@@ -47,7 +52,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import BudgetExhausted, Result
-from .linearize import LinAtom, LinExpr
+from .linearize import LinAtom, LinExpr, Rational, exact
 from .terms import Div, IntConst, Mod, Mul, Term, Var
 
 # Constraint kinds after normalisation.
@@ -75,30 +80,27 @@ def normalize(expr: LinExpr, kind: str, *, strict: bool = False) -> Constraint:
     integer coefficients, and ``a_i x_i <= b`` tightens to
     ``(a_i/g) x_i <= floor(b/g)`` for ``g = gcd(a_i)``.
     """
-    denoms = [c.denominator for _, c in expr.coeffs] + [expr.const.denominator]
-    scale = math.lcm(*denoms) if denoms else 1
-    e = expr.scale(scale)
+    e = expr.scale(
+        math.lcm(*(c.denominator for _, c in expr.coeffs), expr.const.denominator)
+    )
     if strict:
         if kind != LE:
             raise ValueError("strictness only applies to inequalities")
-        e = e.add(LinExpr.constant(1))
-    coeffs = [int(c) for _, c in e.coeffs]
-    if kind == LE and coeffs:
-        g = math.gcd(*(abs(c) for c in coeffs))
-        if g > 1:
+        e = LinExpr(e.coeffs, e.const + 1)
+    if not e.coeffs:
+        return Constraint(e, kind)
+    g = math.gcd(*(c for _, c in e.coeffs))
+    if g > 1:
+        if kind == LE:
             # e.const = -b, so the new constant is -floor(b/g) = ceil(-b/g).
-            const = Fraction(math.ceil(Fraction(e.const) / g))
-            e = LinExpr.from_dict(
-                {a: c / g for a, c in e.coeffs}, const
-            )
-    elif kind in (EQ, NE) and coeffs:
-        g = math.gcd(*(abs(c) for c in coeffs))
-        if g > 1:
-            if e.const % g != 0:
-                # gcd does not divide the constant: eq is UNSAT, ne is valid.
-                # ``1 = 0`` / ``1 != 0`` encode exactly that.
-                return Constraint(LinExpr.constant(1), kind)
-            e = e.scale(Fraction(1, g))
+            const = -(-e.const // g)
+        elif e.const % g != 0:
+            # gcd does not divide the constant: eq is UNSAT, ne is valid.
+            # ``1 = 0`` / ``1 != 0`` encode exactly that.
+            return Constraint(LinExpr.constant(1), kind)
+        else:
+            const = e.const // g
+        e = LinExpr(tuple((a, c // g) for a, c in e.coeffs), const)
     return Constraint(e, kind)
 
 
@@ -257,7 +259,7 @@ class LiaSolver:
                 stack.append((cons + [normalize(below, LE)], ms + [0]))
                 stack.append((cons + [normalize(above, LE)], ms + [0]))
                 continue
-            int_model = {a: int(v) for a, v in rat.items()}
+            int_model = rat  # integral values are ints (see LinExpr)
             # Repair a violated disequality.
             bad = next(
                 (
@@ -289,7 +291,7 @@ _Row = tuple[LinExpr, int]
 
 def _solve_rational(
     constraints: list[Constraint], masks: list[int]
-) -> dict[LinAtom, Fraction]:
+) -> dict[LinAtom, Rational]:
     """Satisfy the eq/le constraints over the rationals, ignoring ne
     (handled by splitting in the caller).  Returns an assignment for every
     atom mentioned; raises ``_Refuted`` with the support of the derived
@@ -310,8 +312,7 @@ def _solve_rational(
             continue
         atom, coeff = e.coeffs[0]
         # atom = -(e - coeff*atom)/coeff
-        rest = e.substitute(atom, LinExpr.constant(0))
-        repl = rest.scale(Fraction(-1, 1) / coeff)
+        repl = e.drop(atom).scale(_neg_recip(coeff))
         substitutions.append((atom, repl))
         eqs = [_substitute_row(row, atom, repl, m) for row in eqs]
         les = [_substitute_row(row, atom, repl, m) for row in les]
@@ -346,7 +347,7 @@ def _solve_rational(
             if c == 0:
                 others.append((e, m))
                 continue
-            rest = e.substitute(x, LinExpr.constant(0)).scale(Fraction(-1) / c)
+            rest = e.drop(x).scale(_neg_recip(c))
             if c > 0:
                 uppers.append((rest, m))  # c*x + rest' <= 0  =>  x <= rest
             else:
@@ -363,24 +364,20 @@ def _solve_rational(
         remaining = others
 
     # Back-substitution: assign eliminated variables innermost-first.
-    assignment: dict[LinAtom, Fraction] = {}
+    assignment: dict[LinAtom, Rational] = {}
     for x, lowers, uppers in reversed(stages):
-        lb = max(
-            (_eval_lin_frac(e, assignment) for e, _ in lowers), default=None
-        )
-        ub = min(
-            (_eval_lin_frac(e, assignment) for e, _ in uppers), default=None
-        )
+        lb = max((_eval_lin(e, assignment) for e, _ in lowers), default=None)
+        ub = min((_eval_lin(e, assignment) for e, _ in uppers), default=None)
         assignment[x] = _pick_value(lb, ub)
 
     # Any atom not touched by inequalities is free: pick 0.
     for a in all_atoms:
         if a not in assignment and not any(a == s for s, _ in substitutions):
-            assignment[a] = Fraction(0)
+            assignment[a] = 0
 
     # Unwind equality substitutions.
     for atom, repl in reversed(substitutions):
-        assignment[atom] = _eval_lin_frac(repl, assignment)
+        assignment[atom] = _eval_lin(repl, assignment)
 
     return assignment
 
@@ -392,23 +389,33 @@ def _substitute_row(row: _Row, atom: LinAtom, repl: LinExpr, mask: int) -> _Row:
     return row if out is e else (out, m | mask)
 
 
-def _pick_value(lb: Optional[Fraction], ub: Optional[Fraction]) -> Fraction:
+def _neg_recip(c: Rational) -> Rational:
+    """``-1/c``, exactly: an ``int`` when integral, else a ``Fraction``."""
+    if c == 1:
+        return -1
+    if c == -1:
+        return 1
+    return exact(Fraction(-1, c))
+
+
+def _pick_value(lb: Optional[Rational], ub: Optional[Rational]) -> Rational:
     """A value in [lb, ub], preferring integers, preferring small ones."""
     if lb is None and ub is None:
-        return Fraction(0)
+        return 0
     if lb is None:
         assert ub is not None
-        return Fraction(min(0, math.floor(ub)))
+        return min(0, math.floor(ub))
     if ub is None:
-        return Fraction(max(0, math.ceil(lb)))
+        return max(0, math.ceil(lb))
     if lb > ub:  # pragma: no cover - FM guarantees feasibility
         raise AssertionError("FM produced an empty interval")
     if lb <= 0 <= ub:
-        return Fraction(0)
-    candidate = Fraction(math.ceil(lb))
+        return 0
+    candidate = math.ceil(lb)
     if candidate <= ub:
         return candidate
-    return (lb + ub) / 2  # no integer inside: fractional, B&B will repair
+    # No integer inside: fractional, B&B will repair.
+    return Fraction(lb + ub, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +423,12 @@ def _pick_value(lb: Optional[Fraction], ub: Optional[Fraction]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _eval_lin_frac(e: LinExpr, env: dict[LinAtom, Fraction]) -> Fraction:
-    total = Fraction(e.const)
-    for a, c in e.coeffs:
-        total += c * env.get(a, Fraction(0))
-    return total
-
-
-def _eval_lin(e: LinExpr, env: dict[LinAtom, int]) -> Fraction:
-    total = Fraction(e.const)
+def _eval_lin(e: LinExpr, env: dict[LinAtom, Rational]) -> Rational:
+    """``e`` under ``env`` (absent atoms are 0), exactly."""
+    total = e.const
     for a, c in e.coeffs:
         total += c * env.get(a, 0)
-    return total
+    return exact(total)
 
 
 def _propagate_constants(
@@ -464,14 +465,14 @@ def _propagate_constants(
                 continue
             if c.kind == EQ and len(e.coeffs) == 1:
                 atom, coeff = e.coeffs[0]
-                value = -e.const / coeff
-                if value.denominator != 1:
+                value, rem = divmod(-e.const, coeff)
+                if rem:
                     raise _Refuted(m)
                 if isinstance(atom, Var):
                     prev = pinned.get(atom)
-                    if prev is not None and prev != int(value):
+                    if prev is not None and prev != value:
                         raise _Refuted(m | why[atom])
-                    pinned[atom] = int(value)
+                    pinned[atom] = value
                     why.setdefault(atom, m)
                     progress = True
                     continue
@@ -507,15 +508,15 @@ def _pin_values(e: LinExpr, values: dict) -> LinExpr:
     the atoms ``e`` contains and builds one expression."""
     if not any(a in values for a, _ in e.coeffs):
         return e
-    rest: dict[LinAtom, Fraction] = {}
+    rest = []
     const = e.const
     for a, c in e.coeffs:
         val = values.get(a)
         if val is None:
-            rest[a] = c
+            rest.append((a, c))
         else:
             const += c * val
-    return LinExpr.from_dict(rest, const)
+    return LinExpr(tuple(rest), exact(const))
 
 
 def _fold_products(e: LinExpr, pinned: dict[LinAtom, int]) -> LinExpr:

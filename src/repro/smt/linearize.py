@@ -19,44 +19,64 @@ from .terms import Add, Div, IntConst, Mod, Mul, Term, Var
 # Atoms of a linear expression: variables, or opaque irreducible terms.
 LinAtom = Term
 
+#: An exact rational: an ``int`` whenever it is integral, a ``Fraction``
+#: only when it is not.
+Rational = Union[int, Fraction]
+
+
+def exact(q: Rational) -> Rational:
+    """``q``, with an integral ``Fraction`` narrowed to its ``int``."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _atom_order(item: tuple[LinAtom, Rational]) -> str:
+    return item[0].sort_key()
+
 
 @dataclass(frozen=True)
 class LinExpr:
-    """``const + sum(coeffs[a] * a)`` with rational coefficients.
+    """``const + sum(coeffs[a] * a)`` with exact rational coefficients.
 
     Immutable; arithmetic helpers return new instances.  Coefficient maps
-    never contain zero entries.
+    never contain zero entries, and are ordered by the atoms' printed
+    form.  Every coefficient and the constant is an ``int`` when it is
+    integral and a ``Fraction`` only when it is not (see :func:`exact`):
+    the forms ``linearize`` builds and the normalised constraints of
+    ``smt.lia`` are all-``int``, and only the rational relaxation's
+    ``-1/c`` scalings make fractions.  No value is ever a ``float``.
     """
 
-    coeffs: tuple[tuple[LinAtom, Fraction], ...]
-    const: Fraction
+    coeffs: tuple[tuple[LinAtom, Rational], ...]
+    const: Rational
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def constant(value: Union[int, Fraction]) -> "LinExpr":
-        return LinExpr((), Fraction(value))
+    def constant(value: Rational) -> "LinExpr":
+        return LinExpr((), exact(value))
 
     @staticmethod
-    def atom(a: LinAtom, coeff: Union[int, Fraction] = 1) -> "LinExpr":
-        c = Fraction(coeff)
+    def atom(a: LinAtom, coeff: Rational = 1) -> "LinExpr":
+        c = exact(coeff)
         if c == 0:
-            return LinExpr.constant(0)
-        return LinExpr(((a, c),), Fraction(0))
+            return LinExpr((), 0)
+        return LinExpr(((a, c),), 0)
 
     @staticmethod
-    def from_dict(coeffs: dict[LinAtom, Fraction], const: Fraction) -> "LinExpr":
-        items = tuple(
-            sorted(
-                ((a, c) for a, c in coeffs.items() if c != 0),
-                key=lambda ac: repr(ac[0]),
-            )
-        )
-        return LinExpr(items, const)
+    def from_dict(coeffs: dict[LinAtom, Rational], const: Rational) -> "LinExpr":
+        items = []
+        for a, c in coeffs.items():
+            if c != 0:
+                items.append((a, exact(c)))
+        if len(items) > 1:
+            items.sort(key=_atom_order)
+        return LinExpr(tuple(items), exact(const))
 
     # -- queries -----------------------------------------------------------
 
-    def as_dict(self) -> dict[LinAtom, Fraction]:
+    def as_dict(self) -> dict[LinAtom, Rational]:
         return dict(self.coeffs)
 
     @property
@@ -66,39 +86,50 @@ class LinExpr:
     def atoms(self) -> set[LinAtom]:
         return {a for a, _ in self.coeffs}
 
-    def coeff_of(self, a: LinAtom) -> Fraction:
+    def coeff_of(self, a: LinAtom) -> Rational:
         for atom, c in self.coeffs:
             if atom == a:
                 return c
-        return Fraction(0)
+        return 0
 
     # -- arithmetic --------------------------------------------------------
 
     def add(self, other: "LinExpr") -> "LinExpr":
-        d = self.as_dict()
+        d = dict(self.coeffs)
         for a, c in other.coeffs:
-            d[a] = d.get(a, Fraction(0)) + c
+            d[a] = d.get(a, 0) + c
         return LinExpr.from_dict(d, self.const + other.const)
 
-    def scale(self, k: Union[int, Fraction]) -> "LinExpr":
-        k = Fraction(k)
+    def scale(self, k: Rational) -> "LinExpr":
+        k = exact(k)
         if k == 0:
-            return LinExpr.constant(0)
-        return LinExpr.from_dict(
-            {a: c * k for a, c in self.coeffs}, self.const * k
+            return LinExpr((), 0)
+        if k == 1:
+            return self
+        # A nonzero factor keeps every atom and the order.
+        return LinExpr(
+            tuple((a, exact(c * k)) for a, c in self.coeffs),
+            exact(self.const * k),
         )
 
     def sub(self, other: "LinExpr") -> "LinExpr":
-        return self.add(other.scale(-1))
+        d = dict(self.coeffs)
+        for a, c in other.coeffs:
+            d[a] = d.get(a, 0) - c
+        return LinExpr.from_dict(d, self.const - other.const)
+
+    def drop(self, a: LinAtom) -> "LinExpr":
+        """``self`` without its ``a`` term (``a`` replaced by 0)."""
+        return LinExpr(
+            tuple(item for item in self.coeffs if item[0] != a), self.const
+        )
 
     def substitute(self, a: LinAtom, repl: "LinExpr") -> "LinExpr":
         """Replace atom ``a`` with expression ``repl``."""
         c = self.coeff_of(a)
         if c == 0:
             return self
-        d = self.as_dict()
-        del d[a]
-        return LinExpr.from_dict(d, self.const).add(repl.scale(c))
+        return self.drop(a).add(repl.scale(c))
 
     def __repr__(self) -> str:
         parts = [f"{c}*{a!r}" for a, c in self.coeffs]
@@ -124,7 +155,7 @@ def linearize(t: Term) -> LinExpr:
         return acc
     if isinstance(t, Mul):
         linear_parts = [linearize(a) for a in t.args]
-        const_factor = Fraction(1)
+        const_factor = 1
         non_const: list[LinExpr] = []
         for le in linear_parts:
             if le.is_constant:
@@ -138,7 +169,7 @@ def linearize(t: Term) -> LinExpr:
         if len(non_const) == 1:
             return non_const[0].scale(const_factor)
         # Genuinely nonlinear: keep the original product as an opaque atom.
-        return LinExpr.atom(t, const_factor) if const_factor != 1 else LinExpr.atom(t)
+        return LinExpr.atom(t, const_factor)
     if isinstance(t, (Div, Mod)):
         return LinExpr.atom(t)
     raise TypeError(f"cannot linearize {t!r}")

@@ -6,6 +6,8 @@ A conflict-driven clause-learning solver with the standard modern kernel:
 * first-UIP conflict analysis with clause minimisation,
 * VSIDS-style exponential variable activities; a decision takes the
   unassigned variable of highest activity, the lowest index on a tie,
+  popped from an activity-ordered heap (MiniSat's order heap; Eén &
+  Sörensson, "An Extensible SAT-solver", SAT 2003),
 * Luby-sequence restarts with phase saving,
 * incremental solving under assumptions (used by the DPLL(T) loop to add
   theory lemmas between calls, and by the scoped :class:`~repro.smt.solver.
@@ -22,14 +24,29 @@ learned clause — so clauses learned under one assumption set remain
 sound under every other, which is what makes scope-popping by
 selector-retirement (see ``smt.solver``) keep its lemmas for free.
 
-Literals are nonzero ints (+v / -v), variables are 1-based; clause
-storage is plain Python lists, which is plenty for the formula sizes the
-paper's heap translation produces (tens to hundreds of atoms).
+Literals are nonzero ints (+v / -v), variables are 1-based.  The solver
+state lives in flat lists, read inline by the propagation loop: the
+per-variable tables (level, reason, activity, saved phase) are indexed
+by the variable, and the per-literal ones (the value and the watch
+lists) by the literal itself — a negative literal indexes from the end
+of its list, Python's negative indexing.  Clause storage is plain
+Python lists, which is plenty for the formula sizes the paper's heap
+translation produces (tens to hundreds of atoms).
+
+The order heap is lazy: it holds ``(-activity, var)`` entries, a bump
+pushes a new entry rather than moving the old one, and a decision pops
+until it finds an entry that is current (its key is the variable's
+activity) and unassigned.  Every unassigned variable keeps a current
+entry — backtracking re-queues the variables it unassigns — so the pop
+order is exactly "highest activity, lowest index on a tie".  The heap
+is rebuilt from the activities when they are rescaled (every activity
+times 1e-100) and by ``reset_heuristics``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 Lit = int
@@ -45,7 +62,7 @@ def _luby(i: int) -> int:
         i = i - (1 << (k - 1)) + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class _ClauseRef:
     lits: list[Lit]
     learned: bool = False
@@ -66,18 +83,25 @@ class SatSolver:
 
     def __init__(self) -> None:
         self.num_vars = 0
+        self._cap = 0  # variables the tables have room for
         self.clauses: list[_ClauseRef] = []
-        self.watches: dict[Lit, list[_ClauseRef]] = {}
-        self.assign: dict[int, bool] = {}
-        self.level: dict[int, int] = {}
-        self.reason: dict[int, Optional[_ClauseRef]] = {}
+        # Per literal (entry -l is the list's l-th from the end): the
+        # value (1 true, -1 false, 0 unassigned) and the watch list.
+        self.value: list[int] = [0]
+        self.watches: list[list[_ClauseRef]] = [[]]
+        # Per variable (entry 0 unused); level and reason are meaningful
+        # only while the variable is assigned.
+        self.level: list[int] = [0]
+        self.reason: list[Optional[_ClauseRef]] = [None]
+        self.activity: list[float] = [0.0]
+        self.saved_phase: list[bool] = [False]
+        self._order: list[tuple[float, int]] = []  # the lazy order heap
+        self._queued: list[bool] = [False]  # has a current heap entry
         self.trail: list[Lit] = []
         self.trail_lim: list[int] = []
         self.prop_head = 0
-        self.activity: dict[int, float] = {}
         self.var_inc = 1.0
         self.var_decay = 0.95
-        self.saved_phase: dict[int, bool] = {}
         self.ok = True  # False once an empty clause is added
         self.conflicts = 0
         self.learned_count = 0  # non-unit learned clauses currently stored
@@ -86,11 +110,31 @@ class SatSolver:
 
     def ensure_vars(self, n: int) -> None:
         """Make variables 1..n available."""
+        if n <= self.num_vars:
+            return
+        if n > self._cap:
+            self._grow(max(n, 2 * self._cap))
         for v in range(self.num_vars + 1, n + 1):
-            self.activity[v] = 0.0
-            self.watches.setdefault(v, [])
-            self.watches.setdefault(-v, [])
-        self.num_vars = max(self.num_vars, n)
+            heappush(self._order, (-0.0, v))
+            self._queued[v] = True
+        self.num_vars = n
+
+    def _grow(self, cap: int) -> None:
+        """Room for variables 1..cap; the negative-literal halves of the
+        per-literal tables stay at the end."""
+        old, pad = self._cap, cap - self._cap
+        self.value = self.value[: old + 1] + [0] * (2 * pad) + self.value[old + 1 :]
+        self.watches = (
+            self.watches[: old + 1]
+            + [[] for _ in range(2 * pad)]
+            + self.watches[old + 1 :]
+        )
+        self.level += [0] * pad
+        self.reason += [None] * pad
+        self.activity += [0.0] * pad
+        self.saved_phase += [False] * pad
+        self._queued += [False] * pad
+        self._cap = cap
 
     def add_clause(self, lits: Iterable[Lit]) -> bool:
         """Add a clause at decision level 0.  Returns False if the solver
@@ -104,10 +148,10 @@ class SatSolver:
                 return True  # tautology
             if l in seen:
                 continue
-            val = self._value(l)
-            if val is True:
+            val = self.value[l]
+            if val == 1:
                 return True  # satisfied at level 0
-            if val is False:
+            if val == -1:
                 continue  # falsified at level 0: drop literal
             seen.add(l)
             out.append(l)
@@ -129,23 +173,18 @@ class SatSolver:
         return True
 
     def _watch(self, ref: _ClauseRef) -> None:
-        self.watches.setdefault(ref.lits[0], []).append(ref)
-        self.watches.setdefault(ref.lits[1], []).append(ref)
+        self.watches[ref.lits[0]].append(ref)
+        self.watches[ref.lits[1]].append(ref)
 
     # -- assignment --------------------------------------------------------
 
-    def _value(self, lit: Lit) -> Optional[bool]:
-        v = self.assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
     def _enqueue(self, lit: Lit, reason: Optional[_ClauseRef]) -> bool:
-        val = self._value(lit)
-        if val is not None:
-            return val
-        var = abs(lit)
-        self.assign[var] = lit > 0
+        val = self.value[lit]
+        if val:
+            return val == 1
+        var = lit if lit > 0 else -lit
+        self.value[lit] = 1
+        self.value[-lit] = -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
@@ -153,11 +192,14 @@ class SatSolver:
 
     def _propagate(self) -> Optional[_ClauseRef]:
         """Unit propagation; returns a conflicting clause or None."""
-        while self.prop_head < len(self.trail):
-            lit = self.trail[self.prop_head]
-            self.prop_head += 1
-            falsified = -lit
-            watchers = self.watches.get(falsified, [])
+        trail, value, watches = self.trail, self.value, self.watches
+        level, reason = self.level, self.reason
+        lvl = len(self.trail_lim)
+        head = self.prop_head
+        while head < len(trail):
+            falsified = -trail[head]
+            head += 1
+            watchers = watches[falsified]
             i = 0
             while i < len(watchers):
                 ref = watchers[i]
@@ -166,40 +208,60 @@ class SatSolver:
                 if lits[0] == falsified:
                     lits[0], lits[1] = lits[1], lits[0]
                 # lits[1] == falsified now.
-                if self._value(lits[0]) is True:
+                first = lits[0]
+                first_val = value[first]
+                if first_val == 1:
                     i += 1
                     continue
                 # Look for a new literal to watch.
-                moved = False
                 for j in range(2, len(lits)):
-                    if self._value(lits[j]) is not False:
+                    if value[lits[j]] != -1:
                         lits[1], lits[j] = lits[j], lits[1]
-                        self.watches.setdefault(lits[1], []).append(ref)
+                        watches[lits[1]].append(ref)
                         watchers[i] = watchers[-1]
                         watchers.pop()
-                        moved = True
                         break
-                if moved:
-                    continue
-                # Clause is unit or conflicting.
-                if self._value(lits[0]) is False:
-                    return ref  # conflict
-                self._enqueue(lits[0], ref)
-                i += 1
+                else:
+                    # Clause is unit or conflicting.
+                    if first_val == -1:
+                        self.prop_head = head
+                        return ref  # conflict
+                    value[first] = 1
+                    value[-first] = -1
+                    var = first if first > 0 else -first
+                    level[var] = lvl
+                    reason[var] = ref
+                    trail.append(first)
+                    i += 1
+        self.prop_head = head
         return None
 
     # -- conflict analysis -------------------------------------------------
 
     def _bump_var(self, v: int) -> None:
-        self.activity[v] = self.activity.get(v, 0.0) + self.var_inc
-        if self.activity[v] > 1e100:
-            for u in self.activity:
-                self.activity[u] *= 1e-100
+        a = self.activity[v] + self.var_inc
+        self.activity[v] = a
+        if a > 1e100:
+            activity = self.activity
+            for u in range(1, self.num_vars + 1):
+                activity[u] *= 1e-100
             self.var_inc *= 1e-100
+            self._rebuild_order()
+        else:
+            heappush(self._order, (-a, v))
+            self._queued[v] = True
+
+    def _rebuild_order(self) -> None:
+        """A fresh order heap: one current entry per variable."""
+        activity = self.activity
+        self._order = [(-activity[v], v) for v in range(1, self.num_vars + 1)]
+        heapify(self._order)
+        self._queued = [True] * (self._cap + 1)
 
     def _analyze(self, conflict: _ClauseRef) -> tuple[list[Lit], int]:
         """First-UIP analysis.  Returns (learned clause, backjump level).
         The asserting literal is placed first in the learned clause."""
+        level = self.level
         cur_level = len(self.trail_lim)
         seen: set[int] = set()
         learned: list[Lit] = []
@@ -212,12 +274,12 @@ class SatSolver:
             for q in reason_lits:
                 if p is not None and q == p:
                     continue
-                v = abs(q)
-                if v in seen or self.level.get(v, 0) == 0:
+                v = q if q > 0 else -q
+                if v in seen or level[v] == 0:
                     continue
                 seen.add(v)
                 self._bump_var(v)
-                if self.level[v] == cur_level:
+                if level[v] == cur_level:
                     counter += 1
                 else:
                     learned.append(q)
@@ -235,30 +297,31 @@ class SatSolver:
             assert ref is not None, "UIP literal must have a reason"
             reason_lits = [l for l in ref.lits if l != p]
 
-        learned = [-p] + self._minimize(learned, seen)
+        learned = [-p] + self._minimize(learned)
         if len(learned) == 1:
             return learned, 0
         # Backjump level: max level among the non-asserting literals.
-        bj = max(self.level[abs(l)] for l in learned[1:])
+        bj = max(level[abs(l)] for l in learned[1:])
         # Put a literal of the backjump level second (watch invariant).
         for k in range(1, len(learned)):
-            if self.level[abs(learned[k])] == bj:
+            if level[abs(learned[k])] == bj:
                 learned[1], learned[k] = learned[k], learned[1]
                 break
         return learned, bj
 
-    def _minimize(self, learned: list[Lit], seen: set[int]) -> list[Lit]:
+    def _minimize(self, learned: list[Lit]) -> list[Lit]:
         """Cheap recursive clause minimisation: drop literals whose reason
         is entirely within the learned clause's variables."""
+        level, reason = self.level, self.reason
         marked = {abs(l) for l in learned}
         out = []
         for l in learned:
-            ref = self.reason.get(abs(l))
+            ref = reason[abs(l)]
             if ref is None:
                 out.append(l)
                 continue
             if all(
-                abs(q) in marked or self.level.get(abs(q), 0) == 0
+                abs(q) in marked or level[abs(q)] == 0
                 for q in ref.lits
                 if q != -l
             ):
@@ -285,21 +348,25 @@ class SatSolver:
         and learned lemmas are the context's value; the heuristic state
         is not, so it is reset to keep warm checks behaving like cold
         ones, just with more lemmas."""
-        self.saved_phase.clear()
-        for v in self.activity:
-            self.activity[v] = 0.0
+        self.saved_phase = [False] * (self._cap + 1)
+        self.activity = [0.0] * (self._cap + 1)
         self.var_inc = 1.0
+        self._rebuild_order()
 
     def _backtrack(self, level: int) -> None:
         if len(self.trail_lim) <= level:
             return
         limit = self.trail_lim[level]
+        value, phase = self.value, self.saved_phase
+        order, queued, activity = self._order, self._queued, self.activity
         for lit in reversed(self.trail[limit:]):
-            v = abs(lit)
-            self.saved_phase[v] = self.assign[v]
-            del self.assign[v]
-            del self.level[v]
-            self.reason.pop(v, None)
+            v = lit if lit > 0 else -lit
+            phase[v] = lit > 0
+            value[lit] = 0
+            value[-lit] = 0
+            if not queued[v]:
+                heappush(order, (-activity[v], v))
+                queued[v] = True
         del self.trail[limit:]
         del self.trail_lim[level:]
         self.prop_head = min(self.prop_head, len(self.trail))
@@ -307,16 +374,18 @@ class SatSolver:
     # -- decisions ---------------------------------------------------------
 
     def _decide(self) -> Optional[Lit]:
-        best_v, best_a = 0, -1.0
-        for v in range(1, self.num_vars + 1):
-            if v not in self.assign:
-                a = self.activity.get(v, 0.0)
-                if a > best_a:
-                    best_v, best_a = v, a
-        if best_v == 0:
-            return None
-        phase = self.saved_phase.get(best_v, False)
-        return best_v if phase else -best_v
+        """The unassigned variable of highest activity (lowest index on a
+        tie), in its saved phase; None once every variable is assigned."""
+        order, activity, value = self._order, self.activity, self.value
+        while order:
+            key, v = heappop(order)
+            if key != -activity[v]:
+                continue  # stale: a bump pushed a current entry
+            self._queued[v] = False
+            if value[v]:
+                continue  # assigned: backtracking re-queues it
+            return v if self.saved_phase[v] else -v
+        return None
 
     # -- main loop ---------------------------------------------------------
 
@@ -371,12 +440,12 @@ class SatSolver:
                 continue
             lit = None
             for a in assumptions:
-                val = self._value(a)
-                if val is False:
+                val = self.value[a]
+                if val == -1:
                     # An assumption is falsified by the database (plus the
                     # assumptions already decided): unsat under assumptions.
                     return False
-                if val is None:
+                if val == 0:
                     lit = a
                     break
             if lit is None:
@@ -390,7 +459,7 @@ class SatSolver:
 
     def model_assignment(self) -> dict[int, bool]:
         """The satisfying assignment after a True ``solve()``."""
-        return dict(self.assign)
+        return {(l if l > 0 else -l): l > 0 for l in self.trail}
 
     def block_and_continue(self, lits: list[Lit]) -> bool:
         """Backtrack to level 0 and add a blocking/lemma clause.

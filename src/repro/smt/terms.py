@@ -7,15 +7,16 @@ targets: the path condition of symbolic execution is always a
 first-order formula over base values, even when the program inputs are
 higher-order.
 
-All node classes are immutable and hashable; construct them through the
-builder functions at the bottom of the module (``mk_add``, ``mk_eq``, ...)
-which perform light normalisation (constant folding, flattening) so that
-structurally equal constraints compare equal.
+All node classes are immutable, compare by structure and hash in O(1)
+(each node caches its structural hash; see :class:`_Node`); construct
+them through the builder functions at the bottom of the module
+(``mk_add``, ``mk_eq``, ...) which perform light normalisation (constant
+folding, flattening) so that structurally equal constraints compare
+equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 
@@ -41,72 +42,166 @@ BOOL = Sort("Bool")
 
 
 # ---------------------------------------------------------------------------
+# Nodes: immutable, structurally compared, hashed once
+# ---------------------------------------------------------------------------
+
+_set = object.__setattr__
+
+
+class _Node:
+    """Shared behaviour of terms and formulas.
+
+    A node is immutable and equal to another node of its class with
+    equal fields (``_key``).  Its structural hash is computed once, in
+    the constructor, from its class and its fields: the children's
+    hashes are already cached, so building a node costs O(arity) and
+    hashing it O(1) — the atom map, ``Solver``'s constraint memo and the
+    conjunction solver's memo keys hash the same atoms over and over.
+    Unequal hashes settle ``==`` without a walk.
+
+    The cached hash is process-local (``str`` hashes depend on
+    ``PYTHONHASHSEED``), so a node pickles as its constructor call and
+    the hash is recomputed where it is loaded.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init__(self) -> None:
+        raise TypeError(f"{type(self).__name__} is abstract")
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._hash == other._hash and self._key() == other._key()
+        return False if isinstance(other, _Node) else NotImplemented
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (self.__class__, self._key())
+
+
+# ---------------------------------------------------------------------------
 # Terms (integer-sorted)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Node):
     """Base class of integer-sorted terms."""
 
-    def __post_init__(self) -> None:  # pragma: no cover - abstract guard
-        if type(self) is Term:
-            raise TypeError("Term is abstract")
+    __slots__ = ("_sort_key",)
+
+    def sort_key(self) -> str:
+        """``repr(self)``, computed once: the order of the atoms of a
+        linear form (``smt.linearize``)."""
+        try:
+            return self._sort_key
+        except AttributeError:
+            key = repr(self)
+            _set(self, "_sort_key", key)
+            return key
 
 
-@dataclass(frozen=True)
 class Var(Term):
     """An integer variable, identified by name."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
+        _set(self, "_hash", hash((Var, name)))
+
+    def _key(self) -> tuple:
+        return (self.name,)
 
     def __repr__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class IntConst(Term):
     """An integer literal."""
 
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _set(self, "value", value)
+        _set(self, "_hash", hash((IntConst, value)))
+
+    def _key(self) -> tuple:
+        return (self.value,)
 
     def __repr__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
 class Add(Term):
-    args: tuple[Term, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple[Term, ...]) -> None:
+        _set(self, "args", args)
+        _set(self, "_hash", hash((Add, args)))
+
+    def _key(self) -> tuple:
+        return (self.args,)
 
     def __repr__(self) -> str:
         return "(+ " + " ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True)
 class Mul(Term):
-    args: tuple[Term, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple[Term, ...]) -> None:
+        _set(self, "args", args)
+        _set(self, "_hash", hash((Mul, args)))
+
+    def _key(self) -> tuple:
+        return (self.args,)
 
     def __repr__(self) -> str:
         return "(* " + " ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True)
 class Div(Term):
     """Euclidean division (result rounds toward -inf for positive divisors,
     matching Racket's ``quotient`` on naturals; see ``smt.lia`` for the
     axiomatisation used)."""
 
-    num: Term
-    den: Term
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Term, den: Term) -> None:
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "_hash", hash((Div, num, den)))
+
+    def _key(self) -> tuple:
+        return (self.num, self.den)
 
     def __repr__(self) -> str:
         return f"(div {self.num!r} {self.den!r})"
 
 
-@dataclass(frozen=True)
 class Mod(Term):
-    num: Term
-    den: Term
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Term, den: Term) -> None:
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "_hash", hash((Mod, num, den)))
+
+    def _key(self) -> tuple:
+        return (self.num, self.den)
 
     def __repr__(self) -> str:
         return f"(mod {self.num!r} {self.den!r})"
@@ -117,18 +212,21 @@ class Mod(Term):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(_Node):
     """Base class of boolean-sorted formulas."""
 
-    def __post_init__(self) -> None:  # pragma: no cover - abstract guard
-        if type(self) is Formula:
-            raise TypeError("Formula is abstract")
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class BoolConst(Formula):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        _set(self, "value", value)
+        _set(self, "_hash", hash((BoolConst, value)))
+
+    def _key(self) -> tuple:
+        return (self.value,)
 
     def __repr__(self) -> str:
         return "true" if self.value else "false"
@@ -138,8 +236,22 @@ TRUE = BoolConst(True)
 FALSE = BoolConst(False)
 
 
-@dataclass(frozen=True)
-class Eq(Formula):
+class _Binary(Formula):
+    """A formula node with two children, ``lhs`` and ``rhs``."""
+
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs, rhs) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "_hash", hash((self.__class__, lhs, rhs)))
+
+    def _key(self) -> tuple:
+        return (self.lhs, self.rhs)
+
+
+class Eq(_Binary):
+    __slots__ = ()
     lhs: Term
     rhs: Term
 
@@ -147,8 +259,8 @@ class Eq(Formula):
         return f"(= {self.lhs!r} {self.rhs!r})"
 
 
-@dataclass(frozen=True)
-class Le(Formula):
+class Le(_Binary):
+    __slots__ = ()
     lhs: Term
     rhs: Term
 
@@ -156,8 +268,8 @@ class Le(Formula):
         return f"(<= {self.lhs!r} {self.rhs!r})"
 
 
-@dataclass(frozen=True)
-class Lt(Formula):
+class Lt(_Binary):
+    __slots__ = ()
     lhs: Term
     rhs: Term
 
@@ -165,32 +277,50 @@ class Lt(Formula):
         return f"(< {self.lhs!r} {self.rhs!r})"
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    arg: Formula
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Formula) -> None:
+        _set(self, "arg", arg)
+        _set(self, "_hash", hash((Not, arg)))
+
+    def _key(self) -> tuple:
+        return (self.arg,)
 
     def __repr__(self) -> str:
         return f"(not {self.arg!r})"
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    args: tuple[Formula, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple[Formula, ...]) -> None:
+        _set(self, "args", args)
+        _set(self, "_hash", hash((And, args)))
+
+    def _key(self) -> tuple:
+        return (self.args,)
 
     def __repr__(self) -> str:
         return "(and " + " ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    args: tuple[Formula, ...]
+    __slots__ = ("args",)
+
+    def __init__(self, args: tuple[Formula, ...]) -> None:
+        _set(self, "args", args)
+        _set(self, "_hash", hash((Or, args)))
+
+    def _key(self) -> tuple:
+        return (self.args,)
 
     def __repr__(self) -> str:
         return "(or " + " ".join(map(repr, self.args)) + ")"
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
+class Implies(_Binary):
+    __slots__ = ()
     lhs: Formula
     rhs: Formula
 
@@ -198,8 +328,8 @@ class Implies(Formula):
         return f"(=> {self.lhs!r} {self.rhs!r})"
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
+class Iff(_Binary):
+    __slots__ = ()
     lhs: Formula
     rhs: Formula
 

@@ -19,6 +19,7 @@ image ``2t - 1`` of a subterm.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,7 @@ from repro.smt import (
     mk_or,
     mk_var,
 )
+from repro.smt.linearize import LinExpr
 from repro.smt.terms import eval_formula
 
 BOX = range(-4, 5)
@@ -143,3 +145,33 @@ def test_solver_agrees_with_exhaustive_evaluation(chunk):
             unsat += 1
     # Both answers are exercised.
     assert sat >= 20 and unsat >= 1, (sat, unsat)
+
+
+def test_linear_forms_hold_exact_numbers(monkeypatch):
+    """Every number in every linear form built while solving the
+    population is exact: an ``int`` when integral, a ``Fraction`` only
+    when not, never a ``float``; every model value is an ``int``."""
+    built = []
+    init = LinExpr.__init__
+
+    def recording(self, coeffs, const):
+        init(self, coeffs, const)
+        built.append(self)
+
+    monkeypatch.setattr(LinExpr, "__init__", recording)
+    fractional = 0
+    for seed in SEEDS[::2]:
+        phi, variables = _random_formula(seed)
+        m = get_model(phi)
+        if m is not None:
+            assert all(type(v) is int for v in m.env.values()), (seed, m)
+        for e in built:
+            for q in [c for _, c in e.coeffs] + [e.const]:
+                assert isinstance(q, (int, Fraction)), (seed, e)
+                assert not isinstance(q, bool), (seed, e)
+                if q.denominator == 1:
+                    assert type(q) is int, (seed, e)
+                else:
+                    fractional += 1
+        built.clear()
+    assert fractional > 0  # the relaxation's fractions are exercised

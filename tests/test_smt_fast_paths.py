@@ -11,7 +11,9 @@ reference implementations that stay in this file:
   non-empty subset of the input that a fresh solve refutes on its own;
 * ``_propagate_constants`` / ``_substitute_all`` substitute only the
   atoms an expression contains, and return exactly what the per-atom
-  ``LinExpr.substitute`` loop returned.
+  ``LinExpr.substitute`` loop returned;
+* numbers stay exact ``int``s where they are integral: a pin, a gcd
+  tightening and an UNSAT-by-divisibility case each divide two ``int``s.
 """
 
 import itertools
@@ -117,14 +119,14 @@ def _reference_solve_rational(constraints):
         remaining = others
     assignment = {}
     for v, lowers, uppers in reversed(stages):
-        lb = max((lia._eval_lin_frac(e, assignment) for e in lowers), default=None)
-        ub = min((lia._eval_lin_frac(e, assignment) for e in uppers), default=None)
+        lb = max((lia._eval_lin(e, assignment) for e in lowers), default=None)
+        ub = min((lia._eval_lin(e, assignment) for e in uppers), default=None)
         assignment[v] = lia._pick_value(lb, ub)
     for a in all_atoms:
         if a not in assignment and not any(a == s for s, _ in substitutions):
             assignment[a] = Fraction(0)
     for atom, repl in reversed(substitutions):
-        assignment[atom] = lia._eval_lin_frac(repl, assignment)
+        assignment[atom] = lia._eval_lin(repl, assignment)
     return assignment
 
 
@@ -411,7 +413,7 @@ def _reference_propagate_constants(constraints):
                 continue
             if c.kind == EQ and len(e.coeffs) == 1:
                 atom, coeff = e.coeffs[0]
-                value = -e.const / coeff
+                value = Fraction(-e.const, coeff)
                 if value.denominator != 1:
                     return None, pinned
                 if isinstance(atom, Var):
@@ -492,3 +494,56 @@ class TestPropagation:
         assert lia._pin_values(e, {z: 3}) is e
         pinned = lia._pin_values(e, {y: 3, z: 4})
         assert pinned == e.substitute(y, LinExpr.constant(3))
+
+
+# ---------------------------------------------------------------------------
+# (c) integer arithmetic stays exact
+# ---------------------------------------------------------------------------
+
+
+class TestIntegerForms:
+    def test_odd_constant_over_even_coefficient_is_unsat(self):
+        # 2x + 3 = 0: normalised, and raw into the pin.
+        two_x_plus_3 = LinExpr(((x, 2),), 3)
+        assert LiaSolver().solve([normalize(two_x_plus_3, EQ)]).status is (
+            Result.UNSAT
+        )
+        with pytest.raises(lia._Refuted):
+            lia._propagate_constants([Constraint(two_x_plus_3, EQ)], [1])
+
+    def test_pin_divides_exactly(self):
+        # -2x + 4 = 0 pins x = 2, an int, normalised or not.
+        e = LinExpr(((x, -2),), 4)
+        for c in (normalize(e, EQ), Constraint(e, EQ)):
+            rest, _, pinned = lia._propagate_constants([c], [1])
+            assert rest == [] and pinned == {x: 2}
+            assert type(pinned[x]) is int
+        res = LiaSolver().solve([normalize(e, EQ)])
+        assert res.status is Result.SAT and res.model == {x: 2}
+        # Past a float's 53 bits the quotient is still exact.
+        big = 2**60 + 3
+        _, _, pinned = lia._propagate_constants(
+            [Constraint(LinExpr(((x, -2),), 2 * big), EQ)], [1]
+        )
+        assert pinned == {x: big}
+
+    def test_le_tightens_by_the_gcd(self):
+        # 2x + 2y - 3 <= 0 tightens to x + y - 1 <= 0.
+        c = normalize(LinExpr(((x, 2), (y, 2)), -3), LE)
+        assert c == Constraint(LinExpr(((x, 1), (y, 1)), -1), LE)
+        assert all(type(q) is int for _, q in c.expr.coeffs)
+        assert type(c.expr.const) is int
+        # 2x - (3*2^60 + 5) <= 0 tightens to x - (3*2^59 + 2) <= 0, exactly.
+        c = normalize(LinExpr(((x, 2),), -(3 * 2**60 + 5)), LE)
+        assert c == Constraint(LinExpr(((x, 1),), -(3 * 2**59 + 2)), LE)
+
+    def test_fractions_only_where_the_quotient_is_fractional(self):
+        e = linearize(mk_add(mk_mul(3, x), mk_mul(-6, y), 2))
+        assert e.scale(Fraction(1, 3)).coeffs == ((x, 1), (y, -2))
+        assert all(type(q) is int for _, q in e.scale(Fraction(1, 3)).coeffs)
+        assert e.scale(Fraction(1, 3)).const == Fraction(2, 3)
+        assert lia._neg_recip(-1) == 1 and type(lia._neg_recip(-1)) is int
+        assert lia._neg_recip(Fraction(1, 4)) == -4
+        assert type(lia._neg_recip(Fraction(1, 4))) is int
+        assert lia._pick_value(Fraction(1, 3), Fraction(2, 3)) == Fraction(1, 2)
+        assert type(lia._pick_value(Fraction(1, 3), Fraction(7, 3))) is int

@@ -1,6 +1,11 @@
 """Unit tests for the term/formula AST and builders."""
 
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.smt.linearize import LinExpr, linearize
@@ -219,3 +224,82 @@ class TestSimplify:
 
         with pytest.raises(TypeError):
             bool(Result.SAT)
+
+
+# ---------------------------------------------------------------------------
+# Hash-once nodes
+# ---------------------------------------------------------------------------
+
+
+def _sample_formula():
+    return mk_and(
+        mk_le(mk_add(x, mk_mul(2, y)), 3),
+        mk_not(mk_eq(mk_div(x, 2), mk_mod(z, 3))),
+        mk_or(
+            mk_lt(mk_mul(x, y), z),
+            mk_implies(mk_eq(x, 1), mk_iff(mk_lt(y, 0), mk_le(z, 0))),
+        ),
+    )
+
+
+#: Run with ``PYTHONHASHSEED`` set: dump the sample formula, or load it
+#: and check it against a fresh build by hash, equality and dict lookup.
+_SEED_SCRIPT = """
+import pickle, sys
+sys.path[:0] = sys.argv[3:]
+from test_smt_terms import _sample_formula
+fresh = _sample_formula()
+if sys.argv[1] == "dump":
+    with open(sys.argv[2], "wb") as fh:
+        pickle.dump(fresh, fh)
+    print(hash(fresh))
+else:
+    with open(sys.argv[2], "rb") as fh:
+        loaded = pickle.load(fh)
+    assert hash(loaded) == hash(fresh), "a stale hash survived the pickle"
+    assert loaded == fresh and {fresh: 1}[loaded] == 1
+    assert {loaded.args[0].lhs: 1}[fresh.args[0].lhs] == 1
+    print(hash(fresh))
+"""
+
+
+class TestHashOnce:
+    def test_structural_equality_and_hash(self):
+        a, b = _sample_formula(), _sample_formula()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert Le(x, y) != Lt(x, y) and hash(Le(x, y)) != hash(Lt(x, y))
+        assert mk_le(x, y) != mk_le(y, x)
+        assert (x == "x") is False
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            x.name = "w"
+        with pytest.raises(AttributeError):
+            del Add((x, y)).args
+
+    def test_pickle_rebuilds_the_node(self):
+        f = _sample_formula()
+        g = pickle.loads(pickle.dumps(f))
+        assert g is not f and g == f and hash(g) == hash(f)
+        # A node pickles as its constructor call: no cached state rides along.
+        assert f.__reduce__() == (type(f), (f.args,))
+
+    def test_pickle_across_hash_seeds(self, tmp_path):
+        path = str(tmp_path / "formula.pickle")
+        here = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(here), "src")
+
+        def run(mode: str, seed: str) -> int:
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            out = subprocess.run(
+                [sys.executable, "-c", _SEED_SCRIPT, mode, path, here, src],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert out.returncode == 0, out.stderr
+            return int(out.stdout)
+
+        dumped = run("dump", "1")
+        loaded = run("load", "2")
+        # The seeds really give different hashes, so a cached hash that
+        # survived the pickle would have been caught.
+        assert dumped != loaded
