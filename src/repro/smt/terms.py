@@ -45,19 +45,22 @@ BOOL = Sort("Bool")
 # Nodes: immutable, structurally compared, hashed once
 # ---------------------------------------------------------------------------
 
-_set = object.__setattr__
-
 
 class _Node:
     """Shared behaviour of terms and formulas.
 
-    A node is immutable and equal to another node of its class with
-    equal fields (``_key``).  Its structural hash is computed once, in
-    the constructor, from its class and its fields: the children's
-    hashes are already cached, so building a node costs O(arity) and
-    hashing it O(1) — the atom map, ``Solver``'s constraint memo and the
+    A node is equal to another node of its class with equal fields
+    (``_key``).  Its structural hash is computed once, in the
+    constructor, from its class and its fields: the children's hashes
+    are already cached, so building a node costs O(arity) and hashing it
+    O(1) — the atom map, ``Solver``'s constraint memo and the
     conjunction solver's memo keys hash the same atoms over and over.
     Unequal hashes settle ``==`` without a walk.
+
+    Nodes are immutable by contract: the constructor sets the fields
+    once and nothing reassigns them, as the cached hash depends on them.
+    ``__slots__`` rules out new attributes; a ``__setattr__`` guard
+    would put every construction on the interpreter's slow path.
 
     The cached hash is process-local (``str`` hashes depend on
     ``PYTHONHASHSEED``), so a node pickles as its constructor call and
@@ -82,12 +85,6 @@ class _Node:
             return self._hash == other._hash and self._key() == other._key()
         return False if isinstance(other, _Node) else NotImplemented
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __reduce__(self):
         return (self.__class__, self._key())
 
@@ -109,7 +106,7 @@ class Term(_Node):
             return self._sort_key
         except AttributeError:
             key = repr(self)
-            _set(self, "_sort_key", key)
+            self._sort_key = key
             return key
 
 
@@ -119,8 +116,8 @@ class Var(Term):
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-        _set(self, "_hash", hash((Var, name)))
+        self.name = name
+        self._hash = hash((Var, name))
 
     def _key(self) -> tuple:
         return (self.name,)
@@ -135,8 +132,8 @@ class IntConst(Term):
     __slots__ = ("value",)
 
     def __init__(self, value: int) -> None:
-        _set(self, "value", value)
-        _set(self, "_hash", hash((IntConst, value)))
+        self.value = value
+        self._hash = hash((IntConst, value))
 
     def _key(self) -> tuple:
         return (self.value,)
@@ -149,8 +146,8 @@ class Add(Term):
     __slots__ = ("args",)
 
     def __init__(self, args: tuple[Term, ...]) -> None:
-        _set(self, "args", args)
-        _set(self, "_hash", hash((Add, args)))
+        self.args = args
+        self._hash = hash((Add, args))
 
     def _key(self) -> tuple:
         return (self.args,)
@@ -163,8 +160,8 @@ class Mul(Term):
     __slots__ = ("args",)
 
     def __init__(self, args: tuple[Term, ...]) -> None:
-        _set(self, "args", args)
-        _set(self, "_hash", hash((Mul, args)))
+        self.args = args
+        self._hash = hash((Mul, args))
 
     def _key(self) -> tuple:
         return (self.args,)
@@ -181,9 +178,9 @@ class Div(Term):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Term, den: Term) -> None:
-        _set(self, "num", num)
-        _set(self, "den", den)
-        _set(self, "_hash", hash((Div, num, den)))
+        self.num = num
+        self.den = den
+        self._hash = hash((Div, num, den))
 
     def _key(self) -> tuple:
         return (self.num, self.den)
@@ -196,9 +193,9 @@ class Mod(Term):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Term, den: Term) -> None:
-        _set(self, "num", num)
-        _set(self, "den", den)
-        _set(self, "_hash", hash((Mod, num, den)))
+        self.num = num
+        self.den = den
+        self._hash = hash((Mod, num, den))
 
     def _key(self) -> tuple:
         return (self.num, self.den)
@@ -222,8 +219,8 @@ class BoolConst(Formula):
     __slots__ = ("value",)
 
     def __init__(self, value: bool) -> None:
-        _set(self, "value", value)
-        _set(self, "_hash", hash((BoolConst, value)))
+        self.value = value
+        self._hash = hash((BoolConst, value))
 
     def _key(self) -> tuple:
         return (self.value,)
@@ -242,9 +239,9 @@ class _Binary(Formula):
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs, rhs) -> None:
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "_hash", hash((self.__class__, lhs, rhs)))
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash((self.__class__, lhs, rhs))
 
     def _key(self) -> tuple:
         return (self.lhs, self.rhs)
@@ -281,8 +278,8 @@ class Not(Formula):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Formula) -> None:
-        _set(self, "arg", arg)
-        _set(self, "_hash", hash((Not, arg)))
+        self.arg = arg
+        self._hash = hash((Not, arg))
 
     def _key(self) -> tuple:
         return (self.arg,)
@@ -295,8 +292,8 @@ class And(Formula):
     __slots__ = ("args",)
 
     def __init__(self, args: tuple[Formula, ...]) -> None:
-        _set(self, "args", args)
-        _set(self, "_hash", hash((And, args)))
+        self.args = args
+        self._hash = hash((And, args))
 
     def _key(self) -> tuple:
         return (self.args,)
@@ -309,8 +306,8 @@ class Or(Formula):
     __slots__ = ("args",)
 
     def __init__(self, args: tuple[Formula, ...]) -> None:
-        _set(self, "args", args)
-        _set(self, "_hash", hash((Or, args)))
+        self.args = args
+        self._hash = hash((Or, args))
 
     def _key(self) -> tuple:
         return (self.args,)
