@@ -98,7 +98,6 @@ class RunConfig:
     memo: bool = True  # fingerprint memoisation + chain compression
     incremental: bool = True  # per-path incremental solver contexts
     store_dir: Optional[str] = None  # persistent store root (None: no store)
-    client_of: Optional[str] = None  # narrow the demonic client (repro.store)
     # Bytecode compilation (repro.compile).  ``compile`` swaps the
     # step-at-a-time machines for the fused dispatch-loop executors —
     # byte-identical results (the differential oracle pins this), so it
@@ -205,7 +204,11 @@ class Backend(Protocol):
         name: str = "<input>",
         kind: str = "?",
         config: Optional[RunConfig] = None,
+        client_of: Optional[str] = None,
     ) -> ProgramResult:
+        """``client_of`` narrows scv's demonic client to one module's
+        provides (``""``: no client), for one module unit of the
+        driver's plan (:mod:`repro.driver.units`)."""
         ...
 
 
@@ -222,6 +225,7 @@ class _Run:
     code: object  # what the engine runs: the SPCF term (core) / ``program`` (scv)
     proof: object  # the proof system, whose query counters the row reports
     errors: Iterator  # error states in search order (lazy: runs under the deadline)
+    client_of: Optional[str] = None  # scv's client narrowing for this unit
 
 
 def _describe(exc: BaseException) -> str:
@@ -250,6 +254,7 @@ class _Pipeline:
         name: str = "<input>",
         kind: str = "?",
         config: Optional[RunConfig] = None,
+        client_of: Optional[str] = None,
     ) -> ProgramResult:
         cfg = config or RunConfig()
         _reset_counters()
@@ -294,7 +299,7 @@ class _Pipeline:
             )
 
         try:
-            run = self._front_end(source, cfg, stats)
+            run = self._front_end(source, cfg, stats, client_of)
         except _UNSUPPORTED as exc:
             return done(STATUS_UNSUPPORTED, detail=_describe(exc))
         except Exception as exc:  # driver bug
@@ -358,8 +363,8 @@ class TypedCoreBackend(_Pipeline):
     # ``vars(cls)["verify"]`` on each backend.
     verify = _Pipeline.verify
 
-    def _front_end(self, source: str, cfg: RunConfig,
-                   stats: SearchStats) -> _Run:
+    def _front_end(self, source: str, cfg: RunConfig, stats: SearchStats,
+                   client_of: Optional[str]) -> _Run:
         program = parse_program(source)
         core = lower_program(program)
         check_program(core)
@@ -415,8 +420,8 @@ class UntypedScvBackend(_Pipeline):
     error_noun = "blame"
     verify = _Pipeline.verify  # see TypedCoreBackend.verify
 
-    def _front_end(self, source: str, cfg: RunConfig,
-                   stats: SearchStats) -> _Run:
+    def _front_end(self, source: str, cfg: RunConfig, stats: SearchStats,
+                   client_of: Optional[str]) -> _Run:
         program = parse_program(source)
         machine = SMachine(
             struct_types=collect_struct_types(program),
@@ -424,18 +429,18 @@ class UntypedScvBackend(_Pipeline):
             extended_prims=uses_extended_prims(program),
             proof=UProofSystem(incremental=cfg.incremental),
         )
-        init = inject_program(program, machine, client_of=cfg.client_of)
+        init = inject_program(program, machine, client_of=client_of)
         check_scope(program, init.env.frame)
         errors = find_known_blames(
             init, machine, max_states=cfg.max_states, stats=stats,
             memo=cfg.memo, compiled=cfg.compile,
         )
-        return _Run(program, program, machine.proof, errors)
+        return _Run(program, program, machine.proof, errors, client_of)
 
     def _counterexample(self, run: _Run, state, cfg: RunConfig):
         cex = construct_u(
             run.program, state, validate=True, fuel=cfg.fuel,
-            client_of=cfg.client_of,
+            client_of=run.client_of,
         )
         # scv rejects only a failed validation (``None``: not checked).
         return None if cex is None or cex.validated is False else cex

@@ -7,8 +7,9 @@ runner (``run_corpus``) expands the requested backend selection into
 (program, backend) tasks — ``both`` runs every program on every backend
 it is annotated for and the report cross-checks the verdicts — and fans
 the tasks out over a ``multiprocessing`` pool; each worker enforces a
-per-program wall-clock budget with ``SIGALRM`` so a pathological
-program degrades to a ``timeout`` row instead of wedging the run.
+wall-clock budget per verification unit with ``SIGALRM`` so a
+pathological program degrades to a ``timeout`` row instead of wedging
+the run.
 
 Timeout rows are *partial results*, not blanks: the backends read every
 counter (states explored, chained micro-steps, proof/solver queries,
@@ -27,12 +28,15 @@ slow report assembly cannot be killed by a stale alarm (pinned by
 from __future__ import annotations
 
 import atexit
+import time
+from contextlib import nullcontext
 from dataclasses import asdict
 from typing import Callable, Iterable, Optional
 
 from .backends import BACKENDS, RunConfig, get_backend
 from .corpus import CORPUS, CorpusProgram, get_program
 from .report import BenchReport, ProgramResult
+from .units import combine_units, plan_units
 
 __all__ = [
     "RunConfig",
@@ -56,17 +60,42 @@ def verify_source(
 ) -> ProgramResult:
     """Run the selected backend's whole pipeline on one surface program.
 
-    With ``config.store_dir`` set, the persistent store is in the loop:
-    stored verification units replay and fresh ones are written back
-    (see :mod:`repro.store.verdicts`)."""
-    if config is not None and config.store_dir:
-        # Imported lazily: the store builds on the driver, not vice versa.
-        from ..store.verdicts import verify_with_store
+    The program is planned into verification units
+    (:func:`~repro.driver.units.plan_units`); each runs on the engine
+    under its own wall-clock budget, and the unit rows combine into the
+    program's row.  With ``config.store_dir`` set, the verdict store
+    caches units: a stored unit replays instead of running, and a
+    computed one is written back (:mod:`repro.store.verdicts`).  The
+    plan and the combination are the same with or without a store."""
+    cfg = config or RunConfig()
+    engine = get_backend(backend)
+    t0 = time.perf_counter()
+    units = plan_units(source, backend)
+    cache = None
+    if cfg.store_dir:
+        # Imported lazily: the store builds on the driver, and a run
+        # without one does not pay for loading it.
+        from ..store.verdicts import UnitCache
 
-        return verify_with_store(
-            source, name=name, kind=kind, config=config, backend=backend
-        )
-    return get_backend(backend).verify(source, name=name, kind=kind, config=config)
+        cache = UnitCache(cfg, backend, units)
+    rows = []
+    with cache or nullcontext():
+        for i, unit in enumerate(units):
+            row = cache.replay(i) if cache else None
+            if row is None:
+                row = engine.verify(
+                    unit.source, name=unit.row_name(name), kind=kind,
+                    config=cfg, client_of=unit.client_of,
+                )
+                if cache:
+                    cache.put(i, row)
+            rows.append(row)
+    return combine_units(
+        name, kind, backend, units, rows,
+        wall_ms=(time.perf_counter() - t0) * 1000,
+        store_hits=cache.hits if cache else 0,
+        store_misses=cache.misses if cache else 0,
+    )
 
 
 def verify_program(

@@ -193,11 +193,11 @@ def client_provides(
 
     ``None`` (the default) feeds every module's provides — the
     whole-program question.  A module name narrows the client to that
-    module's provides, which is how the persistent store's module units
-    (``repro.store``) ask "what can a client of *this* module cause?" —
-    the other modules in the unit's slice are still loaded and their
-    monitored rebindings still apply.  The empty string drops the client
-    entirely (the store's main-expression unit)."""
+    module's provides, which is how the driver's module units
+    (``repro.driver.units``) ask "what can a client of *this* module
+    cause?" — the other modules in the unit's slice are still loaded and
+    their monitored rebindings still apply.  The empty string drops the
+    client entirely (the main-expression unit)."""
     if client_of is None:
         return [p.name for m in program.modules for p in m.provides]
     if client_of == "":

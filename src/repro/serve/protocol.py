@@ -37,9 +37,8 @@ JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE)
 #: types — exactly the semantic knobs of ``driver.backends.RunConfig``
 #: (the store key's config digest is computed over these, so a request
 #: that overrides none of them shares warm entries with the batch
-#: runner's defaults).  Orchestration knobs (``jobs``, ``store_dir``,
-#: ``client_of``) are the server's business, not the client's, and are
-#: rejected.
+#: runner's defaults).  Orchestration knobs (``jobs``, ``store_dir``)
+#: are the server's business, not the client's, and are rejected.
 REQUEST_CONFIG_FIELDS: dict[str, type] = {
     "max_states": int,
     "fuel": int,

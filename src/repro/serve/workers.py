@@ -67,7 +67,6 @@ def job_run_config(
         **overrides,
         # The serve pool is already one process per job.
         "jobs": 1,
-        "client_of": None,
         "store_dir": store_root,
     }
 

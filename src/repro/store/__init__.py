@@ -1,28 +1,27 @@
 """Content-addressed persistent verification store.
 
-Two tiers under one ``--store`` directory:
+A cache, never a second verification path: the driver plans every run
+into units (:mod:`repro.driver.units`) whether or not a store is
+attached, and the store only answers and records them.  Two tiers
+under one ``--store`` directory:
 
-* :mod:`repro.store.verdicts` — per-unit verification results, keyed by
-  canonical program fingerprint × backend × semantic-config digest ×
-  client marker, with per-module granularity for multi-module scv
-  programs (:func:`repro.store.fingerprint.module_slices`);
+* :mod:`repro.store.verdicts` — per-unit verification rows, keyed by
+  canonical unit fingerprint × backend × semantic-config digest ×
+  client marker; only rows whose status is a function of that key are
+  stored (timeouts and driver errors always recompute);
 * :mod:`repro.store.solver` — the solver-result tier behind
   :class:`~repro.smt.cache.SolverCache`, keyed by canonical formula:
   append-only JSONL shards published by atomic rename.
 
 Warm runs replay stored rows byte-for-byte (timing and the store
-counters aside), which the warm/cold differential in CI enforces.
+counters aside), which the warm/cold differential in CI enforces, and
+store-less runs produce the same rows.
 """
 
 from .fingerprint import (
-    CLIENT_ALL,
-    CLIENT_MAIN,
-    CLIENT_MODULE,
     STORE_VERSION,
     DigestError,
     config_digest,
-    module_dependencies,
-    module_slices,
     program_digest,
     serialize_program,
 )
@@ -33,13 +32,9 @@ from .verdicts import (
     VerdictStore,
     get_store,
     try_replay,
-    verify_with_store,
 )
 
 __all__ = [
-    "CLIENT_ALL",
-    "CLIENT_MAIN",
-    "CLIENT_MODULE",
     "DEFAULT_STORE_DIR",
     "DigestError",
     "STORE_VERSION",
@@ -50,10 +45,7 @@ __all__ = [
     "flush_all_stores",
     "formula_key",
     "get_store",
-    "module_dependencies",
-    "module_slices",
     "program_digest",
     "serialize_program",
     "try_replay",
-    "verify_with_store",
 ]

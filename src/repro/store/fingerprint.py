@@ -18,14 +18,12 @@ of canonicalization make the keys stable:
   (``lang.pretty.strip_metadata``) are excluded, so re-parsing the same
   text in a different label-counter state yields the same digest.
 
-``module_slices`` is the granularity story: for a multi-module program
-it computes, per module, the ordered subset of *earlier* modules the
-module's code can actually reach (free variables resolving to earlier
-provides or struct bindings — the module-boundary structure of
-``scv.engine.assemble``, where each module's ``letrec`` wraps everything
-after it).  A module's verification unit is keyed by the digest of its
-slice, so editing one module re-verifies only the units whose slices
-contain it.
+The units themselves — whole programs, or the module slices of a
+multi-module scv program — are the driver's plan
+(:mod:`repro.driver.units`); ``module_slices`` is re-exported here,
+where the store's keys are made.  A module's unit is keyed by the
+digest of its slice, so editing one module re-verifies only the units
+whose slices contain it.
 """
 
 from __future__ import annotations
@@ -33,8 +31,8 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Optional
 
+from ..driver.units import module_slices  # noqa: F401  (re-exported)
 from ..lang.ast import (
     Module,
     Program,
@@ -48,7 +46,6 @@ from ..lang.ast import (
     UOpaque,
     USet,
     UVar,
-    free_vars,
 )
 from ..lang.sexp import Symbol
 
@@ -185,111 +182,3 @@ _SEMANTIC_CONFIG_FIELDS = frozenset({
     "max_states", "fuel", "timeout_s", "max_cex_attempts",
     "memo", "incremental",
 })
-
-
-# ---------------------------------------------------------------------------
-# Free variables and module slices
-# ---------------------------------------------------------------------------
-
-
-def _module_exports(m: Module) -> set[str]:
-    """Names module ``m`` makes visible downstream: its provides (the
-    monitored rebindings of ``scv.engine._wrap_module``), its definitions
-    and opaque imports (plain ``letrec`` scope reaches later modules
-    too), and its struct bindings (bound in the global base heap)."""
-    names = {p.name for p in m.provides}
-    names |= {n for n, _ in m.definitions}
-    names |= {n for n, _ in m.opaques}
-    for sd in m.structs:
-        names.add(sd.name)
-        names.add(f"{sd.name}?")
-        names |= {f"{sd.name}-{f}" for f in sd.fields}
-    return names
-
-
-def _module_refs(m: Module) -> set[str]:
-    """Free variables of everything module ``m`` evaluates."""
-    local = _module_exports(m)
-    out: set[str] = set()
-    for _, ctc in m.opaques:
-        if ctc is not None:
-            out |= free_vars(ctc)
-    for _, e in m.definitions:
-        out |= free_vars(e)
-    for p in m.provides:
-        if p.contract is not None:
-            out |= free_vars(p.contract)
-    return out - local
-
-
-def module_dependencies(program: Program) -> list[set[int]]:
-    """For each module index, the indices of *earlier* modules it
-    (transitively) references.  Later modules are out of scope by the
-    ``letrec`` nesting of ``scv.engine.assemble``, so only backward
-    edges exist."""
-    exports = [_module_exports(m) for m in program.modules]
-    direct: list[set[int]] = []
-    for i, m in enumerate(program.modules):
-        refs = _module_refs(m)
-        direct.append({j for j in range(i) if refs & exports[j]})
-    closed: list[set[int]] = []
-    for i in range(len(program.modules)):
-        acc = set(direct[i])
-        work = list(direct[i])
-        while work:
-            j = work.pop()
-            for k in direct[j] - acc:
-                acc.add(k)
-                work.append(k)
-        closed.append(acc)
-    return closed
-
-
-#: Unit client markers (the ``client`` component of a store key).
-CLIENT_ALL = "all"  # whole program, demonic client over every provide
-CLIENT_MAIN = "main"  # top-level expression only, no demonic client
-CLIENT_MODULE = "mod:"  # + module name: client over that module's provides
-
-
-def module_slices(
-    program: Program,
-) -> Optional[list[tuple[str, Program, Optional[str]]]]:
-    """Decompose a program into independently verifiable units, or
-    ``None`` when it is a single unit (≤1 module and no separable main).
-
-    Each unit is ``(client_marker, slice_program, client_of)`` where the
-    slice contains exactly the modules the unit's code can reach and
-    ``client_of`` is the value for ``RunConfig.client_of``: a module
-    name (demonic client over that module's provides only), or ``""``
-    for the main unit (no demonic client).  The union of the units'
-    findings covers the whole program: every module is loaded and
-    havocked in its own unit, and inter-module misuse is already
-    blamed on the (ignored) client party by the monitored rebinding in
-    ``scv.engine._wrap_module``."""
-    mods = program.modules
-    n_units = len(mods) + (1 if program.main is not None else 0)
-    if n_units <= 1:
-        return None
-    deps = module_dependencies(program)
-    units: list[tuple[str, Program, Optional[str]]] = []
-    for i, m in enumerate(mods):
-        keep = sorted(deps[i] | {i})
-        slice_prog = Program(tuple(mods[j] for j in keep), None)
-        units.append((CLIENT_MODULE + m.name, slice_prog, m.name))
-    if program.main is not None:
-        exports = [_module_exports(m) for m in mods]
-        refs = free_vars(program.main)
-        direct = {j for j in range(len(mods)) if refs & exports[j]}
-        acc = set(direct)
-        work = list(direct)
-        while work:
-            j = work.pop()
-            for k in deps[j] - acc:
-                acc.add(k)
-                work.append(k)
-        keep = sorted(acc)
-        units.append(
-            (CLIENT_MAIN, Program(tuple(mods[j] for j in keep),
-                                  program.main), "")
-        )
-    return units

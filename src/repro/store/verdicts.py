@@ -1,7 +1,8 @@
-"""The disk-backed verdict store and the store-aware verification path.
+"""The disk-backed verdict store: a cache of the driver's units.
 
-One verification *unit* — a program (or module slice) on one backend
-under one semantic configuration — maps to one JSON file under
+One verification *unit* of the driver's plan (:mod:`repro.driver.units`
+— a program, or a module slice of a multi-module scv program) on one
+backend under one semantic configuration maps to one JSON file under
 ``<store>/verdicts/``, named by the SHA-256 of its
 :class:`StoreKey`.  The entry holds the full
 :class:`~repro.driver.report.ProgramResult` row (verdict,
@@ -10,16 +11,13 @@ source text and configuration, so a warm run replays the row byte-for-
 byte (only wall clock and the store counters are re-measured) and
 ``repro store verify`` can re-run any entry from the entry alone.
 
-Module granularity: ``verify_with_store`` decomposes a multi-module scv
-program into units via :func:`repro.store.fingerprint.module_slices` —
-one unit per module (its dependency slice, demonic client narrowed to
-its provides) plus one for the top-level expression.  Units are keyed
-by their *slice* digest, so editing one module invalidates exactly the
-units whose slices contain it; untouched modules replay from the store.
-The per-program row is the deterministic combination of the unit rows
-(first counterexample in module order wins; counters are summed), and
-it is the same combination cold and warm — which is what makes the
-warm/cold differential in CI a byte-identity check.
+Units are keyed by their *slice* digest, so editing one module
+invalidates exactly the units whose slices contain it; untouched
+modules replay.  The store plans and combines nothing itself: the
+driver runs the same plan with or without it (:class:`UnitCache` only
+answers and records units), which is what makes the store-less, cold
+and warm rows of one program identical.  Only rows whose status is a
+function of the key are stored; timeouts and driver errors recompute.
 
 Crash-safety mirrors the solver shards: entries are written to a temp
 file and published with ``os.replace``; concurrent writers racing on
@@ -40,25 +38,23 @@ from typing import Optional
 
 from ..driver.report import (
     STATUS_COUNTEREXAMPLE,
-    STATUS_ERROR,
     STATUS_NO_MODEL,
+    STATUS_SAFE,
     STATUS_TIMEOUT,
     STATUS_TRUNCATED,
     STATUS_UNSUPPORTED,
     ProgramResult,
     result_from_row,
 )
+from ..driver.units import Unit, combine_units, plan_units
 from ..lang.parser import ParseError, parse_program
-from ..lang.pretty import pp_program
 from ..lang.sexp import ReadError
 from ..smt import solver_cache
 from .fingerprint import (
-    CLIENT_ALL,
     STORE_VERSION,
     _SEMANTIC_CONFIG_FIELDS,
     DigestError,
     config_digest,
-    module_slices,
     program_digest,
 )
 from .solver import SolverStore
@@ -86,24 +82,6 @@ class StoreKey:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _row_to_json(row: ProgramResult) -> dict:
-    return asdict(row)
-
-
-def _row_from_json(d: dict) -> ProgramResult:
-    return result_from_row(d)
-
-
-def _replayed_row(entry: dict) -> ProgramResult:
-    """A stored unit row as a replay reports it.  The replay compiled
-    nothing, so its compile cost reads zero; ``dispatch_steps`` is kept,
-    a work counter like ``states_explored``.  Raises ``TypeError`` when
-    the stored row has fields ``ProgramResult`` no longer has."""
-    return replace(
-        _row_from_json(entry["result"]), compiled_units=0, compile_ms=0.0
-    )
 
 
 class VerdictStore:
@@ -158,7 +136,7 @@ class VerdictStore:
             "kind": kind,
             "source": source,
             "config": config,
-            "result": _row_to_json(row),
+            "result": asdict(row),
             "created": time.time(),
         }
         path = self._entry_path(key)
@@ -368,226 +346,81 @@ def get_store(root: str) -> VerdictStore:
 
 
 # ---------------------------------------------------------------------------
-# The store-aware verification path
+# Caching the driver's units
 # ---------------------------------------------------------------------------
 
-#: Deterministic status precedence for combining unit rows (after the
-#: first-counterexample rule): a driver error outranks everything, then
-#: the inconclusive statuses, then safe.
-_COMBINE_ORDER = (
-    STATUS_ERROR,
+#: Statuses that are a function of the unit's key, and so may be stored.
+#: A timeout depends on the wall clock (a contended worker, say) and a
+#: driver error is a bug: replaying either would let the cache change an
+#: answer, so both always recompute.
+_KEYED_STATUSES = frozenset({
+    STATUS_SAFE, STATUS_COUNTEREXAMPLE, STATUS_NO_MODEL, STATUS_TRUNCATED,
     STATUS_UNSUPPORTED,
-    STATUS_TIMEOUT,
-    STATUS_TRUNCATED,
-    STATUS_NO_MODEL,
-)
-
-_SUMMED_FIELDS = (
-    "states_explored", "proof_queries", "solver_queries", "pruned_states",
-    "solver_cache_hits", "chained_steps", "solver_fresh_solves",
-    "solver_incremental", "solver_clauses_reused", "errors_found",
-    "cex_attempts", "compiled_units", "compile_ms", "dispatch_steps",
-)
+})
 
 
-def _combine_units(
-    name: str, kind: str, backend: str,
-    units: list[tuple[str, ProgramResult]],
-) -> ProgramResult:
-    """Fold unit rows into one per-program row, deterministically: the
-    first unit (in module order) with a validated counterexample decides
-    the verdict; otherwise the worst status by ``_COMBINE_ORDER``; all
-    work counters are summed (scope depth takes the max)."""
-    chosen_marker, chosen = None, None
-    for marker, row in units:
-        if row.status == STATUS_COUNTEREXAMPLE:
-            chosen_marker, chosen = marker, row
-            break
-    if chosen is None:
-        for status in _COMBINE_ORDER:
-            for marker, row in units:
-                if row.status == status:
-                    chosen_marker, chosen = marker, row
-                    break
-            if chosen is not None:
-                break
-    if chosen is None:  # every unit is safe
-        chosen_marker, chosen = units[0]
-    detail = chosen.detail
-    if detail and chosen_marker != CLIENT_ALL:
-        detail = f"[{chosen_marker}] {detail}"
-    sums = {
-        f: sum(getattr(r, f) for _, r in units) for f in _SUMMED_FIELDS
-    }
-    return ProgramResult(
-        name=name,
-        kind=kind,
-        status=chosen.status,
-        wall_ms=sum(r.wall_ms for _, r in units),
-        backend=backend,
-        solver_scope_depth=max(r.solver_scope_depth for _, r in units),
-        deadline_enforced=all(r.deadline_enforced for _, r in units),
-        counterexample=chosen.counterexample,
-        detail=detail,
-        **sums,
-    )
+class UnitCache:
+    """The verdict store as one verification sees it: replay and
+    write-back for the units of the driver's plan, by unit index, with
+    the hit and miss counts the row reports.  As a context manager it
+    puts the store's solver tier behind the process's solver cache for
+    the units that run."""
 
-
-def _semantic_config(config) -> dict:
-    fields = asdict(config)
-    return {k: fields[k] for k in sorted(_SEMANTIC_CONFIG_FIELDS)}
-
-
-def _plan_units(program, source: str, backend: str):
-    """The verification units of a program: ``(client_marker,
-    slice_program, client_of, unit_source)`` tuples, one per unit."""
-    units = module_slices(program) if backend == "scv" else None
-    if units is None:
-        return [(CLIENT_ALL, program, None, source)]
-    return [
-        (marker, slice_prog, client_of, pp_program(slice_prog))
-        for marker, slice_prog, client_of in units
-    ]
-
-
-def _store_verify(
-    source: str,
-    *,
-    name: str,
-    kind: str,
-    config,
-    backend: str,
-    replay_only: bool,
-) -> Optional[ProgramResult]:
-    from ..driver.backends import get_backend
-
-    cfg = config
-    assert cfg is not None and cfg.store_dir, "store path requires store_dir"
-    engine = get_backend(backend)
-    store = get_store(cfg.store_dir)
-    t0 = time.perf_counter()
-    try:
-        program = parse_program(source)
-        cfg_digest = config_digest(asdict(cfg))
-        work = _plan_units(program, source, backend)
-    except (ParseError, ReadError, DigestError):
-        # Outside the canonicalizable subset: verify directly, uncached
-        # (a replay-only caller cannot answer it from the store at all).
-        if replay_only:
-            return None
-        return engine.verify(source, name=name, kind=kind, config=cfg)
-
-    keyed = [
-        (
-            StoreKey(
-                program=program_digest(slice_prog),
-                backend=backend,
-                config=cfg_digest,
-                client=marker,
-            ),
-            marker,
-            client_of,
-            unit_source,
-        )
-        for marker, slice_prog, client_of, unit_source in work
-    ]
-
-    hits = misses = 0
-    rows: list[tuple[str, ProgramResult]] = []
-
-    if replay_only:
-        # The warm synchronous path: every unit must replay, or the
-        # caller falls back to a queued job.  No engine, no solver
-        # backing — a pure read of the store.
-        for key, marker, _client_of, _unit_source in keyed:
-            entry = store.lookup(key)
-            if entry is None:
-                return None
-            try:
-                row = _replayed_row(entry)
-            except TypeError:
-                return None  # schema drift inside the row: recompute
-            hits += 1
-            rows.append((marker, row))
-    else:
-        prev_backing = solver_cache.backing
-        solver_cache.backing = store.solver
+    def __init__(self, config, backend: str, units: list[Unit]) -> None:
+        self.store = get_store(config.store_dir)
+        self.units = units
+        self.config = {k: getattr(config, k)
+                       for k in sorted(_SEMANTIC_CONFIG_FIELDS)}
+        self.hits = self.misses = 0
         try:
-            for key, marker, client_of, unit_source in keyed:
-                entry = store.lookup(key)
-                if entry is not None:
-                    try:
-                        row = _replayed_row(entry)
-                    except TypeError:
-                        entry = None  # schema drift in the row: recompute
-                    else:
-                        hits += 1
-                        rows.append((marker, row))
-                        continue
-                unit_name = (
-                    name if marker == CLIENT_ALL else f"{name}::{marker}"
-                )
-                row = engine.verify(
-                    unit_source,
-                    name=unit_name,
-                    kind=kind,
-                    # Unit runs drop store_dir: no nested store lookups.
-                    config=replace(cfg, client_of=client_of, store_dir=None),
-                )
-                misses += 1
-                if row.status != STATUS_ERROR:
-                    # Driver errors are bugs: never immortalize them.
-                    store.put(
-                        key,
-                        name=unit_name,
-                        kind=kind,
-                        source=unit_source,
-                        config={
-                            **_semantic_config(cfg), "client_of": client_of,
-                        },
-                        row=row,
-                    )
-                rows.append((marker, row))
-        finally:
-            store.solver.flush()
-            solver_cache.backing = prev_backing
+            digest = config_digest(asdict(config))
+            self.keys: Optional[list[StoreKey]] = [
+                StoreKey(program_digest(
+                    u.program if u.program is not None
+                    else parse_program(u.source)
+                ), backend, digest, u.marker)
+                for u in units
+            ]
+        except (ParseError, ReadError, DigestError):
+            self.keys = None  # outside the canonicalizable subset: uncached
 
-    if len(rows) == 1:
-        combined = replace(rows[0][1], name=name, kind=kind)
-    else:
-        combined = _combine_units(name, kind, backend, rows)
-    return replace(
-        combined,
-        # Measured, never summed: a replayed unit's stored wall_ms is the
-        # cold run's.
-        wall_ms=(time.perf_counter() - t0) * 1000,
-        store_hits=hits,
-        store_misses=misses,
-        modules_reverified=misses,
-    )
+    def replay(self, i: int) -> Optional[ProgramResult]:
+        """Unit ``i``'s stored row as a replay reports it, or ``None``
+        (missing, corrupt, of a retired row schema, or of a status that
+        must recompute).  The replay compiled nothing, so its compile
+        cost reads zero; ``dispatch_steps`` is kept, a work counter like
+        ``states_explored``."""
+        if self.keys is None:
+            return None
+        entry = self.store.lookup(self.keys[i])
+        try:
+            row = result_from_row(entry["result"]) if entry else None
+        except TypeError:  # fields ProgramResult no longer has
+            row = None
+        if row is None or row.status not in _KEYED_STATUSES:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return replace(row, compiled_units=0, compile_ms=0.0)
 
+    def put(self, i: int, row: ProgramResult) -> None:
+        """Store unit ``i``'s computed row, if its status is keyed."""
+        if self.keys is None or row.status not in _KEYED_STATUSES:
+            return
+        unit = self.units[i]
+        self.store.put(
+            self.keys[i], name=row.name, kind=row.kind, source=unit.source,
+            config={**self.config, "client_of": unit.client_of}, row=row,
+        )
 
-def verify_with_store(
-    source: str,
-    *,
-    name: str = "<input>",
-    kind: str = "?",
-    config=None,
-    backend: str = "core",
-) -> ProgramResult:
-    """``runner.verify_source`` with the persistent store in the loop.
+    def __enter__(self) -> "UnitCache":
+        self._prev_backing = solver_cache.backing
+        solver_cache.backing = self.store.solver
+        return self
 
-    Parses the program, decomposes it into units (multi-module scv
-    programs only), replays stored unit rows and re-verifies the rest,
-    then combines.  The returned row carries the store economy counters:
-    ``store_hits``/``store_misses`` (unit lookups) and
-    ``modules_reverified`` (units actually recomputed)."""
-    row = _store_verify(
-        source, name=name, kind=kind, config=config, backend=backend,
-        replay_only=False,
-    )
-    assert row is not None  # replay_only=False always produces a row
-    return row
+    def __exit__(self, *exc) -> None:
+        self.store.solver.flush()
+        solver_cache.backing = self._prev_backing
 
 
 def try_replay(
@@ -600,15 +433,24 @@ def try_replay(
 ) -> Optional[ProgramResult]:
     """Answer a verification request purely from the store, or ``None``.
 
-    The warm synchronous path of ``repro serve``: when *every* unit of
-    the program is already stored, the combined row — identical to what
-    ``verify_with_store`` would return, with ``store_misses == 0`` — is
-    assembled without running an engine or touching a solver.  Any unit
-    miss (or an unparseable/undigestable program) returns ``None`` and
-    the caller schedules real work instead."""
-    return _store_verify(
-        source, name=name, kind=kind, config=config, backend=backend,
-        replay_only=True,
+    The warm synchronous path of ``repro serve``: the driver's plan,
+    with lookups only.  When *every* unit is stored, the combined row —
+    the one ``runner.verify_source`` would return, with
+    ``store_misses == 0`` — is assembled without running an engine or
+    touching a solver.  Any miss returns ``None`` and the caller
+    schedules real work instead."""
+    t0 = time.perf_counter()
+    units = plan_units(source, backend)
+    cache = UnitCache(config, backend, units)
+    rows = []
+    for i in range(len(units)):
+        row = cache.replay(i)
+        if row is None:
+            return None
+        rows.append(row)
+    return combine_units(
+        name, kind, backend, units, rows,
+        wall_ms=(time.perf_counter() - t0) * 1000, store_hits=cache.hits,
     )
 
 
@@ -655,12 +497,10 @@ def check_entries(store: VerdictStore, *, sample: Optional[int] = None
                 entry = json.load(fh)
             key = StoreKey(**entry["key"])
             stored = entry["result"]
-            cfg_fields = {k: v for k, v in dict(entry["config"]).items()
-                          if k in known}
-            client_of = cfg_fields.pop("client_of", None)
-            cfg = replace(
-                RunConfig(**cfg_fields), client_of=client_of
-            )
+            recorded = dict(entry["config"])
+            client_of = recorded.get("client_of")
+            cfg = RunConfig(**{k: v for k, v in recorded.items()
+                               if k in known})
         except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
             skipped += 1
             mismatches.append({
@@ -677,11 +517,11 @@ def check_entries(store: VerdictStore, *, sample: Optional[int] = None
             continue
         fresh = get_backend(key.backend).verify(
             entry["source"], name=entry["name"], kind=entry["kind"],
-            config=cfg,
+            config=cfg, client_of=client_of,
         )
         checked += 1
         want = _stable_row(stored)
-        got = _stable_row(_row_to_json(fresh))
+        got = _stable_row(asdict(fresh))
         if want == got:
             matched += 1
         else:

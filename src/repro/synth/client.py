@@ -90,7 +90,7 @@ def provide_names(
     argument list.  ``client_of`` mirrors
     ``scv.engine.client_provides``: ``None`` for every module's
     provides, a module name for that module's, ``""`` for none (the
-    persistent store's narrowed verification units)."""
+    driver's narrowed module units, ``repro.driver.units``)."""
     from ..scv.engine import client_provides
 
     return tuple(client_provides(program, client_of))

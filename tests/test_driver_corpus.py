@@ -180,12 +180,29 @@ class TestReportSchema:
         config = full_report.to_json()["config"]
         knobs = {f.name for f in fields(RunConfig)}
         assert set(config) == knobs | {"backend", "programs", "runs"}
-        assert not {"shards", "compile_cache_dir"} & set(config)
+        assert not {"shards", "compile_cache_dir", "client_of"} & set(config)
         # The committed reports were recorded under today's knobs too:
         # a removed knob left in their config block means they are stale.
         for report in ("BENCH_driver.json", "BENCH_warm.json"):
             committed = json.loads((REPO_ROOT / report).read_text())
             assert set(committed["config"]) == set(config), report
+
+    def test_committed_baselines_agree_row_for_row(self):
+        # BENCH_warm.json (a store-backed run) is only the warm leg's perf
+        # baseline; a cache must not change an answer, so its stable rows
+        # are BENCH_driver.json's (a store-less run).
+        from repro.driver.report import VOLATILE_ROW_FIELDS
+
+        def stable_rows(report: str) -> dict:
+            committed = json.loads((REPO_ROOT / report).read_text())
+            return {
+                (r["name"], r["backend"]): {
+                    k: v for k, v in r.items() if k not in VOLATILE_ROW_FIELDS
+                }
+                for r in committed["programs"]
+            }
+
+        assert stable_rows("BENCH_warm.json") == stable_rows("BENCH_driver.json")
 
     def test_totals_consistent(self, full_report):
         t = full_report.totals()

@@ -37,29 +37,19 @@ from repro.driver.corpus import CORPUS, corpus_names, get_program
 from repro.driver.report import (
     STATUS_COUNTEREXAMPLE,
     STATUS_SAFE,
+    STATUS_TIMEOUT,
     VOLATILE_ROW_FIELDS,
 )
 from repro.driver.runner import RunConfig, run_corpus, verify_source
+from repro.driver.units import CLIENT_MAIN, CLIENT_MODULE, module_slices
 from repro.lang.parser import parse_program
 from repro.smt import get_model, solver_cache
 from repro.smt.cache import SolverCache
 from repro.smt.errors import Result
 from repro.smt.terms import And, Eq, IntConst, Le, Lt, Var
-from repro.store import (
-    CLIENT_MAIN,
-    CLIENT_MODULE,
-    SolverStore,
-    config_digest,
-    module_slices,
-    program_digest,
-)
+from repro.store import SolverStore, config_digest, program_digest
 from repro.store.solver import formula_key
-from repro.store.verdicts import (
-    check_entries,
-    get_store,
-    try_replay,
-    verify_with_store,
-)
+from repro.store.verdicts import check_entries, get_store, try_replay
 
 CHAIN = get_program("modules-chain-div").source
 TRIPLE = get_program("modules-triple-pipeline").source
@@ -109,7 +99,7 @@ class TestFingerprints:
     def test_config_digest_tracks_semantic_fields_only(self):
         base = asdict(RunConfig())
         assert config_digest(base) == config_digest(
-            {**base, "jobs": 8, "store_dir": "/x", "client_of": "m"}
+            {**base, "jobs": 8, "store_dir": "/x"}
         )
         assert config_digest(base) != config_digest(
             {**base, "max_states": 7}
@@ -435,11 +425,45 @@ class TestCorruptionRecovery:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(entry, fh)
         assert try_replay(CHAIN, config=cfg, backend="scv") is None
-        r = verify_with_store(CHAIN, config=cfg, backend="scv")
+        r = verify_source(CHAIN, config=cfg, backend="scv")
         assert r.store_hits == 0 and r.store_misses == 2
         assert _stable(r) == _stable(cold)
         # The recompute rewrote the entries in the current schema.
         assert try_replay(CHAIN, config=cfg, backend="scv") is not None
+
+    def test_timeout_unit_is_not_stored(self, tmp_path):
+        # A wall-clock timeout is not a function of the key (a contended
+        # worker times out where an idle one answers): it must recompute,
+        # never replay.
+        spin = (
+            "(define a •)\n"
+            "(define (walk n) (if (< n a) (walk (add1 n)) 7))\n"
+            "(walk 0)"
+        )
+        store_dir = str(tmp_path / "store")
+        cfg = _cfg(store_dir, max_states=10_000_000, timeout_s=0.3)
+        r = verify_source(spin, config=cfg, backend="scv")
+        assert r.status == STATUS_TIMEOUT and r.store_misses == 1
+        assert get_store(store_dir).entry_paths() == []
+        r = verify_source(spin, config=cfg, backend="scv")
+        assert r.store_misses == 1 and r.store_hits == 0
+        assert try_replay(spin, config=cfg, backend="scv") is None
+
+    def test_stored_timeout_row_is_a_miss(self, tmp_path):
+        # Older versions stored timeout rows: they recompute too.
+        store_dir = str(tmp_path / "store")
+        cfg = _cfg(store_dir)
+        verify_source(CHAIN, config=cfg, backend="scv")
+        [path, *_] = get_store(store_dir).entry_paths()
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+        entry["result"].update(status=STATUS_TIMEOUT, counterexample=None)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(entry, fh)
+        assert try_replay(CHAIN, config=cfg, backend="scv") is None
+        r = verify_source(CHAIN, config=cfg, backend="scv")
+        assert r.store_hits == 1 and r.store_misses == 1
+        assert r.status == STATUS_COUNTEREXAMPLE
 
     def test_solver_cache_backing_round_trip(self, tmp_path):
         root = str(tmp_path / "solver")

@@ -25,7 +25,8 @@ Used by the CI differential legs, among them the incremental-solving
 differential (same corpus with ``--no-incremental``), the warm-start
 differential (same corpus against a populated ``--store``) and the
 store-backed identity check (a cold ``--store`` run against the
-committed ``BENCH_warm.json``).
+committed store-less ``BENCH_driver.json``: the store only caches the
+verification units every run plans, so it must not change a row).
 """
 
 from __future__ import annotations
