@@ -2,18 +2,19 @@
 
 Every run of :func:`repro.driver.runner.verify_source` plans its
 program into units, runs each on the engine and folds the unit rows
-into the program's row.  A multi-module scv program becomes one unit
-per module — its dependency slice, with the demonic client narrowed to
-that module's provides — plus one for the top-level expression; any
-other program is one unit.  The verdict store (:mod:`repro.store`)
-only caches units, so a store-less, cold or warm run gives one row.
+into the program's row.  A multi-module scv program without mutable
+state becomes one unit per module — its dependency slice, with the
+demonic client narrowed to that module's provides — plus one for the
+top-level expression; any other program is one unit.  The verdict
+store (:mod:`repro.store`) only caches units, so a store-less, cold or
+warm run gives one row.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from ..lang.ast import Module, Program, free_vars
+from ..lang.ast import Module, Program, UExpr, USet, UVar, free_vars, subexprs_u
 from ..lang.parser import ParseError, parse_program
 from ..lang.pretty import pp_program
 from ..lang.sexp import ReadError
@@ -53,19 +54,39 @@ def _module_exports(m: Module) -> set[str]:
     return names
 
 
+def _module_exprs(m: Module) -> list[UExpr]:
+    """Everything module ``m`` evaluates: opaque and provide contracts
+    and definitions."""
+    return [
+        *(ctc for _, ctc in m.opaques if ctc is not None),
+        *(e for _, e in m.definitions),
+        *(p.contract for p in m.provides if p.contract is not None),
+    ]
+
+
 def _module_refs(m: Module) -> set[str]:
     """Free variables of everything module ``m`` evaluates."""
-    local = _module_exports(m)
     out: set[str] = set()
-    for _, ctc in m.opaques:
-        if ctc is not None:
-            out |= free_vars(ctc)
-    for _, e in m.definitions:
+    for e in _module_exprs(m):
         out |= free_vars(e)
-    for p in m.provides:
-        if p.contract is not None:
-            out |= free_vars(p.contract)
-    return out - local
+    return out - _module_exports(m)
+
+
+#: Primitives that mutate a heap cell.
+_MUTATORS = frozenset({"vector-set!", "set-box!"})
+
+
+def _has_state(program: Program) -> bool:
+    """Whether the program can mutate state: it contains a ``set!`` or
+    names a mutating primitive.  Any reference counts, bound or not
+    (over-approximating is safe: such a program is one unit)."""
+    exprs = [e for m in program.modules for e in _module_exprs(m)]
+    if program.main is not None:
+        exprs.append(program.main)
+    return any(
+        isinstance(x, USet) or (isinstance(x, UVar) and x.name in _MUTATORS)
+        for e in exprs for x in subexprs_u(e)
+    )
 
 
 def _module_dependencies(program: Program) -> list[set[int]]:
@@ -83,39 +104,51 @@ def _module_dependencies(program: Program) -> list[set[int]]:
     return closed
 
 
-def module_slices(
-    program: Program,
-) -> Optional[list[tuple[str, Program, Optional[str]]]]:
-    """Decompose a program into independently verifiable units, or
-    ``None`` when it is a single unit (≤1 module and no separable main).
+class Unit(NamedTuple):
+    """One verification unit of a program."""
 
-    Each unit is ``(client_marker, slice_program, client_of)`` where the
-    slice contains exactly the modules the unit's code can reach and
-    ``client_of`` is the engine's client narrowing: a module name
-    (demonic client over that module's provides only), or ``""`` for
-    the main unit (no demonic client).  The union of the units'
-    findings covers the whole program: every module is loaded and
-    havocked in its own unit, and inter-module misuse is already
-    blamed on the (ignored) client party by the monitored rebinding in
-    ``scv.engine._wrap_module``."""
+    marker: str  # CLIENT_ALL | CLIENT_MAIN | CLIENT_MODULE + name
+    client_of: Optional[str]  # the engine's client narrowing
+    source: str  # what the engine verifies
+
+    def row_name(self, name: str) -> str:
+        return name if self.marker == CLIENT_ALL else f"{name}::{self.marker}"
+
+
+def module_slices(program: Program) -> Optional[list[Unit]]:
+    """Decompose a program into independently verifiable units, or
+    ``None`` when it is a single unit: ≤1 module and no separable main,
+    or a program with mutable state (``_has_state``).
+
+    Each unit's source holds exactly the modules the unit's code can
+    reach, and its ``client_of`` is the engine's client narrowing: a
+    module name (demonic client over that module's provides only), or
+    ``""`` for the main unit (no demonic client).  Without mutable
+    state the units' findings cover the whole program's: every module
+    is loaded and havocked in its own unit, a client's calls cannot
+    change what a later call or the main expression computes, and
+    inter-module misuse is already blamed on the (ignored) client party
+    by the monitored rebinding in ``scv.engine._wrap_module``.  With
+    state they need not: a setter the client calls, or a later module
+    that mutates an earlier one's variable while loading, can break
+    code in another unit, so such a program is verified whole."""
     mods = program.modules
     n_units = len(mods) + (1 if program.main is not None else 0)
-    if n_units <= 1:
+    if n_units <= 1 or _has_state(program):
         return None
     deps = _module_dependencies(program)
-    units: list[tuple[str, Program, Optional[str]]] = []
+    units = []
     for i, m in enumerate(mods):
         keep = sorted(deps[i] | {i})
         slice_prog = Program(tuple(mods[j] for j in keep), None)
-        units.append((CLIENT_MODULE + m.name, slice_prog, m.name))
+        units.append(Unit(CLIENT_MODULE + m.name, m.name,
+                          pp_program(slice_prog)))
     if program.main is not None:
         refs = free_vars(program.main)
         direct = {j for j, m in enumerate(mods) if refs & _module_exports(m)}
         keep = sorted(direct.union(*(deps[j] for j in direct)))
-        units.append(
-            (CLIENT_MAIN, Program(tuple(mods[j] for j in keep),
-                                  program.main), "")
-        )
+        slice_prog = Program(tuple(mods[j] for j in keep), program.main)
+        units.append(Unit(CLIENT_MAIN, "", pp_program(slice_prog)))
     return units
 
 
@@ -124,36 +157,19 @@ def module_slices(
 # ---------------------------------------------------------------------------
 
 
-class Unit(NamedTuple):
-    """One verification unit of a program."""
-
-    marker: str  # CLIENT_ALL | CLIENT_MAIN | CLIENT_MODULE + name
-    program: Optional[Program]  # the parsed unit (None: not parsed here)
-    client_of: Optional[str]  # the engine's client narrowing
-    source: str  # what the engine verifies
-
-    def row_name(self, name: str) -> str:
-        return name if self.marker == CLIENT_ALL else f"{name}::{self.marker}"
-
-
 def plan_units(source: str, backend: str) -> list[Unit]:
     """The verification units of a program.  Only scv splits, and only
     by module, so only scv text that can hold a ``(module ...)`` form is
     parsed here; any other program, or one that does not parse, is a
     single unit left to the engine to parse (or reject)."""
+    whole = [Unit(CLIENT_ALL, None, source)]
     if backend != "scv" or "module" not in source:
-        return [Unit(CLIENT_ALL, None, None, source)]
+        return whole
     try:
         program = parse_program(source)
     except (ParseError, ReadError):
-        return [Unit(CLIENT_ALL, None, None, source)]
-    slices = module_slices(program)
-    if slices is None:
-        return [Unit(CLIENT_ALL, program, None, source)]
-    return [
-        Unit(marker, slice_prog, client_of, pp_program(slice_prog))
-        for marker, slice_prog, client_of in slices
-    ]
+        return whole
+    return module_slices(program) or whole
 
 
 # ---------------------------------------------------------------------------

@@ -375,10 +375,8 @@ class UnitCache:
         try:
             digest = config_digest(asdict(config))
             self.keys: Optional[list[StoreKey]] = [
-                StoreKey(program_digest(
-                    u.program if u.program is not None
-                    else parse_program(u.source)
-                ), backend, digest, u.marker)
+                StoreKey(program_digest(parse_program(u.source)), backend,
+                         digest, u.marker)
                 for u in units
             ]
         except (ParseError, ReadError, DigestError):

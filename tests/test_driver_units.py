@@ -2,6 +2,9 @@
 
 * **one plan** — a multi-module scv program gives the same row with no
   store, a cold store and a warm store (volatile fields aside);
+* **state** — a program with mutable state is one unit, so a bug that
+  module state carries from one module's client into another module or
+  the main expression is found with and without a store;
 * **no store on the store-less path** — verifying without a store
   imports neither ``repro.store`` nor ``hashlib``;
 * **combining** — every ``ProgramResult`` field is summed, max'd, taken
@@ -47,6 +50,42 @@ MULTI_MODULE = (
 )
 
 
+#: Multi-module programs whose bug needs module state to cross units: a
+#: module's units would each report safe.
+STATEFUL = {
+    # The client sets x through a provide; then the main expression
+    # divides by it.
+    "setter-then-main": (
+        "(module m\n"
+        "  (define x 1)\n"
+        "  (define (set-x v) (set! x v))\n"
+        "  (define (get-x) x)\n"
+        "  (provide [set-x (-> integer? any/c)] [get-x (-> integer?)]))\n"
+        "(quotient 100 (get-x))"
+    ),
+    # A later module zeroes an earlier module's variable while loading.
+    "load-time-set": (
+        "(module a\n"
+        "  (define x 1)\n"
+        "  (define (f) (quotient 100 x))\n"
+        "  (define (set-x v) (set! x v))\n"
+        "  (provide [f (-> integer?)] [set-x (-> integer? any/c)]))\n"
+        "(module b\n"
+        "  (define y (set-x 0))\n"
+        "  (provide [y any/c]))"
+    ),
+    # The same through a vector cell.
+    "vector-setter-then-main": (
+        "(module m\n"
+        "  (define cell (vector 1))\n"
+        "  (define (zero!) (vector-set! cell 0 0))\n"
+        "  (define (get) (vector-ref cell 0))\n"
+        "  (provide [zero! (-> any/c)] [get (-> integer?)]))\n"
+        "(quotient 100 (get))"
+    ),
+}
+
+
 def _stable(row: ProgramResult) -> dict:
     return {k: v for k, v in asdict(row).items()
             if k not in VOLATILE_ROW_FIELDS}
@@ -64,7 +103,12 @@ class TestPlan:
         [unit] = plan_units(source, "core")
         assert unit.marker == CLIENT_ALL and unit.source == source
         [unit] = plan_units("(((", "scv")
-        assert unit.marker == CLIENT_ALL and unit.program is None
+        assert unit.marker == CLIENT_ALL and unit.source == "((("
+
+    @pytest.mark.parametrize("source", STATEFUL.values(), ids=list(STATEFUL))
+    def test_programs_with_state_are_one_unit(self, source):
+        [unit] = plan_units(source, "scv")
+        assert unit.marker == CLIENT_ALL and unit.client_of is None
 
 
 class TestOnePlan:
@@ -84,6 +128,19 @@ class TestOnePlan:
         assert plain.store_hits == plain.store_misses == 0
         assert cold.store_hits == 0 and cold.store_misses > 1
         assert warm.store_hits == cold.store_misses and warm.store_misses == 0
+
+    @pytest.mark.parametrize("source", STATEFUL.values(), ids=list(STATEFUL))
+    def test_module_state_bug_is_found_with_and_without_store(
+        self, source, tmp_path,
+    ):
+        plain_cfg = RunConfig(timeout_s=60.0)
+        store_cfg = replace(plain_cfg, store_dir=str(tmp_path / "store"))
+        for cfg in (plain_cfg, store_cfg, store_cfg):
+            row = verify_source(source, name="p", kind="buggy", config=cfg,
+                                backend="scv")
+            assert row.status == STATUS_COUNTEREXAMPLE, (row.status,
+                                                         row.detail)
+            assert row.counterexample.validated_conc
 
     def test_store_less_run_imports_no_store(self):
         script = (

@@ -109,6 +109,10 @@ class TestFingerprints:
         )
 
 
+def _slices_by_marker(units) -> dict:
+    return {u.marker: parse_program(u.source) for u in units}
+
+
 class TestModuleSlices:
     def test_single_module_is_one_unit(self):
         program = parse_program(
@@ -118,17 +122,16 @@ class TestModuleSlices:
 
     def test_chain_slices(self):
         units = module_slices(parse_program(CHAIN))
-        markers = [m for m, _, _ in units]
+        markers = [u.marker for u in units]
         assert markers == [CLIENT_MODULE + "lib", CLIENT_MODULE + "app"]
-        by = {m: p for m, p, _ in units}
+        by = _slices_by_marker(units)
         assert [m.name for m in by[CLIENT_MODULE + "lib"].modules] == ["lib"]
         assert [m.name for m in by[CLIENT_MODULE + "app"].modules] == [
             "lib", "app",
         ]
 
     def test_transitive_closure(self):
-        units = module_slices(parse_program(TRIPLE))
-        by = {m: p for m, p, _ in units}
+        by = _slices_by_marker(module_slices(parse_program(TRIPLE)))
         assert [m.name for m in by[CLIENT_MODULE + "m3"].modules] == [
             "m1", "m2", "m3",
         ]
@@ -139,8 +142,7 @@ class TestModuleSlices:
             "(module b (define (g x) x) (provide [g (-> integer? integer?)]))\n"
             "(g 1)"
         )
-        units = module_slices(program)
-        main = next(p for m, p, _ in units if m == CLIENT_MAIN)
+        main = _slices_by_marker(module_slices(program))[CLIENT_MAIN]
         assert [m.name for m in main.modules] == ["b"]
 
     def test_independent_module_edit_preserves_unit_key(self):
@@ -155,8 +157,8 @@ class TestModuleSlices:
             "(provide [g (-> integer? integer?)]))"
         )
         key = CLIENT_MODULE + "a"
-        s1 = next(p for m, p, _ in module_slices(v1) if m == key)
-        s2 = next(p for m, p, _ in module_slices(v2) if m == key)
+        s1 = _slices_by_marker(module_slices(v1))[key]
+        s2 = _slices_by_marker(module_slices(v2))[key]
         assert program_digest(s1) == program_digest(s2)
 
 
