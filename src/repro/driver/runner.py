@@ -70,7 +70,7 @@ def verify_source(
     cfg = config or RunConfig()
     engine = get_backend(backend)
     t0 = time.perf_counter()
-    units = plan_units(source, backend)
+    units = plan_units(source, backend, keyed=bool(cfg.store_dir))
     cache = None
     if cfg.store_dir:
         # Imported lazily: the store builds on the driver, and a run

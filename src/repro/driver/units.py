@@ -110,6 +110,10 @@ class Unit(NamedTuple):
     marker: str  # CLIENT_ALL | CLIENT_MAIN | CLIENT_MODULE + name
     client_of: Optional[str]  # the engine's client narrowing
     source: str  # what the engine verifies
+    #: ``source`` parsed, for a plan made with ``keyed=True`` (and for
+    #: module slices, which are parsed to be planned); else ``None``,
+    #: as it is for text that does not parse.
+    program: Optional[Program] = None
 
     def row_name(self, name: str) -> str:
         return name if self.marker == CLIENT_ALL else f"{name}::{self.marker}"
@@ -142,13 +146,14 @@ def module_slices(program: Program) -> Optional[list[Unit]]:
         keep = sorted(deps[i] | {i})
         slice_prog = Program(tuple(mods[j] for j in keep), None)
         units.append(Unit(CLIENT_MODULE + m.name, m.name,
-                          pp_program(slice_prog)))
+                          pp_program(slice_prog), slice_prog))
     if program.main is not None:
         refs = free_vars(program.main)
         direct = {j for j, m in enumerate(mods) if refs & _module_exports(m)}
         keep = sorted(direct.union(*(deps[j] for j in direct)))
         slice_prog = Program(tuple(mods[j] for j in keep), program.main)
-        units.append(Unit(CLIENT_MAIN, "", pp_program(slice_prog)))
+        units.append(Unit(CLIENT_MAIN, "", pp_program(slice_prog),
+                          slice_prog))
     return units
 
 
@@ -157,19 +162,24 @@ def module_slices(program: Program) -> Optional[list[Unit]]:
 # ---------------------------------------------------------------------------
 
 
-def plan_units(source: str, backend: str) -> list[Unit]:
+def plan_units(source: str, backend: str, *, keyed: bool = False
+               ) -> list[Unit]:
     """The verification units of a program.  Only scv splits, and only
-    by module, so only scv text that can hold a ``(module ...)`` form is
-    parsed here; any other program, or one that does not parse, is a
-    single unit left to the engine to parse (or reject)."""
-    whole = [Unit(CLIENT_ALL, None, source)]
-    if backend != "scv" or "module" not in source:
-        return whole
-    try:
-        program = parse_program(source)
-    except (ParseError, ReadError):
-        return whole
-    return module_slices(program) or whole
+    by module, so without ``keyed`` only scv text that can hold a
+    ``(module ...)`` form is parsed here; any other program, or one that
+    does not parse, is a single unit left to the engine to parse (or
+    reject).  A caller that keys units on their programs (the verdict
+    store) passes ``keyed=True``, and every unit of text that parses
+    then carries its program."""
+    program = None
+    if keyed or (backend == "scv" and "module" in source):
+        try:
+            program = parse_program(source)
+        except (ParseError, ReadError):
+            pass
+    slices = (module_slices(program)
+              if program is not None and backend == "scv" else None)
+    return slices or [Unit(CLIENT_ALL, None, source, program)]
 
 
 # ---------------------------------------------------------------------------

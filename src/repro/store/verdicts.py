@@ -47,8 +47,6 @@ from ..driver.report import (
     result_from_row,
 )
 from ..driver.units import Unit, combine_units, plan_units
-from ..lang.parser import ParseError, parse_program
-from ..lang.sexp import ReadError
 from ..smt import solver_cache
 from .fingerprint import (
     STORE_VERSION,
@@ -361,7 +359,8 @@ _KEYED_STATUSES = frozenset({
 
 class UnitCache:
     """The verdict store as one verification sees it: replay and
-    write-back for the units of the driver's plan, by unit index, with
+    write-back for the units of the driver's plan (made with
+    ``keyed=True``, so units carry their programs), by unit index, with
     the hit and miss counts the row reports.  As a context manager it
     puts the store's solver tier behind the process's solver cache for
     the units that run."""
@@ -372,15 +371,19 @@ class UnitCache:
         self.config = {k: getattr(config, k)
                        for k in sorted(_SEMANTIC_CONFIG_FIELDS)}
         self.hits = self.misses = 0
-        try:
+        # Uncached: text that does not parse, or a program outside the
+        # canonicalizable subset.
+        self.keys: Optional[list[StoreKey]] = None
+        if all(u.program is not None for u in units):
             digest = config_digest(asdict(config))
-            self.keys: Optional[list[StoreKey]] = [
-                StoreKey(program_digest(parse_program(u.source)), backend,
-                         digest, u.marker)
-                for u in units
-            ]
-        except (ParseError, ReadError, DigestError):
-            self.keys = None  # outside the canonicalizable subset: uncached
+            try:
+                self.keys = [
+                    StoreKey(program_digest(u.program), backend, digest,
+                             u.marker)
+                    for u in units
+                ]
+            except DigestError:
+                pass
 
     def replay(self, i: int) -> Optional[ProgramResult]:
         """Unit ``i``'s stored row as a replay reports it, or ``None``
@@ -438,7 +441,7 @@ def try_replay(
     touching a solver.  Any miss returns ``None`` and the caller
     schedules real work instead."""
     t0 = time.perf_counter()
-    units = plan_units(source, backend)
+    units = plan_units(source, backend, keyed=True)
     cache = UnitCache(config, backend, units)
     rows = []
     for i in range(len(units)):

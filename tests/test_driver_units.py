@@ -37,6 +37,8 @@ from repro.driver.units import (
     combine_units,
     plan_units,
 )
+from repro.lang.parser import parse_program
+from repro.lang.pretty import pp_program
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -104,6 +106,18 @@ class TestPlan:
         assert unit.marker == CLIENT_ALL and unit.source == source
         [unit] = plan_units("(((", "scv")
         assert unit.marker == CLIENT_ALL and unit.source == "((("
+
+    def test_keyed_plans_carry_every_units_program(self):
+        # A store keys units on their programs; a store-less run does
+        # not parse text it need not split.
+        source = get_program("modules-chain-div").source
+        assert plan_units(source, "core").pop().program is None
+        [unit] = plan_units(source, "core", keyed=True)
+        assert pp_program(unit.program) == pp_program(parse_program(source))
+        assert plan_units("(((", "scv", keyed=True).pop().program is None
+        for keyed in (False, True):
+            for unit in plan_units(source, "scv", keyed=keyed):
+                assert pp_program(unit.program) == unit.source
 
     @pytest.mark.parametrize("source", STATEFUL.values(), ids=list(STATEFUL))
     def test_programs_with_state_are_one_unit(self, source):

@@ -110,7 +110,7 @@ class TestFingerprints:
 
 
 def _slices_by_marker(units) -> dict:
-    return {u.marker: parse_program(u.source) for u in units}
+    return {u.marker: u.program for u in units}
 
 
 class TestModuleSlices:
