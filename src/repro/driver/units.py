@@ -110,9 +110,9 @@ class Unit(NamedTuple):
     marker: str  # CLIENT_ALL | CLIENT_MAIN | CLIENT_MODULE + name
     client_of: Optional[str]  # the engine's client narrowing
     source: str  # what the engine verifies
-    #: ``source`` parsed, for a plan made with ``keyed=True`` (and for
-    #: module slices, which are parsed to be planned); else ``None``,
-    #: as it is for text that does not parse.
+    #: ``source`` parsed whenever the plan parsed it (always with
+    #: ``keyed=True``); ``None`` otherwise, and for text that does not
+    #: parse.
     program: Optional[Program] = None
 
     def row_name(self, name: str) -> str:
