@@ -14,15 +14,15 @@ either gated total:
   margin; states are the signal, wall is the tripwire for gross
   slowdowns (an accidentally quadratic fingerprint, a cache that stopped
   hitting).
-* ``solver_fresh_solves`` — from-scratch solver context builds (schema
-  v5).  The incremental-reuse ratchet: path contexts answering queries
-  on warm scopes keep this number low, and a regression here means the
+* ``solver_fresh_solves`` — from-scratch solver context builds.  The
+  incremental-reuse ratchet: path contexts answering queries on warm
+  scopes keep this number low, and a regression here means the
   contexts stopped being reused (thrashing trails, over-eager rebuilds,
   or a proof system that silently fell back to one-shot solving).
-* ``max_wall_ms`` — the slowest single program row (schema v7).  The
-  gate watches the corpus's worst-case row alongside the sum: speeding
-  up the average while regressing the tail fails.  As a timing it
-  shares the wall-clock budget (``--max-regress-wall`` when given).
+* ``max_wall_ms`` — the slowest single program row.  The gate watches
+  the corpus's worst-case row alongside the sum: speeding up the
+  average while regressing the tail fails.  As a timing it shares the
+  wall-clock budget (``--max-regress-wall`` when given).
 
 One total is gated in the *other* direction, with no tolerance:
 
@@ -37,46 +37,39 @@ for the wall-clock total — warm-store runs gate wall time against a
 committed warm baseline, where scheduler noise dominates the tiny
 absolute times.
 
-*Known older* schemas are tolerated: only the gated totals are read,
-and a baseline written by an older ``repro-bench/vN`` schema still
-gates a newer fresh report (missing totals are skipped, not failed).
-An *unknown* schema — garbage, a different tool's report, or a version
-newer than this checkout understands — fails fast with exit 2 and a
-clear message instead of gating against meaningless numbers.
-Improvements are reported but never fail the gate — commit the fresh
-report as the new baseline to ratchet.
+Both reports must carry the current schema (``report.SCHEMA``): any
+other — garbage, a different tool's report, an older or a newer
+``repro-bench/vN`` — fails fast with exit 2 and a clear message instead
+of gating against numbers it may not carry.  A zero baseline (an
+interpreted run records ``dispatch_steps: 0``) has no ratio and is
+skipped.  Improvements are reported but never fail the gate — commit
+the fresh report as the new baseline to ratchet.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .report import SCHEMA
-
-#: The newest report version this gate understands.
-_CURRENT_VERSION = int(SCHEMA.rsplit("/v", 1)[1])
-_SCHEMA_RE = re.compile(r"^repro-bench/v(\d+)$")
 
 #: (key, pretty name) of the gated totals (regressions grow the value).
 GATED = (
     ("states_explored", "states explored"),
     ("wall_ms", "wall time (ms)"),
     ("solver_fresh_solves", "from-scratch solver solves"),
-    # Schema v7: the slowest single program row, gated alongside the
-    # sum — a change that speeds the corpus up on average while making
-    # the worst program slower still fails.  Shares the
-    # wall-clock budget (``--max-regress-wall``): it is a timing, and on
-    # shared CI runners single-row noise is even larger than total-noise.
+    # The slowest single program row, gated alongside the sum — a
+    # change that speeds the corpus up on average while making the
+    # worst program slower still fails.  Shares the wall-clock budget
+    # (``--max-regress-wall``): it is a timing, and on shared CI runners
+    # single-row noise is even larger than total-noise.
     ("max_wall_ms", "slowest program wall (ms)"),
-    # Schema v8: executed micro-steps in the bytecode dispatch loop.
-    # Deterministic per (corpus, configuration), like states_explored: a
-    # regression means chains got shorter (less work fused per macro
-    # state) or the executor started delegating transitions it used to
-    # run inline.  Pre-v8 baselines and interpreted runs carry no (or a
-    # zero) value, which the missing/zero guard below SKIPs cleanly.
+    # Executed micro-steps in the bytecode dispatch loop.  Deterministic
+    # per (corpus, configuration), like states_explored: a regression
+    # means chains got shorter (less work fused per macro state) or the
+    # executor started delegating transitions it used to run inline.
+    # Interpreted runs record 0, which the zero guard below SKIPs.
     ("dispatch_steps", "dispatch steps"),
 )
 
@@ -88,18 +81,10 @@ GATED_MIN = (
 
 def _check_schema(path: str, report: dict) -> None:
     schema = report.get("schema")
-    m = _SCHEMA_RE.match(schema) if isinstance(schema, str) else None
-    if m is None:
+    if schema != SCHEMA:
         raise ValueError(
-            f"{path}: unrecognized report schema {schema!r} — expected "
-            f"repro-bench/v1..v{_CURRENT_VERSION}; is this really a "
-            "repro bench report?"
-        )
-    if int(m.group(1)) > _CURRENT_VERSION:
-        raise ValueError(
-            f"{path}: report schema {schema!r} is newer than this "
-            f"checkout understands ({SCHEMA}) — update the code or "
-            "regenerate the report"
+            f"{path}: report schema {schema!r} is not {SCHEMA} — "
+            "regenerate the report with this checkout"
         )
 
 
@@ -128,11 +113,8 @@ def compare(
     for key, pretty in GATED:
         old = baseline.get(key)
         new = fresh.get(key)
-        if not _numeric(old) or not old:  # missing/zero/garbage baseline
+        if not _numeric(old) or not old:  # zero/garbage baseline
             lines.append(f"SKIP {pretty}: no usable baseline value ({old!r})")
-            continue
-        if new is None:  # fresh report from another schema: same tolerance
-            lines.append(f"SKIP {pretty}: missing from the fresh report")
             continue
         if not _numeric(new):
             lines.append(
@@ -154,12 +136,6 @@ def compare(
     for key, pretty in GATED_MIN:
         old = baseline.get(key)
         new = fresh.get(key)
-        if old is None:  # pre-v4 baseline: nothing to ratchet against
-            lines.append(f"SKIP {pretty}: not in the baseline report")
-            continue
-        if new is None:
-            lines.append(f"SKIP {pretty}: missing from the fresh report")
-            continue
         if not _numeric(old) or not _numeric(new):
             lines.append(
                 f"FAIL {pretty}: non-numeric value "

@@ -171,15 +171,17 @@ _WORKER_CFG: Optional[RunConfig] = None
 
 def init_worker(cfg_fields: dict) -> None:
     """Worker-process bootstrap, shared by the batch pool and ``repro
-    serve``: install the run configuration and make sure any solver
-    entries still buffered at process exit reach their shard directory
-    (the normal end-of-verification flush covers the happy path; the
-    ``atexit`` hook covers teardown after an exception or a drain)."""
+    serve``: install the run configuration and, with a store, make sure
+    any solver entries still buffered at process exit reach their shard
+    directory (the normal end-of-verification flush covers the happy
+    path; the ``atexit`` hook covers teardown after an exception or a
+    drain).  A worker without a store does not load it."""
     global _WORKER_CFG
     _WORKER_CFG = RunConfig(**cfg_fields)
-    from ..store.solver import flush_all_stores
+    if cfg_fields.get("store_dir"):
+        from ..store.solver import flush_all_stores
 
-    atexit.register(flush_all_stores)
+        atexit.register(flush_all_stores)
 
 
 def _run_one(

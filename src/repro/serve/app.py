@@ -37,6 +37,7 @@ from ..driver.backends import RunConfig
 from ..driver.runner import expand_backends
 from ..store import get_store, try_replay
 from ..store.solver import flush_all_stores
+from ..store.verdicts import split_entry_name
 from .protocol import (
     API_VERSION,
     MAX_SOURCE_BYTES,
@@ -128,12 +129,10 @@ class ServeApp:
         }
 
     def results_for(self, digest: str) -> dict:
-        """Stored verdict entries whose program digest — or entry-hash
-        file name — starts with ``digest``.  Resolved through the
-        store's digest index sidecar (``verdicts.index.jsonl``), so only
-        the matching entry files are opened; the entry files stay the
-        source of truth and the sidecar is rebuilt from them whenever it
-        is missing, corrupt, or stale."""
+        """Stored verdict entries whose program digest — or key hash —
+        starts with ``digest``.  An entry's file name is
+        ``<program digest>-<key hash>.json``, so only the matching entry
+        files are opened; a match's ``entry`` is its key hash."""
         if len(digest) < MIN_DIGEST_PREFIX or not all(
             c in "0123456789abcdef" for c in digest
         ):
@@ -142,7 +141,6 @@ class ServeApp:
             )
         matches = []
         for path in self.store.paths_for_digest(digest):
-            base = os.path.basename(path)[: -len(".json")]
             try:
                 with open(path, encoding="utf-8") as fh:
                     entry = json.load(fh)
@@ -151,7 +149,7 @@ class ServeApp:
             except (OSError, json.JSONDecodeError, KeyError, TypeError):
                 continue
             matches.append({
-                "entry": base,
+                "entry": split_entry_name(path)[1],
                 "key": key,
                 "name": entry.get("name"),
                 "kind": entry.get("kind"),

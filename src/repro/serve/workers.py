@@ -14,7 +14,8 @@ and reports on one shared result queue.  A single manager thread runs
 the whole control loop: collect results, detect dead workers (requeue
 the job once, then let the queue emit clean ``error`` rows), enforce a
 parent-side deadline backstop (``SIGKILL`` a worker stuck past its
-job's budget — the in-worker ``SIGALRM`` is the primary mechanism, the
+job's budget, one ``timeout_s`` per unit of each engine's plan plus a
+grace — the in-worker ``SIGALRM`` is the primary mechanism, the
 backstop catches a wedged worker that lost its alarm), replace dead
 workers, and dispatch pending jobs to idle ones.
 
@@ -42,6 +43,7 @@ from typing import Optional
 from ..driver.backends import RunConfig
 from ..driver.runner import expand_backends, run_job
 from ..driver.report import STATUS_ERROR, ProgramResult
+from ..driver.units import plan_units
 from ..store.solver import flush_all_stores
 from .queue import JobQueue
 
@@ -309,11 +311,15 @@ class WorkerPool:
                 return
             cfg = job_run_config(self.base_config, job.config,
                                  self.store_root)
+            # ``timeout_s`` bounds each unit of each engine's plan.
             timeout_s = float(cfg.get("timeout_s") or 0.0)
-            n_engines = len(expand_backends(job.backend))
+            n_units = sum(
+                len(plan_units(job.source, engine))
+                for engine in expand_backends(job.backend)
+            )
             idle.job_id = job.id
             idle.deadline = (
-                time.time() + timeout_s * n_engines + self.grace_s
+                time.time() + timeout_s * n_units + self.grace_s
                 if timeout_s > 0 else None
             )
             self.jobs.assign(job.id, idle.proc.pid or -1)

@@ -7,11 +7,17 @@ under one ``--store`` directory:
 
 * :mod:`repro.store.verdicts` — per-unit verification rows, keyed by
   canonical unit fingerprint × backend × semantic-config digest ×
-  client marker; only rows whose status is a function of that key are
-  stored (timeouts and driver errors always recompute);
+  client marker, one file per entry named by the unit's program digest
+  and the key's hash (the layout is the by-digest index); only rows
+  whose status is a function of that key are stored (timeouts and
+  driver errors always recompute);
 * :mod:`repro.store.solver` — the solver-result tier behind
-  :class:`~repro.smt.cache.SolverCache`, keyed by canonical formula:
-  append-only JSONL shards published by atomic rename.
+  :class:`~repro.smt.cache.SolverCache`, keyed by the canonical
+  formula's ``repr``: append-only JSONL shards published by atomic
+  rename.
+
+Nothing else is written: the entry files and the shards are the whole
+store, and ``stats()["total_bytes"]`` counts all of them.
 
 Warm runs replay stored rows byte-for-byte (timing and the store
 counters aside), which the warm/cold differential in CI enforces, and
@@ -25,7 +31,7 @@ from .fingerprint import (
     program_digest,
     serialize_program,
 )
-from .solver import SolverStore, flush_all_stores, formula_key
+from .solver import SolverStore, flush_all_stores
 from .verdicts import (
     DEFAULT_STORE_DIR,
     StoreKey,
@@ -43,7 +49,6 @@ __all__ = [
     "VerdictStore",
     "config_digest",
     "flush_all_stores",
-    "formula_key",
     "get_store",
     "program_digest",
     "serialize_program",

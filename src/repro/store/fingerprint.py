@@ -52,7 +52,7 @@ from ..lang.sexp import Symbol
 #: Bumped whenever the serialization below (or the stored entry format)
 #: changes incompatibly; part of every config digest, so an old store
 #: directory degrades to a cold cache instead of replaying stale shapes.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 
 class DigestError(Exception):

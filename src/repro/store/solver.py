@@ -6,10 +6,10 @@ tier that does: ``(result, model)`` per canonical key, kept on disk so
 it outlives the process.
 
 * **serialization** — canonical formulas contain only canonical ``$i``
-  variable names, so a deterministic structural writer
-  (:func:`formula_key`) is a faithful key; models are already stored
-  canonically as ``(id, value)`` pairs and round-trip through JSON.  A
-  stored model of any other shape is a corrupt line.
+  variable names, so the terms' own s-expression printer (``repr``) is
+  a faithful key; models are already stored canonically as
+  ``(id, value)`` pairs and round-trip through JSON.  A stored model of
+  any other shape is a corrupt line.
 * **shards** — new entries accumulate in an in-process buffer and are
   published as immutable ``shard-*.jsonl`` files via write-to-temp +
   :func:`os.replace` (atomic on POSIX), so any number of batch-runner
@@ -44,26 +44,8 @@ import weakref
 from typing import Optional
 
 from ..smt.cache import _CachedModel  # noqa: F401  (documented entry shape)
-from ..smt.errors import Result, SolverError
-from ..smt.terms import (
-    Add,
-    And,
-    BoolConst,
-    Div,
-    Eq,
-    Formula,
-    Iff,
-    Implies,
-    IntConst,
-    Le,
-    Lt,
-    Mod,
-    Mul,
-    Not,
-    Or,
-    Term,
-    Var,
-)
+from ..smt.errors import Result
+from ..smt.terms import Formula
 
 #: Entry shape stored per line: [key, result, model-or-null, model_known]
 _SHARD_PREFIX = "shard-"
@@ -90,45 +72,6 @@ def flush_all_stores() -> int:
         except OSError:
             continue  # a dead tempdir at interpreter exit: nothing to save
     return written
-
-
-def _term_key(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name  # canonical "$i"
-    if isinstance(t, IntConst):
-        return str(t.value)
-    if isinstance(t, Add):
-        return "(+ " + " ".join(_term_key(a) for a in t.args) + ")"
-    if isinstance(t, Mul):
-        return "(* " + " ".join(_term_key(a) for a in t.args) + ")"
-    if isinstance(t, Div):
-        return f"(/ {_term_key(t.num)} {_term_key(t.den)})"
-    if isinstance(t, Mod):
-        return f"(% {_term_key(t.num)} {_term_key(t.den)})"
-    raise SolverError(f"cannot serialize term {t!r}")
-
-
-def formula_key(f: Formula) -> str:
-    """Deterministic textual key for a *canonical* formula."""
-    if isinstance(f, BoolConst):
-        return "#t" if f.value else "#f"
-    if isinstance(f, Eq):
-        return f"(= {_term_key(f.lhs)} {_term_key(f.rhs)})"
-    if isinstance(f, Le):
-        return f"(<= {_term_key(f.lhs)} {_term_key(f.rhs)})"
-    if isinstance(f, Lt):
-        return f"(< {_term_key(f.lhs)} {_term_key(f.rhs)})"
-    if isinstance(f, Not):
-        return f"(! {formula_key(f.arg)})"
-    if isinstance(f, And):
-        return "(& " + " ".join(formula_key(a) for a in f.args) + ")"
-    if isinstance(f, Or):
-        return "(| " + " ".join(formula_key(a) for a in f.args) + ")"
-    if isinstance(f, Implies):
-        return f"(=> {formula_key(f.lhs)} {formula_key(f.rhs)})"
-    if isinstance(f, Iff):
-        return f"(<=> {formula_key(f.lhs)} {formula_key(f.rhs)})"
-    raise SolverError(f"cannot serialize formula {f!r}")
 
 
 def _freeze_model(m) -> Optional[tuple]:
@@ -220,10 +163,7 @@ class SolverStore:
 
     def lookup(self, canon: Formula):
         """Entry for a canonical formula, or None."""
-        try:
-            key = formula_key(canon)
-        except SolverError:
-            return None
+        key = repr(canon)
         entry = self._buffer.get(key)
         if entry is None:
             entry = self.index().get(key)
@@ -233,10 +173,7 @@ class SolverStore:
               ) -> None:
         """Buffer a freshly solved entry for the next flush (no-op when
         the store already holds it at least as completely)."""
-        try:
-            key = formula_key(canon)
-        except SolverError:
-            return
+        key = repr(canon)
         old = self._buffer.get(key) or self.index().get(key)
         if old is not None and (old[2] or not model_known):
             return

@@ -2,9 +2,10 @@
 
 One verification *unit* of the driver's plan (:mod:`repro.driver.units`
 — a program, or a module slice of a multi-module scv program) on one
-backend under one semantic configuration maps to one JSON file under
-``<store>/verdicts/``, named by the SHA-256 of its
-:class:`StoreKey`.  The entry holds the full
+backend under one semantic configuration maps to one JSON file,
+``<store>/verdicts/<d[:2]>/<d>-<h>.json``, where ``d`` is the unit's
+program digest and ``h`` the SHA-256 of its :class:`StoreKey`: the
+layout is the by-digest index.  The entry holds the full
 :class:`~repro.driver.report.ProgramResult` row (verdict,
 counterexample, synthesized client, every counter) plus the unit's
 source text and configuration, so a warm run replays the row byte-for-
@@ -31,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
@@ -55,7 +55,7 @@ from .fingerprint import (
     config_digest,
     program_digest,
 )
-from .solver import SolverStore
+from .solver import SolverStore, _size, _unlink
 
 #: Default store directory (CLI ``--store`` with no value, and the
 #: ``REPRO_STORE`` environment variable's fallback).
@@ -72,11 +72,13 @@ class StoreKey:
     client: str  # "all" | "main" | "mod:<name>"
 
     def path_name(self) -> str:
+        """``<program digest>-<key hash>``: the entry's file name, so a
+        by-digest search reads names, not files."""
         h = hashlib.sha256(
             "|".join((self.program, self.backend, self.config, self.client))
             .encode("utf-8")
         ).hexdigest()
-        return h
+        return f"{self.program}-{h}"
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -89,7 +91,6 @@ class VerdictStore:
     def __init__(self, root: str) -> None:
         self.root = root
         self.verdict_dir = os.path.join(root, "verdicts")
-        self.index_path = os.path.join(root, "verdicts.index.jsonl")
         self.solver = SolverStore(os.path.join(root, "solver"))
 
     # -- entries ---------------------------------------------------------
@@ -144,96 +145,16 @@ class VerdictStore:
             json.dump(entry, fh, indent=1, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
-        self._index_append(key)
 
-    # -- digest index ----------------------------------------------------
-    #
-    # ``verdicts.index.jsonl`` maps program digests to entry files so a
-    # by-digest lookup (``repro serve``'s GET /v1/results/<digest>)
-    # opens only the matching entries instead of every file in the
-    # store.  It is a *sidecar*: append-only, best-effort, and rebuilt
-    # from the entry files — which stay the source of truth — whenever
-    # it is missing, unreadable, or stale (a referenced entry vanished,
-    # e.g. after gc).
-
-    def _index_append(self, key: StoreKey) -> None:
-        line = json.dumps(
-            {"program": key.program, "entry": key.path_name()},
-            sort_keys=True,
-        )
-        try:
-            with open(self.index_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-        except OSError:
-            pass  # the index is advisory; lookups rebuild it
-
-    def _index_read(self) -> Optional[dict[str, str]]:
-        """entry-hash -> program digest, or None when the sidecar is
-        missing or corrupt (any unparsable or mis-shaped line)."""
-        try:
-            with open(self.index_path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError:
-            return None
-        out: dict[str, str] = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                program, entry = rec["program"], rec["entry"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                return None
-            if not isinstance(program, str) or not isinstance(entry, str):
-                return None
-            out[entry] = program
-        return out
-
-    def rebuild_index(self) -> dict[str, str]:
-        """Regenerate the sidecar from the entry files."""
-        out: dict[str, str] = {}
-        for path in self.entry_paths():
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    program = json.load(fh)["key"]["program"]
-            except (OSError, json.JSONDecodeError, KeyError, TypeError):
-                continue
-            if isinstance(program, str):
-                out[os.path.basename(path)[: -len(".json")]] = program
-        tmp = f"{self.index_path}.tmp-{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for entry in sorted(out):
-                    fh.write(json.dumps(
-                        {"program": out[entry], "entry": entry},
-                        sort_keys=True,
-                    ) + "\n")
-            os.replace(tmp, self.index_path)
-        except OSError:
-            pass
-        return out
-
-    def paths_for_digest(self, digest: str) -> list[str]:
-        """Entry files whose program digest — or entry-hash file name —
-        starts with ``digest``, via the sidecar index.  Stale mappings
-        (entry gc'd since the line was written) trigger one rebuild."""
-        index = self._index_read()
-        if index is None:
-            index = self.rebuild_index()
-        for _attempt in range(2):
-            matches = [
-                entry for entry, program in sorted(index.items())
-                if entry.startswith(digest) or program.startswith(digest)
-            ]
-            paths = [
-                os.path.join(self.verdict_dir, entry[:2], entry + ".json")
-                for entry in matches
-            ]
-            missing = [p for p in paths if not os.path.exists(p)]
-            if not missing:
-                return paths
-            index = self.rebuild_index()
-        return [p for p in paths if os.path.exists(p)]
+    def paths_for_digest(self, prefix: str) -> list[str]:
+        """Entry files whose program digest or key hash starts with
+        ``prefix``.  Both are in the file name, so this filters names
+        and opens nothing."""
+        return [
+            path for path in self.entry_paths()
+            if any(part.startswith(prefix)
+                   for part in split_entry_name(path))
+        ]
 
     def entry_paths(self) -> list[str]:
         out = []
@@ -279,11 +200,7 @@ class VerdictStore:
     def gc(self, max_bytes: Optional[int] = None) -> dict:
         """Compact the solver shards, then (with a bound) evict oldest
         verdict entries — and, as a last resort, the compacted solver
-        shard — until the store fits in ``max_bytes``.
-
-        A ``compiled/`` directory left by older versions, which kept
-        compiled units there outside the byte count, is removed."""
-        shutil.rmtree(os.path.join(self.root, "compiled"), ignore_errors=True)
+        shard — until the store fits in ``max_bytes``."""
         compacted = self.solver.compact()
         evicted = 0
         if max_bytes is not None:
@@ -310,11 +227,10 @@ class VerdictStore:
         }
 
 
-def _size(path: str) -> int:
-    try:
-        return os.path.getsize(path)
-    except OSError:
-        return 0
+def split_entry_name(path: str) -> tuple[str, str]:
+    """``(program digest, key hash)`` of an entry file's name."""
+    program, _, entry = os.path.basename(path)[: -len(".json")].partition("-")
+    return program, entry
 
 
 def _mtime(path: str) -> float:
@@ -322,14 +238,6 @@ def _mtime(path: str) -> float:
         return os.path.getmtime(path)
     except OSError:
         return 0.0
-
-
-def _unlink(path: str) -> int:
-    try:
-        os.unlink(path)
-        return 1
-    except OSError:
-        return 0
 
 
 #: Per-process store handles (workers reuse one index per directory).

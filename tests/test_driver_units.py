@@ -5,8 +5,9 @@
 * **state** — a program with mutable state is one unit, so a bug that
   module state carries from one module's client into another module or
   the main expression is found with and without a store;
-* **no store on the store-less path** — verifying without a store
-  imports neither ``repro.store`` nor ``hashlib``;
+* **no store on the store-less path** — verifying without a store, or
+  starting a pool worker without one, imports neither ``repro.store``
+  nor ``hashlib``;
 * **combining** — every ``ProgramResult`` field is summed, max'd, taken
   from the deciding unit or set after combining, so a new counter
   cannot silently read 0 on a multi-unit row.
@@ -164,6 +165,23 @@ class TestOnePlan:
             "r = verify_source(get_program('modules-triple-pipeline').source,"
             " backend='scv')\n"
             "assert r.status == 'counterexample', r.status\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'hashlib' or m.startswith('repro.store')))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_SRC)}, timeout=120,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    def test_store_less_worker_imports_no_store(self):
+        # A ``--jobs N`` worker without a store registers no store flush.
+        script = (
+            "import sys\n"
+            "from dataclasses import asdict\n"
+            "from repro.driver.runner import RunConfig, init_worker\n"
+            "init_worker(asdict(RunConfig()))\n"
             "print(sorted(m for m in sys.modules"
             " if m == 'hashlib' or m.startswith('repro.store')))\n"
         )

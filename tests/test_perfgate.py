@@ -2,14 +2,27 @@
 
 import json
 
+import pytest
+
 from repro.driver.perfgate import compare, main
+from repro.driver.report import SCHEMA
+
+
+def _totals(**gated):
+    """A totals section with every gated total, overridden by
+    ``gated``."""
+    return {
+        "states_explored": 100, "wall_ms": 1000, "max_wall_ms": 100,
+        "solver_fresh_solves": 100, "dispatch_steps": 1000,
+        "validated_counterexamples": 40, **gated,
+    }
 
 
 def _report(tmp_path, name, states, wall):
     path = tmp_path / name
     path.write_text(json.dumps({
-        "schema": "repro-bench/v3",
-        "totals": {"states_explored": states, "wall_ms": wall},
+        "schema": SCHEMA,
+        "totals": _totals(states_explored=states, wall_ms=wall),
     }))
     return str(path)
 
@@ -17,24 +30,24 @@ def _report(tmp_path, name, states, wall):
 class TestCompare:
     def test_within_budget_passes(self):
         lines = compare(
-            {"states_explored": 100, "wall_ms": 1000},
-            {"states_explored": 110, "wall_ms": 1100},
+            _totals(states_explored=100, wall_ms=1000),
+            _totals(states_explored=110, wall_ms=1100),
             0.20,
         )
         assert not any(line.startswith("FAIL") for line in lines)
 
     def test_regression_beyond_budget_fails(self):
         lines = compare(
-            {"states_explored": 100, "wall_ms": 1000},
-            {"states_explored": 130, "wall_ms": 1000},
+            _totals(states_explored=100, wall_ms=1000),
+            _totals(states_explored=130, wall_ms=1000),
             0.20,
         )
         assert any(line.startswith("FAIL") for line in lines)
 
     def test_improvements_never_fail(self):
         lines = compare(
-            {"states_explored": 100, "wall_ms": 1000},
-            {"states_explored": 10, "wall_ms": 100},
+            _totals(states_explored=100, wall_ms=1000),
+            _totals(states_explored=10, wall_ms=100),
             0.20,
         )
         assert not any(line.startswith("FAIL") for line in lines)
@@ -64,14 +77,6 @@ class TestValidatedRatchet:
             )
             assert not any(line.startswith("FAIL") for line in lines)
 
-    def test_pre_v4_baseline_is_skipped(self):
-        # A baseline from an older schema has no validated count; the
-        # ratchet skips rather than failing the build on the upgrade.
-        lines = compare({}, {"validated_counterexamples": 40}, 0.20)
-        assert any(
-            line.startswith("SKIP") and "validated" in line for line in lines
-        )
-
     def test_zero_baseline_still_ratchets(self):
         # Unlike the relative gates, 0 is a usable ratchet floor.
         lines = compare(
@@ -83,8 +88,8 @@ class TestValidatedRatchet:
 
 
 class TestIncrementalReuseRatchet:
-    """Schema v5: the from-scratch solver-solve count is gated like the
-    other grow-bad totals — contexts that stop being reused fail CI."""
+    """The from-scratch solver-solve count is gated like the other
+    grow-bad totals — contexts that stop being reused fail CI."""
 
     def test_fresh_solve_regression_fails(self):
         lines = compare(
@@ -99,34 +104,21 @@ class TestIncrementalReuseRatchet:
 
     def test_fresh_solve_within_budget_passes(self):
         lines = compare(
-            {"solver_fresh_solves": 100},
-            {"solver_fresh_solves": 110},
+            _totals(solver_fresh_solves=100),
+            _totals(solver_fresh_solves=110),
             0.20,
         )
         assert not any(line.startswith("FAIL") for line in lines)
 
     def test_fewer_fresh_solves_is_an_improvement(self):
         lines = compare(
-            {"solver_fresh_solves": 100},
-            {"solver_fresh_solves": 40},
+            _totals(solver_fresh_solves=100),
+            _totals(solver_fresh_solves=40),
             0.20,
         )
         assert not any(line.startswith("FAIL") for line in lines)
         assert any("improvement" in line and "from-scratch" in line
                    for line in lines)
-
-    def test_pre_v5_baseline_is_skipped(self):
-        lines = compare(
-            {"states_explored": 100, "wall_ms": 1000},
-            {"solver_fresh_solves": 40, "states_explored": 100,
-             "wall_ms": 1000},
-            0.20,
-        )
-        assert any(
-            line.startswith("SKIP") and "from-scratch" in line
-            for line in lines
-        )
-        assert not any(line.startswith("FAIL") for line in lines)
 
 
 class TestMain:
@@ -154,7 +146,7 @@ class TestSchemaValidation:
         fresh = _report(tmp_path, "fresh.json", 100, 1000)
         assert main([base, fresh]) == 2
         err = capsys.readouterr().err
-        assert "unrecognized report schema" in err
+        assert f"is not {SCHEMA}" in err
         assert "Traceback" not in err
 
     def test_future_schema_is_a_clear_failure(self, tmp_path, capsys):
@@ -164,7 +156,7 @@ class TestSchemaValidation:
         })
         fresh = _report(tmp_path, "fresh.json", 100, 1000)
         assert main([base, fresh]) == 2
-        assert "newer than this checkout" in capsys.readouterr().err
+        assert f"is not {SCHEMA}" in capsys.readouterr().err
 
     def test_missing_schema_is_a_clear_failure(self, tmp_path, capsys):
         base = self._write(tmp_path, "base.json", {
@@ -172,24 +164,21 @@ class TestSchemaValidation:
         })
         fresh = _report(tmp_path, "fresh.json", 100, 1000)
         assert main([base, fresh]) == 2
-        assert "unrecognized report schema" in capsys.readouterr().err
+        assert f"is not {SCHEMA}" in capsys.readouterr().err
 
-    def test_older_known_schema_still_gates(self, tmp_path):
-        # The fixture reports are schema v3: still accepted.
-        base = _report(tmp_path, "base.json", 100, 1000)
-        fresh = _report(tmp_path, "fresh.json", 100, 1000)
-        assert main([base, fresh]) == 0
-
-    def test_v8_baseline_gates_a_v9_report(self, tmp_path):
+    @pytest.mark.parametrize("schema", [
+        "repro-bench/v1", "repro-bench/v3", "repro-bench/v8",
+    ])
+    def test_older_schema_is_a_clear_failure(self, tmp_path, capsys,
+                                             schema):
+        # Only the current schema is read: an older baseline may lack
+        # gated totals, so it is regenerated rather than half-gated.
         base = self._write(tmp_path, "base.json", {
-            "schema": "repro-bench/v8",
-            "totals": {"states_explored": 100, "wall_ms": 1000},
+            "schema": schema, "totals": _totals(),
         })
-        fresh = self._write(tmp_path, "fresh.json", {
-            "schema": "repro-bench/v9",
-            "totals": {"states_explored": 100, "wall_ms": 1000},
-        })
-        assert main([base, fresh]) == 0
+        fresh = _report(tmp_path, "fresh.json", 100, 1000)
+        assert main([base, fresh]) == 2
+        assert f"{schema!r} is not" in capsys.readouterr().err
 
     def test_non_numeric_totals_fail_without_traceback(self):
         lines = compare(
@@ -205,7 +194,7 @@ class TestSchemaValidation:
 
 
 class TestDispatchStepsGate:
-    """Schema v8: executed micro-steps in the bytecode dispatch loop.
+    """Executed micro-steps in the bytecode dispatch loop.
     Deterministic per (corpus, configuration), so it is gated like
     ``states_explored`` — more steps per macro state means chains got
     shorter or the executor started delegating transitions it used to
@@ -223,23 +212,9 @@ class TestDispatchStepsGate:
 
     def test_dispatch_within_budget_passes(self):
         lines = compare(
-            {"dispatch_steps": 1000},
-            {"dispatch_steps": 1100},
+            _totals(dispatch_steps=1000),
+            _totals(dispatch_steps=1100),
             0.20,
-        )
-        assert not any(line.startswith("FAIL") for line in lines)
-
-    def test_pre_v8_baseline_is_skipped(self):
-        # A baseline written before the compiler existed carries no
-        # dispatch count at all; upgrading must not fail CI.
-        lines = compare(
-            {"states_explored": 100, "wall_ms": 1000},
-            {"states_explored": 100, "wall_ms": 1000,
-             "dispatch_steps": 5000},
-            0.20,
-        )
-        assert any(
-            line.startswith("SKIP") and "dispatch" in line for line in lines
         )
         assert not any(line.startswith("FAIL") for line in lines)
 
@@ -247,8 +222,8 @@ class TestDispatchStepsGate:
         # A --no-compile baseline records dispatch_steps: 0 — nothing
         # to ratio against, so the gate skips instead of dividing.
         lines = compare(
-            {"dispatch_steps": 0},
-            {"dispatch_steps": 5000},
+            _totals(dispatch_steps=0),
+            _totals(dispatch_steps=5000),
             0.20,
         )
         assert any(
@@ -271,7 +246,7 @@ class TestDispatchStepsGate:
     def test_garbage_report_still_exits_2_with_offender(self, tmp_path, capsys):
         base = tmp_path / "base.json"
         base.write_text(json.dumps({
-            "schema": "repro-bench/v8", "totals": "not-a-dict",
+            "schema": SCHEMA, "totals": "not-a-dict",
         }))
         fresh = _report(tmp_path, "fresh.json", 100, 1000)
         assert main([str(base), str(fresh)]) == 2
@@ -282,8 +257,8 @@ class TestDispatchStepsGate:
 
 class TestWallThreshold:
     def test_separate_wall_budget(self):
-        base = {"states_explored": 100, "wall_ms": 1000}
-        fresh = {"states_explored": 100, "wall_ms": 1400}
+        base = _totals(states_explored=100, wall_ms=1000)
+        fresh = _totals(states_explored=100, wall_ms=1400)
         tight = compare(base, fresh, 0.20)
         assert any(
             line.startswith("FAIL") and "wall" in line for line in tight
@@ -291,7 +266,7 @@ class TestWallThreshold:
         loose = compare(base, fresh, 0.20, max_regress_wall=0.50)
         assert not any(line.startswith("FAIL") for line in loose)
         # ... without loosening the states budget.
-        drift = compare(base, {"states_explored": 130, "wall_ms": 1000},
+        drift = compare(base, _totals(states_explored=130, wall_ms=1000),
                         0.20, max_regress_wall=0.50)
         assert any(
             line.startswith("FAIL") and "states" in line for line in drift

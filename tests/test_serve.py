@@ -33,6 +33,7 @@ import urllib.error
 import urllib.request
 import warnings
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,12 +49,17 @@ from repro.driver.runner import RunConfig, verify_source
 from repro.serve import MAX_ATTEMPTS, JobQueue, ProtocolError, ServeApp
 from repro.serve.app import make_server
 from repro.serve.protocol import parse_verify_request
-from repro.serve.workers import job_run_config, worker_main
+from repro.serve.workers import (
+    WorkerPool,
+    _Worker,
+    job_run_config,
+    worker_main,
+)
 from repro.smt.errors import Result
 from repro.smt.terms import Eq, IntConst, Var
 from repro.store import SolverStore
 from repro.store.solver import flush_all_stores
-from repro.store.verdicts import check_entries, get_store
+from repro.store.verdicts import StoreKey, check_entries, get_store
 
 CHAIN = get_program("modules-chain-div").source
 TRIPLE = get_program("modules-triple-pipeline").source
@@ -353,11 +359,9 @@ class TestServeHTTP:
 
 
 class TestDigestIndex:
-    """``GET /v1/results/<digest>`` is served through a sidecar index
-    (``verdicts.index.jsonl``) instead of a linear scan of every entry
-    file; the entry files stay the source of truth, so the answers must
-    be identical to a full scan with the index in *any* state —
-    present, missing, corrupt, or stale."""
+    """``GET /v1/results/<digest>`` filters entry file names, which are
+    ``<program digest>-<key hash>.json``; the answers must be identical
+    to a scan that opens every entry and reads its key."""
 
     @staticmethod
     def _populate(store_dir: str) -> None:
@@ -368,80 +372,63 @@ class TestDigestIndex:
                       config=cfg, backend="scv")
 
     @staticmethod
-    def _linear_scan(store, digest: str) -> list:
+    def _key_of(path: str) -> StoreKey:
+        with open(path, encoding="utf-8") as fh:
+            return StoreKey(**json.load(fh)["key"])
+
+    @classmethod
+    def _linear_scan(cls, store, prefix: str) -> list:
         paths = []
         for path in store.entry_paths():
-            base = os.path.basename(path)[: -len(".json")]
-            with open(path, encoding="utf-8") as fh:
-                program = json.load(fh)["key"]["program"]
-            if base.startswith(digest) or program.startswith(digest):
+            key = cls._key_of(path)
+            entry = key.path_name().partition("-")[2]
+            if key.program.startswith(prefix) or entry.startswith(prefix):
                 paths.append(path)
         return paths
 
-    def test_index_answers_match_a_linear_scan(self, tmp_path):
+    def test_index_answers_match_a_linear_scan(self, tmp_path,
+                                               monkeypatch):
         store_dir = str(tmp_path / "store")
         self._populate(store_dir)
         store = get_store(store_dir)
-        assert os.path.exists(store.index_path)  # put() maintains it
-        with open(store.entry_paths()[0], encoding="utf-8") as fh:
-            digest = json.load(fh)["key"]["program"][:12]
-        want = self._linear_scan(store, digest)
-        assert want  # the prefix matches something
-        assert store.paths_for_digest(digest) == want
-        # An entry-hash prefix resolves too.
-        entry = os.path.basename(store.entry_paths()[0])[:12]
-        assert store.paths_for_digest(entry) == \
-            self._linear_scan(store, entry)
+        key = self._key_of(store.entry_paths()[0])
+        # A program-digest prefix, and a key-hash prefix.
+        prefixes = (key.program[:12], key.path_name().partition("-")[2][:12])
+        wants = [self._linear_scan(store, p) for p in prefixes]
+        assert all(wants)  # each prefix matches something
 
-    def test_missing_index_is_rebuilt(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        self._populate(store_dir)
-        store = get_store(store_dir)
-        with open(store.entry_paths()[0], encoding="utf-8") as fh:
-            digest = json.load(fh)["key"]["program"][:12]
-        want = self._linear_scan(store, digest)
-        os.unlink(store.index_path)
-        assert store.paths_for_digest(digest) == want
-        assert os.path.exists(store.index_path)  # rebuilt on disk
+        def no_open(*args, **kwargs):
+            raise AssertionError("an entry file was opened")
 
-    def test_corrupt_index_is_rebuilt(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        self._populate(store_dir)
-        store = get_store(store_dir)
-        with open(store.entry_paths()[0], encoding="utf-8") as fh:
-            digest = json.load(fh)["key"]["program"][:12]
-        want = self._linear_scan(store, digest)
-        for garbage in ("not json\n", '{"program": 7}\n', '{"entry": "x"}\n'):
-            with open(store.index_path, "w", encoding="utf-8") as fh:
-                fh.write(garbage)
-            assert store.paths_for_digest(digest) == want
+        monkeypatch.setattr("builtins.open", no_open)
+        assert [store.paths_for_digest(p) for p in prefixes] == wants
 
-    def test_stale_index_is_rebuilt_after_entry_deletion(self, tmp_path):
+    def test_deleted_entry_is_not_found(self, tmp_path):
         store_dir = str(tmp_path / "store")
         self._populate(store_dir)
         store = get_store(store_dir)
         victim = store.entry_paths()[0]
-        with open(victim, encoding="utf-8") as fh:
-            digest = json.load(fh)["key"]["program"][:12]
+        digest = self._key_of(victim).program[:12]
         assert victim in store.paths_for_digest(digest)
-        os.unlink(victim)  # the index line is now stale
+        os.unlink(victim)
         got = store.paths_for_digest(digest)
         assert victim not in got
         assert got == self._linear_scan(store, digest)
 
-    def test_results_endpoint_survives_a_deleted_index(self, server):
+    def test_results_endpoint_reports_the_key_hash(self, server):
         server.wait_done(server.request(
             "/v1/verify", {"source": CHAIN, "backend": "scv"}
         )[1]["job"]["id"])
         store = get_store(server.root)
-        entry = os.path.basename(store.entry_paths()[0])
-        prefix = entry[:12]
-        code, with_index = server.request(f"/v1/results/{prefix}")
-        assert code == 200 and with_index["matches"]
-        os.unlink(store.index_path)
-        code, without = server.request(f"/v1/results/{prefix}")
+        key = self._key_of(store.entry_paths()[0])
+        entry = key.path_name().partition("-")[2]
+        code, by_digest = server.request(f"/v1/results/{key.program[:12]}")
         assert code == 200
-        assert without == with_index
+        assert entry in [m["entry"] for m in by_digest["matches"]]
+        code, by_entry = server.request(f"/v1/results/{entry[:12]}")
+        assert code == 200
+        assert [m["entry"] for m in by_entry["matches"]] == [entry]
+        assert by_entry["matches"][0]["key"] == key.as_dict()
 
 
 class TestCrashRetry:
@@ -542,6 +529,35 @@ class TestCrashRetry:
         states = {jid: q2.get(jid).state for jid in (running, queued)}
         assert states[queued] == "queued"
         assert states[running] in ("queued", "done")
+
+
+class TestDeadlineBackstop:
+    @pytest.mark.parametrize("program, backend, units", [
+        ("modules-triple-pipeline", "scv", 3),   # one unit per module
+        ("modules-triple-pipeline", "both", 4),  # core runs it whole
+        ("modules-chain-div", "core", 1),
+    ])
+    def test_job_gets_one_budget_per_unit(self, tmp_path, program,
+                                          backend, units):
+        # ``timeout_s`` bounds each unit, so the parent-side SIGKILL
+        # must wait for every unit of every engine the job runs.
+        jobs = JobQueue(str(tmp_path / "jobs"))
+        jobs.submit(parse_verify_request({
+            "source": get_program(program).source, "backend": backend,
+            "config": {"timeout_s": 10.0},
+        }))
+        pool = WorkerPool(jobs, size=1, base_config=asdict(RunConfig()),
+                          store_root=str(tmp_path / "store"), grace_s=0.0)
+        idle = _Worker(
+            proc=SimpleNamespace(is_alive=lambda: True, pid=None),
+            task_q=SimpleNamespace(put=lambda task: None),
+        )
+        pool._workers[0] = idle
+        before = time.time()
+        pool._dispatch()
+        assert idle.job_id is not None
+        budget = units * 10.0
+        assert before + budget <= idle.deadline <= time.time() + budget
 
 
 class TestDeadlineFlag:

@@ -39,8 +39,9 @@ from repro.smt import (
     mk_or,
     mk_var,
 )
+from repro.smt.cache import canonicalize
 from repro.smt.linearize import LinExpr
-from repro.smt.terms import eval_formula
+from repro.smt.terms import And, Not, Or, eval_formula
 
 BOX = range(-4, 5)
 VARS = [mk_var("x"), mk_var("y"), mk_var("z")]
@@ -175,3 +176,24 @@ def test_linear_forms_hold_exact_numbers(monkeypatch):
                     fractional += 1
         built.clear()
     assert fractional > 0  # the relaxation's fractions are exercised
+
+
+def test_repr_is_injective_on_canonical_formulas():
+    """The solver tier keys on ``repr`` of the canonical formula, so two
+    canonical formulas must print alike exactly when they are equal.
+    Checked over the population above and every sub-formula of it."""
+    by_repr: dict = {}
+
+    def add(f):
+        by_repr.setdefault(repr(f), set()).add(f)
+        if isinstance(f, (And, Or)):
+            for child in f.args:
+                add(child)
+        elif isinstance(f, Not):
+            add(f.arg)
+
+    for seed in SEEDS:
+        add(canonicalize(_random_formula(seed)[0])[0])
+    formulas = set().union(*by_repr.values())
+    assert all(len(group) == 1 for group in by_repr.values())
+    assert len(by_repr) == len(formulas) > len(SEEDS)

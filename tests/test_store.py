@@ -28,9 +28,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, replace
-
-import pytest
+from dataclasses import asdict
 
 from repro.driver.__main__ import main as cli_main
 from repro.driver.corpus import CORPUS, corpus_names, get_program
@@ -48,7 +46,6 @@ from repro.smt.cache import SolverCache
 from repro.smt.errors import Result
 from repro.smt.terms import And, Eq, IntConst, Le, Lt, Var
 from repro.store import SolverStore, config_digest, program_digest
-from repro.store.solver import formula_key
 from repro.store.verdicts import check_entries, get_store, try_replay
 
 CHAIN = get_program("modules-chain-div").source
@@ -380,9 +377,9 @@ class TestCorruptionRecovery:
         unsat = And((Lt(Var("$0"), IntConst(0)), Lt(IntConst(0), Var("$0"))))
         result_only = Le(IntConst(0), Var("$0"))
         rows = [
-            [formula_key(sat), "sat", [[[0, 4]], []], True],
-            [formula_key(unsat), "unsat", None, True],
-            [formula_key(result_only), "sat", None, False],
+            [repr(sat), "sat", [[[0, 4]], []], True],
+            [repr(unsat), "unsat", None, True],
+            [repr(result_only), "sat", None, False],
         ]
         (root / "shard-0-old.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
@@ -530,16 +527,21 @@ class TestGc:
         assert summary["entries_evicted"] > 0
         assert summary["bytes"] <= bound
 
-    def test_leftover_compiled_dir_is_removed(self, tmp_path):
-        # Older stores kept compiled units under compiled/, outside the
-        # byte count, where --max-bytes could never reach them.
-        store_dir = str(tmp_path / "store")
-        verify_source(CHAIN, config=_cfg(store_dir), backend="scv")
-        compiled = tmp_path / "store" / "compiled"
-        compiled.mkdir()
-        (compiled / "unit.scv.all.json").write_text("{}")
-        get_store(store_dir).gc()
-        assert not compiled.exists()
+    def test_byte_count_covers_the_disk(self, tmp_path):
+        # The entry files and the solver shards are the whole store:
+        # nothing on disk escapes the count that --max-bytes bounds.
+        store_dir = tmp_path / "store"
+        verify_source(CHAIN, config=_cfg(str(store_dir)), backend="scv")
+        vs = get_store(str(store_dir))
+        vs.gc()
+        files = [p for p in store_dir.rglob("*") if p.is_file()]
+        for p in files:
+            top = p.relative_to(store_dir).parts[0]
+            assert (top, p.suffix) in {("verdicts", ".json"),
+                                       ("solver", ".jsonl")}, p
+        assert vs.stats()["verdicts"] and vs.stats()["solver_shards"]
+        assert vs.stats()["total_bytes"] == \
+            sum(p.stat().st_size for p in files)
 
 
 class TestStoreVerify:
