@@ -70,8 +70,9 @@ from ..core.syntax import (
 )
 from ..lang.values import VOID
 from ..prims import REGISTRY as _PRIM_REGISTRY
-from ..scv.delta import OBlame, OEval, OLoc, OValue, delta_u
-from ..scv.heap import TAG_BOOLEAN, UAlias, UClos, UConc, UOpq, UPrim
+from ..scv.delta import OBlame, OLoc, OValue, delta_u
+from ..scv.heap import UAlias, UClos, UConc, UOpq, UPrim
+from ..scv.tags import TAG_BOOLEAN
 from ..scv.machine import (
     Blame,
     KApp,

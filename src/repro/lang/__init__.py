@@ -1,4 +1,11 @@
-"""Untyped Racket-subset front end: reader, AST, parser, values, prims."""
+"""Untyped Racket-subset front end: reader, AST, parser, values.
+
+The primitive view ``lang.prims`` is not re-exported: it loads the
+primitive registry (``repro.prims``), whose declarations import
+``scv.heap``, which imports this package — importing it here would make
+``import repro.scv.heap`` in a fresh interpreter run into its own
+half-initialised module.
+"""
 
 from .ast import (
     Module,
@@ -18,7 +25,6 @@ from .ast import (
     fresh_label,
 )
 from .parser import ParseError, parse_expr_string, parse_module, parse_program
-from .prims import PrimError, UserError, base_primitives
 from .runtime import Cell, Closure, Env, Guarded, Prim, StructCtor, is_applicable
 from .sexp import ReadError, Symbol, read_all, read_one, write_datum
 from .values import (

@@ -16,10 +16,11 @@ table:
 * ``compile.executor`` — sources its inline-dispatch name set and
   arity metadata from the registry.
 
-Import-order note: ``errors`` must bind before ``declarations`` runs —
-``lang.prims`` re-imports :class:`PrimError`/:class:`UserError` from
-here while this package is still mid-initialisation (the declarations
-pull in ``scv.heap``, whose value types come from ``lang``).
+Import-order note: the declarations pull in ``scv.tags`` and, through
+``rules``, ``scv.heap``, whose value types come from ``lang`` — so the
+``repro.lang`` package must not import this one (it does not re-export
+``lang.prims``), or importing ``scv.heap`` first would meet itself
+half-initialised (``tests/test_imports.py``).
 """
 
 from .errors import PrimError, UserError

@@ -61,7 +61,7 @@ from ..lang.values import (
     racket_equal,
     to_pylist,
 )
-from ..scv.heap import (
+from ..scv.tags import (
     NUMBER_TAGS,
     REAL_TAGS,
     TAG_BOOLEAN,

@@ -27,11 +27,6 @@ from ..lang.ast import Quote, UExpr, UIf, ULam, UVar
 from ..lang.values import NIL, VOID, racket_equal
 from ..scv.heap import (
     PEqDatum,
-    TAG_BOX,
-    TAG_INTEGER,
-    TAG_PAIR,
-    TAG_STRING,
-    TAG_VECTOR,
     UBoxS,
     UCase,
     UClos,
@@ -49,6 +44,7 @@ from ..scv.heap import (
     datum_tag,
     storeable_tag,
 )
+from ..scv.tags import TAG_BOX, TAG_INTEGER, TAG_PAIR, TAG_STRING, TAG_VECTOR
 
 _INT = frozenset({TAG_INTEGER})
 

@@ -61,16 +61,6 @@ from ..smt import get_model, mk_var
 from .engine import CLIENT_LABEL
 from .heap import (
     PEqDatum,
-    TAG_BOOLEAN,
-    TAG_INTEGER,
-    TAG_NONREAL,
-    TAG_NULL,
-    TAG_PAIR,
-    TAG_PROCEDURE,
-    TAG_RATREAL,
-    TAG_STRING,
-    TAG_SYMBOL,
-    TAG_VECTOR,
     UBoxS,
     UCase,
     UClos,
@@ -83,6 +73,18 @@ from .heap import (
     UPrim,
     UStruct,
     UVectorS,
+)
+from .tags import (
+    TAG_BOOLEAN,
+    TAG_INTEGER,
+    TAG_NONREAL,
+    TAG_NULL,
+    TAG_PAIR,
+    TAG_PROCEDURE,
+    TAG_RATREAL,
+    TAG_STRING,
+    TAG_SYMBOL,
+    TAG_VECTOR,
 )
 from .machine import Blame, SState, ULocE
 from .proof import translate_uheap

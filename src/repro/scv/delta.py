@@ -54,10 +54,6 @@ from ..lang.ast import Quote, UApp, UExpr, UIf, ULam, ULetrec, UVar
 from ..lang.values import Pair, StructVal
 from ..prims import REGISTRY, PrimError, UserError
 from .heap import (
-    NUMBER_TAGS,
-    REAL_TAGS,
-    TAG_BOOLEAN,
-    TAG_INTEGER,
     UConc,
     UHeap,
     UNDEFINED,
@@ -68,8 +64,8 @@ from .heap import (
     UStruct,
     datum_tag,
     storeable_tag,
-    struct_tag,
 )
+from .tags import NUMBER_TAGS, REAL_TAGS, TAG_BOOLEAN, TAG_INTEGER, struct_tag
 
 __all__ = [
     "Outcome", "OValue", "OLoc", "OBlame", "OEval", "Rule", "delta_u",
@@ -214,7 +210,7 @@ class Rule:
     # -- basic lookups --------------------------------------------------
 
     def deref(self, l: Loc, heap: Optional[UHeap] = None):
-        return (heap or self.heap).deref(l)
+        return (self.heap if heap is None else heap).deref(l)
 
     def conc(self, l: Loc, heap: Optional[UHeap] = None) -> object:
         _, s = self.deref(l, heap)
@@ -230,16 +226,16 @@ class Rule:
     # -- outcome constructors -------------------------------------------
 
     def blame(self, desc: str, heap: Optional[UHeap] = None) -> OBlame:
-        return OBlame(heap or self.heap, "Λ", self.label,
+        return OBlame(self.heap if heap is None else heap, "Λ", self.label,
                       f"{self.name}: {desc}")
 
     def value(self, s: UStoreable, heap: Optional[UHeap] = None,
               effort: int = 0) -> OValue:
-        return OValue(heap or self.heap, s, effort)
+        return OValue(self.heap if heap is None else heap, s, effort)
 
     def at(self, l: Loc, heap: Optional[UHeap] = None,
            effort: int = 0) -> OLoc:
-        return OLoc(heap or self.heap, l, effort)
+        return OLoc(self.heap if heap is None else heap, l, effort)
 
     def boolean(self, b: bool, heap: Optional[UHeap] = None,
                 effort: int = 0) -> OValue:
@@ -249,7 +245,7 @@ class Rule:
             effort: int = 0) -> OEval:
         from .machine import MEnv
 
-        return OEval(heap or self.heap, expr, MEnv({}), effort)
+        return OEval(self.heap if heap is None else heap, expr, MEnv({}), effort)
 
     # -- synthesis helpers ----------------------------------------------
 

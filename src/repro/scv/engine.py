@@ -5,7 +5,9 @@ into one initial machine state:
 
 * a *base frame* binds every primitive (as a ``UPrim`` heap cell — the
   same names ``conc.interp`` resolves), ``any/c``, ``empty``/``null``,
-  and each struct's constructor/predicate/accessors;
+  and each struct's constructor/predicate/accessors — the part before
+  the structs is built once per process and shared, never mutated
+  (``build_base_heap``);
 * each module becomes a ``letrec`` over its opaque imports (monitored
   by their contracts, blaming the ``•name`` party so violations by the
   unknown import are ignored per Err-Opq) and its definitions, with the
@@ -48,16 +50,9 @@ from ..lang.ast import (
 from ..lang.prims import base_primitives
 from ..lang.values import NIL, StructType
 from ..prims import EXTENDED_PRIMS
-from .heap import (
-    TAG_PROCEDURE,
-    UConc,
-    UCtc,
-    UHeap,
-    UOpq,
-    UPrim,
-    UStructCtor,
-)
-from ..core.heap import current_loc_counter
+from .heap import UConc, UCtc, UHeap, UOpq, UPrim, UStoreable, UStructCtor
+from .tags import TAG_PROCEDURE
+from ..core.heap import current_loc_counter, fresh_loc, set_loc_counter
 from .machine import (
     Blame,
     MEnv,
@@ -134,28 +129,81 @@ def uses_extended_prims(program: Program) -> bool:
     return False
 
 
-def build_base_heap(machine: SMachine) -> tuple[MEnv, UHeap]:
-    """The global frame: primitives, contract constants, struct bindings."""
-    heap = UHeap.empty()
-    frame: dict[str, Loc] = {}
+class _SharedBase:
+    """The primitive part of the global frame: its ``MEnv``, a heap whose
+    frozen base holds its cells, the location counter a build leaves,
+    and the frame's names-only token (``global_names``).  Shared by
+    every verification with the same key; never mutated."""
 
-    def bind(name: str, storeable) -> None:
-        nonlocal heap
-        l, heap = heap.alloc(storeable, prefix="g")
-        frame[name] = l
+    __slots__ = ("env", "heap", "loc_end", "names")
+
+    def __init__(self, env: MEnv, heap: UHeap, loc_end: int) -> None:
+        self.env = env
+        self.heap = heap
+        self.loc_end = loc_end
+        self.names = tuple(sorted((n, l.name) for n, l in env.frame.items()))
+
+
+#: One primitive base per ``(extended_prims, first location number)``:
+#: δ over the primitives is fixed, so only the location names a build
+#: mints depend on anything, and they depend only on the key.
+_SHARED_BASES: dict[tuple[bool, int], _SharedBase] = {}
+
+
+def _shared_base(extended_prims: bool) -> _SharedBase:
+    """The primitives, ``any/c`` and ``empty``/``null``, built once per
+    key.  On reuse the location counter is advanced to exactly where a
+    fresh build leaves it, so every later ``g…``/``u…`` name (and with
+    them every solver model) is what a fresh build would give."""
+    key = (extended_prims, current_loc_counter())
+    shared = _SHARED_BASES.get(key)
+    if shared is not None:
+        set_loc_counter(shared.loc_end)
+        return shared
+    frame: dict[str, Loc] = {}
+    cells: dict[Loc, UStoreable] = {}
+
+    def bind(name: str, storeable: UStoreable) -> Loc:
+        l = frame[name] = fresh_loc("g")
+        cells[l] = storeable
+        return l
 
     for name in base_primitives():
-        if name in EXTENDED_PRIMS and not machine.extended_prims:
+        if name in EXTENDED_PRIMS and not extended_prims:
             continue
         bind(name, UPrim(name))
     bind("any/c", UCtc("any"))
-    nil_loc, heap = heap.alloc(UConc(NIL), prefix="g")
-    frame["empty"] = nil_loc
-    frame["null"] = nil_loc
+    frame["null"] = bind("empty", UConc(NIL))
+    shared = _SHARED_BASES[key] = _SharedBase(
+        MEnv(frame), UHeap({}, cells), current_loc_counter()
+    )
+    return shared
+
+
+def global_names(env: MEnv) -> Optional[tuple[tuple[str, str], ...]]:
+    """The sorted ``(name, location name)`` pairs of ``env`` when it is a
+    shared primitive frame (``None`` otherwise) — fingerprinting's
+    names-only token for that frame, built once with the frame."""
+    for shared in _SHARED_BASES.values():
+        if shared.env is env:
+            return shared.names
+    return None
+
+
+def build_base_heap(machine: SMachine) -> tuple[MEnv, UHeap]:
+    """The global frame: primitives, contract constants, struct bindings.
+
+    The primitive part is shared (``_shared_base``); a program's struct
+    bindings are layered on in a fresh frame and the heap's overlay."""
+    shared = _shared_base(machine.extended_prims)
+    if not machine.struct_types:
+        return shared.env, shared.heap
+    frame = dict(shared.env.frame)
+    heap = shared.heap
     for st in machine.struct_types.values():
-        bind(st.name, UStructCtor(st))
+        frame[st.name], heap = heap.alloc(UStructCtor(st), prefix="g")
         for pname in (f"{st.name}?", *(f"{st.name}-{f}" for f in st.fields)):
-            bind(pname, UPrim(pname))
+            frame[pname], heap = heap.alloc(UPrim(pname), prefix="g")
     return MEnv(frame), heap
 
 

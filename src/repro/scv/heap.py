@@ -7,17 +7,7 @@ type tests (§4.1), plus the same numeric refinement predicates as SPCF
 incrementally into shapes (§4.2): once an opaque is known to be a pair
 it *becomes* ``UPair(•, •)`` with fresh opaque fields.
 
-Tag lattice.  The primary tags are disjoint and exhaustive:
-
-    integer | ratreal | nonreal | boolean | string | symbol | pair |
-    null | procedure | box | void | struct:<name>
-
-``ratreal`` covers non-integer reals (the exact-rational / float slice
-of the tower) and ``nonreal`` covers complex numbers with a nonzero
-imaginary part.  ``number?`` is ``{integer, ratreal, nonreal}``;
-``real?`` is ``{integer, ratreal}`` — this split is what lets the
-engine reproduce the paper's ``0+1i`` counterexamples while keeping SMT
-reasoning confined to integers (the documented §5.3 boundary).
+The tag lattice lives in the leaf module ``scv.tags``.
 """
 
 from __future__ import annotations
@@ -32,55 +22,22 @@ from ..core.syntax import Loc
 from ..lang.ast import ULam
 from ..lang.sexp import Symbol
 from ..lang.values import Nil, StructType, Void
-
-# ---------------------------------------------------------------------------
-# Tags
-# ---------------------------------------------------------------------------
-
-TAG_INTEGER = "integer"
-TAG_RATREAL = "ratreal"
-TAG_NONREAL = "nonreal"
-TAG_BOOLEAN = "boolean"
-TAG_STRING = "string"
-TAG_SYMBOL = "symbol"
-TAG_PAIR = "pair"
-TAG_NULL = "null"
-TAG_PROCEDURE = "procedure"
-TAG_BOX = "box"
-TAG_VOID = "void"
-# Extension tag for the gated vector family.  Deliberately NOT in
-# BASE_TAGS: the sorted tag set of an unrestricted opaque is embedded in
-# committed report bytes, so the tag universe only grows per-program
-# (``SMachine(extended_prims=True)``), never globally.
-TAG_VECTOR = "vector"
-
-BASE_TAGS = frozenset(
-    {
-        TAG_INTEGER,
-        TAG_RATREAL,
-        TAG_NONREAL,
-        TAG_BOOLEAN,
-        TAG_STRING,
-        TAG_SYMBOL,
-        TAG_PAIR,
-        TAG_NULL,
-        TAG_PROCEDURE,
-        TAG_BOX,
-        TAG_VOID,
-    }
+from .tags import (
+    BASE_TAGS,
+    TAG_BOOLEAN,
+    TAG_BOX,
+    TAG_INTEGER,
+    TAG_NONREAL,
+    TAG_NULL,
+    TAG_PAIR,
+    TAG_PROCEDURE,
+    TAG_RATREAL,
+    TAG_STRING,
+    TAG_SYMBOL,
+    TAG_VECTOR,
+    TAG_VOID,
+    struct_tag,
 )
-
-NUMBER_TAGS = frozenset({TAG_INTEGER, TAG_RATREAL, TAG_NONREAL})
-REAL_TAGS = frozenset({TAG_INTEGER, TAG_RATREAL})
-FIRST_ORDER_TAGS = frozenset(
-    {TAG_INTEGER, TAG_RATREAL, TAG_NONREAL, TAG_BOOLEAN, TAG_STRING,
-     TAG_SYMBOL, TAG_NULL, TAG_VOID}
-)
-
-
-def struct_tag(name: str) -> str:
-    return f"struct:{name}"
-
 
 # ---------------------------------------------------------------------------
 # Extra refinement predicates for non-numeric scalars
@@ -366,24 +323,38 @@ def storeable_tag(s: UStoreable) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
+def _inert(s: UStoreable) -> bool:
+    """Can ``s`` state no integer fact, whatever the rest of the heap
+    holds?  (See ``scv.proof.translate_uheap_parts``: aliases and memo
+    tables may, through their targets; opaques through refinements.)"""
+    if isinstance(s, UConc):
+        return isinstance(s.value, bool) or not isinstance(s.value, int)
+    if isinstance(s, UOpq):
+        return not s.preds
+    return not isinstance(s, (UAlias, UCase))
+
+
 class UHeap:
     """Immutable symbolic heap for the untyped machine.
 
-    Two layers: a shared *base* (frozen once per program, holding the
-    ~90 primitive bindings and other pre-state) and a copy-on-write
-    *overlay*.  Functional updates copy only the overlay, so the cost of
-    a ``set`` is proportional to the state the program has actually
-    touched, not to the size of the primitive environment — the update
-    discipline that makes BFS over thousands of states affordable.
+    Two layers: a shared *base* (frozen once, holding the ~90 primitive
+    bindings and other pre-state) and a copy-on-write *overlay*.
+    Functional updates copy only the overlay, so the cost of a ``set``
+    is proportional to the state the program has actually touched, not
+    to the size of the primitive environment — the update discipline
+    that makes BFS over thousands of states affordable.  A base dict is
+    never mutated once frozen: the primitive base is shared by every
+    verification in the process (``scv.engine``).
     """
 
-    __slots__ = ("_d", "_base", "_gdirty")
+    __slots__ = ("_d", "_base", "_gdirty", "_inert_base")
 
     def __init__(
         self,
         entries: Optional[dict[Loc, UStoreable]] = None,
         base: Optional[dict[Loc, UStoreable]] = None,
         gdirty: bool = False,
+        inert_base: Optional[bool] = None,
     ) -> None:
         self._d: dict[Loc, UStoreable] = entries if entries is not None else {}
         self._base: dict[Loc, UStoreable] = base if base is not None else {}
@@ -392,6 +363,12 @@ class UHeap:
         # (serialized by name alone); this flag is what revokes that
         # treatment when a path e.g. `set!`s a primitive name.
         self._gdirty = gdirty
+        # Does no base cell state an integer fact?  Computed once per
+        # base and handed on by every update.
+        self._inert_base = (
+            all(map(_inert, self._base.values()))
+            if inert_base is None else inert_base
+        )
 
     @staticmethod
     def empty() -> "UHeap":
@@ -400,8 +377,24 @@ class UHeap:
     def frozen(self) -> "UHeap":
         """Push the overlay into the shared base layer.  Call once after
         building a program's initial heap; subsequent updates then copy
-        an (initially empty) overlay."""
-        return UHeap({}, {**self._base, **self._d})
+        an (initially empty) overlay.  An empty overlay keeps the base
+        dict itself."""
+        if not self._d:
+            return UHeap({}, self._base, False, self._inert_base)
+        return UHeap(
+            {}, {**self._base, **self._d}, False,
+            self._inert_base and all(map(_inert, self._d.values())),
+        )
+
+    @property
+    def inert_base(self) -> bool:
+        """True when no base cell states an integer fact, so a heap's
+        integer facts all sit in its overlay."""
+        return self._inert_base
+
+    def overlay_items(self) -> Iterator[tuple[Loc, UStoreable]]:
+        """The entries written since the base layer was frozen."""
+        return iter(self._d.items())
 
     def get(self, l: Loc) -> UStoreable:
         s = self._d.get(l)
@@ -414,15 +407,18 @@ class UHeap:
 
     def deref(self, l: Loc) -> tuple[Loc, UStoreable]:
         """Follow UAlias chains; returns (final loc, storeable)."""
-        seen = set()
+        s = self.get(l)
+        if not isinstance(s, UAlias):
+            return l, s
+        seen = {l}
         while True:
+            l = s.target
             s = self.get(l)
             if not isinstance(s, UAlias):
                 return l, s
             if l in seen:  # pragma: no cover - aliasing is acyclic by construction
                 raise RuntimeError("alias cycle")
             seen.add(l)
-            l = s.target
 
     def __contains__(self, l: Loc) -> bool:
         return l in self._d or l in self._base
@@ -444,7 +440,8 @@ class UHeap:
         d = dict(self._d)
         d[l] = s
         return UHeap(d, self._base,
-                     self._gdirty or l.name.startswith("g"))
+                     self._gdirty or l.name.startswith("g"),
+                     self._inert_base)
 
     def alloc(self, s: UStoreable, prefix: str = "u") -> tuple[Loc, "UHeap"]:
         l = fresh_loc(prefix)

@@ -48,10 +48,7 @@ from ..lang.ast import (
 from ..lang.sexp import Symbol
 from ..lang.values import NIL, StructType, VOID
 from .heap import (
-    BASE_TAGS,
     PEqDatum,
-    TAG_BOOLEAN,
-    TAG_PROCEDURE,
     UAlias,
     UCase,
     UClos,
@@ -66,8 +63,8 @@ from .heap import (
     UStoreable,
     UStruct,
     UStructCtor,
-    struct_tag,
 )
+from .tags import BASE_TAGS, TAG_BOOLEAN, TAG_PROCEDURE, TAG_VECTOR, struct_tag
 
 _syn_counter = 0
 
@@ -334,8 +331,6 @@ class SMachine:
             struct_tag(n) for n in self.struct_types
         }
         if extended_prims:
-            from .heap import TAG_VECTOR
-
             self.all_tags = self.all_tags | {TAG_VECTOR}
         # prim name -> ("pred" | "accessor", StructType, field index)
         self.struct_prims: dict[str, tuple[str, StructType, int]] = {}

@@ -49,16 +49,8 @@ from ..smt import (
     mk_implies,
 )
 from ..core.translate import loc_var, translate_pred
-from .heap import (
-    PEqDatum,
-    TAG_INTEGER,
-    UAlias,
-    UCase,
-    UConc,
-    UHeap,
-    UOpq,
-    UStoreable,
-)
+from .heap import PEqDatum, UAlias, UCase, UConc, UHeap, UOpq, UStoreable
+from .tags import TAG_INTEGER
 
 __all__ = ["Verdict", "UProofSystem", "translate_uheap", "translate_uheap_parts"]
 
@@ -140,9 +132,12 @@ def translate_uheap(heap: UHeap) -> Formula:
 def translate_uheap_parts(heap: UHeap) -> tuple[Formula, ...]:
     """``{{Σ}}`` as its conjunct sequence in heap order — the trail the
     per-path incremental contexts (``smt.incremental``) diff between
-    queries (see ``core.translate.translate_heap_parts``)."""
+    queries (see ``core.translate.translate_heap_parts``).  When no base
+    cell can state a fact (``UHeap.inert_base``, true of the shared
+    primitive base) only the overlay is walked — the same sequence."""
     parts: list[Formula] = []
-    for l, s in heap.items():
+    cells = heap.overlay_items() if heap.inert_base else heap.items()
+    for l, s in cells:
         if isinstance(s, UConc):
             if _is_exact_int(s.value):
                 parts.append(mk_eq(loc_var(l), s.value))

@@ -238,9 +238,13 @@ class _ScvRun(_Base):
         super().__init__(fingerprinter._interner)
         self.heap = heap
         self._genv_cache = fingerprinter._genv_cache
+        self._global_names = fingerprinter._global_names
+        self._code_memo = fingerprinter._code_memo
         self._env_memo: dict[int, Hashable] = {}
         self._sheap = fingerprinter._sheap
         self._smach = fingerprinter._smach
+        # Location references serialized from code so far (see uexpr).
+        self._code_locs = 0
 
     def loc(self, l: Loc) -> Hashable:
         name = l.name
@@ -307,7 +311,8 @@ class _ScvRun(_Base):
         the shortcut and the frame serializes through ``loc`` like any
         other, picking up the overlaid value.  Cache entries pin the
         environment object so an ``id`` can never be recycled onto a
-        different frame.
+        different frame.  The shared primitive frame's names come
+        ready-made with the frame (``scv.engine.global_names``).
 
         Within one state, a chain whose locations had all been visited
         before it serializes to back references only, and would again:
@@ -324,33 +329,46 @@ class _ScvRun(_Base):
         while env is not None:
             if globals_clean and env.parent is None:
                 cached = self._genv_cache.get(id(env))
-                if cached is not None and cached[0] is env:
+                if cached is None or cached[0] is not env:
+                    cached = self._names_token(env)
+                if cached is not None:
                     frames.append(cached[1])
                     break  # globals-only frames never chain further
-            items = sorted(env.frame.items())
-            if (
-                globals_clean
-                and env.parent is None
-                and items
-                and all(l.name.startswith("g") for _, l in items)
-            ):
-                token = intern(("genv", tuple([(n, l.name) for n, l in items])))
-                self._genv_cache[id(env)] = (env, token)
-                frames.append(token)
-                break
-            frames.append(intern(tuple([(n, loc(l)) for n, l in items])))
+            frames.append(intern(tuple([(n, loc(l))
+                                        for n, l in sorted(env.frame.items())])))
             env = env.parent
         token = intern(tuple(frames))
         if len(self.canon) == visited:
             self._env_memo[key] = token
         return token
 
+    def _names_token(self, env) -> Optional[tuple]:
+        """Cache and return ``(env, token)`` for a root frame that binds
+        only globals; ``None`` for any other frame."""
+        names = self._global_names(env)
+        if names is None:
+            items = sorted(env.frame.items())
+            if not items or not all(l.name.startswith("g") for _, l in items):
+                return None
+            names = tuple([(n, l.name) for n, l in items])
+        cached = self._genv_cache[id(env)] = (env, self.intern(("genv", names)))
+        return cached
+
     def uexpr(self, e: uast.UExpr) -> Hashable:
+        """An expression's token.  Code that serializes no location
+        (no ``ULocE`` below it) has the same token in every state, so it
+        is memoised by node identity for the rest of the search; the
+        entry pins the node so its ``id`` cannot be recycled."""
         smach = self._smach
         if isinstance(e, smach.ULocE):
+            self._code_locs += 1
             return self.loc(e.loc)
         if isinstance(e, (uast.UVar, uast.UOpaque, smach.UBlameE)):
             return e  # frozen, loc-free: the node is its own token
+        memo = self._code_memo.get(id(e))
+        if memo is not None and memo[0] is e:
+            return memo[1]
+        locs = self._code_locs
         uexpr = self.uexpr
         if isinstance(e, uast.Quote):
             tok = ("q", _datum_token(e.datum))
@@ -373,7 +391,10 @@ class _ScvRun(_Base):
                    e.pos, e.neg, e.label)
         else:
             raise TypeError(f"cannot fingerprint expression {e!r}")
-        return self.intern(tok)
+        tok = self.intern(tok)
+        if self._code_locs == locs:
+            self._code_memo[id(e)] = (e, tok)
+        return tok
 
     def kont(self, stack) -> Hashable:
         smach, intern = self._smach, self.intern
@@ -408,7 +429,8 @@ class _ScvRun(_Base):
 
 class ScvFingerprinter:
     """``scv.SState -> Node``; caches the interned globals-only
-    base environment frame across states (it is per-program constant)."""
+    base environment frame and the tokens of loc-free code across
+    states (both are per-program constants)."""
 
     def __init__(self) -> None:
         # Resolved once per fingerprinter rather than per node; a
@@ -416,11 +438,14 @@ class ScvFingerprinter:
         # repro.prims.
         from ..scv import heap as sheap
         from ..scv import machine as smach
+        from ..scv.engine import global_names
 
         self._sheap = sheap
         self._smach = smach
+        self._global_names = global_names
         self._interner = Interner()
         self._genv_cache: dict[int, tuple] = {}
+        self._code_memo: dict[int, tuple] = {}
 
     def __call__(self, state) -> Node:
         run = _ScvRun(self, state.heap)

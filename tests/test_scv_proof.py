@@ -9,21 +9,15 @@ from repro.core.heap import (
 )
 from repro.core.proof import ProofSystem, Verdict
 from repro.lang.values import NIL
-from repro.scv.heap import (
+from repro.scv.heap import PEqDatum, UConc, UHeap, UOpq, UPair, UCase, UAlias
+from repro.scv.tags import (
     NUMBER_TAGS,
-    PEqDatum,
     REAL_TAGS,
     TAG_BOOLEAN,
     TAG_INTEGER,
     TAG_PAIR,
     TAG_PROCEDURE,
     TAG_STRING,
-    UConc,
-    UHeap,
-    UOpq,
-    UPair,
-    UCase,
-    UAlias,
 )
 from repro.scv.proof import UProofSystem, translate_uheap
 from repro.smt import (

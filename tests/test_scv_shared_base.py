@@ -1,0 +1,190 @@
+"""The shared primitive base of the scv engine (``scv.engine``).
+
+The primitive frame and its frozen heap are built once per
+``(extended_prims, first location number)`` and reused by every later
+verification with that key.  Reuse must be invisible: rows equal those
+of a fresh process, the shared dicts and frames never change, and the
+table holds one entry per key.  Heap→formula translation walks only a
+heap's overlay when its base can state no integer fact; the walk must
+give the same conjuncts as the full one.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from repro.core.heap import PLt, HConst, current_loc_counter, set_loc_counter
+from repro.core.syntax import Loc
+from repro.driver.corpus import CORPUS, get_program
+from repro.driver.report import VOLATILE_ROW_FIELDS
+from repro.driver.runner import verify_source
+from repro.scv import engine, proof
+from repro.scv.heap import UAlias, UConc, UHeap, UOpq
+from repro.scv.machine import SMachine
+from repro.scv.tags import TAG_INTEGER
+
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: A module program with a demonic client, a struct program and an
+#: extended-primitive program, then the first one again.
+SEQUENCE = ("modules-triple-pipeline", "struct-posn-invx",
+            "vector-ref-unchecked", "modules-triple-pipeline")
+
+
+def _row(name: str) -> dict:
+    row = asdict(verify_source(get_program(name).source, name=name,
+                               backend="scv"))
+    return {k: v for k, v in row.items() if k not in VOLATILE_ROW_FIELDS}
+
+
+def _fresh_process_row(name: str) -> dict:
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[2])\n"
+        "from tests.test_scv_shared_base import _row\n"
+        "print(json.dumps(_row(sys.argv[1])))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script, name, str(REPO_SRC.parent)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_SRC)},
+    )
+    return json.loads(out.stdout)
+
+
+def _fresh_build(key: tuple[bool, int], monkeypatch) -> engine._SharedBase:
+    """The shared base a build from an empty table gives for ``key``."""
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_SHARED_BASES", {})
+        saved = current_loc_counter()
+        set_loc_counter(key[1])
+        try:
+            return engine._shared_base(key[0])
+        finally:
+            set_loc_counter(saved)
+
+
+class TestSharedBase:
+    def test_reuse_is_invisible(self, monkeypatch):
+        monkeypatch.setattr(engine, "_SHARED_BASES", {})
+        rows = [_row(name) for name in SEQUENCE]
+        # JSON round trip: the fresh rows arrive as JSON.
+        rows = json.loads(json.dumps(rows))
+        fresh = {name: _fresh_process_row(name) for name in set(SEQUENCE)}
+        for name, row in zip(SEQUENCE, rows):
+            assert row == fresh[name], name
+
+        table = engine._SHARED_BASES
+        # Counters restart per verification: one entry per configuration.
+        assert set(table) == {(False, 0), (True, 0)}
+        for key, shared in table.items():
+            rebuilt = _fresh_build(key, monkeypatch)
+            assert shared.env.frame == rebuilt.env.frame
+            assert list(shared.env.frame) == list(rebuilt.env.frame)
+            assert shared.env.parent is None
+            assert dict(shared.heap.items()) == dict(rebuilt.heap.items())
+            assert list(shared.heap.items()) == list(rebuilt.heap.items())
+            assert shared.loc_end == rebuilt.loc_end
+            assert shared.names == rebuilt.names
+            assert shared.heap.inert_base
+
+    def test_reuse_leaves_the_counter_where_a_build_does(self, monkeypatch):
+        monkeypatch.setattr(engine, "_SHARED_BASES", {})
+        set_loc_counter(7)
+        built = engine._shared_base(False)
+        after_build = current_loc_counter()
+        set_loc_counter(7)
+        assert engine._shared_base(False) is built
+        assert current_loc_counter() == after_build == built.loc_end
+        # Another first location number is another key, not a reuse.
+        set_loc_counter(0)
+        assert engine._shared_base(False) is not built
+        assert len(engine._SHARED_BASES) == 2
+
+    def test_struct_bindings_are_layered_per_program(self, monkeypatch):
+        from repro.lang.parser import parse_program
+
+        monkeypatch.setattr(engine, "_SHARED_BASES", {})
+        program = parse_program(get_program("struct-posn-invx").source)
+        machine = SMachine(struct_types=engine.collect_struct_types(program))
+        set_loc_counter(0)
+        env, heap = engine.build_base_heap(machine)
+        shared = engine._SHARED_BASES[(False, 0)]
+        assert env is not shared.env
+        assert set(env.frame) > set(shared.env.frame)
+        assert "posn" in env.frame and "posn" not in shared.env.frame
+        assert engine.global_names(env) is None
+        assert engine.global_names(shared.env) is shared.names
+        # The shared heap itself stays overlay-free.
+        assert list(shared.heap.overlay_items()) == []
+
+
+def _heaps_translated(monkeypatch) -> list[UHeap]:
+    """Every heap the scv proof system and counterexample construction
+    translate while verifying the scv corpus."""
+    seen: list[UHeap] = []
+    translate = proof.translate_uheap_parts
+
+    def recording(heap):
+        seen.append(heap)
+        return translate(heap)
+
+    monkeypatch.setattr(proof, "translate_uheap_parts", recording)
+    for prog in CORPUS:
+        if "scv" in prog.backends:
+            verify_source(prog.source, backend="scv")
+    monkeypatch.undo()
+    return seen
+
+
+def _full_walk(heap: UHeap):
+    """The translation with the overlay-only shortcut turned off."""
+    whole = UHeap(dict(heap.overlay_items()), heap._base,
+                  heap.has_global_writes, inert_base=False)
+    return proof.translate_uheap_parts(whole)
+
+
+class TestOverlayOnlyTranslation:
+    def test_matches_the_full_walk_on_search_heaps(self, monkeypatch):
+        heaps = _heaps_translated(monkeypatch)
+        assert len(heaps) > 100
+        assert all(h.inert_base for h in heaps)
+        nonempty = 0
+        for heap in heaps:
+            parts = proof.translate_uheap_parts(heap)
+            assert parts == _full_walk(heap)
+            nonempty += bool(parts)
+        assert nonempty > 50
+
+    def test_a_base_integer_forces_the_full_walk(self):
+        g0, u1, u2 = Loc("g0"), Loc("u1"), Loc("u2")
+        base = UHeap().set(g0, UConc(5)).frozen()
+        assert not base.inert_base
+        heap = base.set(u1, UOpq(frozenset({TAG_INTEGER}), (PLt(HConst(3)),)))
+        heap = heap.set(u2, UAlias(g0))
+        parts = proof.translate_uheap_parts(heap)
+        assert parts == _full_walk(heap)
+        assert len(parts) == 3  # g0 = 5, u1 < 3, u2 = g0
+
+    @pytest.mark.parametrize("cell", [
+        UConc(5),
+        UOpq(frozenset({TAG_INTEGER}), (PLt(HConst(3)),)),
+        UAlias(Loc("u9")),
+    ])
+    def test_a_base_that_can_state_a_fact_is_not_inert(self, cell):
+        heap = UHeap().set(Loc("g0"), cell).frozen()
+        assert not heap.inert_base
+        assert heap.set(Loc("u3"), UConc(True)).inert_base is False
+
+    def test_a_base_of_non_integer_cells_is_inert(self):
+        heap = UHeap().set(Loc("g0"), UConc(True)).set(
+            Loc("g1"), UOpq()).frozen()
+        assert heap.inert_base
+        assert proof.translate_uheap_parts(heap) == ()

@@ -33,11 +33,13 @@ from repro.search import (
 )
 from repro.search.intern import Interner, Node
 from repro.scv.engine import collect_struct_types, inject_program
-from repro.scv.heap import UConc, UHeap, UOpq
+from repro.lang.ast import Quote, UApp, ULam, UVar
+from repro.scv.heap import UClos, UConc, UHeap, UOpq, UPair
 from repro.scv.machine import (
     MEnv,
     SMachine,
     SState,
+    ULocE,
     reset_syn_labels,
     set_syn_counter,
 )
@@ -395,6 +397,37 @@ class TestIdentityInterningMatchesTheReference:
         assert self._assert_pairs_agree(cycle) > 0
         self._verify_twice(TestGlobalShadowing.SOURCE, "scv")
         assert self._check(searches) > 0
+
+    def test_loc_bearing_code_is_never_memoised(self):
+        # One closure body, shared by every state, reads a path location
+        # and a global through ``ULocE``: its token depends on the heap,
+        # so only the loc-free lambda beside it may be memoised.
+        u5, g0 = Loc("u5"), Loc("g0")
+        reads = ULam(("x",), UApp(ULocE(u5), (UVar("x"), ULocE(g0)),
+                                  label="r"))
+        plain = ULam(("y",), UApp(UVar("y"), (Quote(1),), label="p"))
+        base = UHeap().set(g0, UConc(0)).frozen()
+
+        def state(at_u5: int, at_g0=None) -> SState:
+            heap = base.set(u5, UConc(at_u5))
+            if at_g0 is not None:
+                heap = heap.set(g0, UConc(at_g0))  # shadow the global
+            heap = heap.set(Loc("u1"), UClos(reads, MEnv({})))
+            heap = heap.set(Loc("u2"), UClos(plain, MEnv({})))
+            heap = heap.set(Loc("u3"), UPair(Loc("u1"), Loc("u2")))
+            return SState(Loc("u3"), MEnv({}), heap, ())
+
+        states = [state(1), state(2), state(1), state(1, at_g0=9),
+                  state(2)]
+        fp, reference = ScvFingerprinter(), _Reference(ScvFingerprinter)
+        pairs = [(fp(s), reference(s)) for s in states]
+        assert self._assert_pairs_agree(pairs) == 2
+        tokens = [token for token, _ in pairs]
+        assert tokens[0] is tokens[2] and tokens[1] is tokens[4]
+        assert len({id(t) for t in tokens}) == 3
+        assert fp._code_memo[id(plain)][0] is plain
+        assert id(reads) not in fp._code_memo
+        assert id(reads.body) not in fp._code_memo
 
 
 def _tags(token) -> set:
