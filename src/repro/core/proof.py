@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-from ..smt import PathContext, Result, check_sat, mk_and, mk_not
+from ..smt import PathContext, Result, mk_not
 from .heap import (
     HConst,
     Heap,
@@ -110,26 +110,15 @@ class ProofSystem:
     """Decides ``Σ ⊢ L : P`` using syntactic fast paths and the solver.
 
     Heaps are immutable values, so no *judgement* is cached across
-    queries — but with ``incremental`` (the default) the instance owns a
-    per-path solver context (:class:`~repro.smt.PathContext`): the
-    heap's conjuncts stay asserted between queries, sibling paths fork
-    the context at their shared prefix, and the paired ``ψ`` / ``¬ψ``
-    checks run as assumptions on one context instead of two from-scratch
-    solves.  ``incremental=False`` restores the pre-incremental one-shot
-    behaviour (per-query ``check_sat``) for differential debugging.
+    queries; the instance's :class:`~repro.smt.PathContext` only
+    memoizes the last heap's translation, and each solver query is one
+    one-shot check.
     """
 
-    def __init__(self, *, incremental: bool = True) -> None:
+    def __init__(self) -> None:
         self.queries = 0
         self.solver_queries = 0
-        self._ctx = PathContext() if incremental else None
-
-    def note_path(self, state) -> None:
-        """Search-kernel hook: a (possibly different) path's state was
-        popped for expansion; the solver scope forks lazily at the next
-        query."""
-        if self._ctx is not None:
-            self._ctx.note_switch()
+        self._ctx = PathContext()
 
     def check(self, heap: Heap, l: Loc, p: Pred) -> Verdict:
         self.queries += 1
@@ -155,26 +144,15 @@ class ProofSystem:
                                translate_pred(p, loc_var(l)))
 
 
-def solve_judgement(ctx: Optional[PathContext], heap, translate_parts,
+def solve_judgement(ctx: PathContext, heap, translate_parts,
                     psi) -> Verdict:
     """The solver half of ``Σ ⊢ L : P``, shared by both proof systems:
     ``{Σ} ∧ ¬ψ`` unsat proves the judgement, ``{Σ} ∧ ψ`` unsat refutes
     it.  ``translate_parts`` turns the heap into its conjunct sequence;
-    with a per-path context the conjuncts stay asserted and the paired
-    checks run as assumptions on it, without one each check is a
-    one-shot solve of ``∧ parts``."""
-    if ctx is not None:
-        parts = ctx.parts_for(heap, translate_parts)
-
-        def unsat(f) -> bool:
-            return ctx.check_under(parts, f) is Result.UNSAT
-    else:
-        phi = mk_and(*translate_parts(heap))
-
-        def unsat(f) -> bool:
-            return check_sat(phi, f) is Result.UNSAT
-    if unsat(mk_not(psi)):
+    each of the two checks is one one-shot solve."""
+    parts = ctx.parts_for(heap, translate_parts)
+    if ctx.check(parts, mk_not(psi)) is Result.UNSAT:
         return Verdict.PROVED
-    if unsat(psi):
+    if ctx.check(parts, psi) is Result.UNSAT:
         return Verdict.REFUTED
     return Verdict.AMBIG

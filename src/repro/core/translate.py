@@ -164,10 +164,9 @@ def translate_heap(heap: Heap) -> Formula:
 def translate_heap_parts(heap: Heap) -> tuple[Formula, ...]:
     """``{{Σ}}`` as its conjunct sequence, in heap (allocation) order.
 
-    The per-path incremental contexts (``smt.incremental``) diff these
-    sequences between queries: heaps along one path extend each other,
-    so consecutive sequences share a long prefix of identical conjuncts
-    that stays asserted in the solver.
+    A ``PathContext`` (``smt.incremental``) memoizes the sequence per
+    heap and, with a solver tier attached, slices it into independent
+    groups to key each query on its goal's cone of influence.
     """
     parts: list[Formula] = []
     for l, s in heap.items():

@@ -124,12 +124,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
         "(the pre-kernel micro-step search; for A/B comparison)",
     )
     p.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the per-path incremental solver contexts: every "
-        "proof query re-solves its path condition from scratch "
-        "(differential debugging; verdicts must be identical)",
-    )
-    p.add_argument(
         "--store", nargs="?", const=None, default=argparse.SUPPRESS,
         metavar="DIR",
         help="persist and replay verification results in a content-"
@@ -161,7 +155,6 @@ def _config(args: argparse.Namespace, jobs: int = 1) -> RunConfig:
         timeout_s=args.timeout,
         jobs=jobs,
         memo=not args.no_memo,
-        incremental=not args.no_incremental,
         store_dir=_store_dir(args),
         compile=args.compile,
     )

@@ -96,7 +96,6 @@ class RunConfig:
     max_cex_attempts: int = 20  # error states to try to model before giving up
     jobs: int = 1  # worker processes
     memo: bool = True  # fingerprint memoisation + chain compression
-    incremental: bool = True  # per-path incremental solver contexts
     store_dir: Optional[str] = None  # persistent store root (None: no store)
     # Bytecode compilation (repro.compile).  ``compile`` swaps the
     # step-at-a-time machines for the fused dispatch-loop executors —
@@ -368,7 +367,7 @@ class TypedCoreBackend(_Pipeline):
         program = parse_program(source)
         core = lower_program(program)
         check_program(core)
-        proof = ProofSystem(incremental=cfg.incremental)
+        proof = ProofSystem()
         errors = find_errors(
             core, machine=Machine(proof), max_states=cfg.max_states,
             stats=stats, memo=cfg.memo, compiled=cfg.compile,
@@ -427,7 +426,7 @@ class UntypedScvBackend(_Pipeline):
             struct_types=collect_struct_types(program),
             assume_well_typed=not uses_contracts(program),
             extended_prims=uses_extended_prims(program),
-            proof=UProofSystem(incremental=cfg.incremental),
+            proof=UProofSystem(),
         )
         init = inject_program(program, machine, client_of=client_of)
         check_scope(program, init.env.frame)

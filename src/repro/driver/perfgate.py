@@ -14,11 +14,10 @@ either gated total:
   margin; states are the signal, wall is the tripwire for gross
   slowdowns (an accidentally quadratic fingerprint, a cache that stopped
   hitting).
-* ``solver_fresh_solves`` — from-scratch solver context builds.  The
-  incremental-reuse ratchet: path contexts answering queries on warm
-  scopes keep this number low, and a regression here means the
-  contexts stopped being reused (thrashing trails, over-eager rebuilds,
-  or a proof system that silently fell back to one-shot solving).
+* ``solver_fresh_solves`` — the solver's solve count.  Every proof
+  query is one one-shot solve, so a regression here means more queries
+  reached the solver (a fast path or the heap-translation memo stopped
+  applying, or the search explored more states).
 * ``max_wall_ms`` — the slowest single program row.  The gate watches
   the corpus's worst-case row alongside the sum: speeding up the
   average while regressing the tail fails.  As a timing it shares the

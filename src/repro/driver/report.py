@@ -7,7 +7,7 @@ serialised as ``BENCH_driver.json``.  The JSON shape is versioned
 of the benchmark file are meaningful and the perf trajectory can be
 tracked across commits.
 
-Schema ``repro-bench/v9`` (``v8`` without the sharded-search fields):
+Schema ``repro-bench/v10`` (``v9`` without the scoped-solver fields):
 
 * every program row carries a ``backend`` field (``core`` or ``scv``);
 * rows and totals carry the search kernel's economy counters:
@@ -17,17 +17,8 @@ Schema ``repro-bench/v9`` (``v8`` without the sharded-search fields):
   (deterministic micro-steps folded into macro states), so partial work
   stays visible even on rows whose budget expired inside a compressed
   chain;
-* new in v5 — the incremental-solving economy counters from the
-  per-path solver contexts (``smt.incremental``):
-  ``solver_fresh_solves`` (from-scratch solver context builds — tier
-  misses on the one-shot path plus path-context rebuilds),
-  ``solver_incremental`` (checks answered on a warm context, reusing
-  its scopes and lemmas), ``solver_clauses_reused`` (lemma and learned
-  clauses already present when those checks started, summed), and
-  ``solver_scope_depth`` (the deepest assertion-scope stack seen; totals
-  take the max, not the sum).  ``--no-incremental`` zeroes the
-  incremental counters and reverts every solver query to a from-scratch
-  solve, for differential debugging;
+* ``solver_fresh_solves`` — the solves the row ran (every solver
+  query that no store entry answered is one from-scratch solve);
 * counterexample rows carry ``client``: the closed, runnable surface
   program synthesized by ``repro.synth`` (modules with opaque imports
   instantiated plus the demonic-client call, or the instantiated main
@@ -78,7 +69,14 @@ Schema ``repro-bench/v9`` (``v8`` without the sharded-search fields):
   on pre-v8 or interpreted baselines where the total is missing or
   zero);
 * v9 — v8 minus the four sharded-search row fields and their totals,
-  and minus the sharding and compile-cache keys of the config block.
+  and minus the sharding and compile-cache keys of the config block;
+* v10 — v9 minus the scoped-solver counters ``solver_incremental``,
+  ``solver_clauses_reused`` and ``solver_scope_depth`` (every proof
+  query is now one one-shot solve) and minus the ``incremental`` config
+  key, plus ``solver_unknown``: the one-shot queries the solver left
+  undecided (UNKNOWN — turned into AMBIG by the proof relation, so
+  counted rather than passed silently).  Rows and totals carry it; it
+  is 0 on every corpus row.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-SCHEMA = "repro-bench/v9"
+SCHEMA = "repro-bench/v10"
 
 # Terminal statuses a verification attempt can end in.
 STATUS_SAFE = "safe"  # search exhausted, no (modelable) error
@@ -102,16 +100,14 @@ STATUS_ERROR = "error"  # driver-level failure (bug!)
 _CONCLUSIVE = (STATUS_SAFE, STATUS_COUNTEREXAMPLE)
 
 #: Row fields that legitimately differ between otherwise-identical runs
-#: (timing, and the solver-economy counters toggled by --no-incremental
-#: / --no-memo).  The single source of truth for every differential
-#: comparison — the equivalence tests and the CI leg both read it.
+#: (timing, and the solver counters a store or --no-memo moves).  The
+#: single source of truth for every differential comparison — the
+#: equivalence tests and the CI leg both read it.
 VOLATILE_ROW_FIELDS = frozenset({
     "wall_ms",
     "solver_cache_hits",
     "solver_fresh_solves",
-    "solver_incremental",
-    "solver_clauses_reused",
-    "solver_scope_depth",
+    "solver_unknown",
     # The persistent-store economy (repro.store): warm and cold runs
     # must agree on everything *except* how much came from the store.
     "store_hits",
@@ -173,10 +169,8 @@ class ProgramResult:
     pruned_states: int = 0  # dropped by fingerprint memoisation
     solver_cache_hits: int = 0  # queries answered by the --store solver tier
     chained_steps: int = 0  # micro-steps folded into macro states
-    solver_fresh_solves: int = 0  # from-scratch solver context builds
-    solver_incremental: int = 0  # checks answered on a warm context
-    solver_clauses_reused: int = 0  # lemma/learned clauses carried into checks
-    solver_scope_depth: int = 0  # deepest assertion-scope stack seen
+    solver_fresh_solves: int = 0  # from-scratch solves
+    solver_unknown: int = 0  # one-shot queries left UNKNOWN
     errors_found: int = 0
     cex_attempts: int = 0
     store_hits: int = 0  # verification units replayed from the store
@@ -188,6 +182,9 @@ class ProgramResult:
     dispatch_steps: int = 0  # micro-steps run by the fused dispatch loop
     counterexample: Optional[CexReport] = None
     detail: str = ""
+    # Not a field (never serialised): the benchmark's tracer still reads
+    # it as its ``smt.incremental_checks`` metric.
+    solver_incremental = 0
 
     @property
     def as_expected(self) -> Optional[bool]:
@@ -239,11 +236,7 @@ def _totals(results: list[ProgramResult]) -> dict:
         "solver_queries": sum(r.solver_queries for r in results),
         "solver_cache_hits": sum(r.solver_cache_hits for r in results),
         "solver_fresh_solves": sum(r.solver_fresh_solves for r in results),
-        "solver_incremental": sum(r.solver_incremental for r in results),
-        "solver_clauses_reused": sum(r.solver_clauses_reused for r in results),
-        "solver_scope_depth": max(
-            (r.solver_scope_depth for r in results), default=0
-        ),
+        "solver_unknown": sum(r.solver_unknown for r in results),
         "store_hits": sum(r.store_hits for r in results),
         "store_misses": sum(r.store_misses for r in results),
         "modules_reverified": sum(r.modules_reverified for r in results),
@@ -450,8 +443,7 @@ def render_report(report: BenchReport, *, verbose: bool = False) -> str:
         f"{t['states_explored']} states ({t['pruned_states']} pruned), "
         f"{t['solver_queries']} solver calls "
         f"({t['solver_cache_hits']} cache hits, "
-        f"{t['solver_fresh_solves']} fresh / "
-        f"{t['solver_incremental']} incremental solves), "
+        f"{t['solver_fresh_solves']} solves), "
         f"{t['wall_ms']:.0f} ms total"
     )
     if t["store_hits"] or t["store_misses"]:

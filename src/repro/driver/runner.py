@@ -22,7 +22,7 @@ exit the deadline context — cancelling the SIGALRM and restoring the
 previous handler — before result assembly (surface re-validation,
 client synthesis, serialization), so a fast verification followed by
 slow report assembly cannot be killed by a stale alarm (pinned by
-``tests/test_driver_incremental.py``).
+``tests/test_driver_run_hygiene.py``).
 """
 
 from __future__ import annotations

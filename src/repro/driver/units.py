@@ -201,7 +201,7 @@ _COMBINE_ORDER = (
 _SUMMED_FIELDS = (
     "states_explored", "proof_queries", "solver_queries", "pruned_states",
     "solver_cache_hits", "chained_steps", "solver_fresh_solves",
-    "solver_incremental", "solver_clauses_reused", "errors_found",
+    "solver_unknown", "errors_found",
     "cex_attempts", "compiled_units", "compile_ms", "dispatch_steps",
 )
 
@@ -214,7 +214,7 @@ def combine_units(
     """Fold unit rows into one per-program row, deterministically: the
     unit whose status comes first in ``_COMBINE_ORDER`` decides the
     verdict, the counterexample and the detail; work counters are
-    summed (scope depth takes the max).  The wall time and the store
+    summed.  The wall time and the store
     counters are the caller's: a replayed unit's stored ``wall_ms`` is
     the cold run's."""
     pairs = list(zip(units, rows))
@@ -232,7 +232,6 @@ def combine_units(
         status=row.status,
         wall_ms=wall_ms,
         backend=backend,
-        solver_scope_depth=max(r.solver_scope_depth for r in rows),
         deadline_enforced=all(r.deadline_enforced for r in rows),
         store_hits=store_hits,
         store_misses=store_misses,

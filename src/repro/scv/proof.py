@@ -130,9 +130,9 @@ def translate_uheap(heap: UHeap) -> Formula:
 
 
 def translate_uheap_parts(heap: UHeap) -> tuple[Formula, ...]:
-    """``{{Σ}}`` as its conjunct sequence in heap order — the trail the
-    per-path incremental contexts (``smt.incremental``) diff between
-    queries (see ``core.translate.translate_heap_parts``).  When no base
+    """``{{Σ}}`` as its conjunct sequence in heap order — what a
+    ``PathContext`` memoizes per heap and slices into independent
+    groups (see ``core.translate.translate_heap_parts``).  When no base
     cell can state a fact (``UHeap.inert_base``, true of the shared
     primitive base) only the overlay is walked — the same sequence."""
     parts: list[Formula] = []
@@ -195,24 +195,15 @@ def _int_sorted_at(heap: UHeap, l: Loc) -> bool:
 class UProofSystem:
     """Decides tag- and integer-level judgements over untyped heaps.
 
-    Like the typed ``ProofSystem`` it is configuration plus counters —
-    no *judgement* is cached across queries — but with ``incremental``
-    (the default) it carries a per-path solver context
-    (:class:`~repro.smt.PathContext`) whose assertion trail follows the
-    heap along the explored path and forks at branch points; the paired
-    ``ψ`` / ``¬ψ`` checks share it as assumption queries.
-    ``incremental=False`` restores per-query one-shot solving.
+    Like the typed ``ProofSystem`` it is counters plus a
+    :class:`~repro.smt.PathContext` — no *judgement* is cached across
+    queries, and each solver query is one one-shot check.
     """
 
-    def __init__(self, *, incremental: bool = True) -> None:
+    def __init__(self) -> None:
         self.queries = 0
         self.solver_queries = 0
-        self._ctx = PathContext() if incremental else None
-
-    def note_path(self, state) -> None:
-        """Search-kernel hook — see ``core.proof.ProofSystem.note_path``."""
-        if self._ctx is not None:
-            self._ctx.note_switch()
+        self._ctx = PathContext()
 
     # -- tag lattice ----------------------------------------------------
 

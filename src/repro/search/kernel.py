@@ -93,14 +93,6 @@ class SearchKernel:
       number of single-successor micro-steps folded in, counted exactly
       like the default loop; a ``chain_limit`` of 0 means "no chaining"
       (one step), which is what a memo-less kernel passes;
-    * ``enter`` — optional callback invoked with every state the kernel
-      pops for expansion, before it is stepped.  This is how a path-
-      aware layer below the step function — the proof systems' per-path
-      incremental solver contexts (``smt.incremental``) — observes the
-      search jumping between paths: the callback marks the context's
-      path-local memo stale, and the solver scope forks to the new
-      path's assertion trail at the next query.  The kernel itself
-      carries no solver state; it only announces path switches;
     * ``stats`` — mutated in place so callers that abandon the iterator
       mid-run (the driver stops at the first validated counterexample)
       still observe exact counts.
@@ -114,7 +106,6 @@ class SearchKernel:
         chain_limit: int = 128,
         max_states: int = 50_000,
         expander: Optional[Callable] = None,
-        enter: Optional[Callable] = None,
         stats=None,
     ) -> None:
         self.step = step
@@ -123,7 +114,6 @@ class SearchKernel:
         self.chain_limit = chain_limit if fingerprint is not None else 0
         self.max_states = max_states
         self.expander = expander
-        self.enter = enter
         self.stats = stats if stats is not None else SearchStats()
         self._seen: set = set()
 
@@ -167,8 +157,6 @@ class SearchKernel:
                 return
             state = frontier.popleft()
             st.states_explored += 1
-            if self.enter is not None:
-                self.enter(state)
             state, succs = self._expand(state)
             if succs is None:
                 st.answers += 1
@@ -194,15 +182,13 @@ def search(
 
     ``memo`` fingerprints states with a fresh ``fingerprinter()``;
     ``compiled`` expands them with ``executor(machine, code, stats=...)``
-    (``repro.compile``) instead of ``machine.step``.  The machine's proof
-    system follows the search through its ``note_path`` hook."""
+    (``repro.compile``) instead of ``machine.step``."""
     st = stats if stats is not None else SearchStats()
     kernel = SearchKernel(
         machine.step,
         fingerprint=fingerprinter() if memo else None,
         max_states=max_states,
         expander=executor(machine, code, stats=st).expand if compiled else None,
-        enter=machine.proof.note_path,  # per-path solver context follows the search
         stats=st,
     )
     return kernel.run(init)

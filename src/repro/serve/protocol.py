@@ -45,7 +45,6 @@ REQUEST_CONFIG_FIELDS: dict[str, type] = {
     "timeout_s": (int, float),
     "max_cex_attempts": int,
     "memo": bool,
-    "incremental": bool,
     "compile": bool,
 }
 

@@ -135,17 +135,10 @@ class SolverCache:
     repeat within a run — the store's own buffer answers them, and the
     shards answer repeats across runs.
 
-    Two populations share the tier.  One-shot queries store *full*
-    entries: the canonical formula was solved and, when SAT, its model
-    kept (``model_known=True``).  The incremental path (``smt.
-    incremental``) answers checks on a per-path solver context whose
-    model choice depends on context history, so it stores *result-only*
-    entries (``model_known=False``) under the canonical cone of the
-    query: the verdict is reusable, the model deliberately is not.  A later ``get_model`` on such an entry misses
-    (``need_model=True``), solves the canonical formula and the backing
-    upgrades the entry — so reported models remain a deterministic
-    function of the canonical formula regardless of which path asked
-    first.
+    Every entry is a full one: a miss solves the canonical formula and
+    stores its result with, when SAT, its model.  So whichever query
+    populates a key first, a later ``get_model`` on it reads the model
+    the canonical solve chose.
     """
 
     def __init__(self) -> None:
@@ -160,15 +153,12 @@ class SolverCache:
         return self.hits - snap[0]
 
     def get(
-        self, key: Formula, *, need_model: bool = False
-    ) -> Optional[tuple[Result, Optional[_CachedModel], bool]]:
-        """Look up an entry in the backing; with ``need_model`` a
-        result-only SAT entry counts as a miss (the caller will solve
-        and upgrade it)."""
+        self, key: Formula
+    ) -> Optional[tuple[Result, Optional[_CachedModel]]]:
+        """The backing's ``(result, model)`` entry for a canonical
+        formula, or None."""
         entry = None if self.backing is None else self.backing.lookup(key)
-        if entry is None or (
-            need_model and entry[0] is Result.SAT and not entry[2]
-        ):
+        if entry is None:
             self.misses += 1
             return None
         self.hits += 1
@@ -179,14 +169,11 @@ class SolverCache:
         key: Formula,
         result: Result,
         model: Optional[_CachedModel] = None,
-        *,
-        model_known: bool = True,
     ) -> None:
         """Persist a decisive result.  UNKNOWN is budget-relative and
-        another run (or machine) may well do better; the backing never
-        downgrades a full entry to a result-only one."""
+        another run (or machine) may well do better."""
         if self.backing is not None and result is not Result.UNKNOWN:
-            self.backing.store(key, result, model, model_known)
+            self.backing.store(key, result, model)
 
 
 #: The process-wide cache used by ``solver.check_sat``/``get_model``.

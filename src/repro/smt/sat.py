@@ -10,8 +10,9 @@ A conflict-driven clause-learning solver with the standard modern kernel:
   Sörensson, "An Extensible SAT-solver", SAT 2003),
 * Luby-sequence restarts with phase saving,
 * incremental solving under assumptions (used by the DPLL(T) loop to add
-  theory lemmas between calls, and by the scoped :class:`~repro.smt.solver.
-  Solver` to activate assertion levels through selector literals).
+  theory lemmas between calls, and to guard the blocking clauses of an
+  undecided theory round with a selector literal that lives for one
+  check).
 
 Assumptions are decided first, each at its own decision level, before any
 free decision — the MiniSat discipline.  A ``solve(assumptions)`` call
@@ -21,8 +22,7 @@ intact and the next call may assume a different set.  Learned clauses
 are always implied by the clause database alone — assumption literals
 enter conflict analysis as decisions and end up negated *inside* the
 learned clause — so clauses learned under one assumption set remain
-sound under every other, which is what makes scope-popping by
-selector-retirement (see ``smt.solver``) keep its lemmas for free.
+sound under every other.
 
 Literals are nonzero ints (+v / -v), variables are 1-based.  The solver
 state lives in flat lists, read inline by the propagation loop: the
@@ -40,7 +40,7 @@ activity) and unassigned.  Every unassigned variable keeps a current
 entry — backtracking re-queues the variables it unassigns — so the pop
 order is exactly "highest activity, lowest index on a tie".  The heap
 is rebuilt from the activities when they are rescaled (every activity
-times 1e-100) and by ``reset_heuristics``.
+times 1e-100).
 """
 
 from __future__ import annotations
@@ -104,7 +104,6 @@ class SatSolver:
         self.var_decay = 0.95
         self.ok = True  # False once an empty clause is added
         self.conflicts = 0
-        self.learned_count = 0  # non-unit learned clauses currently stored
 
     # -- construction ------------------------------------------------------
 
@@ -335,24 +334,6 @@ class SatSolver:
         learned units included — survive."""
         self._backtrack(0)
 
-    def reset_heuristics(self) -> None:
-        """Zero the VSIDS activities and drop saved phases.
-
-        A long-lived solver answering a *sequence* of scoped queries
-        calls this between queries: phases and activities saved from the
-        previous query steer the search toward its last model, which for
-        a different assumption set tends to walk a longer chain of
-        theory-blocked assignments than a cold start — and makes the
-        boolean enumeration order (hence DPLL(T) round counts and
-        UNKNOWN edge cases) drift from a from-scratch solver's.  Clauses
-        and learned lemmas are the context's value; the heuristic state
-        is not, so it is reset to keep warm checks behaving like cold
-        ones, just with more lemmas."""
-        self.saved_phase = [False] * (self._cap + 1)
-        self.activity = [0.0] * (self._cap + 1)
-        self.var_inc = 1.0
-        self._rebuild_order()
-
     def _backtrack(self, level: int) -> None:
         if len(self.trail_lim) <= level:
             return
@@ -428,7 +409,6 @@ class SatSolver:
                 else:
                     ref = _ClauseRef(learned, learned=True)
                     self.clauses.append(ref)
-                    self.learned_count += 1
                     self._watch(ref)
                     self._enqueue(learned[0], ref)
                 self.var_inc /= self.var_decay

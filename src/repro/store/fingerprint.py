@@ -160,8 +160,8 @@ def program_digest(program: Program) -> str:
 
 def config_digest(fields: dict) -> str:
     """A stable hex identity for everything about a run configuration
-    that can change a verification *result* (budgets, memoisation,
-    incrementality) plus the store and report
+    that can change a verification *result* (budgets, memoisation)
+    plus the store and report
     schema versions — so format changes invalidate instead of corrupt.
     Worker count and store location are deliberately excluded: they
     change how a result is computed, never what it is."""
@@ -180,5 +180,5 @@ def config_digest(fields: dict) -> str:
 #: RunConfig fields that participate in the config digest.
 _SEMANTIC_CONFIG_FIELDS = frozenset({
     "max_states", "fuel", "timeout_s", "max_cex_attempts",
-    "memo", "incremental",
+    "memo",
 })

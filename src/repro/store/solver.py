@@ -16,11 +16,11 @@ it outlives the process.
   workers can publish concurrently without locks and readers never see
   a half-written shard under its final name.
 * **index** — readers build the key→entry index by scanning every
-  shard once, newest last (later entries win, and full entries are
-  never downgraded by result-only ones).  Corrupt or truncated lines —
-  a crash mid-``write`` before the rename, bit rot, a torn final line —
-  are skipped individually: the store degrades to recomputation, never
-  to a wrong answer.
+  shard once, newest last (later entries win).  Corrupt or truncated
+  lines — a crash mid-``write`` before the rename, bit rot, a torn
+  final line, a line of an older entry shape — are skipped
+  individually: the store degrades to recomputation, never to a wrong
+  answer.
 * **compaction** — ``repro store gc`` folds all shards into one (the
   on-disk index), dropping duplicates.
 
@@ -47,7 +47,10 @@ from ..smt.cache import _CachedModel  # noqa: F401  (documented entry shape)
 from ..smt.errors import Result
 from ..smt.terms import Formula
 
-#: Entry shape stored per line: [key, result, model-or-null, model_known]
+#: Entry shape stored per line: [key, result, model-or-null].  Lines of
+#: any other length — among them the four-element lines of stores that
+#: also kept result-only entries, whose SAT lines may lack the model a
+#: ``get_model`` needs — are corrupt and recomputed.
 _SHARD_PREFIX = "shard-"
 _RESULTS = {r.value: r for r in Result}
 
@@ -91,10 +94,9 @@ def _freeze_model(m) -> Optional[tuple]:
 def _valid_entry(row) -> bool:
     return (
         isinstance(row, list)
-        and len(row) == 4
+        and len(row) == 3
         and isinstance(row[0], str)
         and row[1] in _RESULTS
-        and isinstance(row[3], bool)
     )
 
 
@@ -103,9 +105,9 @@ class SolverStore:
 
     def __init__(self, root: str) -> None:
         self.root = root
-        self._index: Optional[dict[str, tuple[Result, Optional[tuple], bool]]]
+        self._index: Optional[dict[str, tuple[Result, Optional[tuple]]]]
         self._index = None
-        self._buffer: dict[str, tuple[Result, Optional[tuple], bool]] = {}
+        self._buffer: dict[str, tuple[Result, Optional[tuple]]] = {}
         self.loaded_shards = 0
         self.skipped_lines = 0
         _LIVE_STORES.add(self)
@@ -122,11 +124,11 @@ class SolverStore:
             return []
         return [os.path.join(self.root, n) for n in names]
 
-    def index(self) -> dict[str, tuple[Result, Optional[tuple], bool]]:
+    def index(self) -> dict[str, tuple[Result, Optional[tuple]]]:
         """The key→entry map, built lazily from every shard on disk."""
         if self._index is not None:
             return self._index
-        idx: dict[str, tuple[Result, Optional[tuple], bool]] = {}
+        idx: dict[str, tuple[Result, Optional[tuple]]] = {}
         for path in self._shard_paths():
             try:
                 with open(path, encoding="utf-8") as fh:
@@ -142,17 +144,11 @@ class SolverStore:
                         if not _valid_entry(row):
                             self.skipped_lines += 1
                             continue
-                        key, res, model, known = row
+                        key, res, model = row
                         try:
-                            entry = (_RESULTS[res], _freeze_model(model),
-                                     bool(known))
+                            idx[key] = (_RESULTS[res], _freeze_model(model))
                         except (TypeError, ValueError):
                             self.skipped_lines += 1
-                            continue
-                        old = idx.get(key)
-                        if old is not None and old[2] and not entry[2]:
-                            continue  # never shadow a full entry
-                        idx[key] = entry
                 self.loaded_shards += 1
             except OSError:
                 continue  # unreadable shard: behave as if absent
@@ -169,15 +165,12 @@ class SolverStore:
             entry = self.index().get(key)
         return entry
 
-    def store(self, canon: Formula, result: Result, model, model_known: bool
-              ) -> None:
+    def store(self, canon: Formula, result: Result, model) -> None:
         """Buffer a freshly solved entry for the next flush (no-op when
-        the store already holds it at least as completely)."""
+        the store already holds it)."""
         key = repr(canon)
-        old = self._buffer.get(key) or self.index().get(key)
-        if old is not None and (old[2] or not model_known):
-            return
-        self._buffer[key] = (result, model, model_known)
+        if key not in self._buffer and key not in self.index():
+            self._buffer[key] = (result, model)
 
     # -- publishing ------------------------------------------------------
 
@@ -188,8 +181,8 @@ class SolverStore:
             return None
         os.makedirs(self.root, exist_ok=True)
         rows = [
-            json.dumps([k, r.value, m, known], sort_keys=True)
-            for k, (r, m, known) in sorted(self._buffer.items())
+            json.dumps([k, r.value, m], sort_keys=True)
+            for k, (r, m) in sorted(self._buffer.items())
         ]
         name = f"{_SHARD_PREFIX}{uuid.uuid4().hex}-{os.getpid()}.jsonl"
         tmp = os.path.join(self.root, f".tmp-{name}")

@@ -355,7 +355,6 @@ def _expansions(front_end, source, limit, compiled, max_states):
         max_states=max_states,
         expander=executor(machine, code, stats=stats).expand
         if compiled else None,
-        enter=machine.proof.note_path,
         stats=stats,
     )
     seen = []

@@ -120,8 +120,7 @@ TOP_KEYS = {"schema", "config", "totals", "backends", "agreement", "programs"}
 PROGRAM_KEYS = {
     "name", "kind", "status", "wall_ms", "backend", "states_explored",
     "proof_queries", "solver_queries", "pruned_states", "solver_cache_hits",
-    "chained_steps", "solver_fresh_solves", "solver_incremental",
-    "solver_clauses_reused", "solver_scope_depth", "errors_found",
+    "chained_steps", "solver_fresh_solves", "solver_unknown", "errors_found",
     "cex_attempts", "store_hits", "store_misses", "modules_reverified",
     "compiled_units", "compile_ms", "dispatch_steps",
     "deadline_enforced", "counterexample", "detail",
@@ -134,8 +133,7 @@ TOTALS_KEYS = {
     "programs", "as_expected", "unexpected", "safe", "counterexamples",
     "validated_counterexamples", "timeouts", "states_explored",
     "chained_steps", "pruned_states", "solver_queries",
-    "solver_cache_hits", "solver_fresh_solves", "solver_incremental",
-    "solver_clauses_reused", "solver_scope_depth", "store_hits",
+    "solver_cache_hits", "solver_fresh_solves", "solver_unknown", "store_hits",
     "store_misses", "modules_reverified", "compiled_units", "compile_ms",
     "dispatch_steps",
     "wall_ms", "max_wall_ms",

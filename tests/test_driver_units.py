@@ -194,7 +194,6 @@ class TestOnePlan:
 
 
 #: How ``combine_units`` folds each field, beyond ``_SUMMED_FIELDS``.
-_MAXED = {"solver_scope_depth"}
 _FROM_DECIDING_UNIT = {"status", "counterexample", "detail"}
 _SET_AFTER = {
     "name", "kind", "backend", "wall_ms", "store_hits", "store_misses",
@@ -205,7 +204,7 @@ _SET_AFTER = {
 class TestCombine:
     def test_every_field_has_a_fold(self):
         summed = set(_SUMMED_FIELDS)
-        groups = (summed, _MAXED, _FROM_DECIDING_UNIT, _SET_AFTER)
+        groups = (summed, _FROM_DECIDING_UNIT, _SET_AFTER)
         assert sum(len(g) for g in groups) == len(set().union(*groups))
         assert set().union(*groups) == {f.name for f in fields(ProgramResult)}
 
@@ -229,7 +228,6 @@ class TestCombine:
                             store_hits=1, store_misses=2)
         for f in _SUMMED_FIELDS:
             assert getattr(row, f) == 1 + 2 + 3, f
-        assert row.solver_scope_depth == 3
         assert row.status == STATUS_COUNTEREXAMPLE
         assert row.counterexample is cex
         assert row.detail == f"[{CLIENT_MODULE}m3] d2"

@@ -182,7 +182,7 @@ class TestProtocol:
 
     def test_in_domain_config_values_accepted(self):
         config = {"timeout_s": 0.5, "max_states": 1, "fuel": 1,
-                  "max_cex_attempts": 0, "incremental": False}
+                  "max_cex_attempts": 0, "memo": False}
         req = parse_verify_request({"source": "1", "config": config})
         assert req["config"] == config
 
@@ -190,6 +190,12 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="strategy"):
             parse_verify_request(
                 {"source": "1", "config": {"strategy": "bfs"}}
+            )
+
+    def test_incremental_is_no_longer_a_config_key(self):
+        with pytest.raises(ProtocolError, match="incremental"):
+            parse_verify_request(
+                {"source": "1", "config": {"incremental": False}}
             )
 
     def test_oversized_source_rejected(self):
@@ -453,6 +459,14 @@ class TestCrashRetry:
             time.sleep(0.02)
         raise AssertionError("no worker ever went busy")
 
+    @staticmethod
+    def _wait_file(path, timeout=30.0):
+        deadline = time.time() + timeout
+        while not os.path.exists(path):
+            if time.time() > deadline:
+                raise AssertionError(f"{path} never appeared")
+            time.sleep(0.02)
+
     def test_killed_worker_retries_once_and_succeeds(
         self, tmp_path, monkeypatch
     ):
@@ -473,6 +487,11 @@ class TestCrashRetry:
             )
             assert code == 202
             pid = self._wait_busy(srv)
+            # A worker is marked busy when the job is dispatched, before
+            # it dequeues the task: kill it only once the first attempt
+            # is inside ``flaky``, or the retry would find no flag and
+            # hold the job itself.
+            self._wait_file(flag)
             os.kill(pid, signal.SIGKILL)
             job = srv.wait_done(resp["job"]["id"])
             assert job["attempts"] == 2
@@ -631,7 +650,7 @@ def _buffer_then_sleep(root: str, ready: str) -> None:
 
     signal.signal(signal.SIGTERM, _flush_and_exit)
     store = SolverStore(root)
-    store.store(_phi(7), Result.SAT, ((0, 7),), True)
+    store.store(_phi(7), Result.SAT, ((0, 7),))
     open(ready, "w").close()
     time.sleep(300)
 
@@ -639,7 +658,7 @@ def _buffer_then_sleep(root: str, ready: str) -> None:
 def _write_entries(root: str, n: int) -> None:
     store = SolverStore(root)
     for i in range(n):
-        store.store(_phi(i), Result.SAT, ((0, i),), True)
+        store.store(_phi(i), Result.SAT, ((0, i),))
         store.flush()
 
 
@@ -647,8 +666,8 @@ class TestSolverFlush:
     def test_flush_all_stores_publishes_every_buffer(self, tmp_path):
         a = SolverStore(str(tmp_path / "a"))
         b = SolverStore(str(tmp_path / "b"))
-        a.store(_phi(1), Result.SAT, ((0, 1),), True)
-        b.store(_phi(2), Result.UNSAT, None, False)
+        a.store(_phi(1), Result.SAT, ((0, 1),))
+        b.store(_phi(2), Result.UNSAT, None)
         assert flush_all_stores() >= 2
         assert SolverStore(str(tmp_path / "a")).lookup(_phi(1)) is not None
         assert SolverStore(str(tmp_path / "b")).lookup(_phi(2)) is not None

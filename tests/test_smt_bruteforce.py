@@ -2,11 +2,11 @@
 
 A theory explanation that is too small blocks assignments that are
 feasible, and the solver then answers UNSAT for a satisfiable formula —
-which the proof relation turns into a wrong "safe".  The other tests in
-``tests/test_smt_*.py`` compare the solver with itself (incremental vs
-one-shot, explanations vs the pre-explanation conjunction solver); this
-one compares ``check_sat`` / ``get_model`` with ``eval_formula`` on
-every point of a small box:
+which the proof relation turns into a wrong "safe".  Other tests in
+``tests/test_smt_*.py`` compare the solver with itself (sliced cone
+keys vs whole-heap solves, explanations vs the pre-explanation
+conjunction solver); this one compares ``check_sat`` / ``get_model``
+with ``eval_formula`` on every point of a small box:
 
 * a satisfying point inside ``[-4, 4]^n`` means the answer must be SAT;
 * every SAT answer's model must satisfy the formula.

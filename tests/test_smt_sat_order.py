@@ -4,9 +4,9 @@
 (lowest index on a tie) from a lazy heap.  The reference here is the
 decision rule as it was before the heap — a scan over every variable —
 kept only in this file.  On seeded random CNFs, solved repeatedly under
-assumptions and scope selectors, with theory-style blocking clauses,
-selector retirement, ``reset_heuristics`` and forced activity rescales
-in between, both solvers must make the same decisions in the same order
+assumptions and selector literals, with theory-style blocking clauses,
+selector retirement and forced activity rescales in between, both
+solvers must make the same decisions in the same order
 and return the same verdicts, models and learned clauses.
 """
 
@@ -88,7 +88,7 @@ def _run_session(seed: int, *, force_rescale: bool) -> tuple:
     apply("ensure_vars", n_vars)
     for _ in range(int(n_vars * rng.uniform(3.0, 4.6))):
         apply("add_clause", _random_clause(rng, n_vars, 3))
-    # Scope selectors: each guards a few extra clauses.
+    # Selectors: each guards a few extra clauses.
     selectors = []
     for _ in range(rng.randint(1, 3)):
         sel = n_vars + len(selectors) + 1
@@ -120,10 +120,7 @@ def _run_session(seed: int, *, force_rescale: bool) -> tuple:
                 for v in rng.sample(range(1, n_vars + 1), min(4, n_vars))
             ]
             apply("block_and_continue", block)
-        roll = rng.random()
-        if roll < 0.3:
-            apply("reset_heuristics")
-        elif roll < 0.45 and selectors:
+        if rng.random() < 0.15 and selectors:
             retired = selectors.pop(rng.randrange(len(selectors)))
             apply("reset_trail")
             apply("add_clause", [-retired])
@@ -146,15 +143,3 @@ def test_heap_survives_activity_rescales():
         heap, _ = _run_session(seed, force_rescale=True)
         rescaled += heap.rescales > 0
     assert rescaled >= 10
-
-
-def test_reset_heuristics_orders_by_index():
-    s = _HeapSolver()
-    s.ensure_vars(5)
-    for v in (4, 2, 5, 4):
-        s._bump_var(v)
-    # The highest activity first, then the lowest index of a tie.
-    assert [s._decide() for _ in range(3)] == [-4, -2, -5]
-    s.reset_trail()
-    s.reset_heuristics()
-    assert [s._decide() for _ in range(3)] == [-1, -2, -3]

@@ -229,20 +229,6 @@ class TestValidity:
 
 
 class TestSolverInterface:
-    def test_push_pop(self):
-        s = Solver()
-        s.add(mk_ge(x, 0))
-        s.push()
-        s.add(mk_lt(x, 0))
-        assert s.check() is Result.UNSAT
-        s.pop()
-        assert s.check() is Result.SAT
-
-    def test_pop_without_push_raises(self):
-        s = Solver()
-        with pytest.raises(SolverError):
-            s.pop()
-
     def test_model_without_sat_raises(self):
         s = Solver()
         s.add(mk_and(mk_eq(x, 0), mk_eq(x, 1)))
@@ -256,12 +242,6 @@ class TestSolverInterface:
         s.add(mk_ge(x, 6))
         assert s.check() is Result.SAT
         assert s.model()[x] >= 6
-
-    def test_check_with_extra(self):
-        s = Solver()
-        s.add(mk_ge(x, 0))
-        assert s.check(mk_lt(x, 0)) is Result.UNSAT
-        assert s.check() is Result.SAT
 
     def test_empty_solver_sat(self):
         s = Solver()

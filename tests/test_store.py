@@ -311,13 +311,13 @@ class TestConcurrentWriters:
         phi = Eq(Var("$0"), IntConst(3))
         psi = Le(Var("$0"), IntConst(9))
         a, b = SolverStore(root), SolverStore(root)
-        a.store(phi, Result.SAT, ((0, 3),), True)
-        b.store(psi, Result.UNSAT, None, False)
+        a.store(phi, Result.SAT, ((0, 3),))
+        b.store(psi, Result.UNSAT, None)
         a.flush()
         b.flush()
         reader = SolverStore(root)
-        assert reader.lookup(phi) == (Result.SAT, ((0, 3),), True)
-        assert reader.lookup(psi) == (Result.UNSAT, None, False)
+        assert reader.lookup(phi) == (Result.SAT, ((0, 3),))
+        assert reader.lookup(psi) == (Result.UNSAT, None)
         assert reader.stats()["shards"] == 2
         assert reader.compact() == {"entries": 2, "shards_removed": 2}
         assert SolverStore(root).stats()["shards"] == 1
@@ -331,11 +331,11 @@ class TestConcurrentWriters:
         psi = Eq(Var("$0"), IntConst(9))
         writer, reader = SolverStore(root), SolverStore(root)
         assert reader.lookup(phi) is None
-        writer.store(phi, Result.SAT, ((0, 3),), True)
+        writer.store(phi, Result.SAT, ((0, 3),))
         writer.flush()
         assert reader.lookup(phi) is None
-        reader.store(psi, Result.UNSAT, None, False)
-        assert reader.lookup(psi) == (Result.UNSAT, None, False)
+        reader.store(psi, Result.UNSAT, None)
+        assert reader.lookup(psi) == (Result.UNSAT, None)
         assert SolverStore(root).lookup(phi) is not None
 
     def test_parallel_bench_jobs_share_the_store(self, tmp_path):
@@ -354,7 +354,7 @@ class TestCorruptionRecovery:
         root = str(tmp_path / "solver")
         s = SolverStore(root)
         phi = And((Eq(Var("$0"), IntConst(1)), Le(IntConst(0), Var("$1"))))
-        s.store(phi, Result.SAT, ((0, 1),), True)
+        s.store(phi, Result.SAT, ((0, 1),))
         s.flush()
         # Corrupt the shard: garbage line, then a torn (truncated) line.
         shard = s._shard_paths()[0]
@@ -362,38 +362,61 @@ class TestCorruptionRecovery:
             fh.write("not json at all\n")
             fh.write('["(= $0 7)", "sat", [[[0, 7]], []], tru')
         fresh = SolverStore(root)
-        assert fresh.lookup(phi) == (Result.SAT, ((0, 1),), True)
+        assert fresh.lookup(phi) == (Result.SAT, ((0, 1),))
         assert fresh.skipped_lines == 2
 
     def test_model_with_function_tables_is_skipped(self, tmp_path,
                                                   monkeypatch):
         # Older stores kept a SAT model as ``[env, funcs]``, with a
         # function-table half.  Such a line is skipped and the query
-        # solved again; UNSAT and result-only lines carry no model, so
-        # they keep hitting under their unchanged keys.
+        # solved again; an UNSAT line carries no model, so it keeps
+        # hitting under its unchanged key.
         root = tmp_path / "solver"
         root.mkdir()
         sat = Eq(Var("$0"), IntConst(4))
         unsat = And((Lt(Var("$0"), IntConst(0)), Lt(IntConst(0), Var("$0"))))
-        result_only = Le(IntConst(0), Var("$0"))
         rows = [
-            [repr(sat), "sat", [[[0, 4]], []], True],
-            [repr(unsat), "unsat", None, True],
-            [repr(result_only), "sat", None, False],
+            [repr(sat), "sat", [[[0, 4]], []]],
+            [repr(unsat), "unsat", None],
         ]
         (root / "shard-0-old.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         store = SolverStore(str(root))
         assert store.lookup(sat) is None
         assert store.skipped_lines == 1
-        assert store.lookup(unsat) == (Result.UNSAT, None, True)
-        assert store.lookup(result_only) == (Result.SAT, None, False)
+        assert store.lookup(unsat) == (Result.UNSAT, None)
         # Through the one-shot helper the skipped query is solved again
         # and its entry rewritten in the current shape.
         monkeypatch.setattr(solver_cache, "backing", store)
         l7 = Var("L7")
         assert get_model(Eq(l7, IntConst(4)))[l7] == 4
-        assert store.lookup(sat) == (Result.SAT, ((0, 4),), True)
+        assert store.lookup(sat) == (Result.SAT, ((0, 4),))
+
+    def test_four_element_lines_of_older_stores_are_skipped(
+            self, tmp_path, monkeypatch):
+        # Stores that also kept result-only entries wrote
+        # ``[key, result, model, model_known]``.  A result-only SAT line
+        # has no model: answering ``get_model`` from it would lose the
+        # counterexample, so every such line is corrupt and recomputed.
+        root = tmp_path / "solver"
+        root.mkdir()
+        sat = Eq(Var("$0"), IntConst(4))
+        unsat = And((Lt(Var("$0"), IntConst(0)), Lt(IntConst(0), Var("$0"))))
+        rows = [
+            [repr(sat), "sat", None, False],
+            [repr(unsat), "unsat", None, True],
+        ]
+        (root / "shard-0-old.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        store = SolverStore(str(root))
+        assert store.lookup(sat) is None
+        assert store.lookup(unsat) is None
+        assert store.skipped_lines == 2
+        monkeypatch.setattr(solver_cache, "backing", store)
+        l7 = Var("L7")
+        m = get_model(Eq(l7, IntConst(4)))
+        assert m is not None and m[l7] == 4
+        assert store.lookup(sat) == (Result.SAT, ((0, 4),))
 
     def test_corrupt_verdict_entry_recomputes(self, tmp_path):
         store_dir = str(tmp_path / "store")
@@ -470,18 +493,18 @@ class TestCorruptionRecovery:
         cache = SolverCache()
         cache.backing = writer
         phi = And((Eq(Var("$0"), IntConst(3)), Le(Var("$0"), Var("$1"))))
-        cache.put(phi, Result.SAT, ((0, 3), (1, 3)), model_known=True)
+        cache.put(phi, Result.SAT, ((0, 3), (1, 3)))
         writer.flush()
         # A different process (fresh cache, fresh store handle) hits.
         cache2 = SolverCache()
         cache2.backing = SolverStore(root)
-        assert cache2.get(phi) == (Result.SAT, ((0, 3), (1, 3)), True)
+        assert cache2.get(phi) == (Result.SAT, ((0, 3), (1, 3)))
         assert cache2.hits == 1
         # UNKNOWN results are never persisted.
         psi = Eq(Var("$0"), IntConst(9))
-        cache.put(psi, Result.UNKNOWN, None, model_known=False)
+        cache.put(psi, Result.UNKNOWN, None)
         assert writer._buffer == {} or all(
-            r is not Result.UNKNOWN for r, _, _ in writer._buffer.values()
+            r is not Result.UNKNOWN for r, _ in writer._buffer.values()
         )
 
 
@@ -508,13 +531,13 @@ class TestGc:
         store = SolverStore(root)
         one = Eq(Var("$0"), IntConst(1))
         two = Eq(Var("$0"), IntConst(2))
-        store.store(one, Result.SAT, ((0, 1),), True)
+        store.store(one, Result.SAT, ((0, 1),))
         store.flush()
-        store.store(two, Result.SAT, ((0, 2),), True)  # unflushed
+        store.store(two, Result.SAT, ((0, 2),))  # unflushed
         assert store.compact()["entries"] == 2
         fresh = SolverStore(root)
         assert fresh.stats()["entries"] == 2
-        assert fresh.lookup(two) == (Result.SAT, ((0, 2),), True)
+        assert fresh.lookup(two) == (Result.SAT, ((0, 2),))
 
     def test_size_bound_evicts_until_it_fits(self, tmp_path):
         store_dir = str(tmp_path / "store")

@@ -7,9 +7,8 @@ Exit 1 unless the two reports are identical on everything that is
 deterministically reproducible:
 
 * every ``(name, backend)`` program row, minus the volatile fields
-  (``repro.driver.report.VOLATILE_ROW_FIELDS`` — timing, solver-economy
-  and store counters — the single source of truth CI and the tests
-  share);
+  (``repro.driver.report.VOLATILE_ROW_FIELDS`` — timing, solver and
+  store counters — the single source of truth CI and the tests share);
 * the ``agreement`` section (cross-backend verdicts and counterexample
   comparisons) verbatim.
 
@@ -19,11 +18,12 @@ store — the warm-start CI leg's economy assertion.
 
 With ``--exact FIELD[,FIELD...]`` the named fields must also match
 exactly, per row and in the totals, volatile or not: a deterministic
-work counter such as ``dispatch_steps`` is pinned this way.
+work counter such as ``dispatch_steps`` is pinned this way, and so
+are the solver counters ``solver_fresh_solves`` and ``solver_unknown``
+of a store-less run.
 
-Used by the CI differential legs, among them the incremental-solving
-differential (same corpus with ``--no-incremental``), the warm-start
-differential (same corpus against a populated ``--store``) and the
+Used by the CI differential legs, among them the compile differential
+(same corpus with ``--no-compile``), the warm-start differential (same corpus against a populated ``--store``) and the
 store-backed identity check (a cold ``--store`` run against the
 committed store-less ``BENCH_driver.json``: the store only caches the
 verification units every run plans, so it must not change a row).
