@@ -2,6 +2,7 @@
 the batch runner parallelises it, and the JSON report schema is stable."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.driver import (
 from repro.driver.__main__ import main as cli_main
 from repro.driver.report import (
     SCHEMA,
+    ProgramResult,
     STATUS_COUNTEREXAMPLE,
     STATUS_ERROR,
     STATUS_SAFE,
@@ -158,6 +160,15 @@ class TestReportSchema:
             assert set(row) == PROGRAM_KEYS
             if row["counterexample"] is not None:
                 assert set(row["counterexample"]) == CEX_KEYS
+
+    def test_tracer_counter_is_a_constant_not_a_field(self):
+        # The benchmark's tracer still reads ``solver_incremental``; the
+        # row keeps it as a class constant that is never serialised.
+        assert ProgramResult.solver_incremental == 0
+        assert "solver_incremental" not in {
+            f.name for f in fields(ProgramResult)
+        }
+        assert "solver_incremental" not in PROGRAM_KEYS
 
     def test_backend_sections(self, full_report):
         data = full_report.to_json()

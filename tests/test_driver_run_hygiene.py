@@ -82,8 +82,22 @@ class TestWorkerCounterHygiene:
         assert after.solver_cache_hits == alone.solver_cache_hits
         assert _stable(after) == _stable(alone)
 
+    def test_solver_counters_are_metered_per_row(self):
+        # The solve counters are process-wide and monotone; each row
+        # reports its own window of them.
+        prog = get_program("pred-chain-guarded")
+        cfg = RunConfig(timeout_s=60.0)
+        first = verify_program(prog, cfg, backend="core")
+        second = verify_program(prog, cfg, backend="core")
+        assert first.solver_fresh_solves > 0
+        assert second.solver_fresh_solves == first.solver_fresh_solves
+        assert first.solver_unknown == second.solver_unknown == 0
+        # No store: every query is solved, none is answered by the tier.
+        assert first.solver_cache_hits == 0
 
-class TestBothBackendsCrossCheckWithIncrementality:
+
+
+class TestBothBackendsCrossCheck:
     def test_smoke_corpus_agreement(self):
         names = corpus_names(tag="smoke")
         report = run_corpus(

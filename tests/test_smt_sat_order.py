@@ -143,3 +143,12 @@ def test_heap_survives_activity_rescales():
         heap, _ = _run_session(seed, force_rescale=True)
         rescaled += heap.rescales > 0
     assert rescaled >= 10
+
+
+def test_decide_orders_by_activity_then_index():
+    s = _HeapSolver()
+    s.ensure_vars(5)
+    for v in (4, 2, 5, 4):
+        s._bump_var(v)
+    # The highest activity first, then the lowest index of a tie.
+    assert [s._decide() for _ in range(5)] == [-4, -2, -5, -1, -3]

@@ -32,6 +32,8 @@ from repro.smt import (
     mk_var,
 )
 from repro.smt.errors import SolverError
+from repro.smt.lia import LiaResult, LiaSolver
+from repro.smt.solver import SOLVE_STATS
 
 x, y, z, w = mk_var("x"), mk_var("y"), mk_var("z"), mk_var("w")
 
@@ -228,6 +230,20 @@ class TestValidity:
         assert check_sat(heap3, mk_eq(l5, 0)) is Result.SAT
 
 
+class _UnknownFirst(LiaSolver):
+    """A theory solver that answers UNKNOWN to its first ``n`` calls."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.left = n
+
+    def solve(self, constraints):
+        if self.left:
+            self.left -= 1
+            return LiaResult(Result.UNKNOWN)
+        return super().solve(constraints)
+
+
 class TestSolverInterface:
     def test_model_without_sat_raises(self):
         s = Solver()
@@ -242,6 +258,42 @@ class TestSolverInterface:
         s.add(mk_ge(x, 6))
         assert s.check() is Result.SAT
         assert s.model()[x] >= 6
+
+    def test_unknown_theory_answer_is_not_a_lemma(self):
+        # The blocking clause of an UNKNOWN theory answer lives only
+        # for its check: the next check asks the theory again.
+        s = Solver(lia=_UnknownFirst(1))
+        s.add(mk_eq(mk_add(x, y), 3), mk_lt(x, y))
+        assert s.check() is Result.UNKNOWN
+        assert s.check() is Result.SAT
+        m = s.model()
+        assert m[x] + m[y] == 3 and m[x] < m[y]
+
+    def test_unknown_is_counted_and_has_no_model(self, monkeypatch):
+        import repro.smt.solver as solver_mod
+
+        real = solver_mod.Solver
+        monkeypatch.setattr(
+            solver_mod, "Solver", lambda: real(lia=_UnknownFirst(10**6))
+        )
+        snap = SOLVE_STATS.begin_window()
+        phi = mk_eq(mk_add(x, y), 3)
+        assert check_sat(phi) is Result.UNKNOWN
+        assert get_model(phi) is None
+        assert SOLVE_STATS.window(snap) == {
+            "solver_fresh_solves": 2, "solver_unknown": 2,
+        }
+
+    def test_solve_stats_window_counts_every_check(self):
+        snap = SOLVE_STATS.begin_window()
+        s = Solver()
+        s.add(mk_ge(x, 0))
+        s.check()
+        s.check()
+        check_sat(mk_eq(x, 4))
+        assert SOLVE_STATS.window(snap) == {
+            "solver_fresh_solves": 3, "solver_unknown": 0,
+        }
 
     def test_empty_solver_sat(self):
         s = Solver()
