@@ -9,8 +9,8 @@ with **exactly** the semantics of ``SearchKernel._expand`` over the
 step machine: run the deterministic single-successor chain (up to
 ``chain_limit`` adoptions) in a tight loop, and return the same
 ``(final_state, successors)`` pair — ``None`` successors for answers —
-with every returned state stamped with the same post-step counter bases
-the step machine would stamp.  A full machine state is only
+with every returned state stamped with the same post-step name-cursor
+values the step machine would stamp.  A full machine state is only
 materialised at the *observable* points: the states handed back to the
 kernel (fingerprinted, pruned, admitted to the frontier) and, for scv,
 the states handed to the step machine at choice points (core's choice
@@ -21,12 +21,12 @@ The byte-identity argument, which the differential oracle
 (``tests/test_differential.py``) and the corpus identity suite
 (``tests/test_compile.py``) enforce:
 
-* **Counters.**  ``step`` rewinds the global location/label counters to
-  the state's bases and stamps successors with the post-step values.
-  Inside a deterministic chain the rewind is a no-op — each state's
-  bases equal the counters its predecessor's step left behind — so the
-  fused loop sets the counters once on entry and reads them only when
-  materialising.
+* **Names.**  ``step`` seeds the machine's name cursor
+  (``core.heap.NameCursor``) from the state's bases and stamps
+  successors with where it stopped.  Inside a deterministic chain the
+  seeding is a no-op — each state's bases equal where its predecessor's
+  step left the cursor — so the fused loop seeds the cursor once on
+  entry and reads it only when materialising.
 * **Inline transitions** replicate the machine's single-successor rules
   field for field (same ``Blame`` strings, same frame construction,
   same allocation order).  Only transitions that are certainly
@@ -46,13 +46,7 @@ from __future__ import annotations
 
 import time
 
-from ..core.heap import (
-    SLam,
-    SNum,
-    SOpq,
-    current_loc_counter,
-    set_loc_counter,
-)
+from ..core.heap import SLam, SNum, SOpq
 from ..core.machine import State, _opq_loc
 from ..core.syntax import (
     EMPTY_ENV,
@@ -85,8 +79,6 @@ from ..scv.machine import (
     SState,
     _UNDEFINED,
     _alloc_datum,
-    current_syn_counter,
-    set_syn_counter,
 )
 from .lower import (
     OP_APP,
@@ -178,8 +170,8 @@ class ScvExecutor(_ExecutorBase):
         code = self.code
         control, env, heap, kont = st.control, st.env, st.heap, st.kont
         ge = st.gen_effort
-        set_syn_counter(st.syn_base)
-        set_loc_counter(st.loc_base)
+        names = m.names
+        names.syn, names.loc = st.syn_base, st.loc_base
         cur = st  # materialised SState for the current point, when fresh
         chained = 0
         steps = 0
@@ -189,8 +181,7 @@ class ScvExecutor(_ExecutorBase):
                 if ccls is Blame or (ccls is Loc and not kont):
                     if cur is None:
                         cur = SState(control, env, heap, kont, ge,
-                                     current_syn_counter(),
-                                     current_loc_counter())
+                                     names.syn, names.loc)
                     return cur, None, chained
 
                 at_cap = chained >= limit
@@ -204,16 +195,15 @@ class ScvExecutor(_ExecutorBase):
                             if at_cap:
                                 if cur is None:
                                     cur = SState(control, env, heap, kont, ge,
-                                                 current_syn_counter(),
-                                                 current_loc_counter())
+                                                 names.syn, names.loc)
                                 succ = SState(
                                     frame.pending[0], frame.env, heap,
                                     kont[:-1] + (KApp(
                                         frame.done + (control,),
                                         frame.pending[1:], frame.env,
                                         frame.label),),
-                                    ge, current_syn_counter(),
-                                    current_loc_counter(),
+                                    ge, names.syn,
+                                    names.loc,
                                 )
                                 return cur, [succ], chained
                             kont = kont[:-1] + (KApp(
@@ -239,12 +229,11 @@ class ScvExecutor(_ExecutorBase):
                                     if cur is None:
                                         cur = SState(
                                             control, env, heap, kont, ge,
-                                            current_syn_counter(),
-                                            current_loc_counter(),
+                                            names.syn,
+                                            names.loc,
                                         )
                                     succ = SState(blame, env, heap, (), ge,
-                                                  current_syn_counter(),
-                                                  current_loc_counter())
+                                                  names.syn, names.loc)
                                     return cur, [succ], chained
                                 control = blame
                                 kont = ()
@@ -255,12 +244,11 @@ class ScvExecutor(_ExecutorBase):
                             if at_cap:
                                 if cur is None:
                                     cur = SState(control, env, heap, kont, ge,
-                                                 current_syn_counter(),
-                                                 current_loc_counter())
+                                                 names.syn, names.loc)
                                 succ = SState(
                                     s.lam.body, s.env.extend(bindings), heap,
-                                    kont[:-1], ge, current_syn_counter(),
-                                    current_loc_counter(),
+                                    kont[:-1], ge, names.syn,
+                                    names.loc,
                                 )
                                 return cur, [succ], chained
                             control = s.lam.body
@@ -279,9 +267,9 @@ class ScvExecutor(_ExecutorBase):
                             # ``apply``/``_run_outcomes`` would build.
                             steps += 1
                             # δ may allocate: snapshot the pre-step
-                            # counter stamps now, materialise lazily.
-                            syn0 = current_syn_counter()
-                            loc0 = current_loc_counter()
+                            # cursor stamps now, materialise lazily.
+                            syn0 = names.syn
+                            loc0 = names.loc
                             outcomes = delta_u(m, heap, s.name, args,
                                                frame.label)
                             rest = kont[:-1]
@@ -289,7 +277,7 @@ class ScvExecutor(_ExecutorBase):
                                 o = outcomes[0]
                                 ocls = o.__class__
                                 if ocls is OValue:
-                                    control, heap = o.heap.alloc(o.storeable)
+                                    control, heap = o.heap.alloc(o.storeable, names)
                                     ge += o.effort
                                     kont = rest
                                 elif ocls is OLoc:
@@ -312,8 +300,8 @@ class ScvExecutor(_ExecutorBase):
                                 cur = SState(control, env, heap, kont, ge,
                                              syn0, loc0)
                             succs = m._run_outcomes(outcomes, cur, rest)
-                            base_syn = current_syn_counter()
-                            base_loc = current_loc_counter()
+                            base_syn = names.syn
+                            base_loc = names.loc
                             succs = [
                                 SState(x.control, x.env, x.heap, x.kont,
                                        x.gen_effort, base_syn, base_loc)
@@ -338,12 +326,10 @@ class ScvExecutor(_ExecutorBase):
                             if at_cap:
                                 if cur is None:
                                     cur = SState(control, env, heap, kont, ge,
-                                                 current_syn_counter(),
-                                                 current_loc_counter())
+                                                 names.syn, names.loc)
                                 succ = SState(taken, frame.env, heap,
                                               kont[:-1], ge,
-                                              current_syn_counter(),
-                                              current_loc_counter())
+                                              names.syn, names.loc)
                                 return cur, [succ], chained
                             control = taken
                             env = frame.env
@@ -359,11 +345,9 @@ class ScvExecutor(_ExecutorBase):
                         if at_cap:
                             if cur is None:
                                 cur = SState(control, env, heap, kont, ge,
-                                             current_syn_counter(),
-                                             current_loc_counter())
+                                             names.syn, names.loc)
                             succ = SState(first, frame.env, heap, k, ge,
-                                          current_syn_counter(),
-                                          current_loc_counter())
+                                          names.syn, names.loc)
                             return cur, [succ], chained
                         control = first
                         env = frame.env
@@ -386,11 +370,9 @@ class ScvExecutor(_ExecutorBase):
                         if at_cap:
                             if cur is None:
                                 cur = SState(control, env, heap, kont, ge,
-                                             current_syn_counter(),
-                                             current_loc_counter())
+                                             names.syn, names.loc)
                             succ = SState(c2, frame.env, h, k, ge,
-                                          current_syn_counter(),
-                                          current_loc_counter())
+                                          names.syn, names.loc)
                             return cur, [succ], chained
                         control = c2
                         env = frame.env
@@ -403,14 +385,12 @@ class ScvExecutor(_ExecutorBase):
                         steps += 1
                         if at_cap and cur is None:
                             cur = SState(control, env, heap, kont, ge,
-                                         current_syn_counter(),
-                                         current_loc_counter())
+                                         names.syn, names.loc)
                         h = heap.set(frame.cell, UAlias(control))
-                        lv, h = h.alloc(UConc(VOID))
+                        lv, h = h.alloc(UConc(VOID), names)
                         if at_cap:
                             succ = SState(lv, env, h, kont[:-1], ge,
-                                          current_syn_counter(),
-                                          current_loc_counter())
+                                          names.syn, names.loc)
                             return cur, [succ], chained
                         control = lv
                         heap = h
@@ -425,11 +405,9 @@ class ScvExecutor(_ExecutorBase):
                         if at_cap:
                             if cur is None:
                                 cur = SState(control, env, heap, kont, ge,
-                                             current_syn_counter(),
-                                             current_loc_counter())
+                                             names.syn, names.loc)
                             succ = SState(frame.value, frame.env, heap, k, ge,
-                                          current_syn_counter(),
-                                          current_loc_counter())
+                                          names.syn, names.loc)
                             return cur, [succ], chained
                         control = frame.value
                         env = frame.env
@@ -444,13 +422,12 @@ class ScvExecutor(_ExecutorBase):
                         ins = self._compile_miss(control)
                     op = ins[0]
                     # Materialise the chain-end state *before* executing
-                    # the capped instruction: allocating ops bump the
-                    # location counter, and the returned state must carry
-                    # the counter values from when it was produced.
+                    # the capped instruction: allocating ops advance the
+                    # name cursor, and the returned state must carry the
+                    # cursor values from when it was produced.
                     if at_cap and cur is None:
                         cur = SState(control, env, heap, kont, ge,
-                                     current_syn_counter(),
-                                     current_loc_counter())
+                                     names.syn, names.loc)
                     c2 = env2 = None
                     h2 = heap
                     k2 = kont
@@ -472,9 +449,9 @@ class ScvExecutor(_ExecutorBase):
                         k2 = kont + (KIf(ins[2], ins[3], env),)
                         c2 = ins[1]
                     elif op == OP_QUOTE:
-                        c2, h2 = _alloc_datum(heap, ins[1])
+                        c2, h2 = _alloc_datum(heap, ins[1], names)
                     elif op == OP_CLOSURE:
-                        c2, h2 = heap.alloc(UClos(control, env))
+                        c2, h2 = heap.alloc(UClos(control, env), names)
                     elif op == OP_OPAQUE:
                         l = ins[1]
                         h2 = heap if l in heap else heap.set(l, m.fresh_opq())
@@ -493,7 +470,7 @@ class ScvExecutor(_ExecutorBase):
                         frame_d = {}
                         cells = []
                         for name, _b in bindings:
-                            l, h2 = h2.alloc(UConc(_UNDEFINED), prefix="cell")
+                            l, h2 = h2.alloc(UConc(_UNDEFINED), names, prefix="cell")
                             frame_d[name] = l
                             cells.append(l)
                         env2 = env.extend(frame_d)
@@ -522,8 +499,7 @@ class ScvExecutor(_ExecutorBase):
                             k2 = ()
                         if at_cap:
                             succ = SState(c2, env2, h2, k2, ge,
-                                          current_syn_counter(),
-                                          current_loc_counter())
+                                          names.syn, names.loc)
                             return cur, [succ], chained
                         control, env, heap, kont = c2, env2, h2, k2
                         chained += 1
@@ -536,7 +512,7 @@ class ScvExecutor(_ExecutorBase):
                 # δ, opaque application, unknown forms)
                 if cur is None:
                     cur = SState(control, env, heap, kont, ge,
-                                 current_syn_counter(), current_loc_counter())
+                                 names.syn, names.loc)
                 succs = m.step(cur)
                 steps += 1
                 if succs is not None and len(succs) == 1 and not at_cap:
@@ -623,7 +599,7 @@ class CoreExecutor(_ExecutorBase):
     on the current heap, with location operands; a one-result step just
     continues.  Terms are read back only where a caller can observe
     them: the states handed back to the kernel (``_plug_core``) — the
-    chain-end state, read lazily from the pre-step focus and counter,
+    chain-end state, read lazily from the pre-step focus and cursor,
     and the successors — and a lambda value whose ``SLam.lam`` is asked
     for (fingerprints, counterexamples).
 
@@ -642,7 +618,8 @@ class CoreExecutor(_ExecutorBase):
         node = st.control
         env = EMPTY_ENV
         stack: list = []
-        set_loc_counter(st.loc_base)
+        names = m.names
+        names.loc = st.loc_base
         cur = st  # the materialised current state, while there is one
         chained = 0
         steps = 0
@@ -662,15 +639,14 @@ class CoreExecutor(_ExecutorBase):
                     continue
                 if not stack and (cls is Loc or cls is Err):
                     if cur is None:
-                        cur = State(node, heap, current_loc_counter())
+                        cur = State(node, heap, names.loc)
                     return cur, None, chained
                 at_cap = chained >= limit
                 if at_cap and cur is None:
                     # Navigation does not change the denoted state, so
                     # the chain-end state is read back before the capped
                     # step allocates.
-                    cur = State(_plug_core(stack, node, env), heap,
-                                current_loc_counter())
+                    cur = State(_plug_core(stack, node, env), heap, names.loc)
                 results = None  # set by a delegated contraction
 
                 if cls is Loc:
@@ -699,11 +675,11 @@ class CoreExecutor(_ExecutorBase):
                         else:
                             # SCase / SOpq: may branch or allocate in
                             # rule-specific ways.
-                            loc0 = current_loc_counter()
+                            loc0 = names.loc
                             results = m._apply(fn_loc, node, heap)
                             renv = EMPTY_ENV
                     elif tag == "if":
-                        loc0 = current_loc_counter()
+                        loc0 = names.loc
                         results = m._apply_if(node, frame[1], frame[2], heap)
                         renv = frame[3]
                     else:  # ("prim", op, before, after, label, env)
@@ -724,7 +700,7 @@ class CoreExecutor(_ExecutorBase):
                                 node, env = nxt, fenv
                                 continue
                         else:
-                            loc0 = current_loc_counter()
+                            loc0 = names.loc
                             results = m._apply_prim(
                                 PrimApp(frame[1], done + locs, frame[4]),
                                 heap)
@@ -745,12 +721,12 @@ class CoreExecutor(_ExecutorBase):
                             continue
                     else:
                         # All operands are locations: δ in place.
-                        loc0 = current_loc_counter()
+                        loc0 = names.loc
                         results = m._apply_prim(
                             PrimApp(node.op, locs, node.label), heap)
                         renv = EMPTY_ENV
                 elif cls is Num:
-                    node, heap = heap.alloc(SNum(node.value))
+                    node, heap = heap.alloc(SNum(node.value), names)
                 elif cls is App:
                     fn = node.fn
                     if fn.__class__ is Ref:
@@ -770,7 +746,7 @@ class CoreExecutor(_ExecutorBase):
                         node = node.fn
                         continue
                 elif cls is Lam:
-                    node, heap = heap.alloc(SLam(node, env))
+                    node, heap = heap.alloc(SLam(node, env), names)
                 elif cls is If:
                     t = node.test
                     if t.__class__ is Err:
@@ -798,7 +774,7 @@ class CoreExecutor(_ExecutorBase):
                 if results is None:  # an inline contraction
                     if at_cap:
                         succ = State(_plug_core(stack, node, env), heap,
-                                     current_loc_counter())
+                                     names.loc)
                         return cur, [succ], chained
                     chained += 1
                     cur = None
@@ -816,7 +792,7 @@ class CoreExecutor(_ExecutorBase):
                     cur = State(_plug_core(stack, node, env), heap, loc0)
                 if pop:
                     stack.pop()
-                base = current_loc_counter()
+                base = names.loc
                 succs = [State(_plug_core(stack, e2, renv), h2, base)
                          for e2, h2 in results]
                 return cur, succs, chained
@@ -824,8 +800,7 @@ class CoreExecutor(_ExecutorBase):
             # Free variable / unknown node: let the machine raise its own
             # StuckError on the materialised state.
             if cur is None:
-                cur = State(_plug_core(stack, node, env), heap,
-                            current_loc_counter())
+                cur = State(_plug_core(stack, node, env), heap, names.loc)
             succs = m.step(cur)
             steps += 1
             return cur, succs, chained

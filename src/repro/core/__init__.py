@@ -5,8 +5,9 @@ High-level API:
 >>> from repro.core import *
 >>> # f = λg:nat→nat. λn:nat. 1 / (100 - (g n)), applied to an unknown
 >>> f = lam("g", fun(NAT, NAT), lam("n", NAT,
-...         prim("div", Num(1), prim("-", Num(100), app(Ref("g"), Ref("n"))))))
->>> program = app(opq(fun(fun(NAT, NAT), NAT, NAT)), f)   # (• f)
+...         prim("div", Num(1), prim("-", Num(100), app(Ref("g"), Ref("n")),
+...                                  label="p1"), label="p0")))
+>>> program = app(opq(fun(fun(fun(NAT, NAT), NAT, NAT), NAT), "ctx"), f)  # (• f)
 >>> cex = find_counterexample(program)
 >>> cex.validated
 True
@@ -40,7 +41,7 @@ from .heap import (
     SLam,
     SNum,
     SOpq,
-    fresh_loc,
+    NameCursor,
 )
 from .machine import Machine, State, StuckError, inject
 from .pretty import pp, pp_counterexample, pp_heap, pp_type
@@ -63,7 +64,6 @@ from .syntax import (
     Ref,
     Type,
     app,
-    fresh_label,
     fun,
     known_labels,
     lam,
@@ -79,14 +79,14 @@ from .typecheck import PRIM_SIGS, TypeError_, check_program
 __all__ = [
     # syntax
     "App", "Err", "Expr", "Fix", "FunType", "If", "Lam", "Loc", "NAT",
-    "NatType", "Num", "Opq", "PrimApp", "Ref", "Type", "app", "fresh_label",
-    "fun", "known_labels", "lam", "num", "opaque_labels", "opq", "prim",
+    "NatType", "Num", "Opq", "PrimApp", "Ref", "Type", "app", "fun",
+    "known_labels", "lam", "num", "opaque_labels", "opq", "prim",
     "subst",
     # typing
     "PRIM_SIGS", "TypeError_", "check_program",
     # heap
     "Heap", "HConst", "HLoc", "HOp", "PEq", "PLe", "PLt", "PNot", "Pred",
-    "PZero", "SCase", "SLam", "SNum", "SOpq", "fresh_loc",
+    "PZero", "SCase", "SLam", "SNum", "SOpq", "NameCursor",
     # semantics
     "DeltaResult", "delta", "Machine", "State", "StuckError", "inject",
     "ProofSystem", "Verdict", "translate_heap",

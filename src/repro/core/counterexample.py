@@ -171,7 +171,8 @@ class Reconstructor:
         default = entries[0][1] if entries else default_value(s.out_type)
         body: Expr = default
         for key, out in reversed(entries):
-            body = If(prim("=?", Ref("x"), Num(key)), out, body)
+            # ``=?`` is total, so the label can never be blamed.
+            body = If(prim("=?", Ref("x"), Num(key), label="case"), out, body)
         return Lam("x", NAT, body)
 
     def _key_int(self, l: Loc) -> int:

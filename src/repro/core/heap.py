@@ -251,44 +251,36 @@ class SCase(Storeable):
 # The heap
 # ---------------------------------------------------------------------------
 
-_loc_counter = 0
+class NameCursor:
+    """The names a machine mints while it steps one state: the next
+    location number and the next synthetic-label number.
 
-
-def fresh_loc(prefix: str = "L") -> Loc:
-    """A globally fresh heap location."""
-    global _loc_counter
-    loc = Loc(f"{prefix}{_loc_counter}")
-    _loc_counter += 1
-    return loc
-
-
-def reset_locs() -> None:
-    """Restart the location counter.
-
-    Locations only need to be fresh within one program run; the batch
-    driver resets between programs so solver variable names — and hence
-    model choices — do not depend on what else ran in the same process.
+    A machine owns one cursor.  Each step seeds it from the state's
+    stamps (``loc_base``, and ``syn_base`` on scv) and stamps the
+    successors with where it stopped, so a name is a function of the
+    path from the initial state, never of the search order or of what
+    else ran in the process.  Sibling successors of one step share
+    their stamps; the cursor is the machine's, not the heap's, so
+    stepping one sibling never renumbers another.
     """
-    global _loc_counter
-    _loc_counter = 0
 
+    __slots__ = ("loc", "syn")
 
-def current_loc_counter() -> int:
-    """The next location number ``fresh_loc`` would mint.
+    def __init__(self, loc: int = 0, syn: int = 0) -> None:
+        self.loc = loc
+        self.syn = syn
 
-    States record this (``loc_base``) so the machines can rewind the
-    counter before stepping: location names become a pure function of
-    the path from the initial state, independent of the order in which
-    the search interleaves sibling branches.
-    """
-    return _loc_counter
+    def fresh_loc(self, prefix: str = "L") -> Loc:
+        n = self.loc
+        self.loc = n + 1
+        return Loc(f"{prefix}{n}")
 
-
-def set_loc_counter(n: int) -> None:
-    """Rewind/advance the location counter to ``n`` (see
-    :func:`current_loc_counter`)."""
-    global _loc_counter
-    _loc_counter = n
+    def syn_label(self, prefix: str = "syn") -> str:
+        """A synthetic label — blame carrying it is *unknown-code*
+        blame (the ``:`` marks it, see ``scv.machine.is_known_label``)."""
+        n = self.syn
+        self.syn = n + 1
+        return f"{prefix}:{n}"
 
 
 class Heap:
@@ -325,8 +317,9 @@ class Heap:
         d[l] = s
         return Heap(d)
 
-    def alloc(self, s: Storeable, prefix: str = "L") -> tuple[Loc, "Heap"]:
-        l = fresh_loc(prefix)
+    def alloc(self, s: Storeable, names: NameCursor,
+              prefix: str = "L") -> tuple[Loc, "Heap"]:
+        l = names.fresh_loc(prefix)
         return l, self.set(l, s)
 
     def refine(self, l: Loc, p: Pred) -> "Heap":

@@ -32,12 +32,11 @@ from typing import Optional
 from .delta import delta
 from .heap import (
     Heap,
+    NameCursor,
     SCase,
     SLam,
     SNum,
     SOpq,
-    current_loc_counter,
-    set_loc_counter,
 )
 from .proof import ProofSystem
 from .syntax import (
@@ -64,12 +63,12 @@ class State:
 
     control: Expr
     heap: Heap
-    # The location-counter value this state was created under.  ``step``
-    # rewinds the global ``fresh_loc`` counter to this before reducing,
-    # making location names a pure function of the path from the initial
-    # state, independent of search order; the compiled executor's
-    # counter stamps rely on this (see repro.compile.executor).
-    # Excluded from fingerprints (which rename locations anyway).
+    # The next location number on this state's path.  ``step`` seeds the
+    # machine's name cursor with it before reducing, making location
+    # names a pure function of the path from the initial state,
+    # independent of search order; the compiled executor's stamps rely
+    # on this (see repro.compile.executor).  Excluded from fingerprints
+    # (which rename locations anyway).
     loc_base: int = 0
 
     @property
@@ -90,8 +89,8 @@ class StuckError(Exception):
 
 
 def inject(program: Expr) -> State:
-    """The initial state for a closed program."""
-    return State(program, Heap.empty(), current_loc_counter())
+    """The initial state for a closed program: locations number from 0."""
+    return State(program, Heap.empty())
 
 
 def _opq_loc(label: str) -> Loc:
@@ -111,6 +110,7 @@ class Machine:
 
     def __init__(self, proof: Optional[ProofSystem] = None) -> None:
         self.proof = proof or ProofSystem()
+        self.names = NameCursor()  # seeded per step from ``loc_base``
 
     # -- public ------------------------------------------------------------
 
@@ -118,9 +118,10 @@ class Machine:
         """Successor states, or None when ``state`` is an answer."""
         if state.is_answer:
             return None
-        set_loc_counter(state.loc_base)
+        names = self.names
+        names.loc = state.loc_base
         succs = self._reduce(state.control, state.heap)
-        base = current_loc_counter()
+        base = names.loc
         return [State(e, h, base) for e, h in succs]
 
     # -- redex search (contextual closure, rule Close) ----------------------
@@ -128,10 +129,10 @@ class Machine:
     def _reduce(self, e: Expr, heap: Heap) -> list[tuple[Expr, Heap]]:
         # Value forms allocate (rules Opq and Conc).
         if isinstance(e, Num):
-            l, h = heap.alloc(SNum(e.value))
+            l, h = heap.alloc(SNum(e.value), self.names)
             return [(l, h)]
         if isinstance(e, Lam):
-            l, h = heap.alloc(SLam(e))
+            l, h = heap.alloc(SLam(e), self.names)
             return [(l, h)]
         if isinstance(e, Opq):
             l = _opq_loc(e.label)
@@ -205,7 +206,7 @@ class Machine:
                 out.append((Err(e.label, e.op), res.heap))
             else:
                 assert res.value is not None
-                l, h = res.heap.alloc(res.value)
+                l, h = res.heap.alloc(res.value, self.names)
                 out.append((l, h))
         return out
 
@@ -229,13 +230,13 @@ class Machine:
         if hit is not None:
             return [(hit, heap)]  # AppCase1: memoised result
         # AppCase2: fresh opaque output, extend the mapping.
-        la, h = heap.alloc(SOpq(s.out_type))
+        la, h = heap.alloc(SOpq(s.out_type), self.names)
         h = h.set(fn, s.extended(arg, la))
         return [(la, h)]
 
     def _app_opq1(self, fn: Loc, t: FunType, arg: Loc, heap: Heap):
         """AppOpq1: •(nat→T) becomes a one-entry case mapping."""
-        la, h = heap.alloc(SOpq(t.rng))
+        la, h = heap.alloc(SOpq(t.rng), self.names)
         h = h.set(fn, SCase(t.rng, ((arg, la),)))
         return [(la, h)]
 
@@ -246,14 +247,14 @@ class Machine:
         out: list[tuple[Expr, Heap]] = []
 
         # AppOpq2: constant function λx:T'. La.
-        la, h2 = heap.alloc(SOpq(t.rng))
+        la, h2 = heap.alloc(SOpq(t.rng), self.names)
         h2 = h2.set(fn, SLam(Lam("x", dom, la)))
         out.append((la, h2))
 
         # AppOpq3: delay exploration — only when the range is a function.
         if isinstance(t.rng, FunType):
             t3 = t.rng.dom
-            l1, h3 = heap.alloc(SOpq(t))
+            l1, h3 = heap.alloc(SOpq(t), self.names)
             wrapper_body = Lam("y", t3, App(App(l1, Ref("x")), Ref("y")))
             h3 = h3.set(fn, SLam(Lam("x", dom, wrapper_body)))
             result = Lam("y", t3, App(App(l1, arg), Ref("y")))
@@ -261,8 +262,8 @@ class Machine:
 
         # AppHavoc: explore the argument with a fresh opaque input, feed
         # the output to a fresh unknown continuation.
-        l1, hh = heap.alloc(SOpq(dom.dom))
-        l2, hh = hh.alloc(SOpq(FunType(dom.rng, t.rng)))
+        l1, hh = heap.alloc(SOpq(dom.dom), self.names)
+        l2, hh = hh.alloc(SOpq(FunType(dom.rng, t.rng)), self.names)
         havoc_body = App(l2, App(Ref("x"), l1))
         hh = hh.set(fn, SLam(Lam("x", dom, havoc_body)))
         out.append((App(l2, App(arg, l1)), hh))

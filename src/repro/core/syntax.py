@@ -14,9 +14,8 @@ internal answer forms unavailable to source programs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 
 # ---------------------------------------------------------------------------
@@ -63,29 +62,6 @@ def fun(*types: Type) -> Type:
     for t in reversed(types[:-1]):
         result = FunType(t, result)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Labels
-# ---------------------------------------------------------------------------
-
-_label_counter = itertools.count()
-
-
-def fresh_label(prefix: str = "l") -> str:
-    """Allocate a globally fresh label (source positions in a real tool)."""
-    return f"{prefix}{next(_label_counter)}"
-
-
-def reset_labels() -> None:
-    """Restart the label counter.
-
-    Labels only need to be unique within one program; the batch driver
-    resets before each program so reports are byte-stable no matter how
-    programs are distributed over worker processes.
-    """
-    global _label_counter
-    _label_counter = itertools.count()
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +186,16 @@ Answer = Union[Loc, Err]
 
 
 # ---------------------------------------------------------------------------
-# Constructors with automatic labels
+# Constructors
 # ---------------------------------------------------------------------------
 
 
-def opq(t: Type, label: Optional[str] = None) -> Opq:
-    return Opq(t, label if label is not None else fresh_label("opq"))
+def opq(t: Type, label: str) -> Opq:
+    return Opq(t, label)
 
 
-def prim(op: str, *args: Expr, label: Optional[str] = None) -> PrimApp:
-    return PrimApp(op, tuple(args), label if label is not None else fresh_label("p"))
+def prim(op: str, *args: Expr, label: str) -> PrimApp:
+    return PrimApp(op, tuple(args), label)
 
 
 def num(n: int) -> Num:

@@ -1,6 +1,7 @@
 """Backend dispatch: one verification question, two symbolic engines.
 
-A :class:`Backend` turns surface source text into a
+A :class:`Backend` turns a parsed surface program (one unit of
+:mod:`repro.driver.units`' plan) into a
 :class:`~repro.driver.report.ProgramResult`.  Two are registered:
 
 * ``core`` — the typed §3 pipeline: ``driver.lower`` type-infers the
@@ -30,6 +31,7 @@ engines answer the identical question (see ``scv.machine``).
 
 from __future__ import annotations
 
+import itertools
 import signal
 import time
 import warnings
@@ -48,11 +50,8 @@ from ..core import (
 )
 from ..core.counterexample import canonical_op
 from ..core.counterexample import render_bindings as render_core_bindings
-from ..core.heap import reset_locs
-from ..core.syntax import reset_labels as reset_core_labels
 from ..lang.ast import Program
-from ..lang.ast import reset_labels as reset_surface_labels
-from ..lang.parser import ParseError, parse_program
+from ..lang.parser import ParseError
 from ..lang.sexp import ReadError
 from ..smt import SOLVE_STATS, solver_cache
 from ..scv import (
@@ -69,7 +68,6 @@ from ..scv import (
 )
 from ..scv.counterexample import canonical_blame_op
 from ..scv.counterexample import render_bindings as render_scv_bindings
-from ..scv.machine import reset_syn_labels
 from ..search import SearchStats
 from ..synth import closed_program_text
 from .lower import LowerError, lower_program, raise_expr
@@ -84,6 +82,7 @@ from .report import (
     CexReport,
     ProgramResult,
 )
+from .units import Parsed
 
 
 @dataclass(frozen=True)
@@ -181,16 +180,6 @@ def _deadline(seconds: float, status: Optional[DeadlineStatus] = None):
         signal.signal(signal.SIGALRM, old)
 
 
-def _reset_counters() -> None:
-    # Labels and heap locations are only unique per program; restarting
-    # the counters per verification makes reports (and solver model
-    # choices) reproducible regardless of worker assignment.
-    reset_surface_labels()
-    reset_core_labels()
-    reset_syn_labels()
-    reset_locs()
-
-
 class Backend(Protocol):
     """A verification engine, selectable via ``--backend``."""
 
@@ -198,16 +187,19 @@ class Backend(Protocol):
 
     def verify(
         self,
-        source: str,
+        program: Parsed,
         *,
         name: str = "<input>",
         kind: str = "?",
         config: Optional[RunConfig] = None,
         client_of: Optional[str] = None,
     ) -> ProgramResult:
-        """``client_of`` narrows scv's demonic client to one module's
-        provides (``""``: no client), for one module unit of the
-        driver's plan (:mod:`repro.driver.units`)."""
+        """Verify one unit's parse.  ``client_of`` narrows scv's
+        demonic client to one module's provides (``""``: no client), for
+        one module unit of the driver's plan
+        (:mod:`repro.driver.units`).  Every name the engines mint
+        (labels, locations) is a function of ``program``, so the row
+        does not depend on what else ran in the process."""
         ...
 
 
@@ -235,7 +227,7 @@ class _Pipeline:
     """The verify loop both backends share.
 
     A backend supplies three hooks and nothing else: ``_front_end``
-    (source text to a :class:`_Run`, raising one of ``_UNSUPPORTED``
+    (a parsed program to a :class:`_Run`, raising one of ``_UNSUPPORTED``
     for programs outside its fragment), ``_counterexample`` (one error
     state to an accepted counterexample, or ``None``) and ``_report``
     (an accepted counterexample to its :class:`CexReport`).  The loop
@@ -248,7 +240,7 @@ class _Pipeline:
 
     def verify(
         self,
-        source: str,
+        program: Parsed,
         *,
         name: str = "<input>",
         kind: str = "?",
@@ -256,7 +248,6 @@ class _Pipeline:
         client_of: Optional[str] = None,
     ) -> ProgramResult:
         cfg = config or RunConfig()
-        _reset_counters()
         stats = SearchStats()
         dl = DeadlineStatus()
         run: Optional[_Run] = None
@@ -298,7 +289,9 @@ class _Pipeline:
             )
 
         try:
-            run = self._front_end(source, cfg, stats, client_of)
+            if isinstance(program, Exception):
+                raise program  # the parse failed: report it as the row
+            run = self._front_end(program, cfg, stats, client_of)
         except _UNSUPPORTED as exc:
             return done(STATUS_UNSUPPORTED, detail=_describe(exc))
         except Exception as exc:  # driver bug
@@ -362,9 +355,8 @@ class TypedCoreBackend(_Pipeline):
     # ``vars(cls)["verify"]`` on each backend.
     verify = _Pipeline.verify
 
-    def _front_end(self, source: str, cfg: RunConfig, stats: SearchStats,
-                   client_of: Optional[str]) -> _Run:
-        program = parse_program(source)
+    def _front_end(self, program: Program, cfg: RunConfig,
+                   stats: SearchStats, client_of: Optional[str]) -> _Run:
         core = lower_program(program)
         check_program(core)
         proof = ProofSystem()
@@ -379,8 +371,11 @@ class TypedCoreBackend(_Pipeline):
         return cex if cex is not None and cex.validated else None
 
     def _report(self, run: _Run, cex, cfg: RunConfig) -> CexReport:
+        # Raised values' labels continue the parse's, so they never
+        # collide with a source label.
+        labels = itertools.count(run.program.label_end)
         surface_bindings = {
-            label: raise_expr(v) for label, v in cex.bindings.items()
+            label: raise_expr(v, labels) for label, v in cex.bindings.items()
         }
         conc_ok = _surface_revalidate(
             run.program, surface_bindings, cex.err.label, cfg.fuel
@@ -419,9 +414,8 @@ class UntypedScvBackend(_Pipeline):
     error_noun = "blame"
     verify = _Pipeline.verify  # see TypedCoreBackend.verify
 
-    def _front_end(self, source: str, cfg: RunConfig, stats: SearchStats,
-                   client_of: Optional[str]) -> _Run:
-        program = parse_program(source)
+    def _front_end(self, program: Program, cfg: RunConfig,
+                   stats: SearchStats, client_of: Optional[str]) -> _Run:
         machine = SMachine(
             struct_types=collect_struct_types(program),
             assume_well_typed=not uses_contracts(program),

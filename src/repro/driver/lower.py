@@ -27,7 +27,8 @@ than arbitrary numbers (where 0 is truthy in Racket but false in PCF).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+import itertools
+from typing import Iterator, Optional, Union
 
 from ..core.syntax import (
     App,
@@ -55,7 +56,6 @@ from ..lang.ast import (
     UOpaque,
     USet,
     UVar,
-    fresh_label,
 )
 
 
@@ -206,7 +206,9 @@ def _free_uvars(e: UExpr) -> set[str]:
 class _Lowerer:
     """Two passes over one surface expression: infer, then build."""
 
-    def __init__(self) -> None:
+    def __init__(self, label_base: int = 0) -> None:
+        # Labels for unlabelled applications continue the parse's count.
+        self.labels = itertools.count(label_base)
         self.lam_params: dict[int, list[_TyVar]] = {}
         self.letrec_vars: dict[int, list[_TyVar]] = {}
         self.begin_types: dict[int, list[_Ty]] = {}
@@ -350,7 +352,7 @@ class _Lowerer:
 
     def _build_prim(self, name: str, e: UApp, scope: set[str]) -> Expr:
         args = [self.build(a, scope) for a in e.args]
-        label = e.label or fresh_label("a")
+        label = e.label or f"a{next(self.labels)}"
         if name in _VARIADIC:
             if name == "-" and len(args) == 1:
                 return PrimApp("-", (Num(0), args[0]), label)
@@ -417,9 +419,11 @@ class _Lowerer:
 # ---------------------------------------------------------------------------
 
 
-def lower_expr(e: UExpr) -> Expr:
-    """Lower one closed surface expression to a core term."""
-    lw = _Lowerer()
+def lower_expr(e: UExpr, label_base: int = 0) -> Expr:
+    """Lower one closed surface expression to a core term.  An
+    unlabelled primitive application gets a label numbered from
+    ``label_base`` (a parse's ``Program.label_end``)."""
+    lw = _Lowerer(label_base)
     lw.infer(e, {})
     return lw.build(e, set())
 
@@ -434,7 +438,7 @@ def lower_program(program: Program) -> Expr:
         raise LowerError("modules/contracts are not in the lowerable subset")
     if program.main is None:
         raise LowerError("program has no top-level expression to verify")
-    return lower_expr(program.main)
+    return lower_expr(program.main, program.label_end)
 
 
 # ---------------------------------------------------------------------------
@@ -446,25 +450,29 @@ def lower_program(program: Program) -> Expr:
 from ..core.counterexample import CANONICAL_OPS as _CORE_TO_SURFACE_OP  # noqa: E402
 
 
-def raise_expr(e: Expr) -> UExpr:
+def raise_expr(e: Expr, labels: Iterator[int]) -> UExpr:
     """Render a *counterexample value* (core ``Num``/``Lam``/``If`` with
     ``=?`` tests, as built by ``core.counterexample``) as surface syntax
-    suitable for ``conc.interp`` opaque bindings."""
+    suitable for ``conc.interp`` opaque bindings.  Its applications are
+    labelled ``cex<n>`` with ``n`` drawn from ``labels``; pass
+    ``itertools.count(program.label_end)`` to keep them apart from the
+    program's own labels."""
     if isinstance(e, Num):
         return Quote(e.value)
     if isinstance(e, Ref):
         return UVar(e.name)
     if isinstance(e, Lam):
-        return ULam((e.var,), raise_expr(e.body))
+        return ULam((e.var,), raise_expr(e.body, labels))
     if isinstance(e, If):
-        return UIf(raise_expr(e.test), raise_expr(e.then), raise_expr(e.orelse))
+        return UIf(raise_expr(e.test, labels), raise_expr(e.then, labels),
+                   raise_expr(e.orelse, labels))
     if isinstance(e, App):
-        return UApp(raise_expr(e.fn), (raise_expr(e.arg),), label=fresh_label("cex"))
+        fn, arg = raise_expr(e.fn, labels), raise_expr(e.arg, labels)
+        return UApp(fn, (arg,), label=f"cex{next(labels)}")
     if isinstance(e, PrimApp):
         op = _CORE_TO_SURFACE_OP.get(e.op)
         if op is None:
             raise LowerError(f"cannot raise primitive {e.op} to surface syntax")
-        return UApp(
-            UVar(op), tuple(raise_expr(a) for a in e.args), label=fresh_label("cex")
-        )
+        args = tuple(raise_expr(a, labels) for a in e.args)
+        return UApp(UVar(op), args, label=f"cex{next(labels)}")
     raise LowerError(f"cannot raise {e!r} to surface syntax")

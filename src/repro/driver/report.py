@@ -262,7 +262,7 @@ def _compare_counterexamples(shared: dict) -> dict:
 
     Both backends normalize to the same form (canonical ``err_op``,
     scalar bindings rendered bare), and blame labels are deterministic
-    per source (counters reset per run), so label and op must match
+    per source (each parse numbers them from 0), so label and op must match
     outright.  Bindings are compared on the labels both models bound to
     scalars — two engines may legitimately pick *different* witnesses
     for the same fault, so binding differences are reported for

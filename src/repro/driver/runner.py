@@ -70,7 +70,7 @@ def verify_source(
     cfg = config or RunConfig()
     engine = get_backend(backend)
     t0 = time.perf_counter()
-    units = plan_units(source, backend, keyed=bool(cfg.store_dir))
+    units = plan_units(source, backend)
     cache = None
     if cfg.store_dir:
         # Imported lazily: the store builds on the driver, and a run
@@ -84,7 +84,7 @@ def verify_source(
             row = cache.replay(i) if cache else None
             if row is None:
                 row = engine.verify(
-                    unit.source, name=unit.row_name(name), kind=kind,
+                    unit.program, name=unit.row_name(name), kind=kind,
                     config=cfg, client_of=unit.client_of,
                 )
                 if cache:

@@ -8,16 +8,22 @@ demonic client narrowed to that module's provides — plus one for the
 top-level expression; any other program is one unit.  The verdict
 store (:mod:`repro.store`) only caches units, so a store-less, cold or
 warm run gives one row.
+
+Planning is the only parse of a verification: each unit carries its
+program (or the exception its parse raised), and the engine runs that.
+A slice unit's program is the parse of its printed source, so a unit's
+program is always ``parse_program(unit.source)``, labels included —
+which is what lets ``repro store verify`` re-run a stored slice from
+its text alone.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from ..lang.ast import Module, Program, UExpr, USet, UVar, free_vars, subexprs_u
-from ..lang.parser import ParseError, parse_program
+from ..lang.parser import parse_program
 from ..lang.pretty import pp_program
-from ..lang.sexp import ReadError
 from .report import (
     STATUS_COUNTEREXAMPLE,
     STATUS_ERROR,
@@ -104,16 +110,28 @@ def _module_dependencies(program: Program) -> list[set[int]]:
     return closed
 
 
+#: What the engine verifies: a parsed program, or the exception its
+#: parse raised.
+Parsed = Union[Program, Exception]
+
+
+def parse_unit(source: str) -> Parsed:
+    """``parse_program(source)``, or the exception it raised: the engine
+    reports that as the unit's row (``unsupported`` for a
+    ``ParseError``/``ReadError``, ``error`` for anything else)."""
+    try:
+        return parse_program(source)
+    except Exception as exc:
+        return exc
+
+
 class Unit(NamedTuple):
     """One verification unit of a program."""
 
     marker: str  # CLIENT_ALL | CLIENT_MAIN | CLIENT_MODULE + name
     client_of: Optional[str]  # the engine's client narrowing
-    source: str  # what the engine verifies
-    #: ``source`` parsed whenever the plan parsed it (always with
-    #: ``keyed=True``); ``None`` otherwise, and for text that does not
-    #: parse.
-    program: Optional[Program] = None
+    source: str  # the unit's text (what the store records)
+    program: Parsed  # ``parse_unit(source)``
 
     def row_name(self, name: str) -> str:
         return name if self.marker == CLIENT_ALL else f"{name}::{self.marker}"
@@ -141,19 +159,25 @@ def module_slices(program: Program) -> Optional[list[Unit]]:
     if n_units <= 1 or _has_state(program):
         return None
     deps = _module_dependencies(program)
+
+    def unit(marker: str, client_of: str, cut: Program) -> Unit:
+        # The slice is printed and parsed again, so its labels number
+        # from 0 like any parse of its text (the store re-runs slices
+        # from their text).
+        source = pp_program(cut)
+        return Unit(marker, client_of, source, parse_unit(source))
+
     units = []
     for i, m in enumerate(mods):
         keep = sorted(deps[i] | {i})
-        slice_prog = Program(tuple(mods[j] for j in keep), None)
-        units.append(Unit(CLIENT_MODULE + m.name, m.name,
-                          pp_program(slice_prog), slice_prog))
+        units.append(unit(CLIENT_MODULE + m.name, m.name,
+                          Program(tuple(mods[j] for j in keep), None)))
     if program.main is not None:
         refs = free_vars(program.main)
         direct = {j for j, m in enumerate(mods) if refs & _module_exports(m)}
         keep = sorted(direct.union(*(deps[j] for j in direct)))
-        slice_prog = Program(tuple(mods[j] for j in keep), program.main)
-        units.append(Unit(CLIENT_MAIN, "", pp_program(slice_prog),
-                          slice_prog))
+        units.append(unit(CLIENT_MAIN, "", Program(
+            tuple(mods[j] for j in keep), program.main)))
     return units
 
 
@@ -162,23 +186,13 @@ def module_slices(program: Program) -> Optional[list[Unit]]:
 # ---------------------------------------------------------------------------
 
 
-def plan_units(source: str, backend: str, *, keyed: bool = False
-               ) -> list[Unit]:
-    """The verification units of a program.  Only scv splits, and only
-    by module, so without ``keyed`` only scv text that can hold a
-    ``(module ...)`` form is parsed here; any other program, or one that
-    does not parse, is a single unit left to the engine to parse (or
-    reject).  A caller that keys units on their programs (the verdict
-    store) passes ``keyed=True``, and every unit of text that parses
-    then carries its program."""
-    program = None
-    if keyed or (backend == "scv" and "module" in source):
-        try:
-            program = parse_program(source)
-        except (ParseError, ReadError):
-            pass
+def plan_units(source: str, backend: str) -> list[Unit]:
+    """The verification units of a program, each carrying its parse.
+    Only scv splits, and only by module; any other program, or one that
+    does not parse, is a single unit."""
+    program = parse_unit(source)
     slices = (module_slices(program)
-              if program is not None and backend == "scv" else None)
+              if backend == "scv" and isinstance(program, Program) else None)
     return slices or [Unit(CLIENT_ALL, None, source, program)]
 
 

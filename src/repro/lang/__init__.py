@@ -22,7 +22,6 @@ from .ast import (
     UOpaque,
     USet,
     UVar,
-    fresh_label,
 )
 from .parser import ParseError, parse_expr_string, parse_module, parse_program
 from .runtime import Cell, Closure, Env, Guarded, Prim, StructCtor, is_applicable

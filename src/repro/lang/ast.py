@@ -15,23 +15,15 @@ Every application and opaque carries a label for blame, mirroring SPCF.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 
-_label_counter = itertools.count()
-
-
-def fresh_label(prefix: str = "u") -> str:
-    return f"{prefix}{next(_label_counter)}"
-
-
 def reset_labels() -> None:
-    """Restart the label counter (labels are only unique per program;
-    the batch driver resets between programs for stable reports)."""
-    global _label_counter
-    _label_counter = itertools.count()
+    """A no-op, kept only because the benchmark harness imports it.
+
+    Labels are minted per parse (every ``lang.parser`` call numbers from
+    0), so there is no process-wide counter left to restart."""
 
 
 @dataclass(frozen=True)
@@ -165,10 +157,17 @@ class Module:
 
 @dataclass(frozen=True)
 class Program:
-    """Modules plus an optional top-level expression to run."""
+    """Modules plus an optional top-level expression to run.
+
+    ``label_end`` is where the parse's label counter stopped: a label
+    minted later for this program (lowering, raised counterexample
+    values) numbers from there, so it never collides with a parsed one.
+    It is parse metadata, like the labels (``pretty.strip_program``
+    erases it)."""
 
     modules: tuple[Module, ...]
     main: Optional[UExpr]
+    label_end: int = 0
 
 
 def subexprs_u(e: UExpr):

@@ -6,8 +6,10 @@ the *core* forms (``λ``, ``if``, ``begin``, ``letrec``, ``set!``,
 from, so printed text re-parses to the same core AST.  The contract is
 **parse ∘ print = id** modulo generated metadata:
 
-* blame labels are minted fresh by every parse (``fresh_label``), so a
-  re-parse numbers them differently;
+* blame labels are numbered by each parse from 0 in visiting order, so
+  a re-parse of printed text numbers them by the printed core forms,
+  not by the sugar they came from (and ``Program.label_end`` with
+  them);
 * ``ULam.name`` / ``UOpaque.label`` are debug identities the printed
   text cannot carry (``define`` sugar restores lambda names, but a
   ``letrec``-bound named lambda prints as a bare ``λ``).
@@ -214,7 +216,7 @@ def strip_metadata(e: UExpr) -> UExpr:
 
 
 def strip_program(program: Program) -> Program:
-    """``strip_metadata`` over a whole program."""
+    """``strip_metadata`` over a whole program (``label_end`` too)."""
     def strip_module(m: Module) -> Module:
         return Module(
             m.name,

@@ -259,8 +259,8 @@ def _equal_opq(r, ta: Loc, sa: UOpq, tb: Loc, sb: UOpq) -> list:
 
 
 def mat_pair(r, heap: UHeap) -> tuple[UStoreable, UHeap]:
-    car, heap = heap.alloc(r.m.fresh_opq())
-    cdr, heap = heap.alloc(r.m.fresh_opq())
+    car, heap = heap.alloc(r.m.fresh_opq(), r.m.names)
+    cdr, heap = heap.alloc(r.m.fresh_opq(), r.m.names)
     return UPair(car, cdr), heap
 
 
@@ -269,7 +269,7 @@ def mat_null(r, heap: UHeap) -> tuple[UStoreable, UHeap]:
 
 
 def mat_box(r, heap: UHeap) -> tuple[UStoreable, UHeap]:
-    content, heap = heap.alloc(r.m.fresh_opq())
+    content, heap = heap.alloc(r.m.fresh_opq(), r.m.names)
     return UBoxS(content), heap
 
 
@@ -314,9 +314,9 @@ def pair_sel_rule(field: str):
 
 def rule_list(r) -> list:
     heap = r.heap
-    tail, heap = heap.alloc(UConc(NIL))
+    tail, heap = heap.alloc(UConc(NIL), r.m.names)
     for l in reversed(r.args):
-        tail, heap = heap.alloc(UPair(l, tail))
+        tail, heap = heap.alloc(UPair(l, tail), r.m.names)
     return [r.at(tail, heap)]
 
 
@@ -652,7 +652,7 @@ def rule_vector_ref(r) -> list:
     if not isinstance(vs, UVectorS):
         # Opaque vector: the element is a fresh unknown (the vector's
         # shape — and hence its extent — is never materialised).
-        el, heap = heap.alloc(r.m.fresh_opq())
+        el, heap = heap.alloc(r.m.fresh_opq(), r.m.names)
         out.append(r.at(el, heap, effort + 1))
         return out
     n = len(vs.fields)
@@ -798,8 +798,8 @@ def _as_ctc_loc(r, heap: UHeap, l: Loc) -> tuple[Loc, UHeap]:
     if isinstance(s, UCtc):
         return target, heap
     if isinstance(s, (UClos, UPrim, UGuard, UStructCtor, UCase, UOpq)):
-        return heap.alloc(UCtc("flat", (target,)))
-    return heap.alloc(UCtc("oneof", (target,)))
+        return heap.alloc(UCtc("flat", (target,)), r.m.names)
+    return heap.alloc(UCtc("oneof", (target,)), r.m.names)
 
 
 def _ctc_parts(r, locs: tuple[Loc, ...]) -> tuple[tuple[Loc, ...], UHeap]:
@@ -857,7 +857,8 @@ def cmp_ctc_rule(op: str):
         )
         heap = r.heap
         pred, heap = heap.alloc(
-            UClos(ULam((".x",), body, name=f"{op}/c"), _empty_env())
+            UClos(ULam((".x",), body, name=f"{op}/c"), _empty_env()),
+            r.m.names,
         )
         return [r.value(UCtc("flat", (pred,)), heap)]
 

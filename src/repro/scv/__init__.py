@@ -38,7 +38,6 @@ _EXPORTS = {
     "SMachine": "machine",
     "SState": "machine",
     "is_known_label": "machine",
-    "syn_label": "machine",
     "UProofSystem": "proof",
     "translate_uheap": "proof",
 }

@@ -47,7 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..core.heap import HConst, HLoc, HOp, HTerm, PEq, PLe, PLt, PNot, Pred, PZero
+from ..core.heap import (
+    HConst, HLoc, HOp, HTerm, NameCursor, PEq, PLe, PLt, PNot, Pred, PZero,
+)
 from ..core.proof import Verdict
 from ..core.syntax import Loc
 from ..lang.ast import Quote, UApp, UExpr, UIf, ULam, ULetrec, UVar
@@ -156,19 +158,20 @@ def reify_concrete(heap: UHeap, l: Loc, depth: int = 0) -> object:
     return _UNREIFIABLE
 
 
-def alloc_value(heap: UHeap, v: object) -> tuple[Loc, UHeap]:
+def alloc_value(heap: UHeap, v: object,
+                names: NameCursor) -> tuple[Loc, UHeap]:
     """Allocate a concrete Racket value back into the symbolic heap."""
     if isinstance(v, Pair):
-        car, heap = alloc_value(heap, v.car)
-        cdr, heap = alloc_value(heap, v.cdr)
-        return heap.alloc(UPair(car, cdr))
+        car, heap = alloc_value(heap, v.car, names)
+        cdr, heap = alloc_value(heap, v.cdr, names)
+        return heap.alloc(UPair(car, cdr), names)
     if isinstance(v, StructVal):
         locs = []
         for f in v.values:
-            l, heap = alloc_value(heap, f)
+            l, heap = alloc_value(heap, f, names)
             locs.append(l)
-        return heap.alloc(UStruct(v.type, tuple(locs)))
-    return heap.alloc(UConc(v))
+        return heap.alloc(UStruct(v.type, tuple(locs)), names)
+    return heap.alloc(UConc(v), names)
 
 
 class _NoApplyCtx:
@@ -255,7 +258,7 @@ class Rule:
         name, so user bindings cannot shadow it)."""
         from .machine import ULocE
 
-        l, self.heap = self.heap.alloc(UPrim(name))
+        l, self.heap = self.heap.alloc(UPrim(name), self.m.names)
         return ULocE(l)
 
     def loc_expr(self, l: Loc) -> UExpr:
@@ -264,9 +267,7 @@ class Rule:
         return ULocE(l)
 
     def app(self, fn: UExpr, *args: UExpr) -> UApp:
-        from .machine import syn_label
-
-        return UApp(fn, tuple(args), label=syn_label("dl"))
+        return UApp(fn, tuple(args), label=self.m.names.syn_label("dl"))
 
     def improper(self, what: str) -> UExpr:
         from .machine import UBlameE
@@ -298,7 +299,7 @@ class Rule:
                            f"{pe.op}: {pe.message}")]
         except UserError as ue:
             return [OBlame(self.heap, "Λ", self.label, f"error: {ue.message}")]
-        l, h = alloc_value(self.heap, out)
+        l, h = alloc_value(self.heap, out, self.m.names)
         return [OLoc(h, l)]
 
     # -- tag splitting ---------------------------------------------------
@@ -739,7 +740,7 @@ def _struct_rule(r: Rule, role: str, stype, index: int) -> list[Outcome]:
         def mat(rule: Rule, heap: UHeap) -> tuple[UStoreable, UHeap]:
             fields = []
             for _ in stype.fields:
-                fl, heap = heap.alloc(rule.m.fresh_opq())
+                fl, heap = heap.alloc(rule.m.fresh_opq(), rule.m.names)
                 fields.append(fl)
             return UStruct(stype, tuple(fields)), heap
 
@@ -757,7 +758,7 @@ def _struct_rule(r: Rule, role: str, stype, index: int) -> list[Outcome]:
         fields = []
         heap = r.heap
         for _ in stype.fields:
-            fl, heap = heap.alloc(r.m.fresh_opq())
+            fl, heap = heap.alloc(r.m.fresh_opq(), r.m.names)
             fields.append(fl)
         heap = heap.set(target, UStruct(stype, tuple(fields)))
         out.append(OLoc(heap, fields[index], 1))

@@ -52,16 +52,8 @@ from ..lang.values import NIL, StructType
 from ..prims import EXTENDED_PRIMS
 from .heap import UConc, UCtc, UHeap, UOpq, UPrim, UStoreable, UStructCtor
 from .tags import TAG_PROCEDURE
-from ..core.heap import current_loc_counter, fresh_loc, set_loc_counter
-from .machine import (
-    Blame,
-    MEnv,
-    SMachine,
-    SState,
-    UMon,
-    current_syn_counter,
-    syn_label,
-)
+from ..core.heap import NameCursor
+from .machine import Blame, MEnv, SMachine, SState, UMon
 
 if TYPE_CHECKING:
     from ..search import SearchStats
@@ -131,9 +123,9 @@ def uses_extended_prims(program: Program) -> bool:
 
 class _SharedBase:
     """The primitive part of the global frame: its ``MEnv``, a heap whose
-    frozen base holds its cells, the location counter a build leaves,
-    and the frame's names-only token (``global_names``).  Shared by
-    every verification with the same key; never mutated."""
+    frozen base holds its cells, the next location number after it, and
+    the frame's names-only token (``global_names``).  Shared by every
+    verification with the same key; never mutated."""
 
     __slots__ = ("env", "heap", "loc_end", "names")
 
@@ -144,27 +136,24 @@ class _SharedBase:
         self.names = tuple(sorted((n, l.name) for n, l in env.frame.items()))
 
 
-#: One primitive base per ``(extended_prims, first location number)``:
-#: δ over the primitives is fixed, so only the location names a build
-#: mints depend on anything, and they depend only on the key.
-_SHARED_BASES: dict[tuple[bool, int], _SharedBase] = {}
+#: One primitive base per ``extended_prims``: δ over the primitives is
+#: fixed, and every verification numbers its locations from 0, so a
+#: build's location names depend on nothing else.
+_SHARED_BASES: dict[bool, _SharedBase] = {}
 
 
 def _shared_base(extended_prims: bool) -> _SharedBase:
     """The primitives, ``any/c`` and ``empty``/``null``, built once per
-    key.  On reuse the location counter is advanced to exactly where a
-    fresh build leaves it, so every later ``g…``/``u…`` name (and with
-    them every solver model) is what a fresh build would give."""
-    key = (extended_prims, current_loc_counter())
-    shared = _SHARED_BASES.get(key)
+    key, with locations numbered from 0."""
+    shared = _SHARED_BASES.get(extended_prims)
     if shared is not None:
-        set_loc_counter(shared.loc_end)
         return shared
+    names = NameCursor()
     frame: dict[str, Loc] = {}
     cells: dict[Loc, UStoreable] = {}
 
     def bind(name: str, storeable: UStoreable) -> Loc:
-        l = frame[name] = fresh_loc("g")
+        l = frame[name] = names.fresh_loc("g")
         cells[l] = storeable
         return l
 
@@ -174,8 +163,8 @@ def _shared_base(extended_prims: bool) -> _SharedBase:
         bind(name, UPrim(name))
     bind("any/c", UCtc("any"))
     frame["null"] = bind("empty", UConc(NIL))
-    shared = _SHARED_BASES[key] = _SharedBase(
-        MEnv(frame), UHeap({}, cells), current_loc_counter()
+    shared = _SHARED_BASES[extended_prims] = _SharedBase(
+        MEnv(frame), UHeap({}, cells), names.loc
     )
     return shared
 
@@ -190,24 +179,26 @@ def global_names(env: MEnv) -> Optional[tuple[tuple[str, str], ...]]:
     return None
 
 
-def build_base_heap(machine: SMachine) -> tuple[MEnv, UHeap]:
-    """The global frame: primitives, contract constants, struct bindings.
+def build_base_heap(machine: SMachine) -> tuple[MEnv, UHeap, NameCursor]:
+    """The global frame: primitives, contract constants, struct bindings,
+    and the name cursor positioned after its locations.
 
     The primitive part is shared (``_shared_base``); a program's struct
     bindings are layered on in a fresh frame and the heap's overlay."""
     shared = _shared_base(machine.extended_prims)
+    names = NameCursor(shared.loc_end)
     if not machine.struct_types:
-        return shared.env, shared.heap
+        return shared.env, shared.heap, names
     frame = dict(shared.env.frame)
     heap = shared.heap
     for st in machine.struct_types.values():
-        frame[st.name], heap = heap.alloc(UStructCtor(st), prefix="g")
+        frame[st.name], heap = heap.alloc(UStructCtor(st), names, prefix="g")
         for pname in (f"{st.name}?", *(f"{st.name}-{f}" for f in st.fields)):
-            frame[pname], heap = heap.alloc(UPrim(pname), prefix="g")
-    return MEnv(frame), heap
+            frame[pname], heap = heap.alloc(UPrim(pname), names, prefix="g")
+    return MEnv(frame), heap, names
 
 
-def _wrap_module(m: Module, body: UExpr) -> UExpr:
+def _wrap_module(m: Module, body: UExpr, names: NameCursor) -> UExpr:
     """``letrec`` the module's opaques and definitions around ``body``,
     rebinding contracted provides to monitored aliases."""
     bindings: list[tuple[str, UExpr]] = []
@@ -215,7 +206,7 @@ def _wrap_module(m: Module, body: UExpr) -> UExpr:
         raw: UExpr = UOpaque(oname)
         if ctc is not None:
             raw = UMon(ctc, raw, pos=f"•{oname}", neg=m.name,
-                       label=syn_label("mon"))
+                       label=names.syn_label("mon"))
         bindings.append((oname, raw))
     bindings.extend(m.definitions)
     monitored = [p for p in m.provides if p.contract is not None]
@@ -227,7 +218,7 @@ def _wrap_module(m: Module, body: UExpr) -> UExpr:
                      label=p.name)
                 for p in monitored
             ),
-            label=syn_label("mon"),
+            label=names.syn_label("mon"),
         )
     if bindings:
         body = ULetrec(tuple(bindings), body)
@@ -256,10 +247,12 @@ def client_provides(
     raise KeyError(f"no module named {client_of!r} to build a client for")
 
 
-def assemble(program: Program, client_of: Optional[str] = None) -> UExpr:
+def assemble(program: Program, client_of: Optional[str],
+             names: NameCursor) -> UExpr:
     """The verification goal as a single expression: modules wrapped
     around the top-level (if any) and the demonic client (if anything is
-    provided — narrowed by ``client_of``, see ``client_provides``)."""
+    provided — narrowed by ``client_of``, see ``client_provides``).  Its
+    synthetic labels come from ``names``."""
     provided = client_provides(program, client_of)
     parts: list[UExpr] = []
     if provided:
@@ -267,7 +260,7 @@ def assemble(program: Program, client_of: Optional[str] = None) -> UExpr:
             UApp(
                 UOpaque(CLIENT_LABEL),
                 tuple(UVar(n) for n in provided),
-                label=syn_label("hv"),
+                label=names.syn_label("hv"),
             )
         )
     if program.main is not None:
@@ -279,7 +272,7 @@ def assemble(program: Program, client_of: Optional[str] = None) -> UExpr:
     else:
         body = UBegin(tuple(parts))
     for m in reversed(program.modules):
-        body = _wrap_module(m, body)
+        body = _wrap_module(m, body, names)
     return body
 
 
@@ -288,19 +281,17 @@ def inject_program(
     machine: SMachine,
     client_of: Optional[str] = None,
 ) -> SState:
-    env, heap = build_base_heap(machine)
+    env, heap, names = build_base_heap(machine)
     if client_provides(program, client_of):
         # Pre-narrow the demonic client: our synthetic context is a
         # procedure by construction, never a blameworthy non-procedure.
         heap = heap.set(
             Loc(f"o:{CLIENT_LABEL}"), UOpq(frozenset({TAG_PROCEDURE}))
         )
-    # Stamp the counter bases so machine-minted labels/locations are a
-    # pure function of the path from here (see SState.syn_base).
-    return SState(
-        assemble(program, client_of), env, heap.frozen(), (),
-        0, current_syn_counter(), current_loc_counter(),
-    )
+    # Stamp the cursor so machine-minted labels/locations are a pure
+    # function of the path from here (see SState.syn_base).
+    control = assemble(program, client_of, names)
+    return SState(control, env, heap.frozen(), (), 0, names.syn, names.loc)
 
 
 class ScopeError(Exception):

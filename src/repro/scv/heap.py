@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 from fractions import Fraction
 
-from ..core.heap import Pred, fresh_loc
+from ..core.heap import NameCursor, Pred
 from ..core.syntax import Loc
 from ..lang.ast import ULam
 from ..lang.sexp import Symbol
@@ -443,8 +443,9 @@ class UHeap:
                      self._gdirty or l.name.startswith("g"),
                      self._inert_base)
 
-    def alloc(self, s: UStoreable, prefix: str = "u") -> tuple[Loc, "UHeap"]:
-        l = fresh_loc(prefix)
+    def alloc(self, s: UStoreable, names: NameCursor,
+              prefix: str = "u") -> tuple[Loc, "UHeap"]:
+        l = names.fresh_loc(prefix)
         return l, self.set(l, s)
 
     def narrow(self, l: Loc, tags: frozenset[str]) -> "UHeap":

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-from ..core.heap import PNot, current_loc_counter, set_loc_counter
+from ..core.heap import NameCursor, PNot
 from ..core.syntax import Loc
 from ..lang.ast import (
     Quote,
@@ -65,42 +65,6 @@ from .heap import (
     UStructCtor,
 )
 from .tags import BASE_TAGS, TAG_BOOLEAN, TAG_PROCEDURE, TAG_VECTOR, struct_tag
-
-_syn_counter = 0
-
-
-def syn_label(prefix: str = "syn") -> str:
-    """A synthetic label — blame carrying it is *unknown-code* blame."""
-    global _syn_counter
-    label = f"{prefix}:{_syn_counter}"
-    _syn_counter += 1
-    return label
-
-
-def reset_syn_labels() -> None:
-    """Restart the synthetic-label counter.  Labels are only unique per
-    program; the batch driver resets between programs so report rows
-    do not depend on what else ran in the same worker process."""
-    global _syn_counter
-    _syn_counter = 0
-
-
-def current_syn_counter() -> int:
-    """The next number ``syn_label`` would mint.  States record this
-    (``syn_base``) so ``SMachine.step`` can rewind the counter before
-    stepping: machine-minted labels ('hv:N', 'mon:N', …) become a pure
-    function of the path from the initial state, independent of the
-    order in which the search interleaves sibling branches — the
-    invariant the compiled executor's counter stamps rely on."""
-    return _syn_counter
-
-
-def set_syn_counter(n: int) -> None:
-    """Rewind/advance the synthetic-label counter to ``n`` (see
-    :func:`current_syn_counter`)."""
-    global _syn_counter
-    _syn_counter = n
-
 
 def is_known_label(label: str) -> bool:
     """Labels minted by the parser ('aN') are known-code sites; labels
@@ -277,11 +241,11 @@ class SState:
     # Search-heuristic metadata (§5.3): how many opaque-expansion steps
     # this path has taken — "input generation effort".
     gen_effort: int = 0
-    # Counter bases this state was created under: the machine rewinds
-    # the global synthetic-label and location counters to these before
-    # stepping, so minted names depend only on the path from the initial
-    # state — never on search order.  Both are excluded from
-    # fingerprints, like ``gen_effort``.
+    # The next synthetic-label and location numbers on this state's
+    # path: the machine seeds its name cursor with these before stepping,
+    # so minted names depend only on the path from the initial state —
+    # never on search order.  Both are excluded from fingerprints, like
+    # ``gen_effort``.
     syn_base: int = 0
     loc_base: int = 0
 
@@ -293,8 +257,9 @@ class SState:
 
 
 class SMachine:
-    """The step function.  Stateless apart from configuration; all
-    execution state lives in :class:`SState`.
+    """The step function.  Stateless apart from configuration and the
+    name cursor each step seeds from its state; all execution state
+    lives in :class:`SState`.
 
     Configuration:
 
@@ -324,6 +289,7 @@ class SMachine:
         from .proof import UProofSystem
 
         self.proof = proof or UProofSystem()
+        self.names = NameCursor()  # seeded per step from the state
         self.struct_types: dict[str, StructType] = dict(struct_types or {})
         self.assume_well_typed = assume_well_typed
         self.extended_prims = extended_prims
@@ -353,16 +319,16 @@ class SMachine:
         c = st.control
         if isinstance(c, Blame):  # pragma: no cover - answers caught above
             return None
-        # Rewind the global counters to this state's bases so every name
-        # minted while stepping depends only on the path, then stamp the
-        # successors with the post-step values.
-        set_syn_counter(st.syn_base)
-        set_loc_counter(st.loc_base)
+        # Seed the name cursor from this state so every name minted while
+        # stepping depends only on the path, then stamp the successors
+        # with where it stopped.
+        names = self.names
+        names.syn, names.loc = st.syn_base, st.loc_base
         if isinstance(c, Loc):
             succs = self._plug(c, st)
         else:
             succs = self._eval(c, st)
-        syn, loc = current_syn_counter(), current_loc_counter()
+        syn, loc = names.syn, names.loc
         return [replace(s, syn_base=syn, loc_base=loc) for s in succs]
 
     # -- evaluation ------------------------------------------------------
@@ -370,7 +336,7 @@ class SMachine:
     def _eval(self, e: UExpr, st: SState) -> list[SState]:
         env, heap, kont = st.env, st.heap, st.kont
         if isinstance(e, Quote):
-            l, h = _alloc_datum(heap, e.datum)
+            l, h = _alloc_datum(heap, e.datum, self.names)
             return [SState(l, env, h, kont, st.gen_effort)]
         if isinstance(e, ULocE):
             return [SState(e.loc, env, heap, kont, st.gen_effort)]
@@ -393,7 +359,7 @@ class SMachine:
             target, _ = heap.deref(l)
             return [SState(target, env, heap, kont, st.gen_effort)]
         if isinstance(e, ULam):
-            l, h = heap.alloc(UClos(e, env))
+            l, h = heap.alloc(UClos(e, env), self.names)
             return [SState(l, env, h, kont, st.gen_effort)]
         if isinstance(e, UOpaque):
             l = Loc(f"o:{e.label}")
@@ -413,7 +379,7 @@ class SMachine:
             frame = {}
             cells = []
             for name, _ in e.bindings:
-                l, h = h.alloc(UConc(_UNDEFINED), prefix="cell")
+                l, h = h.alloc(UConc(_UNDEFINED), self.names, prefix="cell")
                 frame[name] = l
                 cells.append(l)
             child = env.extend(frame)
@@ -487,7 +453,7 @@ class SMachine:
             return [SState(frame.body, frame.env, h, rest, st.gen_effort)]
         if isinstance(frame, KSet):
             h = st.heap.set(frame.cell, UAlias(l))
-            lv, h = h.alloc(UConc(VOID))
+            lv, h = h.alloc(UConc(VOID), self.names)
             return [SState(lv, st.env, h, rest, st.gen_effort)]
         if isinstance(frame, KMonC):
             k = rest + (KMonV(l, frame.pos, frame.neg, frame.label),)
@@ -563,7 +529,7 @@ class SMachine:
                         st.env, heap, (), st.gen_effort,
                     )
                 ]
-            l, h = heap.alloc(UStruct(s.type, args))
+            l, h = heap.alloc(UStruct(s.type, args), self.names)
             return [SState(l, st.env, h, kont, st.gen_effort)]
         if isinstance(s, UGuard):
             return self._apply_guarded(fn_t, s, args, label, heap, kont, st)
@@ -582,7 +548,7 @@ class SMachine:
         out = []
         for o in outcomes:
             if isinstance(o, OValue):
-                l, h = o.heap.alloc(o.storeable)
+                l, h = o.heap.alloc(o.storeable, self.names)
                 out.append(SState(l, st.env, h, kont, st.gen_effort + o.effort))
             elif isinstance(o, OLoc):
                 out.append(SState(o.loc, st.env, o.heap, kont, st.gen_effort + o.effort))
@@ -615,13 +581,13 @@ class SMachine:
                 )
             ]
         mon_args = tuple(
-            UMon(ULocE(d), ULocE(a), g.neg, g.pos, syn_label("mon"))
+            UMon(ULocE(d), ULocE(a), g.neg, g.pos, self.names.syn_label("mon"))
             for d, a in zip(doms, args)
         )
         if ctc.kind == "fun":
             expr: UExpr = UMon(
                 ULocE(last),
-                UApp(ULocE(g.inner), mon_args, label=syn_label("mon")),
+                UApp(ULocE(g.inner), mon_args, label=self.names.syn_label("mon")),
                 g.pos, g.neg, label,
             )
         else:
@@ -629,11 +595,11 @@ class SMachine:
             names = tuple(f".d{i}" for i in range(len(doms)))
             vars_ = tuple(UVar(n) for n in names)
             body = UMon(
-                UApp(ULocE(last), vars_, label=syn_label("mon")),
-                UApp(ULocE(g.inner), vars_, label=syn_label("mon")),
+                UApp(ULocE(last), vars_, label=self.names.syn_label("mon")),
+                UApp(ULocE(g.inner), vars_, label=self.names.syn_label("mon")),
                 g.pos, g.neg, label,
             )
-            expr = UApp(ULam(names, body), mon_args, label=syn_label("mon"))
+            expr = UApp(ULam(names, body), mon_args, label=self.names.syn_label("mon"))
         return [SState(expr, st.env, heap, kont, st.gen_effort)]
 
     # -- opaque application (the demonic context, §4.1) -----------------------
@@ -667,7 +633,7 @@ class SMachine:
                 heap = heap.set(fn, UOpq(frozenset({TAG_PROCEDURE}), s.preds))
             # Branch A: memoise (covers constant and delayed behaviour —
             # the opaque result can itself be applied later).
-            la, h = heap.alloc(self.fresh_opq())
+            la, h = heap.alloc(self.fresh_opq(), self.names)
             h = h.set(fn, UCase(len(args), ((tuple(args), la),)))
             out.append(SState(la, st.env, h, kont, st.gen_effort + 1))
             # Havoc branches: probe each function-like argument.
@@ -679,12 +645,12 @@ class SMachine:
         if len(args) != s.arity:
             # Unknown functions are applied at one arity per shape guess;
             # a mismatched arity yields an unmemoised fresh unknown.
-            la, h = heap.alloc(self.fresh_opq())
+            la, h = heap.alloc(self.fresh_opq(), self.names)
             return [SState(la, st.env, h, kont, st.gen_effort + 1)]
         hit = s.lookup(tuple(args))
         if hit is not None:
             return [SState(hit, st.env, heap, kont, st.gen_effort)]
-        la, h = heap.alloc(self.fresh_opq())
+        la, h = heap.alloc(self.fresh_opq(), self.names)
         h = h.set(fn, s.extended(tuple(args), la))
         return [SState(la, st.env, h, kont, st.gen_effort + 1)]
 
@@ -701,9 +667,9 @@ class SMachine:
             h = heap
             probes = []
             for _ in range(arity):
-                pl, h = h.alloc(self.fresh_opq())
+                pl, h = h.alloc(self.fresh_opq(), self.names)
                 probes.append(pl)
-            k_loc, h = h.alloc(UOpq(frozenset({TAG_PROCEDURE})))
+            k_loc, h = h.alloc(UOpq(frozenset({TAG_PROCEDURE})), self.names)
             # Remember the shape guess on the unknown function itself so a
             # counterexample can be reconstructed (cf. AppHavoc's Σ[L↦V]).
             names = tuple(f".h{j}" for j in range(len(args)))
@@ -713,10 +679,10 @@ class SMachine:
                     UApp(
                         UVar(names[i]),
                         tuple(ULocE(p) for p in probes),
-                        label=syn_label("hv"),
+                        label=self.names.syn_label("hv"),
                     ),
                 ),
-                label=syn_label("hv"),
+                label=self.names.syn_label("hv"),
             )
             h = h.set(fn, UClos(ULam(names, body, name="havoc"), MEnv({})))
             expr = UApp(
@@ -725,10 +691,10 @@ class SMachine:
                     UApp(
                         ULocE(a),
                         tuple(ULocE(p) for p in probes),
-                        label=syn_label("hv"),
+                        label=self.names.syn_label("hv"),
                     ),
                 ),
-                label=syn_label("hv"),
+                label=self.names.syn_label("hv"),
             )
             out.append(SState(expr, st.env, h, kont, st.gen_effort + 2))
         return out
@@ -743,13 +709,13 @@ class SMachine:
         _, ctc = heap.deref(frame.ctc)
         if not isinstance(ctc, UCtc):
             # A bare predicate value used as a contract.
-            test = UApp(ULocE(frame.ctc), (ULocE(value),), label=syn_label("mon"))
+            test = UApp(ULocE(frame.ctc), (ULocE(value),), label=self.names.syn_label("mon"))
             expr = UIf(test, ULocE(value), UBlameE(pos, "flat contract", label))
             return [SState(expr, st.env, heap, kont, st.gen_effort)]
         mk = _MonitorSynth(self, pos, neg, label)
         expr = mk.synth(ctc, frame.ctc, value, heap)
         if isinstance(expr, _Wrapped):
-            l, h = expr.heap.alloc(expr.storeable)
+            l, h = expr.heap.alloc(expr.storeable, self.names)
             return [SState(l, st.env, h, kont, st.gen_effort)]
         return [SState(expr, st.env, heap, kont, st.gen_effort)]
 
@@ -778,7 +744,7 @@ class _MonitorSynth:
         return UBlameE(self.pos, desc, self.label)
 
     def _app(self, fn: UExpr, *args: UExpr) -> UApp:
-        return UApp(fn, tuple(args), label=syn_label("mon"))
+        return UApp(fn, tuple(args), label=self.m.names.syn_label("mon"))
 
     def synth(self, ctc: UCtc, ctc_loc: Loc, v: Loc, heap: UHeap):
         vE = ULocE(v)
@@ -892,7 +858,7 @@ class _MonitorSynth:
             )
             return UIf(
                 self._app(pred, ULocE(v)),
-                UApp(ctor, fields, label=syn_label("mon")),
+                UApp(ctor, fields, label=self.m.names.syn_label("mon")),
                 self._blame(f"struct/c: not a {ctc.stype.name}"),
             )
         if ctc.kind == "rec":
@@ -977,18 +943,18 @@ def _applicable_arity(heap: UHeap, s: UStoreable) -> Optional[int]:
     return None
 
 
-def _alloc_datum(heap: UHeap, d: object) -> tuple[Loc, UHeap]:
+def _alloc_datum(heap: UHeap, d: object, names: NameCursor) -> tuple[Loc, UHeap]:
     """Allocate a quoted datum (lists become pair chains)."""
     if isinstance(d, list):
         locs = []
         h = heap
         for item in d:
-            l, h = _alloc_datum(h, item)
+            l, h = _alloc_datum(h, item, names)
             locs.append(l)
-        tail, h = h.alloc(UConc(NIL))
+        tail, h = h.alloc(UConc(NIL), names)
         for l in reversed(locs):
-            tail, h = h.alloc(UPair(l, tail))
+            tail, h = h.alloc(UPair(l, tail), names)
         return tail, h
     if isinstance(d, Symbol) and d.name == "void":
-        return heap.alloc(UConc(VOID))
-    return heap.alloc(UConc(d))
+        return heap.alloc(UConc(VOID), names)
+    return heap.alloc(UConc(d), names)

@@ -1,9 +1,10 @@
 """Canonical state fingerprints for both machines.
 
 Two states are behaviourally interchangeable when they differ only in
-the *names* of path-allocated heap locations (the global ``fresh_loc``
-counter names every branch's allocations differently) and in unreachable
-heap garbage.  A fingerprint erases exactly those differences:
+the *names* of path-allocated heap locations (each state's name cursor
+— ``core.heap.NameCursor``, seeded from its ``loc_base`` — numbers a
+path's allocations, so different paths name them differently) and in
+unreachable heap garbage.  A fingerprint erases exactly those differences:
 
 * serialization is reachability-driven — it starts from the control
   expression (plus environment, continuation stack for the CESK

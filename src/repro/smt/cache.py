@@ -2,7 +2,7 @@
 
 Symbolic execution asks the solver about whole heaps, and location
 *names* — the only thing that varies between isomorphic heaps — are an
-artefact of the global allocation counter.  This module makes the
+artefact of the path that allocated them.  This module makes the
 answer a function of the query's structure alone:
 
 * :func:`canonicalize` alpha-renames a formula's variables to their

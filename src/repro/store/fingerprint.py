@@ -15,8 +15,9 @@ of canonicalization make the keys stable:
   fields) are part of the observable interface — they appear in blame
   messages and monitored rebinding — and keep their names;
 * **metadata erasure** — parse-minted blame labels and display names
-  (``lang.pretty.strip_metadata``) are excluded, so re-parsing the same
-  text in a different label-counter state yields the same digest.
+  (``lang.pretty.strip_metadata``) are excluded, so a program and the
+  re-parse of its printed text, whose labels number differently, get
+  the same digest.
 
 The units themselves — whole programs, or the module slices of a
 multi-module scv program — are the driver's plan

@@ -46,7 +46,8 @@ from ..driver.report import (
     ProgramResult,
     result_from_row,
 )
-from ..driver.units import Unit, combine_units, plan_units
+from ..driver.units import Unit, combine_units, parse_unit, plan_units
+from ..lang.ast import Program
 from ..smt import solver_cache
 from .fingerprint import (
     STORE_VERSION,
@@ -267,8 +268,7 @@ _KEYED_STATUSES = frozenset({
 
 class UnitCache:
     """The verdict store as one verification sees it: replay and
-    write-back for the units of the driver's plan (made with
-    ``keyed=True``, so units carry their programs), by unit index, with
+    write-back for the units of the driver's plan, by unit index, with
     the hit and miss counts the row reports.  As a context manager it
     puts the store's solver tier behind the process's solver cache for
     the units that run."""
@@ -282,7 +282,7 @@ class UnitCache:
         # Uncached: text that does not parse, or a program outside the
         # canonicalizable subset.
         self.keys: Optional[list[StoreKey]] = None
-        if all(u.program is not None for u in units):
+        if all(isinstance(u.program, Program) for u in units):
             digest = config_digest(asdict(config))
             try:
                 self.keys = [
@@ -349,7 +349,7 @@ def try_replay(
     touching a solver.  Any miss returns ``None`` and the caller
     schedules real work instead."""
     t0 = time.perf_counter()
-    units = plan_units(source, backend, keyed=True)
+    units = plan_units(source, backend)
     cache = UnitCache(config, backend, units)
     rows = []
     for i in range(len(units)):
@@ -425,7 +425,7 @@ def check_entries(store: VerdictStore, *, sample: Optional[int] = None
             skipped += 1
             continue
         fresh = get_backend(key.backend).verify(
-            entry["source"], name=entry["name"], kind=entry["kind"],
+            parse_unit(entry["source"]), name=entry["name"], kind=entry["kind"],
             config=cfg, client_of=client_of,
         )
         checked += 1

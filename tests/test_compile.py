@@ -24,16 +24,16 @@ import pytest
 
 from repro.compile import CoreExecutor, ScvExecutor, lower_core, lower_scv
 from repro.compile import executor as executor_module
+from repro.core.heap import NameCursor
 from repro.core.machine import Machine, inject
 from repro.core.proof import ProofSystem
 from repro.core.syntax import NAT, App, If, Lam, Num, PrimApp, Ref
 from repro.core.typecheck import check_program
-from repro.driver.backends import _reset_counters
 from repro.driver.corpus import corpus_names, get_program
 from repro.driver.lower import lower_program
 from repro.driver.report import VOLATILE_ROW_FIELDS
 from repro.driver.runner import RunConfig, verify_source
-from repro.lang.ast import Quote, UApp, UIf, ULam, ULetrec, UVar, reset_labels
+from repro.lang.ast import Quote, UApp, UIf, ULam, ULetrec, UVar
 from repro.lang.parser import parse_program
 from repro.scv.engine import (
     assemble,
@@ -135,8 +135,7 @@ MODULE_SRC = (
 
 
 def _assembled(source: str):
-    reset_labels()
-    return assemble(parse_program(source))
+    return assemble(parse_program(source), None, NameCursor())
 
 
 class TestLoweringIsAPureFunctionOfTheProgram:
@@ -155,7 +154,6 @@ class TestLoweringIsAPureFunctionOfTheProgram:
         src = get_program("sum-unknown-fn-abs").source
         streams = []
         for _ in range(2):
-            reset_labels()
             root = lower_program(parse_program(src))
             units = lower_core(root)
             assert units[0].root is root
@@ -323,7 +321,6 @@ CHAIN_LIMITS = (1, 2, 3, 5, 128)
 
 
 def _core_search(source):
-    _reset_counters()
     code = lower_program(parse_program(source))
     check_program(code)
     machine = Machine(ProofSystem())
@@ -331,7 +328,6 @@ def _core_search(source):
 
 
 def _scv_search(source):
-    _reset_counters()
     program = parse_program(source)
     machine = SMachine(
         struct_types=collect_struct_types(program),

@@ -41,7 +41,8 @@ class TestFirstOrder:
     def test_quickcheck_comparison(self):
         # §5.2: f n = 1 / (100 - n); QuickCheck's default int range
         # misses n = 100, symbolic execution finds it.
-        f = lam("n", NAT, prim("div", Num(1), prim("-", Num(100), Ref("n"))))
+        f = lam("n", NAT, prim("div", Num(1), prim("-", Num(100), Ref("n"), label="p0"),
+                               label="p1"))
         program = app(f, opq(NAT, "n"))
         cex = assert_validated(find_counterexample(program))
         assert cex.bindings["n"] == Num(100)
@@ -55,8 +56,8 @@ class TestFirstOrder:
                 "n",
                 NAT,
                 If(
-                    prim("<?", Ref("n"), Num(5)),
-                    prim("div", Num(1), Ref("n")),
+                    prim("<?", Ref("n"), Num(5), label="p2"),
+                    prim("div", Num(1), Ref("n"), label="p3"),
                     Num(0),
                 ),
             ),
@@ -72,9 +73,9 @@ class TestFirstOrder:
                 "n",
                 NAT,
                 If(
-                    prim("zero?", Ref("n")),
+                    prim("zero?", Ref("n"), label="p4"),
                     Num(1),
-                    prim("div", Num(1), Ref("n")),
+                    prim("div", Num(1), Ref("n"), label="p5"),
                 ),
             ),
             opq(NAT, "n"),
@@ -82,7 +83,7 @@ class TestFirstOrder:
         assert find_counterexample(program) is None
 
     def test_no_opaques_no_error(self):
-        program = prim("div", Num(10), Num(5))
+        program = prim("div", Num(10), Num(5), label="p6")
         assert find_counterexample(program) is None
 
     def test_concrete_error_trivial_counterexample(self):
@@ -94,9 +95,9 @@ class TestFirstOrder:
         # error iff a + b = 7 and a < b: solver must coordinate both.
         a, b = opq(NAT, "a"), opq(NAT, "b")
         body = If(
-            prim("=?", prim("+", Ref("a"), Ref("b")), Num(7)),
+            prim("=?", prim("+", Ref("a"), Ref("b"), label="p7"), Num(7), label="p8"),
             If(
-                prim("<?", Ref("a"), Ref("b")),
+                prim("<?", Ref("a"), Ref("b"), label="p9"),
                 prim("div", Num(1), Num(0), label="boom"),
                 Num(0),
             ),
@@ -120,7 +121,7 @@ class TestHigherOrder:
                 prim(
                     "div",
                     Num(1),
-                    prim("-", Num(100), app(Ref("g"), Ref("n"))),
+                    prim("-", Num(100), app(Ref("g"), Ref("n")), label="p10"),
                     label="div-site",
                 ),
             ),
@@ -139,7 +140,7 @@ class TestHigherOrder:
             "g",
             fun(NAT, NAT),
             If(
-                prim("=?", app(Ref("g"), Num(3)), Num(7)),
+                prim("=?", app(Ref("g"), Num(3)), Num(7), label="p11"),
                 prim("div", Num(1), Num(0), label="bang"),
                 Num(0),
             ),
@@ -158,7 +159,7 @@ class TestHigherOrder:
             "g",
             fun(NAT, NAT),
             If(
-                prim("=?", app(Ref("g"), Num(0)), app(Ref("g"), Num(0))),
+                prim("=?", app(Ref("g"), Num(0)), app(Ref("g"), Num(0)), label="p12"),
                 Num(0),
                 prim("div", Num(1), Num(0), label="spurious"),
             ),
@@ -169,9 +170,9 @@ class TestHigherOrder:
         # errors iff g(0) = 1 and g(1) = 2 — needs a two-entry mapping.
         g = opq(fun(NAT, NAT), "g")
         body = If(
-            prim("=?", app(Ref("g"), Num(0)), Num(1)),
+            prim("=?", app(Ref("g"), Num(0)), Num(1), label="p13"),
             If(
-                prim("=?", app(Ref("g"), Num(1)), Num(2)),
+                prim("=?", app(Ref("g"), Num(1)), Num(2), label="p14"),
                 prim("div", Num(1), Num(0), label="two-point"),
                 Num(0),
             ),
@@ -188,7 +189,7 @@ class TestHigherOrder:
         # then application of the opaque output).
         F = opq(fun(NAT, fun(NAT, NAT)), "F")
         body = If(
-            prim("=?", app(app(Ref("F"), Num(0)), Num(1)), Num(5)),
+            prim("=?", app(app(Ref("F"), Num(0)), Num(1)), Num(5), label="p15"),
             prim("div", Num(1), Num(0), label="deep"),
             Num(0),
         )
@@ -201,13 +202,13 @@ class TestHigherOrder:
 class TestValidationMachinery:
     def test_instantiate_replaces_all(self):
         o = opq(NAT, "n")
-        program = prim("+", o, o)
+        program = prim("+", o, o, label="p16")
         closed = instantiate(program, {"n": Num(21)})
         assert run(closed).number() == 42
 
     def test_instantiate_missing_binding_uses_default(self):
         o = opq(NAT, "n")
-        closed = instantiate(prim("add1", o), {})
+        closed = instantiate(prim("add1", o, label="p17"), {})
         assert run(closed).number() == 1
 
     def test_check_counterexample_rejects_wrong_model(self):

@@ -33,7 +33,11 @@ from repro.core import (
     prim,
     run,
 )
+from repro.core.heap import NameCursor
 from repro.core.machine import _opq_loc
+
+#: Every allocation in this module draws a fresh name from one cursor.
+_NAMES = NameCursor()
 
 
 def run_to_answers(program, max_states=5000):
@@ -46,27 +50,27 @@ def run_to_answers(program, max_states=5000):
 class TestHeap:
     def test_alloc_get(self):
         h = Heap.empty()
-        l, h2 = h.alloc(SNum(5))
+        l, h2 = h.alloc(SNum(5), _NAMES)
         assert h2.get(l) == SNum(5)
         assert l not in h  # original heap unchanged
 
     def test_set_overwrites(self):
         h = Heap.empty()
-        l, h = h.alloc(SNum(1))
+        l, h = h.alloc(SNum(1), _NAMES)
         h2 = h.set(l, SNum(2))
         assert h.get(l) == SNum(1)
         assert h2.get(l) == SNum(2)
 
     def test_refine_accumulates(self):
         h = Heap.empty()
-        l, h = h.alloc(SOpq(NAT))
+        l, h = h.alloc(SOpq(NAT), _NAMES)
         h = h.refine(l, PZero())
         h = h.refine(l, PZero())  # idempotent
         assert h.get(l).refinements == (PZero(),)
 
     def test_refine_concrete_rejected(self):
         h = Heap.empty()
-        l, h = h.alloc(SNum(1))
+        l, h = h.alloc(SNum(1), _NAMES)
         with pytest.raises(TypeError):
             h.refine(l, PZero())
 
@@ -89,8 +93,8 @@ class TestDelta:
 
     def test_concrete_arithmetic(self):
         h = Heap.empty()
-        l1, h = h.alloc(SNum(7))
-        l2, h = h.alloc(SNum(3))
+        l1, h = h.alloc(SNum(7), _NAMES)
+        l2, h = h.alloc(SNum(3), _NAMES)
         for op, expect in [("+", 10), ("-", 4), ("*", 21), ("div", 2), ("mod", 1)]:
             results = delta(self.proof, h, op, (l1, l2))
             assert len(results) == 1
@@ -98,20 +102,20 @@ class TestDelta:
 
     def test_concrete_zero(self):
         h = Heap.empty()
-        l, h = h.alloc(SNum(0))
+        l, h = h.alloc(SNum(0), _NAMES)
         (res,) = delta(self.proof, h, "zero?", (l,))
         assert res.value == SNum(1)
 
     def test_div_by_zero_concrete(self):
         h = Heap.empty()
-        l1, h = h.alloc(SNum(1))
-        l2, h = h.alloc(SNum(0))
+        l1, h = h.alloc(SNum(1), _NAMES)
+        l2, h = h.alloc(SNum(0), _NAMES)
         (res,) = delta(self.proof, h, "div", (l1, l2))
         assert res.error
 
     def test_opaque_zero_branches(self):
         h = Heap.empty()
-        l, h = h.alloc(SOpq(NAT))
+        l, h = h.alloc(SOpq(NAT), _NAMES)
         results = delta(self.proof, h, "zero?", (l,))
         assert len(results) == 2
         values = {r.value.value for r in results}
@@ -122,8 +126,8 @@ class TestDelta:
 
     def test_opaque_arith_records_equality(self):
         h = Heap.empty()
-        l1, h = h.alloc(SNum(100))
-        l2, h = h.alloc(SOpq(NAT))
+        l1, h = h.alloc(SNum(100), _NAMES)
+        l2, h = h.alloc(SOpq(NAT), _NAMES)
         (res,) = delta(self.proof, h, "-", (l1, l2))
         assert isinstance(res.value, SOpq)
         (p,) = res.value.refinements
@@ -131,8 +135,8 @@ class TestDelta:
 
     def test_opaque_div_branches(self):
         h = Heap.empty()
-        l1, h = h.alloc(SNum(1))
-        l2, h = h.alloc(SOpq(NAT))
+        l1, h = h.alloc(SNum(1), _NAMES)
+        l2, h = h.alloc(SOpq(NAT), _NAMES)
         results = delta(self.proof, h, "div", (l1, l2))
         assert len(results) == 2
         err = next(r for r in results if r.error)
@@ -143,35 +147,35 @@ class TestDelta:
     def test_div_nonzero_by_refinement(self):
         # Denominator already refined nonzero: no error branch.
         h = Heap.empty()
-        l1, h = h.alloc(SNum(1))
-        l2, h = h.alloc(SOpq(NAT, (PNot(PZero()),)))
+        l1, h = h.alloc(SNum(1), _NAMES)
+        l2, h = h.alloc(SOpq(NAT, (PNot(PZero()),)), _NAMES)
         results = delta(self.proof, h, "div", (l1, l2))
         assert len(results) == 1 and not results[0].error
 
     def test_div_definitely_zero(self):
         h = Heap.empty()
-        l1, h = h.alloc(SNum(1))
-        l2, h = h.alloc(SOpq(NAT, (PZero(),)))
+        l1, h = h.alloc(SNum(1), _NAMES)
+        l2, h = h.alloc(SOpq(NAT, (PZero(),)), _NAMES)
         (res,) = delta(self.proof, h, "div", (l1, l2))
         assert res.error
 
     def test_comparison_concrete(self):
         h = Heap.empty()
-        l1, h = h.alloc(SNum(2))
-        l2, h = h.alloc(SNum(3))
+        l1, h = h.alloc(SNum(2), _NAMES)
+        l2, h = h.alloc(SNum(3), _NAMES)
         (res,) = delta(self.proof, h, "<?", (l1, l2))
         assert res.value == SNum(1)
 
     def test_comparison_opaque_branches(self):
         h = Heap.empty()
-        l1, h = h.alloc(SOpq(NAT))
-        l2, h = h.alloc(SNum(5))
+        l1, h = h.alloc(SOpq(NAT), _NAMES)
+        l2, h = h.alloc(SNum(5), _NAMES)
         results = delta(self.proof, h, "<?", (l1, l2))
         assert len(results) == 2
 
     def test_unknown_op_rejected(self):
         h = Heap.empty()
-        l, h = h.alloc(SNum(1))
+        l, h = h.alloc(SNum(1), _NAMES)
         with pytest.raises(ValueError):
             delta(self.proof, h, "launch-missiles", (l,))
 
@@ -182,40 +186,40 @@ class TestProofRelation:
 
     def test_concrete_proved(self):
         h = Heap.empty()
-        l, h = h.alloc(SNum(0))
+        l, h = h.alloc(SNum(0), _NAMES)
         assert self.proof.check(h, l, PZero()) is Verdict.PROVED
 
     def test_concrete_refuted(self):
         h = Heap.empty()
-        l, h = h.alloc(SNum(5))
+        l, h = h.alloc(SNum(5), _NAMES)
         assert self.proof.check(h, l, PZero()) is Verdict.REFUTED
 
     def test_opaque_ambiguous(self):
         h = Heap.empty()
-        l, h = h.alloc(SOpq(NAT))
+        l, h = h.alloc(SOpq(NAT), _NAMES)
         assert self.proof.check(h, l, PZero()) is Verdict.AMBIG
 
     def test_refinement_gives_proved(self):
         h = Heap.empty()
-        l, h = h.alloc(SOpq(NAT, (PZero(),)))
+        l, h = h.alloc(SOpq(NAT, (PZero(),)), _NAMES)
         assert self.proof.check(h, l, PZero()) is Verdict.PROVED
 
     def test_solver_chases_equalities(self):
         # L5 = 100 - L4, L4 = 100 entails zero? L5 (the §2 final heap).
         h = Heap.empty()
-        l4, h = h.alloc(SNum(100))
-        l5, h = h.alloc(SOpq(NAT, (PEq(HOp("-", (HConst(100), HLoc(l4)))),)))
+        l4, h = h.alloc(SNum(100), _NAMES)
+        l5, h = h.alloc(SOpq(NAT, (PEq(HOp("-", (HConst(100), HLoc(l4)))),)), _NAMES)
         assert self.proof.check(h, l5, PZero()) is Verdict.PROVED
 
     def test_solver_refutes(self):
         h = Heap.empty()
-        l4, h = h.alloc(SNum(1))
-        l5, h = h.alloc(SOpq(NAT, (PEq(HOp("-", (HConst(100), HLoc(l4)))),)))
+        l4, h = h.alloc(SNum(1), _NAMES)
+        l5, h = h.alloc(SOpq(NAT, (PEq(HOp("-", (HConst(100), HLoc(l4)))),)), _NAMES)
         assert self.proof.check(h, l5, PZero()) is Verdict.REFUTED
 
     def test_fast_path_skips_solver(self):
         h = Heap.empty()
-        l, h = h.alloc(SNum(0))
+        l, h = h.alloc(SNum(0), _NAMES)
         before = self.proof.solver_queries
         self.proof.check(h, l, PZero())
         assert self.proof.solver_queries == before
@@ -238,7 +242,7 @@ class TestMachineRules:
         assert s2.heap is s1.heap
 
     def test_beta_reduction(self):
-        program = app(lam("x", NAT, prim("add1", Ref("x"))), Num(1))
+        program = app(lam("x", NAT, prim("add1", Ref("x"), label="p0")), Num(1))
         answer = run(program)
         assert answer.number() == 2
 
@@ -251,9 +255,10 @@ class TestMachineRules:
                 "n",
                 NAT,
                 If(
-                    prim("zero?", Ref("n")),
+                    prim("zero?", Ref("n"), label="p1"),
                     Num(0),
-                    prim("+", Ref("n"), app(Ref("s"), prim("sub1", Ref("n")))),
+                    prim("+", Ref("n"), app(Ref("s"), prim("sub1", Ref("n"), label="p2")),
+                         label="p3"),
                 ),
             ),
         )
@@ -264,7 +269,7 @@ class TestMachineRules:
         assert run(If(Num(0), Num(1), Num(2))).number() == 2
 
     def test_error_discards_context(self):
-        program = prim("add1", prim("div", Num(1), Num(0), label="boom"))
+        program = prim("add1", prim("div", Num(1), Num(0), label="boom"), label="p4")
         answer = run(program)
         assert answer.is_error
         assert answer.error.label == "boom"
@@ -286,7 +291,7 @@ class TestMachineRules:
         # Applying an unknown function twice to the same value must give
         # the *same* location (the completeness device).
         g = opq(fun(NAT, NAT), "g")
-        program = prim("=?", app(g, Num(3)), app(g, Num(3)))
+        program = prim("=?", app(g, Num(3)), app(g, Num(3)), label="p5")
         answers = run_to_answers(program)
         finals = [
             s.heap.get(s.control)
@@ -299,7 +304,7 @@ class TestMachineRules:
     def test_app_case_fresh_argument(self):
         # Different arguments get (potentially) different results.
         g = opq(fun(NAT, NAT), "g")
-        program = prim("=?", app(g, Num(3)), app(g, Num(4)))
+        program = prim("=?", app(g, Num(3)), app(g, Num(4)), label="p6")
         finals = {
             s.heap.get(s.control).value
             for s in run_to_answers(program)
@@ -338,11 +343,11 @@ class TestMachineRules:
 
 class TestConcreteEvaluator:
     def test_arithmetic(self):
-        assert run(prim("*", Num(6), Num(7))).number() == 42
+        assert run(prim("*", Num(6), Num(7), label="p7")).number() == 42
 
     def test_rejects_opaques(self):
         with pytest.raises(ValueError):
-            run(opq(NAT))
+            run(opq(NAT, "o8"))
 
     def test_timeout(self):
         from repro.core import Timeout

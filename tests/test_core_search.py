@@ -18,13 +18,14 @@ from repro.search import SearchStats
 
 def _branchy_program():
     """zero? on an unknown: two answers, one of which errors."""
-    return If(prim("zero?", opq(NAT, "n")), prim("div", Num(1), Num(0), label="boom"), Num(42))
+    return If(prim("zero?", opq(NAT, "n"), label="p0"),
+              prim("div", Num(1), Num(0), label="boom"), Num(42))
 
 
 def _two_error_program():
     """Both branches of an unknown test error, at different labels."""
     return If(
-        prim("zero?", opq(NAT, "n")),
+        prim("zero?", opq(NAT, "n"), label="p1"),
         prim("div", Num(1), Num(0), label="then-site"),
         prim("div", Num(2), Num(0), label="else-site"),
     )

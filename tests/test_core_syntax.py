@@ -24,7 +24,7 @@ from repro.core import (
     prim,
     subst,
 )
-from repro.core.syntax import free_refs, fresh_label, subexprs
+from repro.core.syntax import free_refs, subexprs
 
 
 class TestTypes:
@@ -84,8 +84,14 @@ class TestTraversals:
         e = App(Lam("x", NAT, Ref("x")), o)
         assert opaque_labels(e) == {"u1"}
 
-    def test_fresh_labels_unique(self):
-        assert fresh_label() != fresh_label()
+    def test_constructors_take_explicit_labels(self):
+        # No process-wide counter mints labels: the caller names them.
+        assert prim("add1", Num(0), label="x").label == "x"
+        assert opq(NAT, "y").label == "y"
+        with pytest.raises(TypeError):
+            prim("add1", Num(0))
+        with pytest.raises(TypeError):
+            opq(NAT)
 
     def test_subexprs_preorder(self):
         e = If(Num(1), Num(2), Num(3))
@@ -110,7 +116,7 @@ class TestTypeChecker:
         assert check_program(e) == FunType(fun(NAT, NAT), NAT)
 
     def test_opaque_types(self):
-        e = app(opq(fun(NAT, NAT)), Num(1))
+        e = app(opq(fun(NAT, NAT), "o0"), Num(1))
         assert check_program(e) == NAT
 
     def test_fix(self):
@@ -122,9 +128,9 @@ class TestTypeChecker:
                 "n",
                 NAT,
                 If(
-                    prim("zero?", Ref("n")),
+                    prim("zero?", Ref("n"), label="p1"),
                     Num(0),
-                    app(Ref("f"), prim("sub1", Ref("n"))),
+                    app(Ref("f"), prim("sub1", Ref("n"), label="p2")),
                 ),
             ),
         )
@@ -150,11 +156,11 @@ class TestTypeChecker:
 
     def test_prim_arity(self):
         with pytest.raises(TypeError_):
-            check_program(prim("div", Num(1)))
+            check_program(prim("div", Num(1), label="p3"))
 
     def test_unknown_prim(self):
         with pytest.raises(TypeError_):
-            check_program(prim("frobnicate", Num(1)))
+            check_program(prim("frobnicate", Num(1), label="p4"))
 
     def test_fix_annotation_mismatch(self):
         e = Fix("f", NAT, lam("x", NAT, Ref("x")))

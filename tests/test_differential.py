@@ -51,7 +51,6 @@ import pytest
 from repro.conc.interp import Interp, InterpTimeout, PrimBlame, RuntimeFault
 from repro.driver.report import STATUS_TIMEOUT, VOLATILE_ROW_FIELDS
 from repro.driver.runner import RunConfig, verify_source
-from repro.lang.ast import reset_labels
 from repro.lang.parser import parse_program
 from repro.scv.counterexample import opaque_labels
 
@@ -211,7 +210,6 @@ def size(t) -> int:
 def conc_verdict(source: str):
     """Run the surface program concretely: ('error', label) | ('value',)
     | ('skip',) when the oracle itself cannot run it."""
-    reset_labels()
     try:
         program = parse_program(source)
     except Exception:
@@ -350,15 +348,12 @@ class TestClosedPrograms:
 
 class TestOpenPrograms:
     def _sample_instantiations(self, source: str):
-        reset_labels()
         program = parse_program(source)
         labels = sorted(set(opaque_labels(program)))
         for v in (0, 1, 2, 7):
             exprs = {}
             for label in labels:
-                reset_labels()
                 exprs[label] = parse_program(str(v)).main
-            reset_labels()
             program = parse_program(source)
             try:
                 Interp(fuel=FUEL).run_program(program, opaque_exprs=exprs)

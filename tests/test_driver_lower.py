@@ -1,6 +1,8 @@
 """The surface→SPCF bridge: inference, lowering, label preservation,
 and raising counterexample values back to surface syntax."""
 
+import itertools
+
 import pytest
 
 from repro.core import (
@@ -183,8 +185,8 @@ class TestUnsupported:
 
 class TestRaise:
     def test_round_trips_numbers(self):
-        assert raise_expr(Num(7)) == Quote(7)
-        assert raise_expr(Num(-3)) == Quote(-3)
+        assert raise_expr(Num(7), itertools.count()) == Quote(7)
+        assert raise_expr(Num(-3), itertools.count()) == Quote(-3)
 
     def test_case_lambda_shape(self):
         # λx. if x = 3 then 10 else 0, as built by counterexample
@@ -192,12 +194,15 @@ class TestRaise:
         body = If(
             PrimApp("=?", (Num(3), Num(3)), "p"), Num(10), Num(0)
         )
-        raised = raise_expr(Lam("x", NAT, body))
+        raised = raise_expr(Lam("x", NAT, body), itertools.count(5))
         assert isinstance(raised, ULam) and raised.params == ("x",)
         assert isinstance(raised.body, UIf)
         test = raised.body.test
         assert isinstance(test, UApp) and test.fn == UVar("=")
+        # Labels continue from the given number (a parse's label_end).
+        assert test.label == "cex5"
 
     def test_rejects_fix(self):
         with pytest.raises(LowerError):
-            raise_expr(Fix("f", fun(NAT, NAT), Lam("x", NAT, Num(0))))
+            raise_expr(Fix("f", fun(NAT, NAT), Lam("x", NAT, Num(0))),
+                       itertools.count())

@@ -7,12 +7,19 @@
 * **worker hygiene** — each row counts solver-tier hits over its own
   ``snapshot``/``hits_since`` window, so a reused pool worker cannot
   bleed one row's ``solver_cache_hits`` into the next row's stats;
+* **names** — labels and locations belong to the verification (each
+  parse numbers its labels from 0, each state carries its next name
+  numbers), so a row does not depend on what ran before it in the
+  process, with no reset anywhere;
 * **cross-check** — the two backends agree on the smoke corpus.
 """
 
+import json
 import signal
 import time
 from dataclasses import asdict
+
+import pytest
 
 from repro.driver import backends as backends_mod
 from repro.driver.corpus import corpus_names, get_program
@@ -95,6 +102,21 @@ class TestWorkerCounterHygiene:
         # No store: every query is solved, none is answered by the tier.
         assert first.solver_cache_hits == 0
 
+
+
+class TestNamesBelongToTheVerification:
+    @pytest.mark.parametrize("backend, a, b", [
+        ("core", "factorial-offset", "sum-unknown-fn-abs"),
+        # A sliced module program, then a struct program.
+        ("scv", "modules-triple-pipeline", "struct-posn-invx"),
+    ])
+    def test_a_then_b_then_a_gives_the_same_row(self, backend, a, b):
+        cfg = RunConfig(timeout_s=60.0)
+        first = verify_program(get_program(a), cfg, backend=backend)
+        verify_program(get_program(b), cfg, backend=backend)
+        again = verify_program(get_program(a), cfg, backend=backend)
+        assert first.status == STATUS_COUNTEREXAMPLE
+        assert json.dumps(_stable(again)) == json.dumps(_stable(first))
 
 
 class TestBothBackendsCrossCheck:

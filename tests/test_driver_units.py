@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.driver.corpus import get_program
+from repro.driver.corpus import corpus_names, get_program
 from repro.driver.report import (
     STATUS_COUNTEREXAMPLE,
     STATUS_SAFE,
@@ -30,7 +30,7 @@ from repro.driver.report import (
     CexReport,
     ProgramResult,
 )
-from repro.driver.runner import RunConfig, verify_source
+from repro.driver.runner import RunConfig, expand_tasks, verify_source
 from repro.driver.units import (
     _SUMMED_FIELDS,
     CLIENT_ALL,
@@ -38,8 +38,10 @@ from repro.driver.units import (
     combine_units,
     plan_units,
 )
+from repro.lang.ast import Program
 from repro.lang.parser import parse_program
 from repro.lang.pretty import pp_program
+from repro.lang.sexp import ReadError
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -108,17 +110,26 @@ class TestPlan:
         [unit] = plan_units("(((", "scv")
         assert unit.marker == CLIENT_ALL and unit.source == "((("
 
-    def test_keyed_plans_carry_every_units_program(self):
-        # A store keys units on their programs; a store-less run does
-        # not parse text it need not split.
+    def test_every_unit_carries_its_parse(self):
         source = get_program("modules-chain-div").source
-        assert plan_units(source, "core").pop().program is None
-        [unit] = plan_units(source, "core", keyed=True)
-        assert pp_program(unit.program) == pp_program(parse_program(source))
-        assert plan_units("(((", "scv", keyed=True).pop().program is None
-        for keyed in (False, True):
-            for unit in plan_units(source, "scv", keyed=keyed):
-                assert pp_program(unit.program) == unit.source
+        [unit] = plan_units(source, "core")
+        assert unit.program == parse_program(source)
+        [bad] = plan_units("(((", "scv")
+        assert isinstance(bad.program, ReadError)
+        for unit in plan_units(source, "scv"):
+            assert pp_program(unit.program) == unit.source
+
+    @pytest.mark.parametrize("backend", ["core", "scv"])
+    def test_a_units_program_is_the_parse_of_its_source(self, backend):
+        # Labels included: the store re-runs a unit from its text alone.
+        units = [
+            unit for name, b in expand_tasks(corpus_names(), backend)
+            for unit in plan_units(get_program(name).source, b)
+        ]
+        assert len(units) >= len(corpus_names(backend=backend))
+        for unit in units:
+            assert isinstance(unit.program, Program), unit.source
+            assert parse_program(unit.source) == unit.program, unit.source
 
     @pytest.mark.parametrize("source", STATEFUL.values(), ids=list(STATEFUL))
     def test_programs_with_state_are_one_unit(self, source):

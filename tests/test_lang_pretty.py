@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.lang.ast import Quote, ULam, UVar, reset_labels
+from repro.lang.ast import Quote, ULam, UVar
 from repro.lang.parser import parse_expr_string, parse_program
 from repro.lang.pretty import (
     pp,
@@ -26,7 +26,6 @@ from repro.driver.corpus import CORPUS
 
 
 def _parse(src):
-    reset_labels()
     return parse_program(src)
 
 

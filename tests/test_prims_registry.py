@@ -70,8 +70,8 @@ class TestLayerParity:
             assert REGISTRY[name].synth is not None
             m = SMachine()
             heap = UHeap.empty()
-            l1, heap = heap.alloc(m.fresh_opq())
-            l2, heap = heap.alloc(m.fresh_opq())
+            l1, heap = heap.alloc(m.fresh_opq(), m.names)
+            l2, heap = heap.alloc(m.fresh_opq(), m.names)
             outs = delta_u(m, heap, name, (l1, l2), "t")
             assert any(isinstance(o, OEval) for o in outs)
 
@@ -123,7 +123,7 @@ class TestWellTypedSuppression:
         heap = UHeap.empty()
         locs = []
         for _ in range(_n_args(spec)):
-            l, heap = heap.alloc(m.fresh_opq())
+            l, heap = heap.alloc(m.fresh_opq(), m.names)
             locs.append(l)
         return m, locs, delta_u(m, heap, spec.name, tuple(locs), "t")
 

@@ -5,7 +5,7 @@ plus the concrete fast path both proof systems share."""
 import pytest
 
 from repro.core.heap import (
-    HConst, HLoc, HOp, Heap, PEq, PLe, PLt, PNot, PZero, SNum,
+    HConst, HLoc, HOp, Heap, NameCursor, PEq, PLe, PLt, PNot, PZero, SNum,
 )
 from repro.core.proof import ProofSystem, Verdict
 from repro.lang.values import NIL
@@ -30,8 +30,12 @@ def proof():
     return UProofSystem()
 
 
+#: Every allocation in this module draws a fresh name from one cursor.
+_NAMES = NameCursor()
+
+
 def _alloc(heap, s):
-    return heap.alloc(s)
+    return heap.alloc(s, _NAMES)
 
 
 class TestTagJudgement:
@@ -92,7 +96,7 @@ def _int_heap(system: str, values):
         proof, heap, wrap = UProofSystem(), UHeap.empty(), UConc
     locs = []
     for v in values:
-        l, heap = heap.alloc(wrap(v))
+        l, heap = heap.alloc(wrap(v), _NAMES)
         locs.append(l)
     return proof, heap, locs
 

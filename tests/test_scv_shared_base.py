@@ -1,8 +1,8 @@
 """The shared primitive base of the scv engine (``scv.engine``).
 
 The primitive frame and its frozen heap are built once per
-``(extended_prims, first location number)`` and reused by every later
-verification with that key.  Reuse must be invisible: rows equal those
+``extended_prims`` and reused by every later verification with that
+key (every verification numbers its locations from 0).  Reuse must be invisible: rows equal those
 of a fresh process, the shared dicts and frames never change, and the
 table holds one entry per key.  Heap→formula translation walks only a
 heap's overlay when its base can state no integer fact; the walk must
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.heap import PLt, HConst, current_loc_counter, set_loc_counter
+from repro.core.heap import PLt, HConst
 from repro.core.syntax import Loc
 from repro.driver.corpus import CORPUS, get_program
 from repro.driver.report import VOLATILE_ROW_FIELDS
@@ -59,16 +59,11 @@ def _fresh_process_row(name: str) -> dict:
     return json.loads(out.stdout)
 
 
-def _fresh_build(key: tuple[bool, int], monkeypatch) -> engine._SharedBase:
+def _fresh_build(key: bool, monkeypatch) -> engine._SharedBase:
     """The shared base a build from an empty table gives for ``key``."""
     with monkeypatch.context() as m:
         m.setattr(engine, "_SHARED_BASES", {})
-        saved = current_loc_counter()
-        set_loc_counter(key[1])
-        try:
-            return engine._shared_base(key[0])
-        finally:
-            set_loc_counter(saved)
+        return engine._shared_base(key)
 
 
 class TestSharedBase:
@@ -82,8 +77,8 @@ class TestSharedBase:
             assert row == fresh[name], name
 
         table = engine._SHARED_BASES
-        # Counters restart per verification: one entry per configuration.
-        assert set(table) == {(False, 0), (True, 0)}
+        # Names restart per verification: one entry per configuration.
+        assert set(table) == {False, True}
         for key, shared in table.items():
             rebuilt = _fresh_build(key, monkeypatch)
             assert shared.env.frame == rebuilt.env.frame
@@ -95,18 +90,16 @@ class TestSharedBase:
             assert shared.names == rebuilt.names
             assert shared.heap.inert_base
 
-    def test_reuse_leaves_the_counter_where_a_build_does(self, monkeypatch):
+    def test_a_build_names_its_globals_from_zero(self, monkeypatch):
         monkeypatch.setattr(engine, "_SHARED_BASES", {})
-        set_loc_counter(7)
         built = engine._shared_base(False)
-        after_build = current_loc_counter()
-        set_loc_counter(7)
         assert engine._shared_base(False) is built
-        assert current_loc_counter() == after_build == built.loc_end
-        # Another first location number is another key, not a reuse.
-        set_loc_counter(0)
-        assert engine._shared_base(False) is not built
-        assert len(engine._SHARED_BASES) == 2
+        assert {l.name for l in built.env.frame.values()} == {
+            f"g{i}" for i in range(built.loc_end)
+        }
+        # The cursor a verification starts from is positioned after it.
+        _, _, names = engine.build_base_heap(SMachine())
+        assert (names.loc, names.syn) == (built.loc_end, 0)
 
     def test_struct_bindings_are_layered_per_program(self, monkeypatch):
         from repro.lang.parser import parse_program
@@ -114,9 +107,11 @@ class TestSharedBase:
         monkeypatch.setattr(engine, "_SHARED_BASES", {})
         program = parse_program(get_program("struct-posn-invx").source)
         machine = SMachine(struct_types=engine.collect_struct_types(program))
-        set_loc_counter(0)
-        env, heap = engine.build_base_heap(machine)
-        shared = engine._SHARED_BASES[(False, 0)]
+        env, heap, names = engine.build_base_heap(machine)
+        shared = engine._SHARED_BASES[False]
+        # Struct bindings number on from the shared globals.
+        assert env.frame["posn"] == Loc(f"g{shared.loc_end}")
+        assert names.loc == shared.loc_end + 4  # ctor, predicate, 2 fields
         assert env is not shared.env
         assert set(env.frame) > set(shared.env.frame)
         assert "posn" in env.frame and "posn" not in shared.env.frame

@@ -16,14 +16,12 @@ from functools import partial
 import pytest
 
 from repro.core import NAT, PrimApp, SNum, SOpq, PLt, HConst
-from repro.core.heap import Heap, reset_locs, set_loc_counter
+from repro.core.heap import Heap
 from repro.core.machine import Machine, State, inject
 from repro.core.syntax import Loc
-from repro.core.syntax import reset_labels as reset_core_labels
 from repro.driver.corpus import get_program
 from repro.driver.lower import lower_program
 from repro.driver.runner import RunConfig, run_corpus
-from repro.lang.ast import reset_labels as reset_surface_labels
 from repro.lang.parser import parse_program
 from repro.search import (
     CoreFingerprinter,
@@ -35,14 +33,7 @@ from repro.search.intern import Interner, Node
 from repro.scv.engine import collect_struct_types, inject_program
 from repro.lang.ast import Quote, UApp, ULam, UVar
 from repro.scv.heap import UClos, UConc, UHeap, UOpq, UPair
-from repro.scv.machine import (
-    MEnv,
-    SMachine,
-    SState,
-    ULocE,
-    reset_syn_labels,
-    set_syn_counter,
-)
+from repro.scv.machine import MEnv, SMachine, SState, ULocE
 
 
 def _core_state(loc_name: str, store, extra=None) -> State:
@@ -459,9 +450,6 @@ class TestFingerprintCost:
             + "  (define (adder k) (lambda (x) (+ x k)))\n"
             "  (provide [adder (-> integer? (-> integer? integer?))]))\n"
         )
-        reset_surface_labels()
-        reset_syn_labels()
-        reset_locs()
         program = parse_program(source)
         machine = SMachine(struct_types=collect_struct_types(program))
         init = inject_program(program, machine)
@@ -611,23 +599,16 @@ class TestGlobalShadowing:
 
 
 def _core_program(name: str):
-    reset_surface_labels()
-    reset_core_labels()
-    reset_locs()
     return lower_program(parse_program(get_program(name).source))
 
 
 def _scv_init(source: str):
-    reset_surface_labels()
-    reset_syn_labels()
-    reset_locs()
     machine = SMachine()
     return machine, inject_program(parse_program(source), machine)
 
 
 def _run_core(core, *, memo: bool = True, **kernel_kw):
     """Answer states + deterministic counters for one sequential run."""
-    reset_locs()
     machine = Machine()
     st = SearchStats()
     kernel = SearchKernel(
@@ -659,10 +640,10 @@ def _walk(step, init, limit: int):
 
 
 class TestSequentialSearchOnRealPrograms:
-    """The one search path over real programs.  The machines thread the
-    location and synthetic-label counters through states (``loc_base``,
-    ``syn_base``), so every state is a pure function of its path: runs
-    repeat exactly, and a state budget cuts the bfs order at a prefix."""
+    """The one search path over real programs.  The machines seed their
+    name cursor from each state's stamps (``loc_base``, ``syn_base``),
+    so every state is a pure function of its path: runs repeat exactly,
+    and a state budget cuts the bfs order at a prefix."""
 
     def test_repeated_runs_are_identical(self):
         core = _core_program("sum-unknown-fn-abs")
@@ -681,29 +662,29 @@ class TestSequentialSearchOnRealPrograms:
         states_explored, truncated = counts[0], counts[4]
         assert states_explored == budget and truncated
 
-    def test_core_step_ignores_the_global_location_counter(self):
-        machine = Machine()
+    def test_core_step_ignores_what_the_machine_stepped_before(self):
         init = inject(_core_program("sum-unknown-fn-abs"))
-        states = _walk(machine.step, init, 40)
+        states = _walk(Machine().step, init, 40)
         assert any(s.loc_base > init.loc_base for s in states)
-        for state in states:
-            set_loc_counter(state.loc_base + 1000)
-            scrambled = machine.step(state)
-            set_loc_counter(0)
-            assert machine.step(state) == scrambled
+        # One machine steps the states deepest first, so each step
+        # follows unrelated ones that left the cursor further along.
+        machine = Machine()
+        for state in reversed(states):
+            assert machine.step(state) == Machine().step(state)
 
-    def test_scv_step_ignores_the_global_counters(self):
-        machine, init = _scv_init(get_program("sum-unknown-fn-abs").source)
+    def test_scv_step_ignores_what_the_machine_stepped_before(self):
+        # A dependent contract around a callback: its monitors mint
+        # synthetic labels as well as locations.
+        source = get_program("dep-ctc-callback").source
+        machine, init = _scv_init(source)
         states = _walk(machine.step, init, 40)
         assert any(s.loc_base > init.loc_base for s in states)
-        for state in states:
-            set_syn_counter(state.syn_base + 1000)
-            set_loc_counter(state.loc_base + 1000)
-            scrambled = repr(machine.step(state))
-            set_syn_counter(0)
-            set_loc_counter(0)
+        assert any(s.syn_base > init.syn_base for s in states)
+        for state in reversed(states):
+            interleaved = repr(machine.step(state))
+            fresh, _ = _scv_init(source)
             # UHeap compares by identity, so compare printed states.
-            assert repr(machine.step(state)) == scrambled
+            assert repr(fresh.step(state)) == interleaved
 
 
 class TestMemoOnOffProperty:

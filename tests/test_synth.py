@@ -28,7 +28,7 @@ from repro.driver.backends import RunConfig
 from repro.driver.corpus import corpus_names, get_program
 from repro.driver.report import STATUS_COUNTEREXAMPLE, STATUS_TIMEOUT
 from repro.driver.runner import run_corpus, verify_program, verify_source
-from repro.lang.ast import ULam, reset_labels
+from repro.lang.ast import ULam
 from repro.lang.parser import parse_program
 from repro.scv import (
     SMachine,
@@ -47,7 +47,6 @@ MODULE_BUGGY = [
 
 
 def _first_cex(source):
-    reset_labels()
     program = parse_program(source)
     machine = SMachine(struct_types=collect_struct_types(program))
     for state in find_known_blames(
@@ -82,7 +81,6 @@ class TestClientSynthesis:
         assert cex.validated is True
 
     def test_non_module_program_has_no_client(self):
-        reset_labels()
         program = parse_program("(quotient 1 •)")
         machine = SMachine(assume_well_typed=True)
         state = next(
@@ -101,7 +99,6 @@ def _expect_blame(source, err_op):
     it blames with the same canonical operation.  (Exact *label* match
     is the AST-level validation oracle, where labels are preserved; a
     re-parse of instantiated text necessarily renumbers them.)"""
-    reset_labels()  # the label namespace is per-parse
     interp = Interp(fuel=200_000)
     try:
         interp.run_program(parse_program(source))
