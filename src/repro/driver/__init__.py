@@ -22,7 +22,7 @@ Modules:
   annotated with supporting backends);
 * ``runner`` — per-program verification plus the parallel batch runner;
 * ``report`` — the machine-readable ``BENCH_driver.json`` schema
-  (``repro-bench/v2``: per-backend sections + agreement cross-check).
+  (``SCHEMA``: per-backend sections + agreement cross-check).
 """
 
 from .backends import (

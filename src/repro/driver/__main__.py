@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -43,36 +44,62 @@ from .runner import RunConfig, expand_tasks, run_corpus, verify_source
 
 _DEFAULTS = RunConfig()  # the single source of budget defaults
 
+#: The largest budget in seconds a flag takes (about 31 years):
+#: ``setitimer`` overflows a little past 9.2e9 seconds.
+_MAX_SECONDS = 1e9
 
-def _to_int(text, what: str) -> int:
-    """The one funnel for numeric options, wherever they arrive from.
+
+def _to_int(text, what: str, minimum: int | None = None) -> int:
+    """The one funnel for integer options, wherever they arrive from.
 
     Flags go through :func:`_int_flag` (argparse's clean usage error),
     environment variables through :func:`_env_int` — both exit 2 with a
     message naming the option instead of dumping a ``ValueError``
-    traceback (or worse, silently substituting a default)."""
+    traceback (or worse, silently substituting a default).  A value
+    below ``minimum`` is refused the same way."""
     try:
-        return int(str(text).strip())
+        value = int(str(text).strip())
     except (TypeError, ValueError):
-        raise ValueError(
-            f"{what} must be an integer, got {text!r}"
-        ) from None
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    return value
 
 
-def _int_flag(what: str):
+def _int_flag(what: str, minimum: int | None = None):
     """An argparse ``type=`` callable with a named, clear error."""
 
     def parse(text: str) -> int:
         try:
-            return _to_int(text, what)
+            return _to_int(text, what, minimum)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
-    parse.__name__ = "int"  # argparse shows this in usage errors
     return parse
 
 
-def _env_int(var: str, default: int) -> int:
+def _seconds_flag(what: str):
+    """An argparse ``type=`` callable for a budget in seconds, from 0 (no
+    budget) to :data:`_MAX_SECONDS`.  NaN, infinity or a larger value
+    would reach ``setitimer`` (every row an ``error``) or a deadline
+    that never fires."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if 0 <= value <= _MAX_SECONDS:  # False for NaN
+            return value
+        raise argparse.ArgumentTypeError(
+            f"{what} must be a number of seconds from 0 (no budget) to "
+            f"{_MAX_SECONDS:g}, got {text!r}"
+        )
+
+    return parse
+
+
+def _env_int(var: str, default: int, minimum: int | None = None) -> int:
     """Resolve an integer environment variable, exiting 2 on garbage
     (``REPRO_SERVE_WORKERS=abc`` must be a clear CLI error, not a traceback
     and not a silently-ignored setting)."""
@@ -80,7 +107,7 @@ def _env_int(var: str, default: int) -> int:
     if raw is None or not raw.strip():
         return default
     try:
-        return _to_int(raw, f"environment variable {var}")
+        return _to_int(raw, f"environment variable {var}", minimum)
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -93,16 +120,17 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
         "pipeline, or both cross-checked (default core)",
     )
     p.add_argument(
-        "--max-states", type=int, default=_DEFAULTS.max_states,
+        "--max-states", type=_int_flag("--max-states", 1), default=_DEFAULTS.max_states,
         help=f"symbolic search state budget per program "
         f"(default {_DEFAULTS.max_states})",
     )
     p.add_argument(
-        "--fuel", type=int, default=_DEFAULTS.fuel,
+        "--fuel", type=_int_flag("--fuel", 1), default=_DEFAULTS.fuel,
         help=f"concrete validation step budget (default {_DEFAULTS.fuel})",
     )
     p.add_argument(
-        "--timeout", type=float, default=_DEFAULTS.timeout_s, metavar="SECONDS",
+        "--timeout", type=_seconds_flag("--timeout"),
+        default=_DEFAULTS.timeout_s, metavar="SECONDS",
         help=f"per-program wall-clock budget (default {_DEFAULTS.timeout_s:g})",
     )
     p.add_argument(
@@ -276,10 +304,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     port = args.port if args.port is not None else \
         _env_int("REPRO_SERVE_PORT", 8321)
     workers = args.workers if args.workers is not None else \
-        _env_int("REPRO_SERVE_WORKERS", min(4, os.cpu_count() or 1))
-    if workers < 1:
-        print("repro: --workers must be at least 1", file=sys.stderr)
-        return 2
+        _env_int("REPRO_SERVE_WORKERS", min(4, os.cpu_count() or 1), 1)
     base = _asdict(_config(args))
     base["store_dir"] = root
     return run_serve(
@@ -381,12 +406,12 @@ def main(argv: list[str] | None = None) -> int:
         "variable, else 8321; 0 picks an ephemeral port)",
     )
     p_serve.add_argument(
-        "--workers", type=_int_flag("--workers"), default=None, metavar="N",
+        "--workers", type=_int_flag("--workers", 1), default=None, metavar="N",
         help="verification worker processes (default: REPRO_SERVE_WORKERS, "
         "else min(4, cpu count))",
     )
     p_serve.add_argument(
-        "--drain-timeout", type=float, default=60.0, metavar="SECONDS",
+        "--drain-timeout", type=_seconds_flag("--drain-timeout"), default=60.0, metavar="SECONDS",
         help="grace period for in-flight jobs on SIGTERM before workers "
         "are killed (default 60)",
     )

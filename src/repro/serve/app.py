@@ -11,7 +11,7 @@ store directory.  Endpoints (full reference: docs/SERVER.md):
   replay, no worker round-trip, byte-identical rows to a batch run);
   otherwise the job is queued and the response carries its id;
 * ``GET /v1/jobs/<id>`` — job status + (once done) its
-  ``repro-bench/v9`` result rows; ``GET /v1/jobs`` lists summaries;
+  result rows (``report.SCHEMA``); ``GET /v1/jobs`` lists summaries;
 * ``GET /v1/results/<digest>`` — stored verdict entries by program
   digest (or entry-hash prefix), straight from the store;
 * ``GET /v1/healthz`` — liveness (503 once every worker is gone);

@@ -3,10 +3,10 @@
 One JSON dialect, versioned as ``repro-serve/v1``, shared by the HTTP
 layer (:mod:`repro.serve.app`), the client tooling
 (``tools/serve_smoke.py``) and the tests.  Result rows inside job views
-are the batch runner's ``repro-bench/v9`` rows verbatim
-(:class:`repro.driver.report.ProgramResult` as a dict), so a report
-assembled from served jobs diffs cleanly against a batch report with
-``tools/diff_reports.py``.
+are the batch runner's rows verbatim, in the shape of
+:data:`repro.driver.report.SCHEMA` (:class:`~repro.driver.report.
+ProgramResult` as a dict), so a report assembled from served jobs
+diffs cleanly against a batch report with ``tools/diff_reports.py``.
 
 A *job* is one submitted program against one backend selection.  Its
 lifecycle (see docs/SERVER.md):
@@ -149,8 +149,9 @@ def _positive_finite(x) -> bool:
 def job_view(job, *, include_rows: bool = True) -> dict:
     """The public JSON shape of a job (``GET /v1/jobs/<id>``).
 
-    ``rows`` — present once the job is done — are ``repro-bench/v9``
-    result rows, one per engine the backend selection expanded to."""
+    ``rows`` — present once the job is done — are result rows of
+    :data:`repro.driver.report.SCHEMA`, one per engine the backend
+    selection expanded to."""
     view = {
         "api": API_VERSION,
         "id": job.id,

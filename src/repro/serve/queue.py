@@ -59,7 +59,7 @@ class Job:
     attempts: int = 0
     worker: Optional[int] = None  # pid of the claiming worker
     warm: bool = False  # answered synchronously from the store
-    rows: Optional[list] = None  # repro-bench/v9 rows, once done
+    rows: Optional[list] = None  # report.SCHEMA rows, once done
     detail: str = ""  # human-readable note (crash/retry history)
 
 

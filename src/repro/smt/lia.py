@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -131,13 +130,11 @@ class LiaSolver:
         Maximum number of assignments tried for nonlinear variables.
     enum_range:
         Half-width of the base enumeration window for nonlinear variables.
-    memo_size:
-        LRU bound on the conjunction-solve memo.  Incremental checking
-        re-asks the conjunction solver near-identical literal sets (the
-        paired ``ψ`` / ``¬ψ`` proof queries, DPLL(T) re-rounds after a
-        restart); keying on the constraint *set* makes exact repeats
-        free, and all budgets are deterministic so a memoized answer is
-        identical to a recomputed one.
+
+    Every call is decided from scratch, so every UNSAT answer carries a
+    derivation of its own.  A solver serves one check, and each DPLL(T)
+    round of that check poses an assignment the earlier rounds' blocking
+    clauses left open, so there is no repeat worth remembering.
     """
 
     def __init__(
@@ -145,42 +142,26 @@ class LiaSolver:
         branch_budget: int = 2000,
         enum_budget: int = 20000,
         enum_range: int = 12,
-        memo_size: int = 2048,
     ) -> None:
         self.branch_budget = branch_budget
         self.enum_budget = enum_budget
         self.enum_range = enum_range
-        self.memo_size = memo_size
-        self._memo: OrderedDict[frozenset[Constraint], LiaResult] = OrderedDict()
 
     # -- public entry --------------------------------------------------
 
     def solve(self, constraints: Sequence[Constraint]) -> LiaResult:
-        """Decide a conjunction; model covers every atom mentioned.
-
-        Results are memoized by constraint set; callers must not mutate
-        a returned model."""
-        key = frozenset(constraints)
-        hit = self._memo.get(key)
-        if hit is not None:
-            self._memo.move_to_end(key)
-            return hit
+        """Decide a conjunction; model covers every atom mentioned."""
         cons = list(constraints)
         try:
             model = self._solve_propagated(
                 *_propagate_constants(cons, [1 << i for i in range(len(cons))])
             )
         except BudgetExhausted:
-            result = LiaResult(Result.UNKNOWN)
+            return LiaResult(Result.UNKNOWN)
         except _Refuted as refuted:
             core = frozenset(c for i, c in enumerate(cons) if refuted.mask >> i & 1)
-            result = LiaResult(Result.UNSAT, core=core)
-        else:
-            result = LiaResult(Result.SAT, model)
-        self._memo[key] = result
-        while len(self._memo) > self.memo_size:
-            self._memo.popitem(last=False)
-        return result
+            return LiaResult(Result.UNSAT, core=core)
+        return LiaResult(Result.SAT, model)
 
     # -- nonlinear layer -------------------------------------------------
 

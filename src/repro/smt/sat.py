@@ -8,21 +8,14 @@ A conflict-driven clause-learning solver with the standard modern kernel:
   unassigned variable of highest activity, the lowest index on a tie,
   popped from an activity-ordered heap (MiniSat's order heap; Eén &
   Sörensson, "An Extensible SAT-solver", SAT 2003),
-* Luby-sequence restarts with phase saving,
-* incremental solving under assumptions (used by the DPLL(T) loop to add
-  theory lemmas between calls, and to guard the blocking clauses of an
-  undecided theory round with a selector literal that lives for one
-  check).
+* Luby-sequence restarts with phase saving.
 
-Assumptions are decided first, each at its own decision level, before any
-free decision — the MiniSat discipline.  A ``solve(assumptions)`` call
-that returns False therefore means *unsat under these assumptions*; the
-solver state (clauses, learned clauses, phase saving, activities) stays
-intact and the next call may assume a different set.  Learned clauses
-are always implied by the clause database alone — assumption literals
-enter conflict analysis as decisions and end up negated *inside* the
-learned clause — so clauses learned under one assumption set remain
-sound under every other.
+The DPLL(T) loop of one check drives it in rounds: ``solve``, then
+``block_and_continue`` with a theory lemma or a blocking clause, then
+``solve`` again.  There are no assumptions: every decision is a free
+one, and a solver lives for one check, so its clause database, learned
+clauses included, is only ever the formula of that check plus the
+clauses added to it.
 
 Literals are nonzero ints (+v / -v), variables are 1-based.  The solver
 state lives in flat lists, read inline by the propagation loop: the
@@ -47,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 Lit = int
 
@@ -66,7 +59,6 @@ def _luby(i: int) -> int:
 class _ClauseRef:
     lits: list[Lit]
     learned: bool = False
-    activity: float = 0.0
 
 
 class SatSolver:
@@ -158,11 +150,8 @@ class SatSolver:
             self.ok = False
             return False
         if len(out) == 1:
-            if not self._enqueue(out[0], None):
-                self.ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
+            self._enqueue(out[0], None)  # unassigned: filtered above
+            if self._propagate() is not None:
                 self.ok = False
                 return False
             return True
@@ -328,12 +317,6 @@ class SatSolver:
             out.append(l)
         return out
 
-    def reset_trail(self) -> None:
-        """Backtrack to decision level 0 (e.g. before ``add_clause`` on a
-        solver that has already run a check).  Level-0 propagations —
-        learned units included — survive."""
-        self._backtrack(0)
-
     def _backtrack(self, level: int) -> None:
         if len(self.trail_lim) <= level:
             return
@@ -370,47 +353,29 @@ class SatSolver:
 
     # -- main loop ---------------------------------------------------------
 
-    def solve(
-        self,
-        assumptions: Sequence[Lit] = (),
-        *,
-        conflict_budget: int | None = None,
-    ) -> Optional[bool]:
-        """Run the CDCL loop, optionally under assumption literals.
-
-        Returns True (SAT), False (UNSAT — globally if ``assumptions`` is
-        empty, otherwise possibly only under the assumptions) or None if
-        ``conflict_budget`` was exhausted.  A False under assumptions
-        leaves the solver reusable: only ``self.ok`` going False marks
-        the clause database itself contradictory.
-        """
+    def solve(self) -> bool:
+        """Run the CDCL loop: True (SAT) or False (UNSAT)."""
         if not self.ok:
             return False
-        self._backtrack(0)  # discard stale decisions from a previous call
         restart_count = 1
         restart_limit = 32 * _luby(restart_count)
-        conflicts_here = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
-                conflicts_here += 1
-                if conflict_budget is not None and conflicts_here > conflict_budget:
-                    return None
                 if not self.trail_lim:
                     self.ok = False
                     return False
                 learned, bj = self._analyze(conflict)
+                # The backjump unassigns the asserting literal: its
+                # variable sits on the conflict level, above bj.
                 self._backtrack(bj)
-                if len(learned) == 1:
-                    if not self._enqueue(learned[0], None):
-                        self.ok = False
-                        return False
-                else:
+                ref = None
+                if len(learned) > 1:
                     ref = _ClauseRef(learned, learned=True)
                     self.clauses.append(ref)
                     self._watch(ref)
-                    self._enqueue(learned[0], ref)
+                self._enqueue(learned[0], ref)
                 self.var_inc /= self.var_decay
                 restart_limit -= 1
                 if restart_limit <= 0:
@@ -418,20 +383,9 @@ class SatSolver:
                     restart_limit = 32 * _luby(restart_count)
                     self._backtrack(0)
                 continue
-            lit = None
-            for a in assumptions:
-                val = self.value[a]
-                if val == -1:
-                    # An assumption is falsified by the database (plus the
-                    # assumptions already decided): unsat under assumptions.
-                    return False
-                if val == 0:
-                    lit = a
-                    break
+            lit = self._decide()
             if lit is None:
-                lit = self._decide()
-                if lit is None:
-                    return True  # full assignment, no conflict
+                return True  # full assignment, no conflict
             self.trail_lim.append(len(self.trail))
             self._enqueue(lit, None)
 

@@ -6,8 +6,8 @@ mimics the slice of the z3py API the paper's tool needs:
 
 * :class:`Solver` with ``add``, ``check`` and ``model`` — one
   satisfiability check of the conjunction of everything added, with no
-  assertion scopes: every proof query is its own one-shot solve, and
-  ``SOLVE_STATS`` counts the solves;
+  assertion scopes and no second check: every proof query is its own
+  one-shot solve, and ``SOLVE_STATS`` counts the solves;
 * :class:`Model` mapping variables to integers;
 * module-level helpers :func:`check_sat`, :func:`get_model`.
 
@@ -67,6 +67,9 @@ __all__ = [
     "get_model",
     "solver_cache",
 ]
+
+#: DPLL(T) rounds one check may run before it answers UNKNOWN.
+MAX_THEORY_ROUNDS = 4000
 
 #: The process-wide front of the solver-result tier behind the one-shot
 #: helpers below (a miss unless a ``backing`` store is attached);
@@ -246,20 +249,16 @@ class Solver:
         m = s.model()
         assert m[x] + m[y] == 10 and m[x] < m[y]
 
-    ``check`` decides the conjunction of every formula added so far.
-    There are no assertion scopes: a query that differs from another is
-    a new :class:`Solver`, solved from scratch (``check_sat`` does this
-    on the query's canonical form).
+    ``check`` decides the conjunction of every formula added before it,
+    once: a second ``check`` or an ``add`` after it raises
+    :class:`SolverError`.  There are no assertion scopes: a query that
+    differs from another is a new :class:`Solver`, solved from scratch
+    (``check_sat`` does this on the query's canonical form).
     """
 
-    def __init__(
-        self,
-        *,
-        max_theory_rounds: int = 4000,
-        lia: Optional[LiaSolver] = None,
-    ) -> None:
+    def __init__(self, *, lia: Optional[LiaSolver] = None) -> None:
         self._model: Optional[Model] = None
-        self._max_rounds = max_theory_rounds
+        self._checked = False
         self._lia = lia or LiaSolver()
         self._atoms = AtomMap()
         self._sat = SatSolver()
@@ -271,8 +270,8 @@ class Solver:
     # -- assertion management ----------------------------------------------
 
     def add(self, *formulas: Formula) -> None:
-        self._model = None
-        self._sat.reset_trail()
+        if self._checked:
+            raise SolverError("add() after check(): a Solver decides once")
         for f in formulas:
             self._assert_formula(f)
 
@@ -311,32 +310,21 @@ class Solver:
     # -- solving -----------------------------------------------------------
 
     def check(self) -> Result:
-        """Decide the conjunction of all assertions."""
-        self._model = None
-        SOLVE_STATS.fresh_solves += 1
-        guards: list[int] = []
-        try:
-            return self._run(guards)
-        finally:
-            self._sat.reset_trail()
-            for sel in guards:
-                self._sat.add_clause([-sel])
-
-    def _run(self, guards: list[int]) -> Result:
-        """The DPLL(T) loop over the CDCL core.
+        """Decide the conjunction of all assertions by the DPLL(T) loop
+        over the CDCL core.
 
         An UNSAT theory answer blocks the literals in its explanation
-        (``LiaResult.core``) as a permanent lemma; an UNKNOWN one (not a
-        valid lemma — the conjunction may be SAT) blocks every literal,
-        guarded by a selector assumed for this check only, collected in
-        ``guards`` and retired by the caller."""
-        assumptions: list[int] = []
+        (``LiaResult.core``); an UNKNOWN one (not a valid lemma — the
+        conjunction may be SAT) blocks every literal, which is sound
+        only because the clause dies with this solver, as do the learned
+        clauses that may rest on it."""
+        if self._checked:
+            raise SolverError("check() called twice: a Solver decides once")
+        self._checked = True
+        SOLVE_STATS.fresh_solves += 1
         unknown_seen = False
-        for _ in range(self._max_rounds):
-            verdict = self._sat.solve(assumptions)
-            if verdict is None:
-                return Result.UNKNOWN
-            if verdict is False:
+        for _ in range(MAX_THEORY_ROUNDS):
+            if not self._sat.solve():
                 return Result.UNKNOWN if unknown_seen else Result.UNSAT
             lits = self._atoms.theory_lits(self._sat.model_assignment())
             constraints = [self._constraint(a, pol) for a, pol in lits]
@@ -355,14 +343,6 @@ class Solver:
                 (-self._atoms.var_for(a)) if pol else self._atoms.var_for(a)
                 for a, pol in core
             ]
-            if res.status is Result.UNKNOWN:
-                # Not a valid lemma: guard it so it dies with this check.
-                if not guards:
-                    g = self._atoms.fresh_var()
-                    self._sat.ensure_vars(g)
-                    guards.append(g)
-                    assumptions = [g]
-                blocking = blocking + [-guards[0]]
             if not self._sat.block_and_continue(blocking):
                 return Result.UNKNOWN if unknown_seen else Result.UNSAT
         return Result.UNKNOWN

@@ -53,8 +53,8 @@ class _Node:
     (``_key``).  Its structural hash is computed once, in the
     constructor, from its class and its fields: the children's hashes
     are already cached, so building a node costs O(arity) and hashing it
-    O(1) — the atom map, ``Solver``'s constraint memo and the
-    conjunction solver's memo keys hash the same atoms over and over.
+    O(1) — the atom map and ``Solver``'s constraint memo hash the same
+    atoms over and over.
     Unequal hashes settle ``==`` without a walk.
 
     Nodes are immutable by contract: the constructor sets the fields

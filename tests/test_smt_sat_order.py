@@ -3,11 +3,12 @@
 ``SatSolver._decide`` pops the unassigned variable of highest activity
 (lowest index on a tie) from a lazy heap.  The reference here is the
 decision rule as it was before the heap — a scan over every variable —
-kept only in this file.  On seeded random CNFs, solved repeatedly under
-assumptions and selector literals, with theory-style blocking clauses,
-selector retirement and forced activity rescales in between, both
-solvers must make the same decisions in the same order
-and return the same verdicts, models and learned clauses.
+kept only in this file.  On seeded random CNFs, solved in the rounds of
+one DPLL(T) check — ``solve``, then ``block_and_continue`` with a
+theory-style blocking clause, then ``solve`` again, until UNSAT — with
+forced activity rescales in between, both solvers must make the same
+decisions in the same order and return the same verdicts, models and
+learned clauses.
 """
 
 import random
@@ -73,8 +74,8 @@ def _learned(s: SatSolver) -> list:
 
 
 def _run_session(seed: int, *, force_rescale: bool) -> tuple:
-    """Drive both solvers through one seeded session; returns the heap
-    solver and the number of solves made."""
+    """Drive both solvers through the rounds of one seeded check;
+    returns the heap solver and the number of solves made."""
     rng = random.Random(seed)
     n_vars = rng.randint(8, 40)
     heap, scan = _HeapSolver(), _ScanSolver()
@@ -88,42 +89,28 @@ def _run_session(seed: int, *, force_rescale: bool) -> tuple:
     apply("ensure_vars", n_vars)
     for _ in range(int(n_vars * rng.uniform(3.0, 4.6))):
         apply("add_clause", _random_clause(rng, n_vars, 3))
-    # Selectors: each guards a few extra clauses.
-    selectors = []
-    for _ in range(rng.randint(1, 3)):
-        sel = n_vars + len(selectors) + 1
-        apply("ensure_vars", sel)
-        for _ in range(rng.randint(2, 6)):
-            apply("add_clause", _random_clause(rng, n_vars, 2) + [-sel])
-        selectors.append(sel)
 
     solves = 0
     for _ in range(rng.randint(3, 7)):
         if force_rescale:
             for s in both:  # the next bump crosses 1e100
                 s.var_inc = 1e99
-        live = [s for s in selectors if rng.random() < 0.7]
-        assumptions = live + [
-            l for l in _random_clause(rng, n_vars, rng.randint(0, 2))
-        ]
-        verdict = apply("solve", assumptions)
+        verdict = apply("solve")
         solves += 1
         assert heap.decisions == scan.decisions, seed
         assert heap.conflicts == scan.conflicts, seed
         assert _learned(heap) == _learned(scan), seed
-        if verdict:
-            model = apply("model_assignment")
-            assert all(model[abs(a)] == (a > 0) for a in assumptions), seed
-            # Block the model's theory part, as the DPLL(T) loop does.
-            block = [
-                -v if model[v] else v
-                for v in rng.sample(range(1, n_vars + 1), min(4, n_vars))
-            ]
-            apply("block_and_continue", block)
-        if rng.random() < 0.15 and selectors:
-            retired = selectors.pop(rng.randrange(len(selectors)))
-            apply("reset_trail")
-            apply("add_clause", [-retired])
+        if not verdict:
+            break
+        # Block part of the model, as the DPLL(T) loop blocks a theory
+        # conflict's literals.
+        model = apply("model_assignment")
+        block = [
+            -v if model[v] else v
+            for v in rng.sample(range(1, n_vars + 1), rng.randint(1, 4))
+        ]
+        if not apply("block_and_continue", block):
+            break
     return heap, solves
 
 

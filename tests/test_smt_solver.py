@@ -260,14 +260,24 @@ class TestSolverInterface:
         assert s.model()[x] >= 6
 
     def test_unknown_theory_answer_is_not_a_lemma(self):
-        # The blocking clause of an UNKNOWN theory answer lives only
-        # for its check: the next check asks the theory again.
+        # The blocking clause of an UNKNOWN theory answer is no lemma:
+        # it dies with its solver, which cannot be checked again.
         s = Solver(lia=_UnknownFirst(1))
         s.add(mk_eq(mk_add(x, y), 3), mk_lt(x, y))
         assert s.check() is Result.UNKNOWN
+        with pytest.raises(SolverError):
+            s.check()
+        fresh = Solver()
+        fresh.add(mk_eq(mk_add(x, y), 3), mk_lt(x, y))
+        assert fresh.check() is Result.SAT
+
+    def test_add_after_check_raises(self):
+        s = Solver()
+        s.add(mk_ge(x, 0))
         assert s.check() is Result.SAT
-        m = s.model()
-        assert m[x] + m[y] == 3 and m[x] < m[y]
+        with pytest.raises(SolverError):
+            s.add(mk_lt(x, 0))
+        assert s.model()[x] >= 0
 
     def test_unknown_is_counted_and_has_no_model(self, monkeypatch):
         import repro.smt.solver as solver_mod
@@ -286,10 +296,10 @@ class TestSolverInterface:
 
     def test_solve_stats_window_counts_every_check(self):
         snap = SOLVE_STATS.begin_window()
-        s = Solver()
-        s.add(mk_ge(x, 0))
-        s.check()
-        s.check()
+        for _ in range(2):
+            s = Solver()
+            s.add(mk_ge(x, 0))
+            s.check()
         check_sat(mk_eq(x, 4))
         assert SOLVE_STATS.window(snap) == {
             "solver_fresh_solves": 3, "solver_unknown": 0,

@@ -8,8 +8,8 @@ bench-report-compatible JSON from the collected job rows.
 Submits each selected corpus program to ``POST /v1/verify`` (with its
 corpus name and expected kind, so rows line up with a batch report),
 polls ``GET /v1/jobs/<id>`` until every job is done, and assembles the
-rows into the same ``repro-bench/v9`` report shape ``repro bench``
-writes — so ``tools/diff_reports.py`` can compare a served run against
+rows into the same report shape (``repro.driver.report.SCHEMA``)
+``repro bench`` writes — so ``tools/diff_reports.py`` can compare a served run against
 a batch run directly.  The serve-smoke CI leg runs exactly that
 differential against a store-warmed server, which also exercises the
 synchronous warm path (``--expect-warm`` asserts every job was answered
