@@ -36,17 +36,13 @@ import os
 import sys
 from dataclasses import asdict
 
-from .backends import BACKEND_CHOICES
+from .backends import BACKEND_CHOICES, MAX_SECONDS
 from .corpus import CORPUS, corpus_names, get_program
 from .report import STATUS_COUNTEREXAMPLE, STATUS_SAFE, render_report, render_result
-from .runner import RunConfig, expand_tasks, run_corpus, verify_source
+from .runner import RunConfig, expand_tasks, run_corpus, run_job
 
 
 _DEFAULTS = RunConfig()  # the single source of budget defaults
-
-#: The largest budget in seconds a flag takes (about 31 years):
-#: ``setitimer`` overflows a little past 9.2e9 seconds.
-_MAX_SECONDS = 1e9
 
 
 def _to_int(text, what: str, minimum: int | None = None) -> int:
@@ -80,7 +76,7 @@ def _int_flag(what: str, minimum: int | None = None):
 
 def _seconds_flag(what: str):
     """An argparse ``type=`` callable for a budget in seconds, from 0 (no
-    budget) to :data:`_MAX_SECONDS`.  NaN, infinity or a larger value
+    budget) to :data:`MAX_SECONDS`.  NaN, infinity or a larger value
     would reach ``setitimer`` (every row an ``error``) or a deadline
     that never fires."""
 
@@ -89,11 +85,11 @@ def _seconds_flag(what: str):
             value = float(text)
         except ValueError:
             value = math.nan
-        if 0 <= value <= _MAX_SECONDS:  # False for NaN
+        if 0 <= value <= MAX_SECONDS:  # False for NaN
             return value
         raise argparse.ArgumentTypeError(
             f"{what} must be a number of seconds from 0 (no budget) to "
-            f"{_MAX_SECONDS:g}, got {text!r}"
+            f"{MAX_SECONDS:g}, got {text!r}"
         )
 
     return parse
@@ -200,11 +196,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"repro: cannot read {args.file}: {exc.strerror}", file=sys.stderr)
             return 2
         name = args.file
-    backends = ("core", "scv") if args.backend == "both" else (args.backend,)
-    results = [
-        verify_source(source, name=name, config=_config(args), backend=b)
-        for b in backends
-    ]
+    results = run_job(source, name=name, config=_config(args),
+                      backend=args.backend)
     if args.json:
         rows = [asdict(r) for r in results]
         print(json.dumps(rows[0] if len(rows) == 1 else rows,
@@ -232,7 +225,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
     if STATUS_COUNTEREXAMPLE in statuses:
         return 1
-    return 2
+    # Inconclusive (unsupported, truncated, timeout, error): not 2,
+    # which is argparse's usage error.
+    return 4
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -373,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="only programs whose name contains this")
     p_bench.add_argument("--out", default="BENCH_fresh.json",
                          help="report path (default BENCH_fresh.json; the "
-                         "committed BENCH_driver.json is the CI perf-gate "
+                         "committed BENCH_driver.json is the CI report "
                          "baseline — overwrite it only to re-baseline "
                          "deliberately)")
     p_bench.add_argument("--verbose", "-v", action="store_true",

@@ -104,6 +104,13 @@ class RunConfig:
     compile: bool = True
 
 
+#: The largest wall-clock budget in seconds (about 31 years) that the
+#: CLI flags and a ``repro serve`` request accept: ``setitimer``
+#: overflows a little past 9.2e9 seconds, which would turn every row
+#: into an ``error``.
+MAX_SECONDS = 1e9
+
+
 class _Deadline(Exception):
     """Raised inside a worker when the per-program wall clock expires."""
 

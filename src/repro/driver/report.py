@@ -25,8 +25,9 @@ Schema ``repro-bench/v10`` (``v9`` without the scoped-solver fields):
   for top-level programs), and module findings now report a real
   ``validated_conc`` verdict instead of ``null``/skipped;
 * totals gain ``validated_counterexamples`` — the count of
-  counterexample rows whose surface re-run confirmed the blame — which
-  the CI perf gate treats as ratchet-only (a drop fails the build);
+  counterexample rows whose surface re-run confirmed the blame (each
+  row's ``validated_conc`` is a stable field, so CI's row diff against
+  the committed baseline fails on any drop);
 * ``backends`` holds per-backend totals (counts, states, solver
   queries, cache hits, wall time) so the two engines' cost profiles
   diff cleanly;
@@ -48,7 +49,8 @@ Schema ``repro-bench/v10`` (``v9`` without the scoped-solver fields):
   see the two ``counterexample`` modules) are compared field by field
   under ``agreement.counterexamples``;
 * new in v7 — totals gain ``max_wall_ms``, the slowest single program
-  row, gated by ``perfgate`` alongside the totals;
+  row, which ``tools/diff_reports.py --max-regress-wall`` checks
+  alongside ``wall_ms``;
 * v7 addendum (the serving revision): rows carry
   ``deadline_enforced`` — False when a positive wall-clock budget could
   not be armed (no ``SIGALRM``, or the caller was not the main thread),
@@ -64,10 +66,9 @@ Schema ``repro-bench/v10`` (``v9`` without the scoped-solver fields):
   outside the volatile set — that identity is the compile oracle.  A
   unit replayed from the store compiled nothing, so it reports zero
   ``compiled_units`` and ``compile_ms`` but keeps its ``dispatch_steps``
-  (a work counter, like ``states_explored``).  Totals sum all three,
-  and ``dispatch_steps`` joins the perf-gate ratchets (skipped cleanly
-  on pre-v8 or interpreted baselines where the total is missing or
-  zero);
+  (a work counter, like ``states_explored``).  Totals sum all three;
+  CI pins a compiled run's ``dispatch_steps`` exactly
+  (``tools/diff_reports.py --exact``);
 * v9 — v8 minus the four sharded-search row fields and their totals,
   and minus the sharding and compile-cache keys of the config block;
 * v10 — v9 minus the scoped-solver counters ``solver_incremental``,
@@ -125,6 +126,12 @@ VOLATILE_ROW_FIELDS = frozenset({
     "compile_ms",
     "dispatch_steps",
 })
+
+
+def stable_row(row: dict) -> dict:
+    """A serialised row without its :data:`VOLATILE_ROW_FIELDS`: what two
+    runs of the same program must agree on."""
+    return {k: v for k, v in row.items() if k not in VOLATILE_ROW_FIELDS}
 
 
 @dataclass

@@ -21,7 +21,7 @@ per requested engine — a job never hangs and never vanishes.
 
 from __future__ import annotations
 
-import math
+from ..driver.backends import MAX_SECONDS
 
 #: Protocol version, echoed by ``/v1/healthz`` and every job view.
 API_VERSION = "repro-serve/v1"
@@ -127,23 +127,19 @@ def _check_config_values(config: dict) -> None:
     """Reject override values outside their domain.  A ``timeout_s``
     that is not a positive finite number would disarm both the worker's
     own deadline and the parent's SIGKILL backstop, letting one request
-    hold a worker forever."""
-    if "timeout_s" in config and not _positive_finite(config["timeout_s"]):
+    hold a worker forever; one above ``MAX_SECONDS`` overflows
+    ``setitimer``, turning every row of the job into an ``error``."""
+    # False for NaN; exact (no overflow) for an int too large for a float.
+    if "timeout_s" in config and not 0 < config["timeout_s"] <= MAX_SECONDS:
         raise ProtocolError(
-            "config key 'timeout_s' must be a finite number > 0"
+            "config key 'timeout_s' must be a number of seconds > 0 and "
+            f"<= {MAX_SECONDS:g}"
         )
     for key in ("max_states", "fuel"):
         if config.get(key, 1) < 1:
             raise ProtocolError(f"config key {key!r} must be >= 1")
     if config.get("max_cex_attempts", 0) < 0:
         raise ProtocolError("config key 'max_cex_attempts' must be >= 0")
-
-
-def _positive_finite(x) -> bool:
-    try:
-        return math.isfinite(x) and x > 0
-    except OverflowError:  # an int too large for a float
-        return False
 
 
 def job_view(job, *, include_rows: bool = True) -> dict:

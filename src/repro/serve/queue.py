@@ -63,21 +63,17 @@ class Job:
     detail: str = ""  # human-readable note (crash/retry history)
 
 
-def _error_rows(job: Job, detail: str) -> list[dict]:
-    """Clean terminal rows for a job whose workers kept dying: one
-    well-formed ``error`` row per engine the selection expands to."""
-    rows = []
-    for engine in expand_backends(job.backend):
-        row = ProgramResult(
-            name=job.name,
-            kind=job.kind,
-            status=STATUS_ERROR,
-            wall_ms=0.0,
-            backend=engine,
-            detail=detail,
-        )
-        rows.append(asdict(row))
-    return rows
+def error_rows(name: str, kind: str, backend: str, detail: str) -> list[dict]:
+    """Clean terminal rows for a job that could not run — its workers
+    kept dying, or its verification raised: one well-formed ``error``
+    row per engine the selection expands to."""
+    return [
+        asdict(ProgramResult(
+            name=name, kind=kind, status=STATUS_ERROR, wall_ms=0.0,
+            backend=engine, detail=detail,
+        ))
+        for engine in expand_backends(backend)
+    ]
 
 
 class JobQueue:
@@ -137,8 +133,9 @@ class JobQueue:
                         self._pending.append(job.id)
                         requeued += 1
                     else:
-                        self._finish(job, _error_rows(
-                            job, "worker crashed and the retry budget is "
+                        self._finish(job, error_rows(
+                            job.name, job.kind, job.backend,
+                            "worker crashed and the retry budget is "
                             "spent (server restarted mid-job)",
                         ), detail="errored after server restart")
                         errored += 1
@@ -242,8 +239,8 @@ class JobQueue:
                 return "requeued"
             self._finish(
                 job,
-                _error_rows(
-                    job,
+                error_rows(
+                    job.name, job.kind, job.backend,
                     f"worker crashed twice ({detail}); retry budget spent",
                 ),
                 detail=f"[errored: {detail}]",

@@ -42,10 +42,9 @@ from typing import Optional
 
 from ..driver.backends import RunConfig
 from ..driver.runner import expand_backends, run_job
-from ..driver.report import STATUS_ERROR, ProgramResult
 from ..driver.units import plan_units
 from ..store.solver import flush_all_stores
-from .queue import JobQueue
+from .queue import JobQueue, error_rows
 
 #: Seconds of slack on top of a job's own wall-clock budget before the
 #: parent-side backstop kills the worker (result assembly, synthesis
@@ -108,18 +107,10 @@ def worker_main(worker_id: int, task_q, result_q) -> None:
                     )
                 ]
             except BaseException as exc:  # noqa: BLE001 — must answer
-                rows = [
-                    asdict(ProgramResult(
-                        name=task["name"],
-                        kind=task["kind"],
-                        status=STATUS_ERROR,
-                        wall_ms=0.0,
-                        backend=engine,
-                        detail=f"worker exception: "
-                               f"{type(exc).__name__}: {exc}",
-                    ))
-                    for engine in expand_backends(task["backend"])
-                ]
+                rows = error_rows(
+                    task["name"], task["kind"], task["backend"],
+                    f"worker exception: {type(exc).__name__}: {exc}",
+                )
             # Server-job-completion flush: the job's solver entries are
             # on disk before the result is even reported, so a worker
             # killed *between* jobs loses nothing.

@@ -45,6 +45,7 @@ from ..driver.report import (
     STATUS_UNSUPPORTED,
     ProgramResult,
     result_from_row,
+    stable_row,
 )
 from ..driver.units import Unit, combine_units, parse_unit, plan_units
 from ..lang.ast import Program
@@ -369,12 +370,6 @@ def try_replay(
 # ---------------------------------------------------------------------------
 
 
-def _stable_row(d: dict) -> dict:
-    from ..driver.report import VOLATILE_ROW_FIELDS
-
-    return {k: v for k, v in d.items() if k not in VOLATILE_ROW_FIELDS}
-
-
 def check_entries(store: VerdictStore, *, sample: Optional[int] = None
                   ) -> dict:
     """Re-verify a deterministic sample of stored verdict entries from
@@ -429,8 +424,8 @@ def check_entries(store: VerdictStore, *, sample: Optional[int] = None
             config=cfg, client_of=client_of,
         )
         checked += 1
-        want = _stable_row(stored)
-        got = _stable_row(asdict(fresh))
+        want = stable_row(stored)
+        got = stable_row(asdict(fresh))
         if want == got:
             matched += 1
         else:

@@ -31,7 +31,7 @@ from repro.core.syntax import NAT, App, If, Lam, Num, PrimApp, Ref
 from repro.core.typecheck import check_program
 from repro.driver.corpus import corpus_names, get_program
 from repro.driver.lower import lower_program
-from repro.driver.report import VOLATILE_ROW_FIELDS
+from repro.driver.report import stable_row
 from repro.driver.runner import RunConfig, verify_source
 from repro.lang.ast import Quote, UApp, UIf, ULam, ULetrec, UVar
 from repro.lang.parser import parse_program
@@ -48,11 +48,6 @@ from repro.search import CoreFingerprinter, ScvFingerprinter, SearchKernel
 from repro.search import SearchStats
 
 SMOKE = corpus_names(tag="smoke")
-
-
-def _stable(row) -> dict:
-    d = asdict(row)
-    return {k: v for k, v in d.items() if k not in VOLATILE_ROW_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +202,10 @@ class TestSmokeCorpusByteIdentity:
         }
         dispatch = {}
         for label, (interp_cfg, compiled_cfg) in matrix.items():
-            want = {k: _stable(r) for k, r in self._rows(interp_cfg).items()}
+            want = {k: stable_row(asdict(r)) for k, r in self._rows(interp_cfg).items()}
             assert want  # the smoke tag is non-empty
             rows = self._rows(compiled_cfg)
-            got = {k: _stable(r) for k, r in rows.items()}
+            got = {k: stable_row(asdict(r)) for k, r in rows.items()}
             assert got == want, f"[{label}] compiled diverges from interpreted"
             dispatch[label] = {k: r.dispatch_steps for k, r in rows.items()}
         assert any(dispatch["no-store"].values())
@@ -224,7 +219,7 @@ class TestSmokeCorpusByteIdentity:
         assert cold.compiled_units > 0 and cold.compile_ms > 0
         warm = verify_source(prog.source, name=prog.name, kind=prog.kind,
                              config=cfg, backend="scv")
-        assert _stable(warm) == _stable(cold)
+        assert stable_row(asdict(warm)) == stable_row(asdict(cold))
         # A pure store replay never reaches the compiler, so it reports
         # no compile cost; the work counter replays as stored.
         assert warm.store_misses == 0
@@ -253,7 +248,7 @@ class TestCompileFlagPlumbing:
                           config=cfg, backend="scv")
             for _ in range(2)
         ]
-        assert _stable(rows[0]) == _stable(rows[1])
+        assert stable_row(asdict(rows[0])) == stable_row(asdict(rows[1]))
         assert rows[0].compiled_units == rows[1].compiled_units > 0
         assert rows[0].dispatch_steps == rows[1].dispatch_steps > 0
 

@@ -49,7 +49,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from repro.conc.interp import Interp, InterpTimeout, PrimBlame, RuntimeFault
-from repro.driver.report import STATUS_TIMEOUT, VOLATILE_ROW_FIELDS
+from repro.driver.report import STATUS_TIMEOUT, stable_row
 from repro.driver.runner import RunConfig, verify_source
 from repro.lang.parser import parse_program
 from repro.scv.counterexample import opaque_labels
@@ -77,13 +77,6 @@ FUEL = 200_000
 CFG = RunConfig(timeout_s=0, fuel=FUEL)
 
 
-def _stable(row) -> dict:
-    """A result row minus the volatile fields: the byte-identity
-    surface the compiled executor must reproduce."""
-    d = asdict(row)
-    return {k: v for k, v in d.items() if k not in VOLATILE_ROW_FIELDS}
-
-
 def compile_divergence(source: str, cfg: RunConfig = CFG):
     """None when the bytecode executor and the step machine produce
     identical rows (volatile fields aside); otherwise a description.
@@ -97,7 +90,7 @@ def compile_divergence(source: str, cfg: RunConfig = CFG):
     )
     if STATUS_TIMEOUT in (ri.status, rc.status):
         return None
-    si, sc = _stable(ri), _stable(rc)
+    si, sc = stable_row(asdict(ri)), stable_row(asdict(rc))
     if si == sc:
         return None
     keys = sorted(k for k in si if si[k] != sc[k])
@@ -526,7 +519,7 @@ def compile_divergence_ext(source: str):
     )
     if STATUS_TIMEOUT in (ri.status, rc.status):
         return None
-    si, sc = _stable(ri), _stable(rc)
+    si, sc = stable_row(asdict(ri)), stable_row(asdict(rc))
     if si == sc:
         return None
     keys = sorted(k for k in si if si[k] != sc[k])

@@ -26,16 +26,9 @@ from repro.driver.corpus import corpus_names, get_program
 from repro.driver.report import (
     STATUS_COUNTEREXAMPLE,
     STATUS_SAFE,
-    VOLATILE_ROW_FIELDS,
+    stable_row,
 )
 from repro.driver.runner import RunConfig, run_corpus, verify_program, verify_source
-
-
-def _stable(result) -> dict:
-    return {
-        k: v for k, v in asdict(result).items()
-        if k not in VOLATILE_ROW_FIELDS
-    }
 
 
 class TestStaleAlarmCancelledOnSuccess:
@@ -87,7 +80,7 @@ class TestWorkerCounterHygiene:
         verify_program(get_program("pred-chain-guarded"), cfg, backend="core")
         after = verify_program(prog, cfg, backend="core")
         assert after.solver_cache_hits == alone.solver_cache_hits
-        assert _stable(after) == _stable(alone)
+        assert stable_row(asdict(after)) == stable_row(asdict(alone))
 
     def test_solver_counters_are_metered_per_row(self):
         # The solve counters are process-wide and monotone; each row
@@ -116,7 +109,7 @@ class TestNamesBelongToTheVerification:
         verify_program(get_program(b), cfg, backend=backend)
         again = verify_program(get_program(a), cfg, backend=backend)
         assert first.status == STATUS_COUNTEREXAMPLE
-        assert json.dumps(_stable(again)) == json.dumps(_stable(first))
+        assert json.dumps(stable_row(asdict(again))) == json.dumps(stable_row(asdict(first)))
 
 
 class TestBothBackendsCrossCheck:

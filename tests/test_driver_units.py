@@ -26,9 +26,9 @@ from repro.driver.report import (
     STATUS_COUNTEREXAMPLE,
     STATUS_SAFE,
     STATUS_TIMEOUT,
-    VOLATILE_ROW_FIELDS,
     CexReport,
     ProgramResult,
+    stable_row,
 )
 from repro.driver.runner import RunConfig, expand_tasks, verify_source
 from repro.driver.units import (
@@ -91,11 +91,6 @@ STATEFUL = {
 }
 
 
-def _stable(row: ProgramResult) -> dict:
-    return {k: v for k, v in asdict(row).items()
-            if k not in VOLATILE_ROW_FIELDS}
-
-
 class TestPlan:
     def test_multi_module_scv_programs_split(self):
         for name in MULTI_MODULE:
@@ -150,7 +145,7 @@ class TestOnePlan:
         ]
         plain, cold, warm = rows
         assert plain.as_expected, (name, plain.status, plain.detail)
-        assert _stable(plain) == _stable(cold) == _stable(warm)
+        assert stable_row(asdict(plain)) == stable_row(asdict(cold)) == stable_row(asdict(warm))
         assert plain.store_hits == plain.store_misses == 0
         assert cold.store_hits == 0 and cold.store_misses > 1
         assert warm.store_hits == cold.store_misses and warm.store_misses == 0

@@ -23,7 +23,7 @@ import pytest
 from repro.core.heap import PLt, HConst
 from repro.core.syntax import Loc
 from repro.driver.corpus import CORPUS, get_program
-from repro.driver.report import VOLATILE_ROW_FIELDS
+from repro.driver.report import stable_row
 from repro.driver.runner import verify_source
 from repro.scv import engine, proof
 from repro.scv.heap import UAlias, UConc, UHeap, UOpq
@@ -39,9 +39,8 @@ SEQUENCE = ("modules-triple-pipeline", "struct-posn-invx",
 
 
 def _row(name: str) -> dict:
-    row = asdict(verify_source(get_program(name).source, name=name,
-                               backend="scv"))
-    return {k: v for k, v in row.items() if k not in VOLATILE_ROW_FIELDS}
+    return stable_row(asdict(verify_source(get_program(name).source,
+                                           name=name, backend="scv")))
 
 
 def _fresh_process_row(name: str) -> dict:

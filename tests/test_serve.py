@@ -3,7 +3,8 @@
 * **protocol** — request validation rejects malformed bodies with
   clear messages instead of crashing a worker, and rejects config
   values outside their domain (a non-positive or non-finite
-  ``timeout_s`` would disarm every deadline on the job);
+  ``timeout_s`` would disarm every deadline on the job, and one above
+  ``MAX_SECONDS`` would overflow ``setitimer``);
 * **queue** — the disk-backed job queue survives restarts, requeues a
   crashed job exactly once, and terminates it with clean ``error``
   rows when the retry budget is spent;
@@ -44,6 +45,7 @@ from repro.driver.report import (
     STATUS_COUNTEREXAMPLE,
     STATUS_ERROR,
     VOLATILE_ROW_FIELDS,
+    stable_row,
 )
 from repro.driver.runner import RunConfig, verify_source
 from repro.serve import MAX_ATTEMPTS, JobQueue, ProtocolError, ServeApp
@@ -63,10 +65,6 @@ from repro.store.verdicts import StoreKey, check_entries, get_store
 
 CHAIN = get_program("modules-chain-div").source
 TRIPLE = get_program("modules-triple-pipeline").source
-
-
-def _stable(row: dict) -> dict:
-    return {k: v for k, v in row.items() if k not in VOLATILE_ROW_FIELDS}
 
 
 def _base_config(store_root: str) -> dict:
@@ -172,6 +170,7 @@ class TestProtocol:
         ({"timeout_s": float("nan")}, "timeout_s"),
         ({"timeout_s": float("inf")}, "timeout_s"),
         ({"timeout_s": 10 ** 400}, "timeout_s"),
+        ({"timeout_s": 1e12}, "timeout_s"),  # overflows setitimer
         ({"max_states": 0}, "max_states"),
         ({"fuel": -3}, "fuel"),
         ({"max_cex_attempts": -1}, "max_cex_attempts"),
@@ -285,7 +284,7 @@ class TestServeHTTP:
                              store_dir=str(tmp_path / "batch-store")),
             backend="scv",
         )
-        assert _stable(row) == _stable(asdict(batch))
+        assert stable_row(row) == stable_row(asdict(batch))
 
     def test_resubmission_is_warm_and_synchronous(self, server):
         body = {"source": CHAIN, "name": "chain", "backend": "scv"}
@@ -299,7 +298,7 @@ class TestServeHTTP:
         (row,) = warm["rows"]
         assert row["store_hits"] == 2 and row["store_misses"] == 0
         assert row["modules_reverified"] == 0
-        assert _stable(row) == _stable(cold["rows"][0])
+        assert stable_row(row) == stable_row(cold["rows"][0])
 
     def test_edited_module_reverifies_only_its_cone(self, server):
         server.wait_done(server.request(

@@ -37,6 +37,7 @@ from repro.driver.report import (
     STATUS_SAFE,
     STATUS_TIMEOUT,
     VOLATILE_ROW_FIELDS,
+    stable_row,
 )
 from repro.driver.runner import RunConfig, run_corpus, verify_source
 from repro.driver.units import CLIENT_MAIN, CLIENT_MODULE, module_slices
@@ -50,13 +51,6 @@ from repro.store.verdicts import check_entries, get_store, try_replay
 
 CHAIN = get_program("modules-chain-div").source
 TRIPLE = get_program("modules-triple-pipeline").source
-
-
-def _stable(result) -> dict:
-    return {
-        k: v for k, v in asdict(result).items()
-        if k not in VOLATILE_ROW_FIELDS
-    }
 
 
 def _cfg(store_dir=None, **kw) -> RunConfig:
@@ -167,7 +161,7 @@ class TestRoundTrip:
         warm = verify_source(CHAIN, name="p", kind="buggy",
                              config=cfg, backend="scv")
         assert cold.status == STATUS_COUNTEREXAMPLE
-        assert _stable(cold) == _stable(warm)
+        assert stable_row(asdict(cold)) == stable_row(asdict(warm))
         assert cold.store_misses == 2 and cold.store_hits == 0
         assert warm.store_hits == 2 and warm.store_misses == 0
         assert warm.modules_reverified == 0
@@ -449,7 +443,7 @@ class TestCorruptionRecovery:
         assert try_replay(CHAIN, config=cfg, backend="scv") is None
         r = verify_source(CHAIN, config=cfg, backend="scv")
         assert r.store_hits == 0 and r.store_misses == 2
-        assert _stable(r) == _stable(cold)
+        assert stable_row(asdict(r)) == stable_row(asdict(cold))
         # The recompute rewrote the entries in the current schema.
         assert try_replay(CHAIN, config=cfg, backend="scv") is not None
 
@@ -689,6 +683,6 @@ class TestSmokeCorpusWarm:
         warm = run_corpus(names, config=_cfg(store), backend="scv")
         t = warm.totals()
         assert t["store_hits"] / (t["store_hits"] + t["store_misses"]) >= 0.9
-        cold_rows = {r.name: _stable(r) for r in cold.results}
-        warm_rows = {r.name: _stable(r) for r in warm.results}
+        cold_rows = {r.name: stable_row(asdict(r)) for r in cold.results}
+        warm_rows = {r.name: stable_row(asdict(r)) for r in warm.results}
         assert cold_rows == warm_rows
