@@ -36,7 +36,6 @@ from ..lang.ast import (
     UVar,
 )
 from ..lang.parser import parse_program
-from ..lang.prims import PrimError, UserError, base_primitives
 from ..lang.runtime import (
     Cell,
     Closure,
@@ -72,6 +71,8 @@ from ..lang.values import (
     racket_equal,
     to_pylist,
 )
+from ..prims import PrimError, UserError, base_primitives
+from ..prims.declarations import _as_contract
 
 
 class RuntimeFault(Exception):
@@ -248,8 +249,6 @@ class Interp:
         result = self.apply(g.inner, checked, label)
         if rng is None:
             rng_val = self.apply(ctc.rng_maker, checked, label)
-            from ..lang.prims import _as_contract
-
             rng = _as_contract(rng_val)
         return self.monitor(rng, result, pos=g.pos, neg=g.neg, label=label)
 
@@ -333,8 +332,6 @@ class Interp:
             )
         if isinstance(ctc, RecContract):
             forced = self.apply(ctc.thunk, [], label)
-            from ..lang.prims import _as_contract
-
             return self.monitor(
                 _as_contract(forced), value, pos=pos, neg=neg, label=label
             )
@@ -417,8 +414,6 @@ class Interp:
         return menv
 
     def _eval_contract(self, e: UExpr, env: Env) -> Contract:
-        from ..lang.prims import _as_contract
-
         return _as_contract(self.eval(e, env))
 
     def run_program(

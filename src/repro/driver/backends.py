@@ -64,7 +64,6 @@ from ..scv import (
     find_known_blames,
     inject_program,
     uses_contracts,
-    uses_extended_prims,
 )
 from ..scv.counterexample import canonical_blame_op
 from ..scv.counterexample import render_bindings as render_scv_bindings
@@ -426,7 +425,6 @@ class UntypedScvBackend(_Pipeline):
         machine = SMachine(
             struct_types=collect_struct_types(program),
             assume_well_typed=not uses_contracts(program),
-            extended_prims=uses_extended_prims(program),
             proof=UProofSystem(),
         )
         init = inject_program(program, machine, client_of=client_of)

@@ -32,14 +32,12 @@ Four sections:
   (:mod:`repro.store`): under ``--store`` each is decomposed into
   per-module verification units, and their verdicts are pinned to be
   identical decomposed and whole (``tests/test_store.py``);
-* the **extended-family section** (12 programs, tag ``extended`` plus
+* the **string/vector section** (12 programs, tag ``extended`` plus
   ``strings``/``vectors``, backend ``scv`` only): the registry's
-  string/vector primitive family.  These programs trip the per-program
-  opt-in (``uses_extended_prims``) that binds the family's globals and
-  widens the opaque tag universe with ``vector``; their seeded faults
-  are out-of-range indices (``vector-ref``/``vector-set!``/
-  ``substring``) and definite tag violations (``string-append`` on a
-  number).
+  string/vector primitive family, which every program sees like any
+  other primitive; their seeded faults are out-of-range indices
+  (``vector-ref``/``vector-set!``/``substring``) and definite tag
+  violations (``string-append`` on a number).
 
 Shared-subset discipline (see ``driver.lower``):
 
@@ -712,13 +710,10 @@ CORPUS: tuple[CorpusProgram, ...] = (
         "modules",
     ),
     # ------------------------------------------------------------------
-    # Extended string/vector primitive family (scv only — the typed
-    # core's SPCF slice has no string or vector sorts).  These programs
-    # opt the machine into the family (``SMachine(extended_prims=True)``
-    # via ``uses_extended_prims``): the base frame binds the extra
-    # globals and ``TAG_VECTOR`` joins the opaque tag universe.  The
-    # seeded faults are the family's partial-primitive preconditions:
-    # out-of-range indices and definite tag violations.
+    # The string/vector primitive family (scv only — the typed core's
+    # SPCF slice has no string or vector sorts).  The seeded faults are
+    # the family's partial-primitive preconditions: out-of-range indices
+    # and definite tag violations.
     # ------------------------------------------------------------------
     _buggy_ext(
         "vector-ref-unchecked",

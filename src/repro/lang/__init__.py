@@ -1,10 +1,9 @@
 """Untyped Racket-subset front end: reader, AST, parser, values.
 
-The primitive view ``lang.prims`` is not re-exported: it loads the
-primitive registry (``repro.prims``), whose declarations import
-``scv.heap``, which imports this package — importing it here would make
-``import repro.scv.heap`` in a fresh interpreter run into its own
-half-initialised module.
+The primitives live in ``repro.prims``, which this package must not
+import: the registry's declarations import ``scv.heap``, which imports
+this package, so ``import repro.scv.heap`` in a fresh interpreter would
+run into its own half-initialised module.
 """
 
 from .ast import (

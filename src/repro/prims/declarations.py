@@ -9,10 +9,9 @@ engine converts into blame at the application site — exactly the
 "partial primitive" error sources of the paper (§3.1).
 
 The second half is *the table*: one ``prim(...)`` registration per
-primitive, in the exact order the global frame allocates them
-(``scv.engine.build_base_heap`` iterates the registry, and the resulting
-``g``-location names leak into deterministic reports — never reorder
-committed declarations; append).  Each registration attaches the
+primitive, in the order the global frame allocates them
+(``scv.engine.build_base_heap`` iterates the registry; every program
+sees every primitive).  Each registration attaches the
 metadata the symbolic layers consume: arity, tag signature, refinement
 template (``core.delta`` + ``scv.delta``), synthesis rule or custom
 untyped rule (``scv.delta``), and the ``core_op`` name under which the
@@ -959,39 +958,25 @@ prim("procedure?", arity=exactly(1), sig=_ANY, family="pred",
                lambda v: type(v).__name__
                in ("Closure", "Prim", "Guarded", "StructCtor")))
 
-# --- extended string/vector family (PR 10) ---------------------------------
-#
-# These are gated in the symbolic global frame: ``scv.engine`` binds
-# them (and ``SMachine(extended_prims=True)`` admits ``TAG_VECTOR``
-# into the opaque tag universe) only for programs that mention them,
-# so committed reports for the older corpus keep byte-identical heap
-# allocation orders.
+# --- strings and vectors ---------------------------------------------------
 
 prim("substring", arity=between(2, 3),
      sig=TagSig((_STR, _INT), ("expected string", "expected exact integer"),
                 result=_STR),
-     family="string", rule=rule_substring, check_arity=True)(_prim_substring)
+     family="string", rule=rule_substring)(_prim_substring)
 prim("vector", arity=at_least(0), sig=_ANY, family="vector",
      rule=rule_vector, delegate_concrete=False)(_prim_vector)
 prim("vector-ref", arity=exactly(2),
      sig=TagSig((_VEC, _INT), ("expected vector", "expected exact integer")),
-     family="vector", rule=rule_vector_ref, delegate_concrete=False,
-     check_arity=True)(_prim_vector_ref)
+     family="vector", rule=rule_vector_ref,
+     delegate_concrete=False)(_prim_vector_ref)
 prim("vector-set!", arity=exactly(3),
      sig=TagSig((_VEC, _INT, None),
                 ("expected vector", "expected exact integer", "")),
-     family="vector", rule=rule_vector_set, delegate_concrete=False,
-     check_arity=True)(_prim_vector_set)
+     family="vector", rule=rule_vector_set,
+     delegate_concrete=False)(_prim_vector_set)
 prim("vector-length", arity=exactly(1),
      sig=TagSig(_VEC, "expected vector"), family="vector",
-     rule=rule_vector_length, delegate_concrete=False,
-     check_arity=True)(_prim_vector_length)
+     rule=rule_vector_length, delegate_concrete=False)(_prim_vector_length)
 prim("vector?", arity=exactly(1), sig=_ANY, family="pred",
      pred_tags=_VEC)(_pred("vector?", lambda v: isinstance(v, Vector)))
-
-#: The gated family: bound in the symbolic global frame only when the
-#: program mentions one of them (``scv.engine.uses_extended_prims``).
-EXTENDED_PRIMS = frozenset({
-    "substring", "vector", "vector-ref", "vector-set!", "vector-length",
-    "vector?",
-})

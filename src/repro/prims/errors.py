@@ -1,8 +1,8 @@
 """Error types raised by concrete primitive implementations.
 
 These live in the registry package (the single source of truth for
-primitives) and are re-exported by ``lang.prims`` for compatibility;
-every engine converts them into blame at the application label.
+primitives); every engine converts them into blame at the application
+label.
 """
 
 from __future__ import annotations

@@ -1,17 +1,16 @@
 """The primitive registry: one declaration per primitive, four consumers.
 
 The paper's δ is a single specification, but the system needs it in four
-shapes: the concrete interpreter (``lang.prims`` view), the typed
+shapes: the concrete interpreter (``base_primitives``), the typed
 symbolic machine (``core.delta``), the untyped symbolic machine
 (``scv.delta``) and the bytecode executor's inline fast path
 (``compile.executor``).  Each :class:`PrimSpec` carries everything all
 four need:
 
 * ``name`` / ``aliases`` — the surface names bound in the global frame
-  (declaration order **is** the global-heap allocation order, so it must
-  never be reshuffled once committed — location names leak into
-  deterministic reports);
-* ``arity`` — fixed or variadic argument count;
+  (declaration order is the global-heap allocation order);
+* ``arity`` — fixed or variadic argument count; ``scv.delta`` checks
+  it before any untyped rule runs;
 * ``sig`` — the per-argument *tag signature*: which tag sets each
   argument must fall into, the blame description when it does not, and
   (for generic scalar primitives) the result tag set.  ``scv.delta``
@@ -53,8 +52,8 @@ class Arity:
     max: Optional[int]
 
     def blame(self, n: int) -> Optional[str]:
-        """The arity-violation description for ``n`` arguments, phrased
-        like ``lang.prims`` phrases it, or None when ``n`` is fine."""
+        """The arity-violation description for ``n`` arguments, or None
+        when ``n`` is fine."""
         if n < self.min and self.max is None:
             s = "" if self.min == 1 else "s"
             return f"needs at least {self.min} argument{s}"
@@ -136,10 +135,6 @@ class PrimSpec:
     # filter, ...) must not — their delegation would need an apply
     # callback the δ context deliberately lacks.
     delegate_concrete: bool = True
-    # Enforce `arity` on symbolic arguments in the generic handler (new
-    # declarations only; legacy ones keep their historical lenience so
-    # committed reports stay byte-identical).
-    check_arity: bool = False
     alias_of: Optional[str] = None
     aliases: tuple[str, ...] = field(default=(), compare=False)
 
@@ -156,8 +151,7 @@ def prim(name: str, *, arity: Arity, sig: TagSig, family: str = "misc",
          pred_tags: Optional[frozenset] = None,
          materialize: Optional[str] = None,
          core_op: Optional[str] = None,
-         delegate_concrete: bool = True,
-         check_arity: bool = False) -> Callable:
+         delegate_concrete: bool = True) -> Callable:
     """Register the decorated callable as primitive ``name``."""
 
     def register(fn: Callable) -> Callable:
@@ -167,7 +161,7 @@ def prim(name: str, *, arity: Arity, sig: TagSig, family: str = "misc",
             name=name, concrete=fn, arity=arity, sig=sig, family=family,
             refine=refine, synth=synth, rule=rule, pred_tags=pred_tags,
             materialize=materialize, core_op=core_op,
-            delegate_concrete=delegate_concrete, check_arity=check_arity,
+            delegate_concrete=delegate_concrete,
         )
         return fn
 
@@ -187,13 +181,12 @@ def alias(name: str, of: str) -> None:
     REGISTRY[of] = replace(target, aliases=target.aliases + (name,))
 
 
-def spec(name: str) -> Optional[PrimSpec]:
-    return REGISTRY.get(name)
-
-
 def all_specs() -> list[PrimSpec]:
     return list(REGISTRY.values())
 
 
-def names() -> tuple[str, ...]:
-    return tuple(REGISTRY.keys())
+def base_primitives() -> dict[str, Callable]:
+    """All primitives as ``name -> fn(args, ctx)``, in declaration
+    order.  ``ctx`` provides ``apply(fn, args)`` for higher-order
+    primitives and ``label`` for blame."""
+    return {name: spec.concrete for name, spec in REGISTRY.items()}

@@ -69,8 +69,6 @@ def syn_minmax(op: str):
     realness check, binary picks through ``<``, n-ary folds right."""
 
     def synth(r) -> list:
-        if not r.args:
-            return [r.blame("needs at least 1 argument")]
         a = r.loc_expr(r.args[0])
         if len(r.args) == 1:
             # (< a a) is always #f but forces the realness check.
@@ -104,8 +102,6 @@ def syn_parity(test_zero: bool):
 
 def rule_nonneg_int(r) -> list:
     """exact-nonnegative-integer? — a tag test plus a sign refinement."""
-    if len(r.args) != 1:
-        return [r.blame("expected 1 argument")]
     vals = r.all_concrete()
     if vals is not None:
         return r.delegate(vals)
@@ -139,8 +135,6 @@ def rule_nonneg_int(r) -> list:
 
 
 def rule_not(r) -> list:
-    if len(r.args) != 1:
-        return [r.blame("expected 1 argument")]
     (l,) = r.args
     target, s = r.deref(l)
     if isinstance(s, UConc):
@@ -163,8 +157,6 @@ def equal_rule(identity_structured: bool):
     """equal? (structural) and eqv?/eq? (identity on structured data)."""
 
     def handler(r) -> list:
-        if len(r.args) != 2:
-            return [r.blame(f"expected 2 arguments, got {len(r.args)}")]
         a, b = r.args
         ta, sa = r.deref(a)
         tb, sb = r.deref(b)
@@ -289,8 +281,6 @@ def rule_cons(r) -> list:
 
 def pair_sel_rule(field: str):
     def handler(r) -> list:
-        if len(r.args) != 1:
-            return [r.blame("expected 1 argument")]
         (l,) = r.args
         target, s = r.deref(l)
         if isinstance(s, UPair):
@@ -554,8 +544,7 @@ def rule_set_box(r) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Vectors (fixed-length mutable sequences; TAG_VECTOR is enabled per
-# program — see ``scv.engine.uses_extended_prims``)
+# Vectors (fixed-length mutable sequences)
 # ---------------------------------------------------------------------------
 
 _VEC = frozenset({TAG_VECTOR})
@@ -812,15 +801,11 @@ def _ctc_parts(r, locs: tuple[Loc, ...]) -> tuple[tuple[Loc, ...], UHeap]:
 
 
 def rule_arrow(r) -> list:
-    if not r.args:
-        return [r.blame("needs at least a range contract")]
     parts, heap = _ctc_parts(r, r.args)
     return [r.value(UCtc("fun", parts), heap)]
 
 
 def rule_arrow_d(r) -> list:
-    if not r.args:
-        return [r.blame("needs domains and a range maker")]
     doms, heap = _ctc_parts(r, r.args[:-1])
     target, _ = heap.deref(r.args[-1])
     return [r.value(UCtc("dep", doms + (target,)), heap)]
@@ -866,8 +851,6 @@ def cmp_ctc_rule(op: str):
 
 
 def rule_struct_ctc(r) -> list:
-    if not r.args:
-        return [r.blame("needs a struct constructor")]
     _, ctor = r.deref(r.args[0])
     if not isinstance(ctor, UStructCtor):
         return [r.blame(f"expected struct constructor, got {ctor!r}")]

@@ -11,7 +11,7 @@ this as the ``scv`` backend (``python -m repro --backend scv``).
 Re-exports resolve lazily (PEP 562): the primitive registry's rules
 (``repro.prims.rules``) import ``scv.heap`` at module load, and an
 eager package ``__init__`` would drag ``scv.counterexample`` —
-and through it the still-initialising ``lang.prims`` — into that
+and through it the still-initialising ``repro.prims`` — into that
 import, closing a cycle.  Lazy attribute access keeps
 ``from repro.scv import SMachine`` working without eagerly importing
 every sibling module.
@@ -32,7 +32,6 @@ _EXPORTS = {
     "find_known_blames": "engine",
     "inject_program": "engine",
     "uses_contracts": "engine",
-    "uses_extended_prims": "engine",
     "UHeap": "heap",
     "Blame": "machine",
     "SMachine": "machine",

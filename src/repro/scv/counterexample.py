@@ -55,8 +55,8 @@ from ..lang.ast import (
     UVar,
     subexprs_u,
 )
-from ..lang.prims import base_primitives
 from ..lang.sexp import Symbol, write_datum
+from ..prims import base_primitives
 from ..smt import get_model, mk_var
 from .engine import CLIENT_LABEL
 from .heap import (
@@ -76,6 +76,7 @@ from .heap import (
 )
 from .tags import (
     TAG_BOOLEAN,
+    TAG_BOX,
     TAG_INTEGER,
     TAG_NONREAL,
     TAG_NULL,
@@ -85,6 +86,7 @@ from .tags import (
     TAG_STRING,
     TAG_SYMBOL,
     TAG_VECTOR,
+    TAG_VOID,
 )
 from .machine import Blame, SState, ULocE
 from .proof import translate_uheap
@@ -276,6 +278,10 @@ class UReconstructor:
             return _capp("cons", Quote(0), Quote([]))
         if TAG_VECTOR in s.possible:
             return _capp("vector", Quote(0))
+        if TAG_BOX in s.possible:
+            return _capp("box", Quote(0))
+        if TAG_VOID in s.possible:
+            return _capp("void")
         raise UReconstructionError(f"no representative for {s!r}")
 
     def _build_case(self, s: UCase) -> UExpr:

@@ -384,8 +384,6 @@ def _h_arith(op: str) -> Callable[[Rule], list[Outcome]]:
         vals = r.all_concrete()
         if vals is not None:
             return r.delegate(vals)
-        if not r.args or (op == "-" and len(r.args) < 1):
-            return [r.blame("needs at least 1 argument")]
         oks, out = r.narrow_args(r.args, NUMBER_TAGS, "expected number")
         for heap, effort in oks:
             locs = []
@@ -441,8 +439,6 @@ def _h_divlike(op: str, constrain: bool) -> Callable[[Rule], list[Outcome]]:
     semantics the solver cannot express) leaves the result opaque."""
 
     def handler(r: Rule) -> list[Outcome]:
-        if len(r.args) != 2:
-            return [r.blame(f"expected 2 arguments, got {len(r.args)}")]
         vals = r.all_concrete()
         if vals is not None:
             return r.delegate(vals)
@@ -545,8 +541,6 @@ def _h_compare(op: str) -> Callable[[Rule], list[Outcome]]:
         vals = r.all_concrete()
         if vals is not None:
             return r.delegate(vals)
-        if len(r.args) < 2:
-            return [r.blame("needs at least 2 arguments")]
         if len(r.args) > 2:
             parts = [
                 r.app(r.prim(r.name), r.loc_expr(a), r.loc_expr(b))
@@ -634,8 +628,6 @@ def _h_sign_pred(pred_of: Callable[[], Pred]) -> Callable[[Rule], list[Outcome]]
     answer #f, numbers branch three ways through the proof system."""
 
     def handler(r: Rule) -> list[Outcome]:
-        if len(r.args) != 1:
-            return [r.blame("expected 1 argument")]
         vals = r.all_concrete()
         if vals is not None:
             return r.delegate(vals)
@@ -686,8 +678,6 @@ def _h_tag_pred(
     — once known to be a pair it *becomes* ``(cons • •)``."""
 
     def handler(r: Rule) -> list[Outcome]:
-        if len(r.args) != 1:
-            return [r.blame("expected 1 argument")]
         (l,) = r.args
         target, s = r.deref(l)
         if not isinstance(s, UOpq):
@@ -808,16 +798,6 @@ def _synth_handler(spec) -> Callable[[Rule], list[Outcome]]:
     return handler
 
 
-def _arity_gate(arity, inner) -> Callable[[Rule], list[Outcome]]:
-    def handler(r: Rule) -> list[Outcome]:
-        msg = arity.blame(len(r.args))
-        if msg is not None:
-            return [r.blame(msg)]
-        return inner(r)
-
-    return handler
-
-
 _DISPATCH: Optional[dict[str, Callable[[Rule], list[Outcome]]]] = None
 
 
@@ -845,8 +825,6 @@ def _dispatch() -> dict[str, Callable[[Rule], list[Outcome]]]:
                 h = _h_generic(spec.sig.want, spec.sig.result, spec.sig.desc)
             else:
                 continue  # pragma: no cover - lint enforces coverage
-            if spec.check_arity:
-                h = _arity_gate(spec.arity, h)
             table[spec.name] = h
         _DISPATCH = table
     return _DISPATCH
@@ -854,7 +832,8 @@ def _dispatch() -> dict[str, Callable[[Rule], list[Outcome]]]:
 
 def delta_u(machine, heap: UHeap, name: str, args: tuple[Loc, ...],
             label: str) -> list[Outcome]:
-    """All δ-branches for primitive ``name`` on ``args`` under ``heap``."""
+    """All δ-branches for primitive ``name`` on ``args`` under ``heap``.
+    A registry primitive's arity is checked here, before its rule runs."""
     r = Rule(machine, heap, name, args, label)
     struct_entry = machine.struct_prims.get(name)
     if struct_entry is not None:
@@ -862,14 +841,10 @@ def delta_u(machine, heap: UHeap, name: str, args: tuple[Loc, ...],
         if len(args) != 1:
             return [r.blame("expected 1 argument")]
         return _struct_rule(r, role, stype, index)
-    handler = _dispatch().get(name)
-    if handler is not None:
-        return handler(r)
-    if name in REGISTRY:  # pragma: no cover - every declaration has a handler
-        vals = r.all_concrete()
-        if vals is not None:
-            return r.delegate(vals)
-        # Unmodelled primitive on symbolic input: over-approximate the
-        # value, under-approximate the errors (documented limitation).
-        return [r.value(UOpq(machine.all_tags))]
-    return [r.blame("unknown primitive")]
+    spec = REGISTRY.get(name)
+    if spec is None:
+        return [r.blame("unknown primitive")]
+    msg = spec.arity.blame(len(args))
+    if msg is not None:
+        return [r.blame(msg)]
+    return _dispatch()[name](r)

@@ -47,9 +47,8 @@ from ..lang.ast import (
     free_vars,
     subexprs_u,
 )
-from ..lang.prims import base_primitives
 from ..lang.values import NIL, StructType
-from ..prims import EXTENDED_PRIMS
+from ..prims import base_primitives
 from .heap import UConc, UCtc, UHeap, UOpq, UPrim, UStoreable, UStructCtor
 from .tags import TAG_PROCEDURE
 from ..core.heap import NameCursor
@@ -96,36 +95,11 @@ def collect_struct_types(program: Program) -> dict[str, StructType]:
     }
 
 
-def uses_extended_prims(program: Program) -> bool:
-    """Does any module mention the extended string/vector family?  The
-    base frame allocates g-locs in registry order, so binding the
-    extended names unconditionally would shift every later allocation —
-    the family (and ``TAG_VECTOR``) is enabled only for programs that
-    name it, keeping all other programs' heaps and reports
-    byte-identical."""
-    def mentions(e: Optional[UExpr]) -> bool:
-        if e is None:
-            return False
-        return any(isinstance(sub, UVar) and sub.name in EXTENDED_PRIMS
-                   for sub in subexprs_u(e))
-
-    if mentions(program.main):
-        return True
-    for m in program.modules:
-        if any(mentions(e) for _, e in m.definitions):
-            return True
-        if any(mentions(ctc) for _, ctc in m.opaques):
-            return True
-        if any(mentions(p.contract) for p in m.provides):
-            return True
-    return False
-
-
 class _SharedBase:
     """The primitive part of the global frame: its ``MEnv``, a heap whose
     frozen base holds its cells, the next location number after it, and
     the frame's names-only token (``global_names``).  Shared by every
-    verification with the same key; never mutated."""
+    verification; never mutated."""
 
     __slots__ = ("env", "heap", "loc_end", "names")
 
@@ -136,18 +110,18 @@ class _SharedBase:
         self.names = tuple(sorted((n, l.name) for n, l in env.frame.items()))
 
 
-#: One primitive base per ``extended_prims``: δ over the primitives is
-#: fixed, and every verification numbers its locations from 0, so a
-#: build's location names depend on nothing else.
-_SHARED_BASES: dict[bool, _SharedBase] = {}
+#: The one primitive base: δ over the primitives is fixed, and every
+#: verification numbers its locations from 0, so a build's location
+#: names depend on nothing else.  Built on first use.
+_SHARED_BASE: Optional[_SharedBase] = None
 
 
-def _shared_base(extended_prims: bool) -> _SharedBase:
-    """The primitives, ``any/c`` and ``empty``/``null``, built once per
-    key, with locations numbered from 0."""
-    shared = _SHARED_BASES.get(extended_prims)
-    if shared is not None:
-        return shared
+def _shared_base() -> _SharedBase:
+    """Every primitive, ``any/c`` and ``empty``/``null``, built once per
+    process, with locations numbered from 0."""
+    global _SHARED_BASE
+    if _SHARED_BASE is not None:
+        return _SHARED_BASE
     names = NameCursor()
     frame: dict[str, Loc] = {}
     cells: dict[Loc, UStoreable] = {}
@@ -158,25 +132,19 @@ def _shared_base(extended_prims: bool) -> _SharedBase:
         return l
 
     for name in base_primitives():
-        if name in EXTENDED_PRIMS and not extended_prims:
-            continue
         bind(name, UPrim(name))
     bind("any/c", UCtc("any"))
     frame["null"] = bind("empty", UConc(NIL))
-    shared = _SHARED_BASES[extended_prims] = _SharedBase(
-        MEnv(frame), UHeap({}, cells), names.loc
-    )
-    return shared
+    _SHARED_BASE = _SharedBase(MEnv(frame), UHeap({}, cells), names.loc)
+    return _SHARED_BASE
 
 
 def global_names(env: MEnv) -> Optional[tuple[tuple[str, str], ...]]:
-    """The sorted ``(name, location name)`` pairs of ``env`` when it is a
-    shared primitive frame (``None`` otherwise) — fingerprinting's
+    """The sorted ``(name, location name)`` pairs of ``env`` when it is
+    the shared primitive frame (``None`` otherwise) — fingerprinting's
     names-only token for that frame, built once with the frame."""
-    for shared in _SHARED_BASES.values():
-        if shared.env is env:
-            return shared.names
-    return None
+    shared = _SHARED_BASE
+    return shared.names if shared is not None and shared.env is env else None
 
 
 def build_base_heap(machine: SMachine) -> tuple[MEnv, UHeap, NameCursor]:
@@ -185,7 +153,7 @@ def build_base_heap(machine: SMachine) -> tuple[MEnv, UHeap, NameCursor]:
 
     The primitive part is shared (``_shared_base``); a program's struct
     bindings are layered on in a fresh frame and the heap's overlay."""
-    shared = _shared_base(machine.extended_prims)
+    shared = _shared_base()
     names = NameCursor(shared.loc_end)
     if not machine.struct_types:
         return shared.env, shared.heap, names

@@ -64,7 +64,7 @@ from .heap import (
     UStruct,
     UStructCtor,
 )
-from .tags import BASE_TAGS, TAG_BOOLEAN, TAG_PROCEDURE, TAG_VECTOR, struct_tag
+from .tags import BASE_TAGS, TAG_BOOLEAN, TAG_PROCEDURE, struct_tag
 
 def is_known_label(label: str) -> bool:
     """Labels minted by the parser ('aN') are known-code sites; labels
@@ -275,29 +275,19 @@ class SMachine:
       errors (division by zero, contract blame) still branch.  Used by
       the driver when running the contract-free shared corpus so the
       two backends answer the same question.
-    * ``extended_prims`` — enables the extended string/vector primitive
-      family for this program: the base heap binds its globals and
-      ``TAG_VECTOR`` joins the opaque tag universe.  Off by default so
-      programs that never mention the family keep byte-identical heaps
-      and reports (an unrestricted opaque's sorted tag set is embedded
-      in committed report bytes).
     """
 
     def __init__(self, *, proof=None, struct_types=None,
-                 assume_well_typed: bool = False,
-                 extended_prims: bool = False) -> None:
+                 assume_well_typed: bool = False) -> None:
         from .proof import UProofSystem
 
         self.proof = proof or UProofSystem()
         self.names = NameCursor()  # seeded per step from the state
         self.struct_types: dict[str, StructType] = dict(struct_types or {})
         self.assume_well_typed = assume_well_typed
-        self.extended_prims = extended_prims
         self.all_tags = BASE_TAGS | {
             struct_tag(n) for n in self.struct_types
         }
-        if extended_prims:
-            self.all_tags = self.all_tags | {TAG_VECTOR}
         # prim name -> ("pred" | "accessor", StructType, field index)
         self.struct_prims: dict[str, tuple[str, StructType, int]] = {}
         for st in self.struct_types.values():

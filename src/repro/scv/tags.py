@@ -3,7 +3,7 @@
 The primary tags are disjoint and exhaustive:
 
     integer | ratreal | nonreal | boolean | string | symbol | pair |
-    null | procedure | box | void | struct:<name>
+    null | procedure | box | void | vector | struct:<name>
 
 ``ratreal`` covers non-integer reals (the exact-rational / float slice
 of the tower) and ``nonreal`` covers complex numbers with a nonzero
@@ -29,10 +29,6 @@ TAG_NULL = "null"
 TAG_PROCEDURE = "procedure"
 TAG_BOX = "box"
 TAG_VOID = "void"
-# Extension tag for the gated vector family.  Deliberately NOT in
-# BASE_TAGS: the sorted tag set of an unrestricted opaque is embedded in
-# committed report bytes, so the tag universe only grows per-program
-# (``SMachine(extended_prims=True)``), never globally.
 TAG_VECTOR = "vector"
 
 BASE_TAGS = frozenset(
@@ -48,6 +44,7 @@ BASE_TAGS = frozenset(
         TAG_PROCEDURE,
         TAG_BOX,
         TAG_VOID,
+        TAG_VECTOR,
     }
 )
 

@@ -51,9 +51,10 @@ from ..lang.ast import (
 from ..lang.sexp import Symbol
 
 #: Bumped whenever the serialization below (or the stored entry format)
-#: changes incompatibly; part of every config digest, so an old store
-#: directory degrades to a cold cache instead of replaying stale shapes.
-STORE_VERSION = 2
+#: changes incompatibly, or the engine's answers change; part of every
+#: config digest, so an old store directory degrades to a cold cache
+#: instead of replaying stale shapes or verdicts.
+STORE_VERSION = 3
 
 
 class DigestError(Exception):

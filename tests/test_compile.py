@@ -40,7 +40,6 @@ from repro.scv.engine import (
     collect_struct_types,
     inject_program,
     uses_contracts,
-    uses_extended_prims,
 )
 from repro.scv.machine import SMachine, UMon
 from repro.scv.proof import UProofSystem
@@ -327,7 +326,6 @@ def _scv_search(source):
     machine = SMachine(
         struct_types=collect_struct_types(program),
         assume_well_typed=not uses_contracts(program),
-        extended_prims=uses_extended_prims(program),
         proof=UProofSystem(),
     )
     init = inject_program(program, machine)

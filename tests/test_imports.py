@@ -26,10 +26,10 @@ ENTRY_MODULES = (
     "repro",
     "repro.compile",
     "repro.conc",
+    "repro.conc.interp",
     "repro.core",
     "repro.driver",
     "repro.lang",
-    "repro.lang.prims",
     "repro.prims",
     "repro.prims.declarations",
     "repro.prims.rules",
@@ -37,6 +37,8 @@ ENTRY_MODULES = (
     "repro.scv.heap",
     "repro.scv.tags",
     "repro.scv.machine",
+    "repro.scv.engine",
+    "repro.scv.counterexample",
     "repro.search",
     "repro.serve",
     "repro.smt",

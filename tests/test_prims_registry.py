@@ -13,8 +13,7 @@ declarations is covered here with zero test edits.
 import pytest
 
 from repro.core.delta import _tables as core_tables
-from repro.lang.prims import base_primitives
-from repro.prims import EXTENDED_PRIMS, REGISTRY, all_specs
+from repro.prims import REGISTRY, all_specs, base_primitives
 from repro.scv.delta import OBlame, OEval, delta_u
 from repro.scv.delta import _dispatch as scv_dispatch
 from repro.scv.heap import UHeap, UOpq
@@ -51,16 +50,6 @@ class TestLayerParity:
                 target = REGISTRY[s.alias_of]
                 assert s.concrete is target.concrete
                 assert s.name in target.aliases
-
-    def test_extended_family_is_a_declaration_suffix(self):
-        # The base heap allocates g-locs in declaration order and skips
-        # the extended family unless the program opts in; the family
-        # must therefore sit strictly after every legacy name, or every
-        # legacy program's heap (and committed report bytes) would shift.
-        order = list(REGISTRY)
-        first_ext = min(order.index(n) for n in EXTENDED_PRIMS)
-        legacy = [n for n in order if n not in EXTENDED_PRIMS]
-        assert first_ext > max(order.index(n) for n in legacy)
 
     def test_min_max_are_ordinary_synthesis_rules(self):
         # Historically special-cased in the untyped δ; now they are
@@ -119,7 +108,7 @@ class TestWellTypedSuppression:
     ``assume_well_typed`` — while still narrowing the ok branches."""
 
     def _run(self, spec, typed: bool):
-        m = SMachine(assume_well_typed=typed, extended_prims=True)
+        m = SMachine(assume_well_typed=typed)
         heap = UHeap.empty()
         locs = []
         for _ in range(_n_args(spec)):

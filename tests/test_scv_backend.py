@@ -169,3 +169,50 @@ class TestCrossCheckAgreement:
         assert set(totals) == {"core", "scv"}
         for t in totals.values():
             assert t["programs"] == len(self.SHARED)
+
+
+def _tag_chain_module(preds) -> str:
+    """``f`` answers for every tag ``preds`` names and divides by zero
+    for any other value."""
+    body = "(quotient 1 0)"
+    for i, pred in reversed(list(enumerate(preds))):
+        body = f"(if ({pred} x) {i} {body})"
+    return f"(module m (define (f x) {body}) (provide [f (-> any/c any/c)]))"
+
+
+_SEVEN_TAGS = ("number?", "string?", "pair?", "procedure?", "boolean?",
+               "null?", "symbol?")
+
+
+class TestWholePrimitiveTable:
+    """Every program sees every primitive and the whole tag universe: an
+    opaque value is any value a client could pass, and every primitive
+    checks its arity the same way."""
+
+    @pytest.mark.parametrize("more, witness", [
+        ((), "(f (vector 0))"),
+        (("vector?",), "(f (box 0))"),
+        (("vector?", "box?"), "(f (void))"),
+    ], ids=["vector", "box", "void"])
+    def test_an_argument_of_any_tag_has_a_witness(self, more, witness):
+        r = verify_source(_tag_chain_module(_SEVEN_TAGS + more), name="m",
+                          kind="buggy", backend="scv")
+        assert r.status == STATUS_COUNTEREXAMPLE, (r.status, r.detail)
+        assert r.counterexample.err_op == "quotient"
+        assert r.counterexample.validated_conc is True
+        assert witness in r.counterexample.client
+
+    def test_every_primitive_checks_its_arity_alike(self):
+        from repro.prims import REGISTRY
+
+        r = verify_source(
+            "(module m (define (f x) (car x 3))"
+            " (provide [f (-> any/c any/c)]))",
+            name="m", kind="buggy", backend="scv",
+        )
+        assert r.status == STATUS_COUNTEREXAMPLE, (r.status, r.detail)
+        assert r.counterexample.err_op == "car"
+        assert r.counterexample.err_detail == (
+            f"Λ: car: {REGISTRY['car'].arity.blame(2)}"
+        )
+        assert r.counterexample.validated_conc is True

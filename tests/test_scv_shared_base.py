@@ -1,10 +1,10 @@
 """The shared primitive base of the scv engine (``scv.engine``).
 
-The primitive frame and its frozen heap are built once per
-``extended_prims`` and reused by every later verification with that
-key (every verification numbers its locations from 0).  Reuse must be invisible: rows equal those
-of a fresh process, the shared dicts and frames never change, and the
-table holds one entry per key.  Heap→formula translation walks only a
+The primitive frame and its frozen heap are built once per process,
+bind every registry primitive, and are reused by every later
+verification (every verification numbers its locations from 0).  Reuse
+must be invisible: rows equal those of a fresh process and the shared
+dicts and frames never change.  Heap→formula translation walks only a
 heap's overlay when its base can state no integer fact; the walk must
 give the same conjuncts as the full one.
 """
@@ -25,6 +25,7 @@ from repro.core.syntax import Loc
 from repro.driver.corpus import CORPUS, get_program
 from repro.driver.report import stable_row
 from repro.driver.runner import verify_source
+from repro.prims import REGISTRY
 from repro.scv import engine, proof
 from repro.scv.heap import UAlias, UConc, UHeap, UOpq
 from repro.scv.machine import SMachine
@@ -32,8 +33,8 @@ from repro.scv.tags import TAG_INTEGER
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: A module program with a demonic client, a struct program and an
-#: extended-primitive program, then the first one again.
+#: A module program with a demonic client, a struct program and a
+#: vector program, then the first one again.
 SEQUENCE = ("modules-triple-pipeline", "struct-posn-invx",
             "vector-ref-unchecked", "modules-triple-pipeline")
 
@@ -58,16 +59,16 @@ def _fresh_process_row(name: str) -> dict:
     return json.loads(out.stdout)
 
 
-def _fresh_build(key: bool, monkeypatch) -> engine._SharedBase:
-    """The shared base a build from an empty table gives for ``key``."""
+def _fresh_build(monkeypatch) -> engine._SharedBase:
+    """The shared base a build from scratch gives."""
     with monkeypatch.context() as m:
-        m.setattr(engine, "_SHARED_BASES", {})
-        return engine._shared_base(key)
+        m.setattr(engine, "_SHARED_BASE", None)
+        return engine._shared_base()
 
 
 class TestSharedBase:
     def test_reuse_is_invisible(self, monkeypatch):
-        monkeypatch.setattr(engine, "_SHARED_BASES", {})
+        monkeypatch.setattr(engine, "_SHARED_BASE", None)
         rows = [_row(name) for name in SEQUENCE]
         # JSON round trip: the fresh rows arrive as JSON.
         rows = json.loads(json.dumps(rows))
@@ -75,24 +76,25 @@ class TestSharedBase:
         for name, row in zip(SEQUENCE, rows):
             assert row == fresh[name], name
 
-        table = engine._SHARED_BASES
-        # Names restart per verification: one entry per configuration.
-        assert set(table) == {False, True}
-        for key, shared in table.items():
-            rebuilt = _fresh_build(key, monkeypatch)
-            assert shared.env.frame == rebuilt.env.frame
-            assert list(shared.env.frame) == list(rebuilt.env.frame)
-            assert shared.env.parent is None
-            assert dict(shared.heap.items()) == dict(rebuilt.heap.items())
-            assert list(shared.heap.items()) == list(rebuilt.heap.items())
-            assert shared.loc_end == rebuilt.loc_end
-            assert shared.names == rebuilt.names
-            assert shared.heap.inert_base
+        # One base served every program, and it binds the whole registry.
+        shared = engine._SHARED_BASE
+        assert set(REGISTRY) <= set(shared.env.frame)
+        assert set(shared.env.frame) - set(REGISTRY) == {
+            "any/c", "empty", "null"}
+        rebuilt = _fresh_build(monkeypatch)
+        assert shared.env.frame == rebuilt.env.frame
+        assert list(shared.env.frame) == list(rebuilt.env.frame)
+        assert shared.env.parent is None
+        assert dict(shared.heap.items()) == dict(rebuilt.heap.items())
+        assert list(shared.heap.items()) == list(rebuilt.heap.items())
+        assert shared.loc_end == rebuilt.loc_end
+        assert shared.names == rebuilt.names
+        assert shared.heap.inert_base
 
     def test_a_build_names_its_globals_from_zero(self, monkeypatch):
-        monkeypatch.setattr(engine, "_SHARED_BASES", {})
-        built = engine._shared_base(False)
-        assert engine._shared_base(False) is built
+        monkeypatch.setattr(engine, "_SHARED_BASE", None)
+        built = engine._shared_base()
+        assert engine._shared_base() is built
         assert {l.name for l in built.env.frame.values()} == {
             f"g{i}" for i in range(built.loc_end)
         }
@@ -103,11 +105,11 @@ class TestSharedBase:
     def test_struct_bindings_are_layered_per_program(self, monkeypatch):
         from repro.lang.parser import parse_program
 
-        monkeypatch.setattr(engine, "_SHARED_BASES", {})
+        monkeypatch.setattr(engine, "_SHARED_BASE", None)
         program = parse_program(get_program("struct-posn-invx").source)
         machine = SMachine(struct_types=engine.collect_struct_types(program))
         env, heap, names = engine.build_base_heap(machine)
-        shared = engine._SHARED_BASES[False]
+        shared = engine._SHARED_BASE
         # Struct bindings number on from the shared globals.
         assert env.frame["posn"] == Loc(f"g{shared.loc_end}")
         assert names.loc == shared.loc_end + 4  # ctor, predicate, 2 fields

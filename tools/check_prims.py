@@ -3,10 +3,8 @@
 
 The registry (``repro.prims``) is the single source of truth for four
 engine layers, so a malformed declaration fails late and far from its
-cause — an entry without any handler source would silently fall to the
-untyped δ's over-approximating fallback, and a misplaced extended-family
-entry would shift every program's global heap allocation order.  This
-lint front-loads those checks:
+cause — an entry without any handler source would have no untyped δ
+rule and would fail on first use.  This lint front-loads those checks:
 
 * every entry declares a tag signature, and either an integer-refinement
   template or a handler source (synthesis rule, custom rule, predicate
@@ -15,10 +13,7 @@ lint front-loads those checks:
   refinement templates ride on known kinds;
 * aliases resolve, share their target's concrete implementation, and are
   recorded on the target;
-* ``core_op`` names are unique (the typed δ's dispatch keys);
-* the extended family sits strictly after every legacy declaration
-  (the allocation-order invariant ``scv.engine.build_base_heap`` keys
-  g-locs on).
+* ``core_op`` names are unique (the typed δ's dispatch keys).
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ _REFINE_KINDS = {
 
 
 def main() -> int:
-    from repro.prims import EXTENDED_PRIMS, REGISTRY, all_specs
+    from repro.prims import REGISTRY, all_specs
 
     problems: list[str] = []
 
@@ -79,28 +74,12 @@ def main() -> int:
                 bad(s.name, "names a core_op but has no refinement "
                             "template for the typed δ to interpret")
 
-    order = list(REGISTRY)
-    unknown_ext = EXTENDED_PRIMS - set(order)
-    if unknown_ext:
-        problems.append(f"  EXTENDED_PRIMS not declared: {sorted(unknown_ext)}")
-    else:
-        legacy_last = max(
-            order.index(n) for n in order if n not in EXTENDED_PRIMS
-        )
-        for n in sorted(EXTENDED_PRIMS):
-            if order.index(n) < legacy_last:
-                problems.append(
-                    f"  {n}: extended-family entry declared before a legacy "
-                    "primitive (this shifts every program's g-loc order)"
-                )
-
     if problems:
         print(f"check_prims: {len(problems)} problem(s) in the registry:")
         print("\n".join(problems))
         return 1
     print(f"check_prims: {len(REGISTRY)} declarations OK "
-          f"({len(EXTENDED_PRIMS)} extended, "
-          f"{len(core_ops)} typed-core ops)")
+          f"({len(core_ops)} typed-core ops)")
     return 0
 
 
