@@ -49,8 +49,8 @@ Schema ``repro-bench/v10`` (``v9`` without the scoped-solver fields):
   see the two ``counterexample`` modules) are compared field by field
   under ``agreement.counterexamples``;
 * new in v7 — totals gain ``max_wall_ms``, the slowest single program
-  row, which ``tools/diff_reports.py --max-regress-wall`` checks
-  alongside ``wall_ms``;
+  row, which ``tools/wall_tripwire.py`` prints alongside the
+  ``wall_ms`` it gates on;
 * v7 addendum (the serving revision): rows carry
   ``deadline_enforced`` — False when a positive wall-clock budget could
   not be armed (no ``SIGALRM``, or the caller was not the main thread),

@@ -35,19 +35,33 @@ def _fake_runs(monkeypatch, tripwire, walls: dict) -> list:
     return order
 
 
+def _trees(tmp_path) -> list[str]:
+    for name in ("base", "head"):
+        (tmp_path / name).mkdir()
+    return [str(tmp_path / "base"), str(tmp_path / "head")]
+
+
 @pytest.mark.parametrize("head, code", [
-    ([(100, 10), (130, 13), (104, 11)], 0),  # medians 104/11: within 20%
-    ([(125, 10), (126, 11), (90, 10)], 1),   # wall_ms median 125 > 120
-    ([(100, 13), (100, 13), (100, 10)], 1),  # max_wall_ms median 13 > 12
-], ids=["within", "total-slower", "slowest-row-slower"])
-def test_medians_decide(monkeypatch, tmp_path, tripwire, head, code):
-    base = [(100, 10), (90, 9), (110, 11)]  # medians 100 and 10
+    ([(100, 10), (130, 13), (119, 11)], 0),  # fastest 100 <= 90 * 1.2
+    ([(125, 10), (121, 11), (130, 10)], 1),  # fastest 121 > 90 * 1.2
+    ([(95, 30), (100, 40), (96, 50)], 0),    # the slowest row decides nothing
+    ([(80, 8), (85, 9), (500, 90)], 0),      # one disturbed run is ignored
+], ids=["within", "slower", "slowest-row", "one-outlier"])
+def test_fastest_total_decides(monkeypatch, tmp_path, tripwire, head, code):
+    base = [(100, 10), (90, 9), (110, 11)]  # fastest 90 and 9
     order = _fake_runs(monkeypatch, tripwire, {"base": base, "head": head})
-    (tmp_path / "base").mkdir()
-    (tmp_path / "head").mkdir()
-    argv = [str(tmp_path / "base"), str(tmp_path / "head")]
-    assert tripwire.main(argv) == code
+    assert tripwire.main(_trees(tmp_path)) == code
     assert order == ["base", "head"] * 3  # alternating
+
+
+@pytest.mark.parametrize("bad", ["fast", None, float("nan"), True])
+def test_a_total_that_is_not_a_number_exits_2(monkeypatch, tmp_path,
+                                               tripwire, capsys, bad):
+    walls = {"base": [(100, 10)] * 3, "head": [(100, 10), (bad, 10),
+                                               (100, 10)]}
+    _fake_runs(monkeypatch, tripwire, walls)
+    assert tripwire.main(_trees(tmp_path)) == 2
+    assert "wall_ms: not a number" in capsys.readouterr().err
 
 
 def test_a_tree_that_cannot_bench_exits_2(tmp_path):

@@ -2,7 +2,7 @@
 """Differential comparison of two bench reports — the one report gate.
 
 ``python tools/diff_reports.py A.json B.json [--exact FIELD,...]
-[--min-hit-rate 0.9] [--max-regress-wall 0.20]``
+[--min-hit-rate 0.9]``
 
 Exit 1 unless the two reports are identical on everything that is
 deterministically reproducible:
@@ -23,12 +23,6 @@ work counter such as ``dispatch_steps`` is pinned this way, and so
 are the solver counters ``solver_fresh_solves`` and ``solver_unknown``
 of a store-less run.
 
-With ``--max-regress-wall FRACTION`` report B's ``totals.wall_ms`` and
-``totals.max_wall_ms`` (the slowest single row) may exceed report A's by
-at most that fraction.  Wall time is noisy on shared runners, so this is
-only a tripwire for gross slowdowns; the work counters above are the
-signal.
-
 Both reports must carry the current schema (``report.SCHEMA``): an older
 or newer ``repro-bench/vN``, another tool's JSON or a missing file exits
 2 with a message naming the file, instead of comparing numbers it may
@@ -45,16 +39,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.driver.report import SCHEMA, stable_row  # noqa: E402
-
-#: The totals ``--max-regress-wall`` checks.
-WALL_TOTALS = ("wall_ms", "max_wall_ms")
 
 
 def load(path: str) -> dict:
@@ -104,37 +94,6 @@ def exact_mismatches(a: dict, b: dict, fields: list[str]) -> list[str]:
     return out
 
 
-def wall_regressions(a: dict, b: dict, budget: float) -> list[str]:
-    """The :data:`WALL_TOTALS` on which report ``b`` exceeds report
-    ``a`` by more than ``budget`` (a fraction of ``a``'s value)."""
-    out = []
-    for f in WALL_TOTALS:
-        old, new = a["totals"].get(f), b["totals"].get(f)
-        if not _number(old) or not _number(new):
-            out.append(f"totals: {f}: not a number ({old!r} -> {new!r})")
-        elif new > old * (1 + budget):
-            out.append(f"totals: {f}: {old:g} -> {new:g} exceeds the "
-                       f"{budget:.0%} budget")
-    return out
-
-
-def _number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and math.isfinite(x)
-
-
-def _fraction(text: str) -> float:
-    """An argparse ``type=`` for a finite, non-negative fraction."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:  # False for NaN
-        raise argparse.ArgumentTypeError(
-            f"must be a finite fraction >= 0, got {text!r}")
-    return value
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", help="reference report (e.g. the cold run)")
@@ -148,12 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         "--exact", default="", metavar="FIELD[,FIELD...]",
         help="fields that must match exactly, per row and in the totals, "
         "even when volatile",
-    )
-    parser.add_argument(
-        "--max-regress-wall", type=_fraction, default=None,
-        metavar="FRACTION",
-        help="fail if report B's totals.wall_ms or totals.max_wall_ms "
-        "exceeds report A's by more than this fraction",
     )
     args = parser.parse_args(argv)
     try:
@@ -209,16 +162,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             print(f"store hit rate {rate:.1%} ({hits}/{lookups})")
-
-    if args.max_regress_wall is not None:
-        regressions = wall_regressions(a, b, args.max_regress_wall)
-        for line in regressions:
-            print(f"FAIL {line}", file=sys.stderr)
-        if regressions:
-            failed = True
-        else:
-            print(f"{' and '.join(WALL_TOTALS)} within the "
-                  f"{args.max_regress_wall:.0%} budget")
 
     return 1 if failed else 0
 
