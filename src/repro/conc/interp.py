@@ -72,7 +72,7 @@ from ..lang.values import (
     to_pylist,
 )
 from ..prims import PrimError, UserError, base_primitives
-from ..prims.declarations import _as_contract
+from ..prims.declarations import _arity, _as_contract
 
 
 class RuntimeFault(Exception):
@@ -352,21 +352,21 @@ class Interp:
 
         for sdef in module.structs:
             stype = StructType(sdef.name, sdef.fields)
+            predicate = f"{sdef.name}?"
+
+            def pred(args, ctx, st=stype, name=predicate):
+                _arity(name, args, 1)
+                return isinstance(args[0], StructVal) and args[0].type == st
+
             bindings: list[tuple[str, object]] = [
                 (sdef.name, StructCtor(stype)),
-                (
-                    f"{sdef.name}?",
-                    Prim(
-                        f"{sdef.name}?",
-                        lambda args, ctx, st=stype: isinstance(args[0], StructVal)
-                        and args[0].type == st,
-                    ),
-                ),
+                (predicate, Prim(predicate, pred)),
             ]
             for i, fieldname in enumerate(sdef.fields):
                 accessor = f"{sdef.name}-{fieldname}"
 
                 def acc(args, ctx, st=stype, idx=i, name=accessor):
+                    _arity(name, args, 1)
                     v = args[0]
                     if not (isinstance(v, StructVal) and v.type == st):
                         raise PrimError(name, f"expected {st.name}, got {v!r}")

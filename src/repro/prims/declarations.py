@@ -147,9 +147,12 @@ def _norm(v):
     return v
 
 
-def _arity(op: str, args: list, n: int) -> None:
-    if len(args) != n:
-        raise PrimError(op, f"expected {n} arguments, got {len(args)}")
+def _arity(op: str, args: list, n) -> None:
+    """Raise ``op``'s arity blame unless ``args`` fits ``n``: an exact
+    count or an :class:`~repro.prims.registry.Arity`."""
+    msg = (exactly(n) if isinstance(n, int) else n).blame(len(args))
+    if msg is not None:
+        raise PrimError(op, msg)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +170,7 @@ def _prim_add(args, ctx):
 
 def _prim_sub(args, ctx):
     _want_numbers("-", args)
-    if not args:
-        raise PrimError("-", "needs at least 1 argument")
+    _arity("-", args, at_least(1))
     if len(args) == 1:
         return _norm(-args[0])
     out = args[0]
@@ -187,8 +189,7 @@ def _prim_mul(args, ctx):
 
 def _prim_div(args, ctx):
     _want_numbers("/", args)
-    if not args:
-        raise PrimError("/", "needs at least 1 argument")
+    _arity("/", args, at_least(1))
     vals = args if len(args) > 1 else [1] + list(args)
     out = vals[0]
     for a in vals[1:]:
@@ -248,15 +249,13 @@ def _prim_abs(args, ctx):
 
 def _prim_min(args, ctx):
     _want_reals("min", args)
-    if not args:
-        raise PrimError("min", "needs at least 1 argument")
+    _arity("min", args, at_least(1))
     return _norm(min(args))
 
 
 def _prim_max(args, ctx):
     _want_reals("max", args)
-    if not args:
-        raise PrimError("max", "needs at least 1 argument")
+    _arity("max", args, at_least(1))
     return _norm(max(args))
 
 
@@ -265,8 +264,7 @@ def _compare(op: str, py) -> Callable:
         # Comparisons are partial: they require *real* arguments.  This
         # is the precondition the paper's argmin counterexample violates
         # with 0+1i (§5.2).
-        if len(args) < 2:
-            raise PrimError(op, "needs at least 2 arguments")
+        _arity(op, args, at_least(2))
         _want_reals(op, args)
         return all(py(args[i], args[i + 1]) for i in range(len(args) - 1))
 
@@ -274,8 +272,7 @@ def _compare(op: str, py) -> Callable:
 
 
 def _prim_num_eq(args, ctx):
-    if len(args) < 2:
-        raise PrimError("=", "needs at least 2 arguments")
+    _arity("=", args, at_least(2))
     _want_numbers("=", args)
     return all(args[i] == args[i + 1] for i in range(len(args) - 1))
 
@@ -531,8 +528,7 @@ def _prim_string_append(args, ctx):
 
 
 def _prim_string_eq(args, ctx):
-    if len(args) < 2:
-        raise PrimError("string=?", "needs at least 2 arguments")
+    _arity("string=?", args, at_least(2))
     for a in args:
         if not isinstance(a, str):
             raise PrimError("string=?", f"expected string, got {a!r}")
@@ -540,10 +536,7 @@ def _prim_string_eq(args, ctx):
 
 
 def _prim_substring(args, ctx):
-    if not 2 <= len(args) <= 3:
-        raise PrimError(
-            "substring", f"expected 2 to 3 arguments, got {len(args)}"
-        )
+    _arity("substring", args, between(2, 3))
     s = args[0]
     if not isinstance(s, str):
         raise PrimError("substring", f"expected string, got {s!r}")

@@ -59,7 +59,8 @@ class Arity:
             return f"needs at least {self.min} argument{s}"
         if self.max is not None and not (self.min <= n <= self.max):
             if self.min == self.max:
-                return f"expected {self.min} arguments, got {n}"
+                s = "" if self.min == 1 else "s"
+                return f"expected {self.min} argument{s}, got {n}"
             return f"expected {self.min} to {self.max} arguments, got {n}"
         return None
 

@@ -56,9 +56,10 @@ from ..lang.ast import (
     subexprs_u,
 )
 from ..lang.sexp import Symbol, write_datum
+from ..lang.values import NIL, VOID, StructType
 from ..prims import base_primitives
 from ..smt import get_model, mk_var
-from .engine import CLIENT_LABEL
+from .engine import CLIENT_LABEL, collect_struct_types
 from .heap import (
     PEqDatum,
     UBoxS,
@@ -207,9 +208,11 @@ def opaque_labels(program: Program) -> list[str]:
 class UReconstructor:
     """Concretises heap locations under a first-order model."""
 
-    def __init__(self, heap: UHeap, model) -> None:
+    def __init__(self, heap: UHeap, model,
+                 struct_types: Optional[dict[str, StructType]] = None) -> None:
         self.heap = heap
         self.model = model
+        self.struct_types = struct_types or {}
         self._memo: dict[Loc, UExpr] = {}
         self._in_progress: set[Loc] = set()
 
@@ -257,31 +260,17 @@ class UReconstructor:
                 return Quote(p.datum)
         if TAG_INTEGER in s.possible:
             return Quote(self.model[mk_var(l.name)])
-        if TAG_BOOLEAN in s.possible:
-            if PNot(PEqDatum(False)) in s.preds:
-                return Quote(True)
-            return Quote(False)
-        if TAG_NULL in s.possible:
-            return Quote([])
-        if TAG_RATREAL in s.possible:
-            return Quote(0.5)
-        if TAG_NONREAL in s.possible:
-            # The paper's 0+1i: passes number?, fails every comparison.
-            return Quote(complex(0, 1))
-        if TAG_STRING in s.possible:
-            return Quote("")
-        if TAG_SYMBOL in s.possible:
-            return Quote(Symbol("sym"))
-        if TAG_PROCEDURE in s.possible:
-            return ULam((".z",), Quote(0))
-        if TAG_PAIR in s.possible:
-            return _capp("cons", Quote(0), Quote([]))
-        if TAG_VECTOR in s.possible:
-            return _capp("vector", Quote(0))
-        if TAG_BOX in s.possible:
-            return _capp("box", Quote(0))
-        if TAG_VOID in s.possible:
-            return _capp("void")
+        # The first representative of a possible tag that no negative
+        # ``equal?`` fact on the opaque excludes.
+        for tag, datum, expr in _REPRESENTATIVES:
+            if tag in s.possible and (
+                    datum is None or PNot(PEqDatum(datum)) not in s.preds):
+                return expr
+        for tag in sorted(s.possible):
+            if tag.startswith("struct:"):
+                stype = self.struct_types.get(tag[len("struct:"):])
+                if stype is not None:
+                    return _capp(stype.name, *[Quote(0)] * len(stype.fields))
         raise UReconstructionError(f"no representative for {s!r}")
 
     def _build_case(self, s: UCase) -> UExpr:
@@ -339,6 +328,26 @@ def _capp(prim: str, *args: UExpr) -> UApp:
     return UApp(UVar(prim), tuple(args), label="cex")
 
 
+#: An opaque's representative per tag, in the order tried, with the datum
+#: a negative ``equal?`` fact excludes it by (``None``: never excluded).
+#: Integers take their model value instead, and structs come last.
+_REPRESENTATIVES: tuple[tuple[str, object, UExpr], ...] = (
+    (TAG_BOOLEAN, False, Quote(False)),
+    (TAG_BOOLEAN, True, Quote(True)),
+    (TAG_NULL, NIL, Quote([])),
+    (TAG_RATREAL, 0.5, Quote(0.5)),
+    # The paper's 0+1i: passes number?, fails every comparison.
+    (TAG_NONREAL, complex(0, 1), Quote(complex(0, 1))),
+    (TAG_STRING, "", Quote("")),
+    (TAG_SYMBOL, Symbol("sym"), Quote(Symbol("sym"))),
+    (TAG_PROCEDURE, None, ULam((".z",), Quote(0))),
+    (TAG_PAIR, None, _capp("cons", Quote(0), Quote([]))),
+    (TAG_VECTOR, None, _capp("vector", Quote(0))),
+    (TAG_BOX, None, _capp("box", Quote(0))),
+    (TAG_VOID, VOID, _capp("void")),
+)
+
+
 def construct_u(
     program: Program,
     state: SState,
@@ -355,7 +364,7 @@ def construct_u(
     model = get_model(translate_uheap(state.heap))
     if model is None:
         return None
-    recon = UReconstructor(state.heap, model)
+    recon = UReconstructor(state.heap, model, collect_struct_types(program))
     bindings: dict[str, UExpr] = {}
     for label in opaque_labels(program):
         if label == CLIENT_LABEL:

@@ -54,7 +54,7 @@ from ..core.proof import Verdict
 from ..core.syntax import Loc
 from ..lang.ast import Quote, UApp, UExpr, UIf, ULam, ULetrec, UVar
 from ..lang.values import Pair, StructVal
-from ..prims import REGISTRY, PrimError, UserError
+from ..prims import REGISTRY, PrimError, UserError, exactly
 from .heap import (
     UConc,
     UHeap,
@@ -838,8 +838,9 @@ def delta_u(machine, heap: UHeap, name: str, args: tuple[Loc, ...],
     struct_entry = machine.struct_prims.get(name)
     if struct_entry is not None:
         role, stype, index = struct_entry
-        if len(args) != 1:
-            return [r.blame("expected 1 argument")]
+        msg = exactly(1).blame(len(args))
+        if msg is not None:
+            return [r.blame(msg)]
         return _struct_rule(r, role, stype, index)
     spec = REGISTRY.get(name)
     if spec is None:

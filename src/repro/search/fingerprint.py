@@ -217,11 +217,46 @@ class _CoreRun(_Base):
         raise TypeError(f"cannot fingerprint expression {e!r}")
 
 
+#: How many entries of the control's preorder walk a core key holds.
+_CORE_KEY_LEN = 24
+
+
 class CoreFingerprinter:
     """``core.State -> Node`` with a per-search interning table."""
 
     def __init__(self) -> None:
         self._interner = Interner()
+
+    def key(self, state: core_machine.State) -> tuple:
+        """The search kernel's admission key: the first entries of a
+        preorder walk of the control — node classes, prim ops and
+        numerals, and for a location its ``SNum`` value or storeable
+        class.  Equal fingerprints give equal keys."""
+        heap, out = state.heap, []
+        todo = [state.control]
+        while todo and len(out) < _CORE_KEY_LEN:
+            e = todo.pop()
+            if isinstance(e, Loc):
+                s = heap.get(e)
+                out.append(s.value if isinstance(s, core_heap.SNum)
+                           else type(s))
+            elif isinstance(e, core_syntax.Num):
+                out.append(e.value)
+            elif isinstance(e, core_syntax.App):
+                out.append(core_syntax.App)
+                todo += (e.arg, e.fn)
+            elif isinstance(e, core_syntax.PrimApp):
+                out.append(e.op)
+                todo += reversed(e.args)
+            elif isinstance(e, core_syntax.If):
+                out.append(core_syntax.If)
+                todo += (e.orelse, e.then, e.test)
+            elif isinstance(e, (core_syntax.Lam, core_syntax.Fix)):
+                out.append(type(e))
+                todo.append(e.body)
+            else:
+                out.append(type(e))
+        return tuple(out)
 
     def __call__(self, state: core_machine.State) -> Node:
         run = _CoreRun(self._interner, state.heap)
@@ -447,6 +482,38 @@ class ScvFingerprinter:
         self._interner = Interner()
         self._genv_cache: dict[int, tuple] = {}
         self._code_memo: dict[int, tuple] = {}
+
+    def key(self, state) -> tuple:
+        """The search kernel's admission key: the control's kind with
+        its node class and label (code), its cell (a value) or its
+        party, label and description (blame); the continuation's depth
+        and top frame class; and the innermost non-root environment
+        frame's names with their cells.  A cell contributes its class,
+        or its datum token for a ``UConc`` — nothing that location
+        renaming or heap garbage changes, so equal fingerprints give
+        equal keys."""
+        heap, c = state.heap, state.control
+        cell = self._cell_key
+        if isinstance(c, self._smach.Blame):
+            ctrl = ("b", c.party, c.label, c.description)
+        elif isinstance(c, Loc):
+            ctrl = ("v", cell(heap.get(c)))
+        else:
+            ctrl = ("e", type(c), getattr(c, "label", None))
+        kont, env = state.kont, state.env
+        # A root frame (the globals frame, as a rule) is left out: its
+        # cells cost more to walk than a fingerprint.
+        frame = (
+            None if env.parent is None
+            else tuple([(n, cell(heap.get(l)))
+                        for n, l in sorted(env.frame.items())])
+        )
+        return (ctrl, len(kont), type(kont[-1]) if kont else None, frame)
+
+    def _cell_key(self, s) -> Hashable:
+        if isinstance(s, self._sheap.UConc):
+            return _datum_token(s.value)
+        return type(s)
 
     def __call__(self, state) -> Node:
         run = _ScvRun(self, state.heap)

@@ -17,6 +17,19 @@ above that interface, and runs one policy:
   the whole state budget.  Pruning is exact: a state is dropped only
   when an equal state (up to location renaming and heap garbage,
   refinements included) was admitted before;
+* **two-level admission** — a fingerprint is only needed where two
+  states could be equal, so admission first computes the
+  fingerprinter's cheap ``key``.  A state whose key is new cannot equal
+  any admitted state: it is admitted unfingerprinted and held under its
+  key.  When a key repeats, the held state (once) and every later state
+  under that key are fingerprinted and pruned as above.  That is exact
+  only because a key is a *function of the fingerprint* — equal
+  fingerprints give equal keys, so every component must be invariant
+  under location renaming and heap garbage.  At most ``_MAX_HELD``
+  states are held; past that the oldest is fingerprinted and let go.
+  A fingerprinter without ``key`` gets one constant key: the same code
+  path, fingerprinting every state of a search from its second
+  admission on, which is the reference the tests compare against;
 * **chain compression** — the dominant cost in both machines is
   *administrative*: context decomposition, allocation and
   value-plugging steps with exactly one successor (87–93% of all
@@ -24,12 +37,13 @@ above that interface, and runs one policy:
   deterministic chains to their next choice point in place; only branch
   points, answers and chain-cap boundaries become frontier states.
   ``states_explored`` then counts *macro* states — the tree the search
-  actually deliberates over — which is also what the frontier, the
-  seen-set and the fingerprint bill are proportional to.  An infinite
-  deterministic chain cannot evade the budget: chains are capped at
-  ``chain_limit`` micro-steps, and cap-boundary states are fingerprinted
-  like any other, so unproductive loops are recognised within one loop
-  length.
+  actually deliberates over — which is also what the frontier and the
+  admission keys are proportional to; fingerprints are paid only for
+  macro states whose key repeats.  An infinite deterministic chain
+  cannot evade the budget: chains are capped at ``chain_limit``
+  micro-steps, and cap-boundary states are admitted like any other, so
+  a loop's states repeat their keys within one loop length and are
+  fingerprinted and recognised there.
 
 Without a fingerprinter the kernel is the paper-faithful micro-step
 loop: no seen-set and no chain compression (compression relies on the
@@ -47,6 +61,18 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
+
+
+#: How many unfingerprinted states admission holds at most.  A search
+#: whose keys never repeat (a loop counting up) would otherwise keep
+#: every state it admitted alive, heap included; past the bound the
+#: oldest is fingerprinted and let go, so no state is fingerprinted
+#: more than once either way.  No benchmark search holds more than 22.
+_MAX_HELD = 32
+
+
+def _constant_key(state) -> tuple:
+    return ()
 
 
 @dataclass
@@ -78,9 +104,11 @@ class SearchKernel:
 
     * ``step`` — successor function; ``None`` marks an answer state;
     * ``fingerprint`` — canonicaliser from a state to a hashable
-      identity (``search.fingerprint``); pass ``None`` to disable
-      memoisation and chain compression (every state is explored once
-      per path reaching it, exactly the pre-kernel behaviour);
+      identity (``search.fingerprint``), with an optional ``key``
+      method giving the admission key (see the module docstring); pass
+      ``None`` to disable memoisation and chain compression (every
+      state is explored once per path reaching it, exactly the
+      pre-kernel behaviour);
     * ``expander`` — optional fused expansion function
       ``(state, chain_limit) -> (final_state, successors, chained)``
       replacing the step-at-a-time ``_expand`` loop.  This is how the
@@ -116,17 +144,43 @@ class SearchKernel:
         self.expander = expander
         self.stats = stats if stats is not None else SearchStats()
         self._seen: set = set()
+        # A fingerprinter without ``key`` gets one constant key, the
+        # reference policy.
+        self._key = getattr(fingerprint, "key", None) or _constant_key
+        # key -> the one state admitted under it, unfingerprinted, in
+        # admission order; a key leaves it for _repeated when it repeats.
+        self._held: dict = {}
+        self._repeated: set = set()
 
     def _admit(self, state) -> bool:
-        """Record ``state``'s fingerprint; False when it is redundant."""
+        """Admit ``state``; False when an equal state was admitted before.
+
+        A state whose key is new cannot equal any admitted state, so it
+        is held under its key unfingerprinted.  When a key repeats, the
+        held state and every later state under that key are
+        fingerprinted and pruned against the seen-set exactly."""
         if self.fingerprint is None:
             return True
+        key = self._key(state)
+        if key not in self._repeated:
+            if key not in self._held:
+                self._held[key] = state
+                if len(self._held) > _MAX_HELD:
+                    self._release(next(iter(self._held)))
+                return True
+            self._release(key)
         fp = self.fingerprint(state)
         if fp in self._seen:
             self.stats.pruned += 1
             return False
         self._seen.add(fp)
         return True
+
+    def _release(self, key) -> None:
+        """Fingerprint the state held under ``key`` into the seen-set;
+        the key's later states are fingerprinted on admission."""
+        self._seen.add(self.fingerprint(self._held.pop(key)))
+        self._repeated.add(key)
 
     def _expand(self, state):
         """Step ``state``, running any deterministic chain to its next

@@ -171,13 +171,16 @@ class TestCrossCheckAgreement:
             assert t["programs"] == len(self.SHARED)
 
 
-def _tag_chain_module(preds) -> str:
-    """``f`` answers for every tag ``preds`` names and divides by zero
-    for any other value."""
+def _tag_chain_module(preds, prelude: str = "") -> str:
+    """``f`` answers for every value a test in ``preds`` admits (a
+    predicate's name, or a test of ``x``) and divides by zero for any
+    other value."""
     body = "(quotient 1 0)"
     for i, pred in reversed(list(enumerate(preds))):
-        body = f"(if ({pred} x) {i} {body})"
-    return f"(module m (define (f x) {body}) (provide [f (-> any/c any/c)]))"
+        test = pred if pred.startswith("(") else f"({pred} x)"
+        body = f"(if {test} {i} {body})"
+    return (f"(module m {prelude}(define (f x) {body})"
+            f" (provide [f (-> any/c any/c)]))")
 
 
 _SEVEN_TAGS = ("number?", "string?", "pair?", "procedure?", "boolean?",
@@ -215,4 +218,40 @@ class TestWholePrimitiveTable:
         assert r.counterexample.err_detail == (
             f"Λ: car: {REGISTRY['car'].arity.blame(2)}"
         )
+        assert REGISTRY["car"].arity.blame(2) == "expected 1 argument, got 2"
         assert r.counterexample.validated_conc is True
+        # The concrete interpreter blames the same call in the same words.
+        from repro.conc.interp import PrimBlame, run_source
+
+        with pytest.raises(PrimBlame) as info:
+            run_source("(car (cons 1 2) 3)")
+        assert info.value.message == REGISTRY["car"].arity.blame(2)
+
+    @pytest.mark.parametrize("call, op", [
+        ("(substring \"ab\")", "substring"),
+        ("(< 1)", "<"),
+        ("(posn? (posn 1 2) 3)", "posn?"),
+        ("(posn-x)", "posn-x"),
+    ])
+    def test_the_concrete_interpreter_phrases_arity_alike(self, call, op):
+        from repro.conc.interp import PrimBlame, run_source
+        from repro.prims import REGISTRY, exactly
+
+        source = (f"(module m (struct posn (x y)) (provide posn posn? posn-x))"
+                  f" {call}")
+        with pytest.raises(PrimBlame) as info:
+            run_source(source)
+        n = len(parse_program(call).main.args)
+        arity = REGISTRY[op].arity if op in REGISTRY else exactly(1)
+        assert (info.value.op, info.value.message) == (op, arity.blame(n))
+
+    def test_a_struct_witness_behind_a_negative_equal(self):
+        source = _tag_chain_module(
+            _SEVEN_TAGS + ("vector?", "box?", "(equal? x (void))"),
+            prelude="(struct posn (x y)) ",
+        )
+        r = verify_source(source, name="m", kind="buggy", backend="scv")
+        assert r.status == STATUS_COUNTEREXAMPLE, (r.status, r.detail)
+        assert r.counterexample.err_op == "quotient"
+        assert r.counterexample.validated_conc is True
+        assert "(f (posn 0 0))" in r.counterexample.client

@@ -230,6 +230,9 @@ class _Recording:
 
     searches: list = []
     kind: type
+    # One constant admission key: the kernel then fingerprints every
+    # state of a search that admits more than one.
+    key = lambda self, s: ()  # noqa: E731
 
     def __init__(self) -> None:
         super().__init__()
@@ -558,6 +561,80 @@ class TestKernelBehaviour:
         assert list(k.run(1)) == []
         assert stats.truncated is True
         assert stats.states_explored == 40
+
+
+class _Counting:
+    """An identity fingerprint that records the states it is asked
+    for, with ``key`` as its admission key (none: the constant-key
+    reference)."""
+
+    def __init__(self, key=None) -> None:
+        self.calls: list = []
+        if key is not None:
+            self.key = key
+
+    def __call__(self, state):
+        self.calls.append(state)
+        return state
+
+
+class TestTwoLevelAdmission:
+    @staticmethod
+    def _run(step, init, fingerprint, **kw):
+        stats = SearchStats()
+        k = SearchKernel(step, fingerprint=fingerprint, chain_limit=0,
+                         stats=stats, **kw)
+        answers = list(k.run(init))
+        return answers, stats, k
+
+    def test_new_keys_are_not_fingerprinted(self):
+        def step(n):
+            return None if n >= 10 else [n + 1, n + 11]
+
+        fp = _Counting(key=lambda n: n)
+        answers, stats, _ = self._run(step, 0, fp)
+        assert fp.calls == []
+        assert stats.pruned == 0 and len(answers) == 11
+
+    def test_a_repeated_key_fingerprints_the_held_state_once(self):
+        # Keys are n // 2, a function of the identity fingerprint: 4 and
+        # 5 share a key, as do the two copies of 5.
+        def step(n):
+            return {0: [4], 4: [5, 5]}.get(n)
+
+        fp = _Counting(key=lambda n: n // 2)
+        answers, stats, _ = self._run(step, 0, fp)
+        assert fp.calls == [4, 5, 5]
+        assert answers == [5] and stats.pruned == 1
+
+    def test_the_held_states_are_bounded(self):
+        # A loop counting up never repeats a key: past the bound the
+        # oldest held state is fingerprinted and let go, once.
+        from repro.search.kernel import _MAX_HELD
+
+        def step(n):
+            return [n + 1]
+
+        fp = _Counting(key=lambda n: n)
+        _, stats, k = self._run(step, 0, fp, max_states=3 * _MAX_HELD)
+        assert stats.truncated
+        assert len(k._held) == _MAX_HELD
+        assert fp.calls == list(range(2 * _MAX_HELD + 1))
+
+    @pytest.mark.parametrize("period", [5, 100])
+    def test_pruning_matches_the_constant_key_reference(self, period):
+        # A branching system whose states cycle with ``period``; keys
+        # are the state mod 3, so some collide and some never do.
+        def step(n):
+            return None if n == 0 else [(n + 1) % period or 1,
+                                        (n * 2) % period or 1]
+
+        runs = [self._run(step, 1, fp, max_states=10_000)
+                for fp in (_Counting(key=lambda n: n % 3), _Counting())]
+        (a_answers, a, _), (b_answers, b, _) = runs
+        assert a_answers == b_answers
+        assert (a.states_explored, a.pruned) == (b.states_explored, b.pruned)
+        assert a.pruned > 0 and not a.truncated
 
 
 class TestGlobalShadowing:
